@@ -64,7 +64,6 @@ from .ring import (
     intersect,
     localize,
     maximal_power,
-    minimalize,
     quotient_length,
     saturate,
 )

@@ -29,6 +29,8 @@ sequential run.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -92,9 +94,6 @@ class LengthSequence:
             (n, None if lam is None else Fraction(fact * lam, n**self.dim))
             for n, lam in self.entries)
 
-    def finite_normalized(self):
-        return [(n, v) for n, v in self.normalized() if v is not None]
-
 
 def _median(values):
     vals = sorted(values)
@@ -123,6 +122,15 @@ def _fit_inverse_n(pairs):
     return eps, c
 
 
+def _window_fit(tail):
+    """Fit v = eps + c/n over a trailing window of finite (n, v) pairs;
+    return (eps, c, spread), where spread is the range of the corrected
+    values v - c/n (zero exactly when the window matches the model)."""
+    eps, c = _fit_inverse_n(tail)
+    corrected = [v - c * Fraction(1, n) for n, v in tail]
+    return eps, c, max(corrected) - min(corrected)
+
+
 @dataclass(frozen=True)
 class EpsilonReport:
     sequence: LengthSequence
@@ -137,22 +145,21 @@ class EpsilonReport:
     # is the point estimate sweeps should compare
     fitted: Fraction | None = None
 
+    # the per-n columns of rows(), in CSV order
+    COLUMNS = ("n", "length", "normalized", "normalized_decimal",
+               "running_sup", "secant_estimate")
+
     def rows(self):
         norm = self.sequence.normalized()
-        out = []
-        for (n, lam), (_, v), sup, sec in zip(
-                self.sequence.entries, norm, self.running_sup, self.secant):
-            out.append({
-                "n": n,
-                "length": length_str(lam),
-                "normalized": fraction_str(v),
-                "normalized_decimal": decimal_str(v),
-                "running_sup": fraction_str(sup),
-                "secant_estimate": fraction_str(sec),
-            })
-        return out
+        return [
+            dict(zip(self.COLUMNS, (
+                n, length_str(lam), fraction_str(v), decimal_str(v),
+                fraction_str(sup), fraction_str(sec))))
+            for (n, lam), (_, v), sup, sec in zip(
+                self.sequence.entries, norm, self.running_sup, self.secant)
+        ]
 
-    def to_obj(self):
+    def to_obj(self, names=None):
         return {
             "dimension": self.sequence.dim,
             "window": self.window,
@@ -198,9 +205,7 @@ def _classify(normalized, window):
     increasing = all(a < b for a, b in zip(tail_vals, tail_vals[1:]))
     if head_vals and increasing and tail_vals[-1] > DIVERGENCE_FACTOR * _median(head_vals):
         return "diverging", None, None
-    eps, c = _fit_inverse_n(tail)
-    corrected = [v - c * Fraction(1, n) for n, v in tail]
-    spread = max(corrected) - min(corrected)
+    eps, _, spread = _window_fit(tail)
     mean = sum(tail_vals) / len(tail_vals)
     tol = max(ABS_TOL, REL_TOL * abs(mean))
     if spread < tol:
@@ -238,6 +243,9 @@ def _sequence_report(seq: LengthSequence, window):
 # sequence computation (optionally fanned out to workers)
 # ---------------------------------------------------------------------------
 
+# per-n functions fn(F, n) -> length or None, at module level so that a
+# process pool can pickle them
+
 
 def _sat_quotient_at(F, n):
     I = F.ideal_at(n)
@@ -248,35 +256,35 @@ def _colength_at(F, n):
     return colength(F.ideal_at(n))
 
 
-_ENTRY_FNS = {"sat": _sat_quotient_at, "colength": _colength_at}
+def _gap_at(inner_f, outer_f, n):
+    Jn = inner_f.ideal_at(n)
+    In = outer_f.ideal_at(n)
+    if not In.contains_ideal(Jn):
+        raise ValueError(f"containment inner <= outer fails at n={n}")
+    lam = quotient_length(In, Jn)
+    if lam is None:
+        raise ValueError(f"lambda(outer_n/inner_n) is infinite at n={n}")
+    return lam
 
 
-def _entry_chunk(args):
-    F, ns, kind = args
-    fn = _ENTRY_FNS[kind]
-    return [(n, fn(F, n)) for n in ns]
-
-
-def _compute_entries(F, N, kind, jobs):
+def _entries(fn, F, N, jobs=1):
+    """(n, fn(F, n)) for n = 1..N.  With jobs > 1 the levels go to a process
+    pool in contiguous chunks, one per worker, and come back in n-order."""
+    if N < 1:
+        raise ValueError("N must be at least 1")
+    ns = range(1, N + 1)
     if jobs <= 1:
-        return _entry_chunk((F, range(1, N + 1), kind))
-    ns = list(range(1, N + 1))
-    step = max(1, (N + jobs - 1) // jobs)
-    chunks = [ns[i:i + step] for i in range(0, N, step)]
-    entries = []
+        return [(n, fn(F, n)) for n in ns]
+    step = (N + jobs - 1) // jobs
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_entry_chunk, [(F, c, kind) for c in chunks]):
-            entries.extend(part)
-    entries.sort(key=lambda e: e[0])
-    return entries
+        return list(zip(ns, pool.map(fn, itertools.repeat(F, N), ns,
+                                     chunksize=step)))
 
 
 def sat_quotient_sequence(F: Filtration, N, jobs=1) -> LengthSequence:
     """lambda(I_n^sat / I_n) for n = 1..N, with infinite entries recorded as
     ``None`` rather than raised."""
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    entries = _compute_entries(F, N, "sat", jobs)
+    entries = _entries(_sat_quotient_at, F, N, jobs)
     return LengthSequence(dim=F.ctx.dim, entries=tuple(entries))
 
 
@@ -287,13 +295,12 @@ def epsilon_report(F: Filtration, N, window=None, jobs=1) -> EpsilonReport:
 
 def samuel_sequence(F: Filtration, N, jobs=1) -> LengthSequence:
     """Colengths of I_n (requires every member primary to the maximal ideal)."""
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    entries = _compute_entries(F, N, "colength", jobs)
+    entries = _entries(_colength_at, F, N, jobs)
     for n, lam in entries:
         if lam is None:
             raise LocalizedSequenceError(
-                f"I_{n} is not primary to the maximal ideal")
+                f"I_{n} is not primary to the maximal ideal of "
+                f"{', '.join(F.ctx.names)}")
     return LengthSequence(dim=F.ctx.dim, entries=tuple(entries))
 
 
@@ -365,7 +372,7 @@ class ESLocalizedReport:
     s: int
     contributions: tuple  # (variable names, value, exact) per face prime
 
-    def to_obj(self):
+    def to_obj(self, names=None):
         return {
             "value": fraction_str(self.value),
             "value_decimal": decimal_str(self.value),
@@ -392,8 +399,6 @@ def e_s_localized(F: Filtration, N=200, window=None, s=None) -> ESLocalizedRepor
     flagged exact when the localized sequence matches eps + c/n exactly
     across the trailing window.
     """
-    import itertools
-
     fdim = filtration_dimension(F)
     d = F.ctx.dim
     if s is None:
@@ -414,19 +419,11 @@ def e_s_localized(F: Filtration, N=200, window=None, s=None) -> ESLocalizedRepor
         supports = (frozenset(i for i, e in enumerate(g) if e > 0) for g in I1.gens)
         if not all(set(S) & sup for sup in supports):
             continue
-        G = F.localize(S)
-        fact = math.factorial(codim)
-        pairs = []
-        for n in range(1, N + 1):
-            lam = colength(G.ideal_at(n))
-            if lam is None:
-                raise LocalizedSequenceError(
-                    f"localized colength at {G.ctx.names} is infinite at n={n}")
-            pairs.append((n, Fraction(fact * lam, n**codim)))
-        tail = pairs[-window:]
-        eps, c = _fit_inverse_n(tail)
-        corrected = [v - c * Fraction(1, n) for n, v in tail]
-        exact = max(corrected) == min(corrected)
+        # the localized ring has dimension codim, so this is the normalized
+        # colength (d-s)! * colength_p(I_n R_p) / n^(d-s)
+        norm = samuel_sequence(F.localize(S), N).normalized()
+        eps, _, spread = _window_fit(norm[-window:])
+        exact = spread == 0
         names = tuple(F.ctx.names[i] for i in S)
         contributions.append((names, eps, exact))
         total += eps
@@ -456,11 +453,11 @@ class DifferenceReport:
     gap: EpsilonReport
     residual: Fraction | None
 
-    def to_obj(self):
+    def to_obj(self, names=None):
         return {
-            "inner": self.inner.to_obj(),
-            "outer": self.outer.to_obj(),
-            "gap": self.gap.to_obj(),
+            "inner": self.inner.to_obj(names),
+            "outer": self.outer.to_obj(names),
+            "gap": self.gap.to_obj(names),
             "residual": fraction_str(self.residual) if self.residual is not None else None,
             "residual_decimal": decimal_str(self.residual) if self.residual is not None else None,
         }
@@ -474,18 +471,8 @@ def epsilon_difference_check(inner_f: Filtration, outer_f: Filtration, N,
     Preconditions (checked for every n <= N, with a witness on violation):
     inner_n <= outer_n and lambda(outer_n / inner_n) finite.
     """
-    gap_entries = []
-    for n in range(1, N + 1):
-        Jn = inner_f.ideal_at(n)
-        In = outer_f.ideal_at(n)
-        if not In.contains_ideal(Jn):
-            raise ValueError(f"containment inner <= outer fails at n={n}")
-        lam = quotient_length(In, Jn)
-        if lam is None:
-            raise ValueError(f"lambda(outer_n/inner_n) is infinite at n={n}")
-        gap_entries.append((n, lam))
-    dim = outer_f.ctx.dim
-    gap_seq = LengthSequence(dim=dim, entries=tuple(gap_entries))
+    gap_entries = _entries(functools.partial(_gap_at, inner_f), outer_f, N)
+    gap_seq = LengthSequence(dim=outer_f.ctx.dim, entries=tuple(gap_entries))
     inner_rep = epsilon_report(inner_f, N, window=window)
     outer_rep = epsilon_report(outer_f, N, window=window)
     gap_rep = _sequence_report(gap_seq, window)
@@ -516,7 +503,7 @@ class TruncationSweep:
     parent_estimate: Fraction
     levels: tuple  # (level, fitted estimate, gap)
 
-    def to_obj(self):
+    def to_obj(self, names=None):
         return {
             "N": self.N,
             "window": self.window,

@@ -16,14 +16,15 @@ from .fixtures import fixture_ids, format_fixture_table, paper_examples
 from .scenario import ScenarioError, load_scenario, run_scenario
 
 
-def _add_common(p, *, filtration=True):
+def _add_common(p, *, filtration=True, jobs=False):
     p.add_argument("scenario", help="scenario JSON file declaring the filtrations")
     if filtration:
         p.add_argument("--filtration", required=True, help="filtration name")
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for per-n fanout")
+    if jobs:
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes for per-n fanout")
 
 
 def build_parser():
@@ -42,7 +43,7 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("epsilon", help="normalized saturation-length report")
-    _add_common(p)
+    _add_common(p, jobs=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--window", type=int)
 
@@ -69,7 +70,7 @@ def build_parser():
     p.add_argument("--window", type=int)
 
     p = sub.add_parser("truncate-sweep", help="level-i subfiltration estimates")
-    _add_common(p)
+    _add_common(p, jobs=True)
     p.add_argument("--levels", required=True,
                    help="comma separated truncation levels, e.g. 1,2,3,4")
     p.add_argument("--n-max", type=int, required=True)

@@ -31,7 +31,7 @@ from .ring import (
     maximal_power,
     saturate,
 )
-from .textio import format_monomial
+from .textio import monomial_obj
 from .valuation import ceil_defect_lower_bound
 
 __all__ = [
@@ -63,8 +63,7 @@ class AcReport:
                "verdict": "holds-up-to-bound" if self.holds else "fails"}
         if not self.holds:
             obj["witness_n"] = self.witness_n
-            obj["witness"] = (format_monomial(self.witness, names)
-                              if names else list(self.witness))
+            obj["witness"] = monomial_obj(self.witness, names)
         return obj
 
 
@@ -113,7 +112,7 @@ class MaxSpreadCertificate:
     def criterion_holds(self):
         return True
 
-    def to_obj(self):
+    def to_obj(self, names=None):
         return {
             "kind": "maximal",
             "witness_n": self.witness_n,
@@ -178,9 +177,7 @@ class ZeroSpreadCertificate:
             "bound": self.bound,
             "r_max": self.r_max,
             "certificates": [
-                {"n": n,
-                 "generator": format_monomial(g, names) if names else list(g),
-                 "r": r}
+                {"n": n, "generator": monomial_obj(g, names), "r": r}
                 for n, g, r in self.entries
             ],
             "amplified_exponents": {
@@ -201,8 +198,7 @@ class ZeroSpreadNotFound:
         return {
             "kind": "not-found",
             "n": self.n,
-            "generator": (format_monomial(self.generator, names)
-                          if names else list(self.generator)),
+            "generator": monomial_obj(self.generator, names),
             "searched_up_to": self.searched_up_to,
         }
 

@@ -45,9 +45,18 @@ from .ring import MonomialIdeal, RingContext, ideal_product, maximal_power
 from .textio import decimal_str
 from .valuation import ExactScalar, MonomialValuation, ceil_mul
 
-__all__ = ["FixtureResult", "paper_examples", "fixture_ids", "format_fixture_table"]
+__all__ = [
+    "FixtureResult",
+    "paper_examples",
+    "fixture_ids",
+    "format_fixture_table",
+    "pi_plane",
+    "pi_line",
+    "within_rel",
+]
 
 HALF_PERCENT = Fraction(1, 200)
+_PLANE = RingContext(2)
 
 
 @dataclass(frozen=True)
@@ -61,7 +70,7 @@ class FixtureResult:
     passed: bool
 
 
-def _within_rel(est, scalar, rel, power=1):
+def within_rel(est, scalar, rel, power=1):
     """est within relative tolerance of scalar^power, decided with certified
     brackets so the comparison is exact."""
     if est is None:
@@ -75,29 +84,32 @@ def _within_rel(est, scalar, rel, power=1):
 # ---------------------------------------------------------------------------
 
 
+def pi_plane():
+    """The plane ceil-pi filtration I_n = (x)^ceil(n pi) cap m^ceil(2n pi)."""
+    return DiscreteValuedFiltration(RingContext(2), [
+        (MonomialValuation((1, 0)), ExactScalar(1, "pi")),
+        (MonomialValuation((1, 1)), ExactScalar(2, "pi")),
+    ])
+
+
+def pi_line():
+    """The line filtration I_n = (x^ceil(n pi)) in one variable."""
+    return DiscreteValuedFiltration(RingContext(1), [
+        (MonomialValuation((1,)), ExactScalar(1, "pi")),
+    ])
+
+
+# one instance per corpus run, so fixtures reuse evaluated levels
 def _pi_plane(shared):
     if "pi_plane" not in shared:
-        ctx = RingContext(2)
-        shared["pi_plane"] = DiscreteValuedFiltration(ctx, [
-            (MonomialValuation((1, 0)), ExactScalar(1, "pi")),
-            (MonomialValuation((1, 1)), ExactScalar(2, "pi")),
-        ])
+        shared["pi_plane"] = pi_plane()
     return shared["pi_plane"]
 
 
 def _pi_line(shared):
     if "pi_line" not in shared:
-        ctx = RingContext(1)
-        shared["pi_line"] = DiscreteValuedFiltration(ctx, [
-            (MonomialValuation((1,)), ExactScalar(1, "pi")),
-        ])
+        shared["pi_line"] = pi_line()
     return shared["pi_line"]
-
-
-def _plane(shared):
-    if "plane" not in shared:
-        shared["plane"] = RingContext(2)
-    return shared["plane"]
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +138,7 @@ def fx_pi_lengths(shared):
 def fx_pi_epsilon(shared):
     F = _pi_plane(shared)
     rep = epsilon_report(F, 500, window=250)
-    ok = rep.classification == "converging" and _within_rel(
+    ok = rep.classification == "converging" and within_rel(
         rep.estimate, ExactScalar(1, "pi"), HALF_PERCENT, power=2)
     return FixtureResult(
         "pi-epsilon", "plane ceil-pi filtration: normalized limit",
@@ -139,7 +151,7 @@ def fx_pi_epsilon(shared):
 def fx_pi_localized(shared):
     F = _pi_plane(shared)
     rep = epsilon_report(F.localize([0]), 500, window=250)
-    ok = rep.classification == "converging" and _within_rel(
+    ok = rep.classification == "converging" and within_rel(
         rep.estimate, ExactScalar(1, "pi"), HALF_PERCENT)
     return FixtureResult(
         "pi-localized", "plane ceil-pi filtration localized at (x)",
@@ -152,7 +164,7 @@ def fx_pi_localized(shared):
 def fx_pi_es(shared):
     F = _pi_plane(shared)
     rep = e_s_localized(F, N=500)
-    ok = _within_rel(rep.value, ExactScalar(1, "pi"), HALF_PERCENT)
+    ok = within_rel(rep.value, ExactScalar(1, "pi"), HALF_PERCENT)
     return FixtureResult(
         "pi-es", "plane ceil-pi filtration: face-prime multiplicity sum",
         "derived", False,
@@ -178,7 +190,7 @@ def fx_pi_truncations(shared):
 def fx_pi_spread_max(shared):
     F = _pi_plane(shared)
     cert_pi = spread_max_test(F, 5)
-    F36 = DiscreteValuedFiltration(_plane(shared), [
+    F36 = DiscreteValuedFiltration(_PLANE, [
         (MonomialValuation((1, 0)), ExactScalar(3)),
         (MonomialValuation((1, 1)), ExactScalar(6)),
     ])
@@ -199,7 +211,7 @@ def fx_pi_spread_max(shared):
 def fx_ceilpi_epsilon(shared):
     F = _pi_line(shared)
     rep = epsilon_report(F, 500, window=250)
-    ok = rep.classification == "converging" and _within_rel(
+    ok = rep.classification == "converging" and within_rel(
         rep.estimate, ExactScalar(1, "pi"), HALF_PERCENT)
     return FixtureResult(
         "ceilpi-epsilon", "line filtration (x^ceil(n pi)): saturation limit",
@@ -243,7 +255,7 @@ def fx_ceilpi_spread_zero(shared):
 
 
 def fx_growth_lengths(shared):
-    ctx = _plane(shared)
+    ctx = _PLANE
     J = TemplateFiltration(ctx, [("2", "0"), ("1", "n^2")])
     I = TemplateFiltration(ctx, [("2", "0"), ("1", "n")])
     shared["growth_J"], shared["growth_I"] = J, I
@@ -284,7 +296,7 @@ def fx_growth_closure(shared):
 
 
 def fx_ac_grid(shared):
-    ctx = _plane(shared)
+    ctx = _PLANE
     cells = []
     all_ok = True
     for a in (1, 2, 3):
@@ -306,7 +318,7 @@ def fx_ac_grid(shared):
 
 
 def fx_ac_ascent(shared):
-    ctx = _plane(shared)
+    ctx = _PLANE
     J = PowerFiltration(ideal_product(
         MonomialIdeal(ctx, [(1, 0)]), maximal_power(ctx, 2)))
     I = PowerFiltration(MonomialIdeal(ctx, [(3, 0)]))
@@ -323,7 +335,7 @@ def fx_ac_ascent(shared):
 
 
 def fx_tau_cubic(shared):
-    ctx = _plane(shared)
+    ctx = _PLANE
     T = TemplateFiltration(ctx, [("2", "0"), ("1", "n^3")])
     rep = epsilon_report(T, 60, window=10)
     return FixtureResult(
@@ -335,7 +347,7 @@ def fx_tau_cubic(shared):
 
 
 def fx_tau_ac_bound(shared):
-    ctx = _plane(shared)
+    ctx = _PLANE
     K = TemplateFiltration(ctx, [("2", "0"), ("1", "2*n")])
     rep = check_Ac(K, 3, 50)
     norm = sat_quotient_sequence(K, 50).normalized()
@@ -349,7 +361,7 @@ def fx_tau_ac_bound(shared):
 
 
 def fx_staircase_lengths(shared):
-    ctx = _plane(shared)
+    ctx = _PLANE
     I = PowerFiltration(MonomialIdeal(ctx, [(1, 0)]))
     J = TemplateFiltration(ctx, [("n+1", "0"), ("n", "1")])
     shared["stair_I"], shared["stair_J"] = I, J
@@ -386,7 +398,7 @@ def fx_staircase_closure(shared):
 
 
 def fx_es_line(shared):
-    ctx = _plane(shared)
+    ctx = _PLANE
     P = PowerFiltration(MonomialIdeal(ctx, [(1, 0)]))
     rep = e_s_localized(P, N=40)
     ratios_ok = all(
@@ -402,7 +414,7 @@ def fx_es_line(shared):
 
 
 def fx_sigma_oscillation(shared):
-    ctx = _plane(shared)
+    ctx = _PLANE
     H = TemplateFiltration(ctx, [("2", "0"), ("1", "n*sigma(n)")])
     shared["sigma_H"] = H
     rep = epsilon_report(H, 1024, window=256)
@@ -430,7 +442,7 @@ def fx_sigma_ac(shared):
 
 
 def fx_sigma_closure(shared):
-    ctx = _plane(shared)
+    ctx = _PLANE
     H = shared["sigma_H"]
     J = TemplateFiltration(ctx, [("2", "0"), ("1", "n")])
     verdict = rees_closure_compare(H, J, 12, 4)

@@ -31,7 +31,7 @@ from .filtration import (
     TemplateFiltration,
 )
 from .ring import MonomialIdeal
-from .textio import format_monomial, fraction_str
+from .textio import fraction_str, monomial_obj
 from .valuation import MonomialValuation, valuation_of_ideal
 
 __all__ = [
@@ -259,8 +259,7 @@ class SeparationCertificate:
         return {
             "kind": "affine-weight",
             "degree": self.degree,
-            "monomial": (format_monomial(self.monomial, names)
-                         if names else list(self.monomial)),
+            "monomial": monomial_obj(self.monomial, names),
             "weight": list(self.weight),
             "slope": fraction_str(self.slope),
             "intercept": fraction_str(self.intercept),
@@ -279,8 +278,7 @@ class ContainmentCertificate:
         return {
             "kind": "closed-filtration-containment",
             "degree": self.degree,
-            "monomial": (format_monomial(self.monomial, names)
-                         if names else list(self.monomial)),
+            "monomial": monomial_obj(self.monomial, names),
         }
 
 
@@ -421,16 +419,13 @@ class ClosureVerdict:
         }
         if self.outcome == "proven-different":
             obj["degree"] = self.degree
-            obj["monomial"] = (format_monomial(self.monomial, names)
-                               if names else list(self.monomial))
+            obj["monomial"] = monomial_obj(self.monomial, names)
             obj["direction"] = self.direction
             obj["certificate"] = (self.certificate.to_obj(names)
                                   if self.certificate is not None else None)
         if self.unresolved:
             obj["unresolved"] = [
-                {"degree": n,
-                 "monomial": format_monomial(g, names) if names else list(g),
-                 "direction": side}
+                {"degree": n, "monomial": monomial_obj(g, names), "direction": side}
                 for n, g, side in self.unresolved
             ]
         return obj

@@ -21,7 +21,6 @@ __all__ = [
     "MonomialIdeal",
     "DimensionMismatchError",
     "IdealDomainError",
-    "minimalize",
     "divides",
     "ideal_sum",
     "ideal_product",
@@ -29,7 +28,6 @@ __all__ = [
     "intersect",
     "colon",
     "saturate",
-    "saturate_by_colon",
     "quotient_length",
     "colength",
     "localize",
@@ -203,11 +201,6 @@ def _compatible(I, J):
             f"ideals live in dimension {I.dim} and {J.dim}")
 
 
-def minimalize(gens, ctx):
-    """Canonical ideal generated by an arbitrary set of exponents."""
-    return MonomialIdeal(ctx, gens)
-
-
 def ideal_sum(I, J):
     _compatible(I, J)
     return MonomialIdeal(I.ctx, I.gens + J.gens)
@@ -292,8 +285,8 @@ def saturate(I):
 
     Computed as the intersection over variables of I : x_i^infinity, where
     the latter is obtained by zeroing the i-th coordinate of each generator;
-    this closed form agrees with iterating I <- I : m to a fixed point (see
-    :func:`saturate_by_colon`, kept as an independent oracle).
+    this closed form agrees with iterating I <- I : m to a fixed point (the
+    ring tests keep that iteration as an independent oracle).
     """
     if I.is_zero() or I.is_unit():
         return I
@@ -303,21 +296,6 @@ def saturate(I):
         part = MonomialIdeal(I.ctx, pts)
         result = part if result is None else intersect(result, part)
     return result
-
-
-def saturate_by_colon(I, max_steps=None):
-    """Reference implementation of saturation: iterate I : m to a fixed point."""
-    m = MonomialIdeal.maximal(I.ctx)
-    cur = I
-    steps = 0
-    while True:
-        nxt = colon(cur, m)
-        if nxt == cur:
-            return cur
-        cur = nxt
-        steps += 1
-        if max_steps is not None and steps > max_steps:
-            raise RuntimeError("saturation did not stabilize in the given budget")
 
 
 def _min_y_profile(I, x_max):

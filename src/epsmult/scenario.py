@@ -149,29 +149,14 @@ def load_scenario(path) -> Scenario:
 def emit(payload, fmt, names=None) -> str:
     """Render a report object deterministically as CSV or JSON text."""
     if fmt == "json":
-        obj = payload.to_obj(names) if _wants_names(payload) else payload.to_obj()
-        return textio.dump_json(obj)
+        return textio.dump_json(payload.to_obj(names))
     if fmt == "csv":
         if hasattr(payload, "rows"):
-            rows = payload.rows()
-            columns = ["n", "length", "normalized", "normalized_decimal",
-                       "running_sup", "secant_estimate"]
-            return textio.rows_to_csv(columns, rows)
-        obj = payload.to_obj(names) if _wants_names(payload) else payload.to_obj()
-        flat = _flatten(obj)
+            return textio.rows_to_csv(payload.COLUMNS, payload.rows())
+        flat = _flatten(payload.to_obj(names))
         return textio.rows_to_csv(["key", "value"],
                                   [{"key": k, "value": v} for k, v in flat])
     raise ScenarioError(f"unknown output format {fmt!r}")
-
-
-def _wants_names(payload):
-    import inspect
-
-    try:
-        sig = inspect.signature(payload.to_obj)
-    except (TypeError, ValueError):
-        return False
-    return "names" in sig.parameters
 
 
 def _flatten(obj, prefix=""):
@@ -216,7 +201,7 @@ class _SpreadResult:
 
     def to_obj(self, names=None):
         return {
-            "maximal": self.maximal.to_obj() if self.maximal else None,
+            "maximal": self.maximal.to_obj(names) if self.maximal else None,
             "zero": self.zero.to_obj(names) if self.zero else None,
             "toric_rank_bound": self.rank_bound,
         }

@@ -18,6 +18,7 @@ from .ring import MonomialIdeal, RingContext
 
 __all__ = [
     "format_monomial",
+    "monomial_obj",
     "parse_monomial",
     "format_generators",
     "parse_generators",
@@ -37,6 +38,12 @@ _FACTOR_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?$")
 def format_monomial(exp, names):
     factors = [n if e == 1 else f"{n}^{e}" for n, e in zip(names, exp) if e > 0]
     return "*".join(factors) if factors else "1"
+
+
+def monomial_obj(exp, names=None):
+    """A monomial in a report: ``x^2*y`` text when variable names are given,
+    else its exponent list."""
+    return format_monomial(exp, names) if names else list(exp)
 
 
 def parse_monomial(text, ctx: RingContext):

@@ -97,11 +97,6 @@ class ExactScalar:
     def is_rational(self):
         return self.constant is None
 
-    def exact_value(self):
-        if not self.is_rational:
-            raise ValueError("irrational scalar has no exact rational value")
-        return self.coeff
-
     def brackets(self, digits):
         """Certified lo < value < hi; successive digit levels shrink strictly
         (rational scalars report a zero-width bracket)."""

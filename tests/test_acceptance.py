@@ -52,10 +52,10 @@ from epsmult.diagnostics import (
     verify_zero_certificate,
 )
 from epsmult.filtration import (
-    DiscreteValuedFiltration,
     PowerFiltration,
     TemplateFiltration,
 )
+from epsmult.fixtures import pi_line, pi_plane, within_rel
 from epsmult.newton import (
     integral_closure,
     np_membership,
@@ -71,22 +71,14 @@ from epsmult.ring import (
     quotient_length,
     saturate,
 )
-from epsmult.valuation import ExactScalar, MonomialValuation, ceil_mul
+from epsmult.valuation import ExactScalar, ceil_mul
 
 CTX2 = RingContext(2)
-CTX1 = RingContext(1)
 PI = ExactScalar(1, "pi")
 TWO_PI = ExactScalar(2, "pi")
 HALF_PERCENT = Fraction(1, 200)
 # (ceil(a*pi), ceil(2*a*pi)) for a = 1..4, with pi = 3.14159265...
 CEIL_PI_MULTIPLES = {1: (4, 7), 2: (7, 13), 3: (10, 19), 4: (13, 26)}
-
-
-def within_rel(est, scalar, rel, power=1):
-    if est is None:
-        return False
-    lo, hi = scalar.brackets(60)
-    return hi**power * (1 - rel) < est < lo**power * (1 + rel)
 
 
 def announce(num, ok, detail):
@@ -96,21 +88,11 @@ def announce(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def shared():
-    data = {}
-    data["pi_plane"] = DiscreteValuedFiltration(CTX2, [
-        (MonomialValuation((1, 0)), PI),
-        (MonomialValuation((1, 1)), TWO_PI),
-    ])
-    data["pi_line"] = DiscreteValuedFiltration(CTX1, [
-        (MonomialValuation((1,)), PI)])
-    return data
+    return {"pi_plane": pi_plane(), "pi_line": pi_line()}
 
 
 def test_criterion_01_pi_lengths_exact_and_fast(shared):
-    fresh = DiscreteValuedFiltration(CTX2, [
-        (MonomialValuation((1, 0)), PI),
-        (MonomialValuation((1, 1)), TWO_PI),
-    ])
+    fresh = pi_plane()
     start = time.monotonic()
     seq = sat_quotient_sequence(fresh, 200)
     elapsed = time.monotonic() - start

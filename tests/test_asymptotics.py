@@ -18,10 +18,10 @@ from epsmult.asymptotics import (
     truncation_sweep,
 )
 from epsmult.filtration import (
-    DiscreteValuedFiltration,
     PowerFiltration,
     TemplateFiltration,
 )
+from epsmult.fixtures import pi_plane
 from epsmult.ring import (
     MonomialIdeal,
     RingContext,
@@ -29,19 +29,11 @@ from epsmult.ring import (
     ideal_power,
     maximal_power,
 )
-from epsmult.valuation import ExactScalar, MonomialValuation, ceil_mul
+from epsmult.valuation import ExactScalar, ceil_mul
 
 CTX2 = RingContext(2)
-CTX1 = RingContext(1)
 PI = ExactScalar(1, "pi")
 TWO_PI = ExactScalar(2, "pi")
-
-
-def pi_plane():
-    return DiscreteValuedFiltration(CTX2, [
-        (MonomialValuation((1, 0)), PI),
-        (MonomialValuation((1, 1)), TWO_PI),
-    ])
 
 
 def synthetic_report(values, window):
@@ -66,6 +58,8 @@ def test_sat_quotient_sequence_examples():
     J = TemplateFiltration(CTX2, [("2", "0"), ("1", "n^2")])
     seqJ = sat_quotient_sequence(J, 10)
     assert [lam for _, lam in seqJ.entries] == [n * n for n in range(1, 11)]
+    # fanned out to workers, the sequence is the same
+    assert sat_quotient_sequence(J, 10, jobs=2) == seqJ
     P = PowerFiltration(MonomialIdeal.maximal(CTX2))
     seqP = sat_quotient_sequence(P, 10)
     assert [lam for _, lam in seqP.entries] == [n * (n + 1) // 2 for n in range(1, 11)]
@@ -160,6 +154,8 @@ def test_samuel_sequence_examples():
     P = PowerFiltration(MonomialIdeal.maximal(CTX2))
     seq = samuel_sequence(P, 20)
     assert [lam for _, lam in seq.entries] == [n * (n + 1) // 2 for n in range(1, 21)]
+    assert samuel_sequence(P, 20, jobs=3) == seq
+    assert samuel_sequence(P, 2, jobs=3).entries == seq.entries[:2]  # fewer levels than workers
     P2 = PowerFiltration(maximal_power(CTX2, 2))
     seq2 = samuel_sequence(P2, 10)
     assert [lam for _, lam in seq2.entries] == [2 * n * (2 * n + 1) // 2 for n in range(1, 11)]
@@ -240,10 +236,7 @@ def test_e_s_localized_empty_sum():
 
 
 def test_e_s_localized_pi():
-    F = DiscreteValuedFiltration(CTX2, [
-        (MonomialValuation((1, 0)), PI),
-        (MonomialValuation((1, 1)), TWO_PI),
-    ])
+    F = pi_plane()
     rep = e_s_localized(F, N=120)
     lo, hi = PI.brackets(40)
     assert hi * Fraction(97, 100) < rep.value < lo * Fraction(103, 100)

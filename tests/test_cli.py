@@ -168,6 +168,17 @@ def test_cli_single_commands(tmp_path, capsys):
     assert "x^4*y^3" in capsys.readouterr().out
 
 
+def test_cli_jobs_only_on_fanout_commands(tmp_path, capsys):
+    path = write_scenario(tmp_path, [])
+    with pytest.raises(SystemExit) as exc:
+        main(["es", path, "--filtration", "pi", "--n-max", "20", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert main(["truncate-sweep", path, "--filtration", "quad", "--levels", "1",
+                 "--n-max", "20", "--window", "5", "--jobs", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["levels"][0]["level"] == 1
+
+
 def test_cli_paper_examples_subset(capsys):
     rc = main(["paper-examples", "--id", "ac-grid", "--id", "tau-cubic"])
     out = capsys.readouterr().out

@@ -14,6 +14,7 @@ from epsmult.filtration import (
     PowerFiltration,
     TemplateFiltration,
 )
+from epsmult.fixtures import pi_line
 from epsmult.ring import (
     MonomialIdeal,
     RingContext,
@@ -24,16 +25,10 @@ from epsmult.ring import (
 from epsmult.valuation import ExactScalar, MonomialValuation
 
 CTX2 = RingContext(2)
-CTX1 = RingContext(1)
 
 
 def family_K(a):
     return TemplateFiltration(CTX2, [("2", "0"), ("1", f"{a}*n")])
-
-
-def pi_line():
-    return DiscreteValuedFiltration(CTX1, [
-        (MonomialValuation((1,)), ExactScalar(1, "pi"))])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 import pytest
 
 from epsmult.filtration import (
-    DiscreteValuedFiltration,
     PowerFiltration,
     TableFiltration,
     TableRangeError,
@@ -12,6 +11,7 @@ from epsmult.filtration import (
     sigma_surrogate,
     validate_filtration,
 )
+from epsmult.fixtures import pi_plane
 from epsmult.ring import (
     MonomialIdeal,
     RingContext,
@@ -20,16 +20,9 @@ from epsmult.ring import (
     ideal_sum,
     maximal_power,
 )
-from epsmult.valuation import ExactScalar, MonomialValuation
+from epsmult.valuation import ExactScalar
 
 CTX2 = RingContext(2)
-
-
-def pi_plane():
-    return DiscreteValuedFiltration(CTX2, [
-        (MonomialValuation((1, 0)), ExactScalar(1, "pi")),
-        (MonomialValuation((1, 1)), ExactScalar(2, "pi")),
-    ])
 
 
 def test_ideal_at_examples():

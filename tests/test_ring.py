@@ -19,7 +19,6 @@ from epsmult.ring import (
     maximal_power,
     quotient_length,
     saturate,
-    saturate_by_colon,
 )
 
 CTX2 = RingContext(2)
@@ -28,6 +27,17 @@ CTX3 = RingContext(3)
 
 def I2(*gens):
     return MonomialIdeal(CTX2, gens)
+
+
+def saturate_by_colon(I):
+    """Reference saturation: iterate I <- I : m to a fixed point."""
+    m = MonomialIdeal.maximal(I.ctx)
+    cur = I
+    while True:
+        nxt = colon(cur, m)
+        if nxt == cur:
+            return cur
+        cur = nxt
 
 
 # ---------------------------------------------------------------------------
