@@ -21,7 +21,8 @@ ctx = RingContext(2)  # k[x, y] localized at (x, y)
 I = MonomialIdeal(ctx, [(2, 0), (1, 1), (2, 1)])
 print("minimal generators drop x^2*y:", format_generators(I))
 
-# intersections are componentwise maxima over generator pairs
+# intersections are componentwise maxima (lcms) of generators; in two
+# variables the kernel merges the two staircases in one pass
 X = intersect(MonomialIdeal(ctx, [(4, 0)]), maximal_power(ctx, 7))
 print("(x^4) meet m^7 =", format_generators(X))
 

@@ -29,6 +29,7 @@ sequential run.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -248,6 +249,8 @@ def _sequence_report(seq: LengthSequence, window):
 
 
 def _sat_quotient_at(F, n):
+    # the one saturation of the level; quotient_length settles finiteness
+    # without forming it again
     I = F.ideal_at(n)
     return quotient_length(saturate(I), I)
 
@@ -267,25 +270,39 @@ def _gap_at(inner_f, outer_f, n):
     return lam
 
 
-def _entries(fn, F, N, jobs=1):
+def _pool(jobs):
+    """A process pool for jobs > 1, else a context that yields None."""
+    if jobs <= 1:
+        return contextlib.nullcontext()
+    return ProcessPoolExecutor(max_workers=jobs)
+
+
+def _entries(fn, F, N, jobs=1, pool=None):
     """(n, fn(F, n)) for n = 1..N.  With jobs > 1 the levels go to a process
-    pool in contiguous chunks, one per worker, and come back in n-order."""
+    pool (``pool``, or one started for this call) in contiguous chunks, one
+    per worker, and come back in n-order."""
     if N < 1:
         raise ValueError("N must be at least 1")
     ns = range(1, N + 1)
     if jobs <= 1:
         return [(n, fn(F, n)) for n in ns]
+    if pool is None:
+        with ProcessPoolExecutor(max_workers=jobs) as own:
+            return _entries(fn, F, N, jobs, own)
     step = (N + jobs - 1) // jobs
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(zip(ns, pool.map(fn, itertools.repeat(F, N), ns,
-                                     chunksize=step)))
+    return list(zip(ns, pool.map(fn, itertools.repeat(F, N), ns,
+                                 chunksize=step)))
+
+
+def _sat_sequence(F, N, jobs=1, pool=None):
+    entries = _entries(_sat_quotient_at, F, N, jobs, pool)
+    return LengthSequence(dim=F.ctx.dim, entries=tuple(entries))
 
 
 def sat_quotient_sequence(F: Filtration, N, jobs=1) -> LengthSequence:
     """lambda(I_n^sat / I_n) for n = 1..N, with infinite entries recorded as
     ``None`` rather than raised."""
-    entries = _entries(_sat_quotient_at, F, N, jobs)
-    return LengthSequence(dim=F.ctx.dim, entries=tuple(entries))
+    return _sat_sequence(F, N, jobs)
 
 
 def epsilon_report(F: Filtration, N, window=None, jobs=1) -> EpsilonReport:
@@ -523,16 +540,18 @@ class TruncationSweep:
 
 def truncation_sweep(F: Filtration, levels, N, window=None, jobs=1) -> TruncationSweep:
     """Estimate the saturation-quotient limit of each level-i truncation of F
-    and report the absolute gaps from the parent's estimate."""
-    parent = epsilon_report(F, N, window=window, jobs=jobs)
-    if parent.fitted is None:
-        raise LocalizedSequenceError("parent sequence has infinite window entries")
+    and report the absolute gaps from the parent's estimate.  With jobs > 1
+    the parent and every level share one process pool."""
     rows = []
-    for i in levels:
-        rep = epsilon_report(F.truncate(i), N, window=window, jobs=jobs)
-        if rep.fitted is None:
-            raise LocalizedSequenceError(
-                f"truncation level {i} has infinite window entries")
-        rows.append((i, rep.fitted, abs(rep.fitted - parent.fitted)))
+    with _pool(jobs) as pool:
+        parent = _sequence_report(_sat_sequence(F, N, jobs, pool), window)
+        if parent.fitted is None:
+            raise LocalizedSequenceError("parent sequence has infinite window entries")
+        for i in levels:
+            rep = _sequence_report(_sat_sequence(F.truncate(i), N, jobs, pool), window)
+            if rep.fitted is None:
+                raise LocalizedSequenceError(
+                    f"truncation level {i} has infinite window entries")
+            rows.append((i, rep.fitted, abs(rep.fitted - parent.fitted)))
     return TruncationSweep(N=N, window=parent.window,
                            parent_estimate=parent.fitted, levels=tuple(rows))

@@ -7,8 +7,24 @@ the divisibility antichain of its minimal generators in a fixed canonical
 order (graded lexicographic).  Lengths of finite quotients are lattice point
 counts of staircase regions.
 
-All values are immutable and every operation is pure; the module is safe to
-share between concurrent workers without synchronization.
+In two variables an ideal is also a staircase: its generators sorted by
+increasing x have strictly decreasing y, and they are the corners of the
+min-y profile q(a) = least q with x^a*y^q in the ideal, a nonincreasing
+step function.  Intersection, containment and lengths are linear merges of
+two profiles, saturation is the single corner x^(min a)*y^(min b), and
+valuation ideals are written as staircases directly.  The staircase is kept
+beside the generators (built with the ideal, or sorted once on first use);
+the generators themselves stay in grlex order, so equality, hashing, ``repr``
+and everything serialised are the same in every dimension.
+
+Only the public constructor validates exponents.  Results of the kernel's
+own operations go through ``_from_points`` (minimalise trusted points) or
+``_staircase_ideal`` (a known d=2 staircase), both of which end in the
+canonical constructor path.
+
+All values are immutable (the staircase cache is filled at most once, and
+with the same value by any writer) and every operation is pure; the module
+is safe to share between concurrent workers without synchronization.
 """
 
 from __future__ import annotations
@@ -88,18 +104,32 @@ def _check_exponent(e, dim):
     return tuple(e)
 
 
-def _minimal_antichain(points, dim):
-    """Divisibility-minimal elements of ``points`` in canonical order."""
-    if dim == 2:
-        # staircase sweep: sort by (x, y); a point is minimal iff its y is
-        # strictly below the smallest y seen so far
-        best = None
-        out = []
-        for p in sorted(set(points)):
-            if best is None or p[1] < best:
-                out.append(p)
-                best = p[1]
-        return tuple(sorted(out, key=_grlex_key))
+def _member(gens, a):
+    """Some generator divides the (already valid) exponent ``a``."""
+    return any(divides(g, a) for g in gens)
+
+
+def _min_staircase(points):
+    """d=2 minimal points by increasing x: sort by (x, y); a point is minimal
+    iff its y is strictly below the smallest y seen so far."""
+    best = None
+    out = []
+    for p in sorted(set(points)):
+        if best is None or p[1] < best:
+            out.append(p)
+            best = p[1]
+    return tuple(out)
+
+
+def _grlex_of_staircase(stair):
+    # a staircase is in lex order (its x are distinct and increasing), so a
+    # stable sort by degree puts it in grlex order
+    return tuple(sorted(stair, key=sum))
+
+
+def _minimal_antichain(points):
+    """Divisibility-minimal elements of ``points`` in canonical order (the
+    pairwise scan that dimensions other than two use)."""
     pts = sorted(set(points), key=_grlex_key)
     out = []
     for p in pts:
@@ -114,10 +144,11 @@ class MonomialIdeal:
 
     ``gens == ()`` is the zero ideal and ``gens == ((0,...,0),)`` the unit
     ideal; both are explicit canonical values.  Equality and hashing ignore
-    variable names, only the dimension and the generators matter.
+    variable names, only the dimension and the generators matter.  In two
+    variables ``_stair`` caches the generators by increasing x.
     """
 
-    __slots__ = ("ctx", "gens")
+    __slots__ = ("ctx", "gens", "_stair")
 
     def __init__(self, ctx, gens, _canonical=False):
         self.ctx = ctx
@@ -125,7 +156,11 @@ class MonomialIdeal:
             self.gens = gens
         else:
             pts = [_check_exponent(g, ctx.dim) for g in gens]
-            self.gens = _minimal_antichain(pts, ctx.dim)
+            if ctx.dim == 2:
+                self._stair = _min_staircase(pts)
+                self.gens = _grlex_of_staircase(self._stair)
+            else:
+                self.gens = _minimal_antichain(pts)
 
     # -- constructors -------------------------------------------------
 
@@ -139,9 +174,10 @@ class MonomialIdeal:
 
     @classmethod
     def maximal(cls, ctx):
+        # grlex order of the unit vectors: the last variable's comes first
         gens = tuple(
             tuple(1 if j == i else 0 for j in range(ctx.dim))
-            for i in range(ctx.dim))
+            for i in reversed(range(ctx.dim)))
         return cls(ctx, gens, _canonical=True)
 
     # -- basic structure ----------------------------------------------
@@ -186,13 +222,17 @@ class MonomialIdeal:
 
     def contains(self, a):
         """Membership of the monomial x^a: some generator divides a."""
-        a = _check_exponent(a, self.dim)
-        return any(divides(g, a) for g in self.gens)
+        return _member(self.gens, _check_exponent(a, self.dim))
 
     def contains_ideal(self, other):
-        """Ideal containment other <= self, checked on generators."""
+        """Ideal containment other <= self, checked on generators (in two
+        variables: the profile of other lies on or above that of self)."""
         _compatible(self, other)
-        return all(self.contains(g) for g in other.gens)
+        if self.dim == 2:
+            return all(qo is None or (qs is not None and qs <= qo)
+                       for _, qs, qo in _profile_steps(self, other))
+        gens = self.gens
+        return all(_member(gens, g) for g in other.gens)
 
 
 def _compatible(I, J):
@@ -201,9 +241,57 @@ def _compatible(I, J):
             f"ideals live in dimension {I.dim} and {J.dim}")
 
 
+def _from_points(ctx, points):
+    """Trusted internal path: the ideal generated by exponent tuples the
+    kernel built itself, minimalised without re-validation."""
+    if ctx.dim == 2:
+        return _staircase_ideal(ctx, _min_staircase(points))
+    return MonomialIdeal(ctx, _minimal_antichain(points), _canonical=True)
+
+
+def _staircase_ideal(ctx, stair):
+    """Trusted d=2 path: the ideal whose corners by increasing x (strictly
+    decreasing y) are the tuple ``stair``."""
+    I = MonomialIdeal(ctx, _grlex_of_staircase(stair), _canonical=True)
+    I._stair = stair
+    return I
+
+
+def _staircase(I):
+    """The d=2 generators by increasing x, cached on the ideal."""
+    try:
+        return I._stair
+    except AttributeError:
+        I._stair = stair = tuple(sorted(I.gens))
+        return stair
+
+
+def _profile_steps(A, B):
+    """Merge the staircases of two d=2 ideals: yield (a, qa, qb) at every x
+    coordinate a of a corner of either, with the min-y profiles of A and B
+    there (``None`` where the column holds no monomial of the ideal).  Both
+    profiles are constant from one yielded a to the next, and beyond the
+    last."""
+    sa, sb = _staircase(A), _staircase(B)
+    na, nb = len(sa), len(sb)
+    i = j = 0
+    qa = qb = None
+    while i < na or j < nb:
+        if j == nb or (i < na and sa[i][0] <= sb[j][0]):
+            a, qa = sa[i]
+            i += 1
+            if j < nb and sb[j][0] == a:
+                qb = sb[j][1]
+                j += 1
+        else:
+            a, qb = sb[j]
+            j += 1
+        yield a, qa, qb
+
+
 def ideal_sum(I, J):
     _compatible(I, J)
-    return MonomialIdeal(I.ctx, I.gens + J.gens)
+    return _from_points(I.ctx, I.gens + J.gens)
 
 
 def ideal_product(I, J):
@@ -214,7 +302,7 @@ def ideal_product(I, J):
         tuple(a + b for a, b in zip(g, h))
         for g in I.gens for h in J.gens
     ]
-    return MonomialIdeal(I.ctx, pts)
+    return _from_points(I.ctx, pts)
 
 
 def ideal_power(I, n):
@@ -243,11 +331,12 @@ def maximal_power(ctx, k):
             prev = h
         e.append(k + d - 2 - prev)
         gens.append(tuple(e))
-    return MonomialIdeal(ctx, gens)
+    return _from_points(ctx, gens)
 
 
 def intersect(I, J):
-    """Componentwise-max (lcm) intersection."""
+    """Componentwise-max (lcm) intersection; in two variables the max of
+    the two min-y profiles, read off one merge of the staircases."""
     _compatible(I, J)
     if I.is_zero() or J.is_zero():
         return MonomialIdeal.zero(I.ctx)
@@ -255,11 +344,22 @@ def intersect(I, J):
         return J
     if J.is_unit():
         return I
+    if I.dim == 2:
+        out = []
+        last = None
+        for a, qi, qj in _profile_steps(I, J):
+            if qi is None or qj is None:
+                continue
+            q = qi if qi > qj else qj
+            if last is None or q < last:
+                out.append((a, q))
+                last = q
+        return _staircase_ideal(I.ctx, tuple(out))
     pts = [
         tuple(max(a, b) for a, b in zip(g, h))
         for g in I.gens for h in J.gens
     ]
-    return MonomialIdeal(I.ctx, pts)
+    return _from_points(I.ctx, pts)
 
 
 def colon(I, J):
@@ -275,7 +375,7 @@ def colon(I, J):
             tuple(max(a - b, 0) for a, b in zip(g, h))
             for g in I.gens
         ]
-        part = MonomialIdeal(I.ctx, pts)
+        part = _from_points(I.ctx, pts)
         result = part if result is None else intersect(result, part)
     return result
 
@@ -284,59 +384,55 @@ def saturate(I):
     """I : m^infinity.
 
     Computed as the intersection over variables of I : x_i^infinity, where
-    the latter is obtained by zeroing the i-th coordinate of each generator;
-    this closed form agrees with iterating I <- I : m to a fixed point (the
-    ring tests keep that iteration as an independent oracle).
+    the latter is obtained by zeroing the i-th coordinate of each generator
+    (in two variables: the single generator x^(min a)*y^(min b)); this
+    closed form agrees with iterating I <- I : m to a fixed point (the ring
+    tests keep that iteration as an independent oracle).
     """
     if I.is_zero() or I.is_unit():
         return I
+    if I.dim == 2:
+        stair = _staircase(I)
+        return _staircase_ideal(I.ctx, ((stair[0][0], stair[-1][1]),))
     result = None
     for i in range(I.dim):
         pts = [g[:i] + (0,) + g[i + 1:] for g in I.gens]
-        part = MonomialIdeal(I.ctx, pts)
+        part = _from_points(I.ctx, pts)
         result = part if result is None else intersect(result, part)
     return result
 
 
-def _min_y_profile(I, x_max):
-    """d=2 staircase: least q with x^a*y^q in I, for a = 0..x_max (None = none)."""
-    prof = [None] * (x_max + 1)
-    for gx, gy in I.gens:
-        if gx <= x_max and (prof[gx] is None or gy < prof[gx]):
-            prof[gx] = gy
-    best = None
-    for a in range(x_max + 1):
-        if prof[a] is not None and (best is None or prof[a] < best):
-            best = prof[a]
-        prof[a] = best
-    return prof
+def _in_saturation(J, I):
+    """J <= I : m^infinity without forming the saturation: x^g lies in
+    I : x_i^infinity iff some generator of I divides g off coordinate i."""
+    d = I.dim
+    return all(
+        any(all(h[j] <= g[j] for j in range(d) if j != i) for h in I.gens)
+        for g in J.gens for i in range(d))
 
 
 def _quotient_length_2d(J, I):
-    """Exact staircase count of monomials in J but not I (finiteness settled
-    by the caller)."""
-    x_max = 0
-    for g in I.gens + J.gens:
-        x_max = max(x_max, g[0])
-    pi = _min_y_profile(I, x_max)
-    pj = _min_y_profile(J, x_max)
+    """Staircase count of the monomials in J but not in I <= J, one merge of
+    the two profiles; ``None`` when a column or the tail is infinite."""
     total = 0
-    for a in range(x_max + 1):
-        if pj[a] is None:
-            continue
-        if pi[a] is None:
-            raise RuntimeError("infinite column in a certified-finite quotient")
-        total += pi[a] - pj[a]
-    # beyond x_max both profiles are constant; a nonzero difference there
-    # would contradict the finiteness certificate
-    if pj[x_max] is not None and pi[x_max] != pj[x_max]:
-        raise RuntimeError("infinite tail in a certified-finite quotient")
-    return total
+    start = diff = 0
+    for a, qj, qi in _profile_steps(J, I):
+        total += (a - start) * diff
+        if qj is None:
+            diff = 0
+        elif qi is None:
+            return None
+        else:
+            diff = qi - qj
+        start = a
+    # beyond the last corner both profiles are constant
+    return total if diff == 0 else None
 
 
 def _count_region(J, I, deg_bound):
     """Count exponents a with total degree < deg_bound, a in J, a not in I."""
     d = J.dim
+    jg, ig = J.gens, I.gens
     count = 0
 
     def rec(i, prefix, remaining):
@@ -344,7 +440,7 @@ def _count_region(J, I, deg_bound):
         if i == d - 1:
             for c in range(remaining):
                 a = prefix + (c,)
-                if J.contains(a) and not I.contains(a):
+                if _member(jg, a) and not _member(ig, a):
                     count += 1
             return
         for c in range(remaining):
@@ -354,35 +450,35 @@ def _count_region(J, I, deg_bound):
     return count
 
 
-def quotient_length(J, I, k_max=None):
+def quotient_length(J, I):
     """Length of J/I for monomial ideals I <= J; ``None`` means infinite.
 
-    Finite exactly when J is contained in the saturation of I.  In the
-    finite case the count is certified: once m^k * J <= I, every monomial of
-    J not in I has total degree below k + max generator degree of J, and
-    that simplex is enumerated (with a closed staircase count in two
-    variables).
+    Finite exactly when J is contained in the saturation of I.  In one
+    variable the length is a difference of exponents, and in two the
+    staircase count decides finiteness itself.  Otherwise, once
+    m^k * J <= I, every monomial of J not in I has total degree below
+    k + max generator degree of J, and that simplex is enumerated; the
+    colons I : m^k rise to the saturation, so a finite quotient meets such
+    a k.
     """
     _compatible(J, I)
     if not J.contains_ideal(I):
         raise IdealDomainError("quotient_length requires I contained in J")
-    if not saturate(I).contains_ideal(J):
-        return None
     if I == J:
         return 0
+    if J.dim == 1:
+        # (x^a) / (x^b) has length b - a, and (x^a) / 0 is infinite
+        return I.gens[0][0] - J.gens[0][0] if I.gens else None
     if J.dim == 2:
         return _quotient_length_2d(J, I)
-    if k_max is None:
-        k_max = 10 * max(1, I.max_degree())
+    if not _in_saturation(J, I):
+        return None
     m = MonomialIdeal.maximal(I.ctx)
     cur = I
     k = 0
     while not cur.contains_ideal(J):
         cur = colon(cur, m)
         k += 1
-        if k > k_max:
-            raise RuntimeError(
-                "length enumeration bound exceeded despite finiteness certificate")
     return _count_region(J, I, k + J.max_degree())
 
 
@@ -404,7 +500,7 @@ def localize(I, coords):
     if I.is_zero():
         return MonomialIdeal.zero(sub)
     pts = [tuple(g[i] for i in coords) for g in I.gens]
-    return MonomialIdeal(sub, pts)
+    return _from_points(sub, pts)
 
 
 def dim_quotient(I):

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import MonomialIdeal, RingContext
+from .ring import MonomialIdeal, RingContext, _from_points, _staircase_ideal
 
 __all__ = [
     "ExactScalar",
@@ -205,8 +205,10 @@ def valuation_ideal(v: MonomialValuation, n, ctx: RingContext):
         raise ValueError("valuation and ring dimension differ")
     if n <= 0:
         return MonomialIdeal.unit(ctx)
-    pos = v.center()
     w = v.weights
+    if ctx.dim == 2:
+        return _staircase_ideal(ctx, _valuation_staircase(w[0], w[1], n))
+    pos = v.center()
     pts = []
 
     def rec(idx, acc, remaining):
@@ -226,7 +228,25 @@ def valuation_ideal(v: MonomialValuation, n, ctx: RingContext):
         for i, c in assignment:
             e[i] = c
         gens.append(tuple(e))
-    return MonomialIdeal(ctx, gens)
+    return _from_points(ctx, gens)
+
+
+def _valuation_staircase(w0, w1, n):
+    """Corners of {(a, b) : w0*a + w1*b >= n} by increasing a (n > 0): one
+    pass over a, keeping the least a for each value of b = ceil((n - w0*a)/w1)."""
+    if w1 == 0:
+        return ((-(-n // w0), 0),)
+    if w0 == 0:
+        return ((0, -(-n // w1)),)
+    stair = []
+    last = None
+    for a in range(-(-n // w0) + 1):
+        r = n - w0 * a
+        b = -(-r // w1) if r > 0 else 0
+        if b != last:
+            stair.append((a, b))
+            last = b
+    return tuple(stair)
 
 
 def valuation_of_ideal(v: MonomialValuation, I: MonomialIdeal):

@@ -1,0 +1,135 @@
+"""Reference monomial-ideal kernel: the plain algorithms that the staircase
+paths of ``epsmult.ring`` and ``epsmult.valuation`` replaced, kept as test
+oracles.
+
+Every result here is built from candidate generator lists by validating each
+point and minimalising with pairwise divisibility, so nothing shares the
+profile merges of the fast kernel beyond the ``MonomialIdeal`` value type.
+"""
+
+from epsmult.ring import IdealDomainError, MonomialIdeal, divides
+
+
+def ref_ideal(ctx, points):
+    """The validating constructor: check every exponent, keep the
+    divisibility-minimal points, order them grlex."""
+    pts = set()
+    for p in points:
+        p = tuple(p)
+        if len(p) != ctx.dim or any(c < 0 for c in p):
+            raise ValueError(f"bad exponent {p}")
+        pts.add(p)
+    gens = [p for p in pts if not any(q != p and divides(q, p) for q in pts)]
+    return MonomialIdeal(ctx, tuple(sorted(gens, key=lambda e: (sum(e), e))),
+                         _canonical=True)
+
+
+def ref_contains_ideal(I, J):
+    """J <= I by public membership of every generator of J."""
+    return all(I.contains(g) for g in J.gens)
+
+
+def ref_intersect(I, J):
+    """Pairwise lcm of generators, then minimalisation."""
+    return ref_ideal(I.ctx, [tuple(max(a, b) for a, b in zip(g, h))
+                             for g in I.gens for h in J.gens])
+
+
+def ref_colon(I, J):
+    """(I : J) as the intersection over generators h of J of (I : x^h)."""
+    result = None
+    for h in J.gens:
+        part = ref_ideal(I.ctx, [tuple(max(a - b, 0) for a, b in zip(g, h))
+                                 for g in I.gens])
+        result = part if result is None else ref_intersect(result, part)
+    return result
+
+
+def ref_saturate(I):
+    """Intersection over variables of I : x_i^infinity, each obtained by
+    zeroing the i-th coordinate of every generator."""
+    if I.is_zero() or I.is_unit():
+        return I
+    result = None
+    for i in range(I.dim):
+        part = ref_ideal(I.ctx, [g[:i] + (0,) + g[i + 1:] for g in I.gens])
+        result = part if result is None else ref_intersect(result, part)
+    return result
+
+
+def saturate_by_colon(I):
+    """Saturation by iterating I <- I : m to a fixed point."""
+    m = ref_ideal(I.ctx, [tuple(1 if j == i else 0 for j in range(I.dim))
+                          for i in range(I.dim)])
+    cur = I
+    while True:
+        nxt = ref_colon(cur, m)
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
+def ref_valuation_ideal(v, n, ctx):
+    """Minimal generators of {x^a : weights . a >= n}, by recursion over the
+    positive-weight coordinates (the last one takes the least value that
+    reaches n)."""
+    if n <= 0:
+        return MonomialIdeal.unit(ctx)
+    pos = v.center()
+    w = v.weights
+    pts = []
+
+    def rec(idx, acc, remaining):
+        i = pos[idx]
+        top = -(-remaining // w[i]) if remaining > 0 else 0
+        if idx == len(pos) - 1:
+            pts.append(acc + ((i, top),))
+            return
+        for e in range(top + 1):
+            rec(idx + 1, acc + ((i, e),), remaining - e * w[i])
+
+    rec(0, (), n)
+    gens = []
+    for assignment in pts:
+        e = [0] * ctx.dim
+        for i, c in assignment:
+            e[i] = c
+        gens.append(tuple(e))
+    return ref_ideal(ctx, gens)
+
+
+def _dense_min_y_profile(I, x_max):
+    """Least q with x^a*y^q in I, for a = 0..x_max (None = none)."""
+    prof = [None] * (x_max + 1)
+    for gx, gy in I.gens:
+        if gx <= x_max and (prof[gx] is None or gy < prof[gx]):
+            prof[gx] = gy
+    best = None
+    for a in range(x_max + 1):
+        if prof[a] is not None and (best is None or prof[a] < best):
+            best = prof[a]
+        prof[a] = best
+    return prof
+
+
+def ref_quotient_length_2d(J, I):
+    """Length of J/I in two variables; ``None`` means infinite.  Finiteness
+    is J <= sat(I); the count runs column by column over dense profiles."""
+    assert J.dim == I.dim == 2
+    if not ref_contains_ideal(J, I):
+        raise IdealDomainError("quotient_length requires I contained in J")
+    if not ref_contains_ideal(ref_saturate(I), J):
+        return None
+    if I == J:
+        return 0
+    x_max = max(g[0] for g in I.gens + J.gens)
+    pi = _dense_min_y_profile(I, x_max)
+    pj = _dense_min_y_profile(J, x_max)
+    total = 0
+    for a in range(x_max + 1):
+        if pj[a] is not None:
+            total += pi[a] - pj[a]
+    # beyond x_max both profiles are constant and, the quotient being
+    # finite, equal
+    assert pj[x_max] is None or pi[x_max] == pj[x_max]
+    return total

@@ -286,3 +286,12 @@ def test_truncation_sweep_structure():
     assert sweep.levels[0][0] == 1
     for _, est, gap in sweep.levels:
         assert gap == abs(est - sweep.parent_estimate)
+
+
+def test_truncation_sweep_same_bytes_for_any_jobs():
+    # jobs > 1 runs the parent and every level through one shared pool
+    F = pi_plane()
+    obj = truncation_sweep(F, [1, 2, 3], 24, window=6).to_obj()
+    for jobs in (2, 3):
+        assert truncation_sweep(pi_plane(), [1, 2, 3], 24, window=6,
+                                jobs=jobs).to_obj() == obj

@@ -20,6 +20,7 @@ from epsmult.ring import (
     quotient_length,
     saturate,
 )
+from ring_reference import saturate_by_colon
 
 CTX2 = RingContext(2)
 CTX3 = RingContext(3)
@@ -27,17 +28,6 @@ CTX3 = RingContext(3)
 
 def I2(*gens):
     return MonomialIdeal(CTX2, gens)
-
-
-def saturate_by_colon(I):
-    """Reference saturation: iterate I <- I : m to a fixed point."""
-    m = MonomialIdeal.maximal(I.ctx)
-    cur = I
-    while True:
-        nxt = colon(cur, m)
-        if nxt == cur:
-            return cur
-        cur = nxt
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +109,13 @@ def test_contains_examples():
 def test_contains_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         I2((1, 0)).contains((1, 0, 0))
+
+
+def test_contains_rejects_negative_entries():
+    with pytest.raises(ValueError, match="negative"):
+        I2((1, 0)).contains((2, -1))
+    with pytest.raises(ValueError, match="negative"):
+        MonomialIdeal(CTX3, [(0, 0, 1)]).contains((-1, 0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +247,18 @@ def test_quotient_length_against_enumeration_oracle():
     assert checked_finite == 100
 
 
+def test_quotient_length_1d_matches_enumeration():
+    ctx1 = RingContext(1)
+    for a in range(6):
+        J = MonomialIdeal(ctx1, [(a,)])
+        for b in range(a, 9):
+            I = MonomialIdeal(ctx1, [(b,)])
+            assert quotient_length(J, I) == b - a == brute_quotient_length(J, I)
+        assert quotient_length(J, MonomialIdeal.zero(ctx1)) is None
+    assert quotient_length(MonomialIdeal.zero(ctx1), MonomialIdeal.zero(ctx1)) == 0
+    assert colength(MonomialIdeal(ctx1, [(7,)])) == 7
+
+
 def test_quotient_length_2d_matches_general_path():
     # force the generic enumeration on 2-variable input by embedding in 3 vars
     rng = random.Random(55)
@@ -259,6 +268,8 @@ def test_quotient_length_2d_matches_general_path():
         J3 = MonomialIdeal(CTX3, [g + (0,) for g in J2.gens])
         I3 = MonomialIdeal(CTX3, [g + (0,) for g in I2_.gens])
         v2 = quotient_length(J2, I2_)
+        if v2 is not None:
+            assert v2 == brute_quotient_length(J2, I2_)
         # adding a variable makes every nonzero quotient infinite unless zero
         if v2 == 0:
             assert quotient_length(J3, I3) == 0
@@ -300,6 +311,10 @@ def test_dim_quotient_examples():
 
 
 def test_degenerate_values_are_canonical():
+    for ctx in (RingContext(1), CTX2, CTX3):
+        m = MonomialIdeal.maximal(ctx)
+        assert m == MonomialIdeal(ctx, reversed(m.gens))
+        assert hash(m) == hash(MonomialIdeal(ctx, m.gens))
     assert MonomialIdeal.zero(CTX2).gens == ()
     assert MonomialIdeal.unit(CTX2).gens == ((0, 0),)
     assert MonomialIdeal(CTX2, [(0, 0), (2, 1)]).is_unit()
