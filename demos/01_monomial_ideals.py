@@ -1,6 +1,7 @@
 # Tour of the exact monomial ideal kernel: ideals are antichains of exponent
 # vectors, every operation is lattice arithmetic, and lengths of finite
-# quotients are staircase point counts.
+# quotients are staircase point counts (summed over slices in 3 or more
+# variables).
 
 from epsmult import (
     MonomialIdeal,
@@ -46,3 +47,9 @@ print("(x^4) meet m^7 localized at (x):", format_generators(localize(X, [0])))
 ctx3 = RingContext(3)
 print("dim R/(xy, xz) in 3 variables =", dim_quotient(
     MonomialIdeal(ctx3, [(1, 1, 0), (1, 0, 1)])))
+
+# in three variables a length is a sum over slices z = c, each a two-variable
+# staircase count: (x^2)/((x^2) meet m^4) = x^2 (k[x,y,z] / m^2) has length 4
+X2 = MonomialIdeal(ctx3, [(2, 0, 0)])
+print("length (x^2)/(x^2 meet m^4) in 3 variables =",
+      quotient_length(X2, intersect(X2, maximal_power(ctx3, 4))))

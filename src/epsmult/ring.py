@@ -4,8 +4,7 @@ maximal monomial ideal.
 A monomial x^a is identified with its exponent vector ``a`` (a tuple of
 nonnegative Python ints, so exponents may grow without bound), an ideal with
 the divisibility antichain of its minimal generators in a fixed canonical
-order (graded lexicographic).  Lengths of finite quotients are lattice point
-counts of staircase regions.
+order (graded lexicographic).
 
 In two variables an ideal is also a staircase: its generators sorted by
 increasing x have strictly decreasing y, and they are the corners of the
@@ -16,6 +15,15 @@ valuation ideals are written as staircases directly.  The staircase is kept
 beside the generators (built with the ideal, or sorted once on first use);
 the generators themselves stay in grlex order, so equality, hashing, ``repr``
 and everything serialised are the same in every dimension.
+
+In other dimensions minimalisation is one sweep in order of the last
+coordinate: a point is minimal iff its projection to the other coordinates
+is not yet in the ideal of the accepted projections, which in three
+variables is a 2-D staircase updated by bisection.  In d >= 3 the length of
+a finite quotient is a sum over slices along the last variable: between two
+consecutive last coordinates of the generators both slices are fixed
+(d-1)-variable ideals, so each run adds its width times one slice length,
+recursively down to the two-variable count.
 
 Only the public constructor validates exponents.  Results of the kernel's
 own operations go through ``_from_points`` (minimalise trusted points) or
@@ -30,6 +38,7 @@ is safe to share between concurrent workers without synchronization.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 
 __all__ = [
@@ -91,10 +100,6 @@ def divides(g, a):
     return all(gi <= ai for gi, ai in zip(g, a))
 
 
-def _grlex_key(e):
-    return (sum(e), e)
-
-
 def _check_exponent(e, dim):
     if len(e) != dim:
         raise DimensionMismatchError(
@@ -121,21 +126,47 @@ def _min_staircase(points):
     return tuple(out)
 
 
-def _grlex_of_staircase(stair):
-    # a staircase is in lex order (its x are distinct and increasing), so a
-    # stable sort by degree puts it in grlex order
-    return tuple(sorted(stair, key=sum))
+def _grlex_of_lex(points):
+    # points in lex order (as a d=2 staircase is: its x are distinct and
+    # increasing) go to grlex order by a stable sort on the degree
+    return tuple(sorted(points, key=sum))
 
 
 def _minimal_antichain(points):
-    """Divisibility-minimal elements of ``points`` in canonical order (the
-    pairwise scan that dimensions other than two use)."""
-    pts = sorted(set(points), key=_grlex_key)
+    """Divisibility-minimal elements of ``points`` in canonical order, by one
+    sweep in lex order of (last coordinate, the rest), which puts every
+    proper divisor before the points it divides.  A point is minimal iff its
+    projection to the first d-1 coordinates is not in the ideal of the
+    projections accepted so far.  In three variables that ideal is a 2-D
+    staircase (corners ``xs`` increasing, ``ys`` decreasing), tested by
+    bisection and updated by splicing out the corners the new point
+    divides; otherwise the accepted points are tested directly, which is
+    the same test as their last coordinates are no larger."""
+    # lex order, then a stable sort on the last coordinate (int keys, no
+    # key tuples): the order of (last coordinate, the rest)
+    pts = sorted(set(points))
+    pts.sort(key=lambda p: p[-1])
+    staircase = bool(pts) and len(pts[0]) == 3
+    xs, ys = [], []
     out = []
     for p in pts:
-        if not any(divides(q, p) for q in out):
-            out.append(p)
-    return tuple(out)
+        if staircase:
+            a, b = p[0], p[1]
+            i = bisect_right(xs, a)
+            if i and ys[i - 1] <= b:
+                continue
+            # a corner with the same x lies above (a, b), so it goes too
+            lo = i - 1 if i and xs[i - 1] == a else i
+            hi = i
+            while hi < len(ys) and ys[hi] >= b:
+                hi += 1
+            xs[lo:hi] = (a,)
+            ys[lo:hi] = (b,)
+        elif _member(out, p):
+            continue
+        out.append(p)
+    out.sort()
+    return _grlex_of_lex(out)
 
 
 class MonomialIdeal:
@@ -158,7 +189,7 @@ class MonomialIdeal:
             pts = [_check_exponent(g, ctx.dim) for g in gens]
             if ctx.dim == 2:
                 self._stair = _min_staircase(pts)
-                self.gens = _grlex_of_staircase(self._stair)
+                self.gens = _grlex_of_lex(self._stair)
             else:
                 self.gens = _minimal_antichain(pts)
 
@@ -252,7 +283,7 @@ def _from_points(ctx, points):
 def _staircase_ideal(ctx, stair):
     """Trusted d=2 path: the ideal whose corners by increasing x (strictly
     decreasing y) are the tuple ``stair``."""
-    I = MonomialIdeal(ctx, _grlex_of_staircase(stair), _canonical=True)
+    I = MonomialIdeal(ctx, _grlex_of_lex(stair), _canonical=True)
     I._stair = stair
     return I
 
@@ -402,15 +433,6 @@ def saturate(I):
     return result
 
 
-def _in_saturation(J, I):
-    """J <= I : m^infinity without forming the saturation: x^g lies in
-    I : x_i^infinity iff some generator of I divides g off coordinate i."""
-    d = I.dim
-    return all(
-        any(all(h[j] <= g[j] for j in range(d) if j != i) for h in I.gens)
-        for g in J.gens for i in range(d))
-
-
 def _quotient_length_2d(J, I):
     """Staircase count of the monomials in J but not in I <= J, one merge of
     the two profiles; ``None`` when a column or the tail is infinite."""
@@ -429,37 +451,57 @@ def _quotient_length_2d(J, I):
     return total if diff == 0 else None
 
 
-def _count_region(J, I, deg_bound):
-    """Count exponents a with total degree < deg_bound, a in J, a not in I."""
-    d = J.dim
-    jg, ig = J.gens, I.gens
-    count = 0
+def _sliced_length(J, I):
+    """Length of J/I for I <= J in d >= 2 variables; ``None`` if infinite.
 
-    def rec(i, prefix, remaining):
-        nonlocal count
-        if i == d - 1:
-            for c in range(remaining):
-                a = prefix + (c,)
-                if _member(jg, a) and not _member(ig, a):
-                    count += 1
-            return
-        for c in range(remaining):
-            rec(i + 1, prefix + (c,), remaining - c)
-
-    rec(0, (), deg_bound)
-    return count
+    The slice I_c is the (d-1)-variable ideal of the first d-1 coordinates of
+    the generators of I whose last coordinate is at most c, so that
+    lambda(J/I) = sum over c >= 0 of lambda(J_c/I_c).  Both slices change
+    only at a last coordinate of some generator (below the least one both
+    are zero), so each run between consecutive such cuts adds its length
+    times one slice length; past the top cut the slices stay fixed, and the
+    quotient is finite only if they are equal there.  Two-variable slices
+    end in the staircase count.
+    """
+    if J.dim == 2:
+        return _quotient_length_2d(J, I)
+    sub = RingContext(J.dim - 1)
+    # the projections of the generators of J and of I, by last coordinate
+    layers = {}
+    for side, ideal in enumerate((J, I)):
+        for g in ideal.gens:
+            layers.setdefault(g[-1], ([], []))[side].append(g[:-1])
+    cuts = sorted(layers)
+    Jc = Ic = MonomialIdeal.zero(sub)
+    total = 0
+    for c, nxt in zip(cuts, cuts[1:] + [None]):
+        new_j, new_i = layers[c]
+        # each slice is the one below plus the generators on the cut
+        if new_j:
+            Jc = _from_points(sub, Jc.gens + tuple(new_j))
+        if new_i:
+            Ic = _from_points(sub, Ic.gens + tuple(new_i))
+        if Jc == Ic:
+            continue
+        if nxt is None:
+            return None
+        n = _sliced_length(Jc, Ic)
+        if n is None:
+            return None
+        total += (nxt - c) * n
+    return total
 
 
 def quotient_length(J, I):
     """Length of J/I for monomial ideals I <= J; ``None`` means infinite.
 
-    Finite exactly when J is contained in the saturation of I.  In one
-    variable the length is a difference of exponents, and in two the
-    staircase count decides finiteness itself.  Otherwise, once
-    m^k * J <= I, every monomial of J not in I has total degree below
-    k + max generator degree of J, and that simplex is enumerated; the
-    colons I : m^k rise to the saturation, so a finite quotient meets such
-    a k.
+    In one variable the length is a difference of exponents, and in two the
+    staircase count merges the two profiles once.  In d >= 3 variables the
+    quotient is cut along the last variable into (d-1)-variable slices,
+    constant between consecutive last coordinates of the generators, and
+    the slice lengths are summed down to the two-variable count; the
+    quotient is infinite iff a slice quotient is, or the slices above the
+    top cut still differ.
     """
     _compatible(J, I)
     if not J.contains_ideal(I):
@@ -469,17 +511,9 @@ def quotient_length(J, I):
     if J.dim == 1:
         # (x^a) / (x^b) has length b - a, and (x^a) / 0 is infinite
         return I.gens[0][0] - J.gens[0][0] if I.gens else None
-    if J.dim == 2:
-        return _quotient_length_2d(J, I)
-    if not _in_saturation(J, I):
-        return None
-    m = MonomialIdeal.maximal(I.ctx)
-    cur = I
-    k = 0
-    while not cur.contains_ideal(J):
-        cur = colon(cur, m)
-        k += 1
-    return _count_region(J, I, k + J.max_degree())
+    # the slices recurse through the private helper, so that a trace
+    # wrapped around this function sees one call per quotient
+    return _sliced_length(J, I)
 
 
 def colength(I):

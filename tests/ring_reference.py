@@ -1,11 +1,14 @@
-"""Reference monomial-ideal kernel: the plain algorithms that the staircase
-paths of ``epsmult.ring`` and ``epsmult.valuation`` replaced, kept as test
-oracles.
+"""Reference monomial-ideal kernel: the plain algorithms that the staircase,
+sweep and slice paths of ``epsmult.ring`` and ``epsmult.valuation``
+replaced, kept as test oracles, and a brute-force length count.
 
 Every result here is built from candidate generator lists by validating each
 point and minimalising with pairwise divisibility, so nothing shares the
-profile merges of the fast kernel beyond the ``MonomialIdeal`` value type.
+profile merges, sweeps or slices of the fast kernel beyond the
+``MonomialIdeal`` value type.
 """
+
+import itertools
 
 from epsmult.ring import IdealDomainError, MonomialIdeal, divides
 
@@ -133,3 +136,80 @@ def ref_quotient_length_2d(J, I):
     # finite, equal
     assert pj[x_max] is None or pi[x_max] == pj[x_max]
     return total
+
+
+def _in_saturation(J, I):
+    """J <= I : m^infinity without forming the saturation: x^g lies in
+    I : x_i^infinity iff some generator of I divides g off coordinate i."""
+    d = I.dim
+    return all(
+        any(all(h[j] <= g[j] for j in range(d) if j != i) for h in I.gens)
+        for g in J.gens for i in range(d))
+
+
+def _count_region(J, I, deg_bound):
+    """Count exponents a with total degree < deg_bound, a in J, a not in I."""
+    d = J.dim
+    jg, ig = J.gens, I.gens
+    count = 0
+
+    def rec(i, prefix, remaining):
+        nonlocal count
+        if i == d - 1:
+            for c in range(remaining):
+                a = prefix + (c,)
+                if (any(divides(g, a) for g in jg)
+                        and not any(divides(h, a) for h in ig)):
+                    count += 1
+            return
+        for c in range(remaining):
+            rec(i + 1, prefix + (c,), remaining - c)
+
+    rec(0, (), deg_bound)
+    return count
+
+
+def ref_quotient_length(J, I):
+    """Length of J/I in d >= 2 variables; ``None`` means infinite.  Finite
+    iff J <= sat(I); then the colons I : m^k rise until m^k * J <= I, and
+    every monomial of J not in I has total degree below k + the largest
+    generator degree of J, so that simplex is enumerated."""
+    if not ref_contains_ideal(J, I):
+        raise IdealDomainError("quotient_length requires I contained in J")
+    if not _in_saturation(J, I):
+        return None
+    m = ref_ideal(I.ctx, [tuple(1 if j == i else 0 for j in range(I.dim))
+                          for i in range(I.dim)])
+    cur = I
+    k = 0
+    while not ref_contains_ideal(cur, J):
+        cur = ref_colon(cur, m)
+        k += 1
+    return _count_region(J, I, k + J.max_degree())
+
+
+def _monomials_of_degree(d, k):
+    for comp in itertools.combinations_with_replacement(range(d), k):
+        e = [0] * d
+        for i in comp:
+            e[i] += 1
+        yield tuple(e)
+
+
+def brute_quotient_length(J, I, k_cap=100):
+    """Plain enumeration for a finite quotient: find k < k_cap with
+    m^k * J <= I by checking all degree-k monomials directly, then count the
+    simplex below k + maxdeg(J)."""
+    d = J.dim
+    for k in range(k_cap):
+        if all(I.contains(tuple(a + b for a, b in zip(g, m)))
+               for g in J.gens for m in _monomials_of_degree(d, k)):
+            break
+    else:
+        raise AssertionError("no finite k found; oracle misuse")
+    bound = k + max((sum(g) for g in J.gens), default=0)
+    return sum(
+        1
+        for total in range(bound)
+        for m in _monomials_of_degree(d, total)
+        if J.contains(m) and not I.contains(m))

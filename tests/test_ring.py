@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -20,10 +19,11 @@ from epsmult.ring import (
     quotient_length,
     saturate,
 )
-from ring_reference import saturate_by_colon
+from ring_reference import brute_quotient_length, saturate_by_colon
 
 CTX2 = RingContext(2)
 CTX3 = RingContext(3)
+CTX4 = RingContext(4)
 
 
 def I2(*gens):
@@ -33,33 +33,6 @@ def I2(*gens):
 # ---------------------------------------------------------------------------
 # independent oracles
 # ---------------------------------------------------------------------------
-
-
-def brute_quotient_length(J, I, k_cap=100):
-    """Plain enumeration: find k with m^k * J <= I by checking all degree-k
-    monomials directly, then count the simplex below k + maxdeg(J)."""
-    d = J.dim
-
-    def monomials_of_degree(k):
-        for comp in itertools.combinations_with_replacement(range(d), k):
-            e = [0] * d
-            for i in comp:
-                e[i] += 1
-            yield tuple(e)
-
-    for k in range(k_cap):
-        if all(I.contains(tuple(a + b for a, b in zip(g, m)))
-               for g in J.gens for m in monomials_of_degree(k)):
-            break
-    else:
-        raise AssertionError("no finite k found; oracle misuse")
-    bound = k + max((sum(g) for g in J.gens), default=0)
-    count = 0
-    for total in range(bound):
-        for m in monomials_of_degree(total):
-            if J.contains(m) and not I.contains(m):
-                count += 1
-    return count
 
 
 def random_ideal(rng, ctx, max_gens=4, max_exp=6):
@@ -260,21 +233,43 @@ def test_quotient_length_1d_matches_enumeration():
 
 
 def test_quotient_length_2d_matches_general_path():
-    # force the generic enumeration on 2-variable input by embedding in 3 vars
+    # embed each two-variable pair in three variables, the new zero
+    # coordinate at every index; the slices cut along the last coordinate,
+    # so only index 2 leaves a single slice
     rng = random.Random(55)
     for _ in range(20):
         J2 = random_ideal(rng, CTX2, max_gens=3, max_exp=4)
         I2_ = intersect(J2, random_ideal(rng, CTX2, max_gens=3, max_exp=4))
-        J3 = MonomialIdeal(CTX3, [g + (0,) for g in J2.gens])
-        I3 = MonomialIdeal(CTX3, [g + (0,) for g in I2_.gens])
         v2 = quotient_length(J2, I2_)
         if v2 is not None:
             assert v2 == brute_quotient_length(J2, I2_)
-        # adding a variable makes every nonzero quotient infinite unless zero
-        if v2 == 0:
-            assert quotient_length(J3, I3) == 0
-        elif v2 is not None and v2 > 0:
-            assert quotient_length(J3, I3) is None
+        for i in range(3):
+            J3 = MonomialIdeal(CTX3, [g[:i] + (0,) + g[i:] for g in J2.gens])
+            I3 = MonomialIdeal(CTX3, [g[:i] + (0,) + g[i:] for g in I2_.gens])
+            # adding a variable makes every nonzero quotient infinite
+            if v2 == 0:
+                assert quotient_length(J3, I3) == 0
+            else:
+                assert quotient_length(J3, I3) is None
+
+
+def test_quotient_length_4d_against_enumeration_oracle():
+    rng = random.Random(404)
+    checked_finite = 0
+    trials = 0
+    while checked_finite < 20 and trials < 200:
+        trials += 1
+        J = random_ideal(rng, CTX4, max_gens=3, max_exp=3)
+        if trials % 2:
+            I = intersect(J, maximal_power(CTX4, rng.randint(1, 6)))
+        else:
+            I = ideal_product(J, random_ideal(rng, CTX4, max_gens=3, max_exp=3))
+        got = quotient_length(J, I)
+        assert (got is not None) == saturate(I).contains_ideal(J)
+        if got is not None:
+            assert got == brute_quotient_length(J, I)
+            checked_finite += 1
+    assert checked_finite == 20
 
 
 # ---------------------------------------------------------------------------

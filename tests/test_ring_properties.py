@@ -1,6 +1,7 @@
-"""Property tests: the two-variable staircase kernel equals the reference
-kernel in ``ring_reference`` on random ideals, zero and unit ideals
-included, and saturation obeys its laws."""
+"""Property tests: the kernel equals the reference kernel in
+``ring_reference`` on random ideals, zero and unit ideals included; in two
+variables the staircase paths and saturation laws, in three and four the
+sweep minimalisation and the sliced length."""
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,9 @@ from epsmult.ring import (
 from epsmult.valuation import MonomialValuation, valuation_ideal
 from ring_reference import (
     ref_contains_ideal,
+    ref_ideal,
     ref_intersect,
+    ref_quotient_length,
     ref_quotient_length_2d,
     ref_saturate,
     ref_valuation_ideal,
@@ -98,6 +101,76 @@ def test_quotient_length_matches_reference(J, K, use_product):
 def test_quotient_length_rejects_non_containment(J, I):
     if ref_contains_ideal(J, I):
         assert quotient_length(J, I) == ref_quotient_length_2d(J, I)
+    else:
+        with pytest.raises(IdealDomainError):
+            quotient_length(J, I)
+
+
+# d = 3 and 4: small exponents, so that ties in every coordinate are common
+CTXS = {3: RingContext(3), 4: RingContext(4)}
+
+
+@st.composite
+def point_lists(draw, dim):
+    """A shuffled exponent list with a duplicate and with ties in the first
+    and in the last coordinate."""
+    coord = st.integers(0, 4)
+    pts = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=8))
+    p = draw(st.sampled_from(pts))
+    same_x = (p[0],) + draw(st.tuples(*[coord] * (dim - 1)))
+    same_last = draw(st.tuples(*[coord] * (dim - 1))) + (p[-1],)
+    return draw(st.permutations(pts + [p, same_x, same_last]))
+
+
+def ideals_of(dim):
+    """Zero, unit, random and m-primary ideals (random generators plus a pure
+    power of each variable), so that finite nonzero lengths are common."""
+    ctx = CTXS[dim]
+    coord = st.integers(0, 4 if dim == 3 else 3)
+    gens = st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=4)
+    powers = st.tuples(*[st.integers(1, 4)] * dim).map(
+        lambda p: [tuple(p[i] if j == i else 0 for j in range(dim))
+                   for i in range(dim)])
+    return st.one_of(
+        st.just(MonomialIdeal.zero(ctx)),
+        st.just(MonomialIdeal.unit(ctx)),
+        gens.map(lambda g: MonomialIdeal(ctx, g)),
+        st.tuples(gens, powers).map(lambda t: MonomialIdeal(ctx, t[0] + t[1])),
+    )
+
+
+def ideal_pairs(dim):
+    return st.tuples(ideals_of(dim), ideals_of(dim))
+
+
+high_dim_pairs = st.one_of(ideal_pairs(3), ideal_pairs(4))
+
+
+@PROPERTY
+@given(st.one_of(point_lists(3), point_lists(4)))
+def test_sweep_minimalisation_matches_reference(pts):
+    ctx = CTXS[len(pts[0])]
+    assert MonomialIdeal(ctx, pts) == ref_ideal(ctx, pts)
+
+
+@PROPERTY
+@given(high_dim_pairs)
+def test_sliced_length_matches_reference(pair):
+    J, K = pair
+    meet = intersect(J, K)
+    # small <= big in each case; any of them may be infinite
+    for big, small in ((saturate(meet), meet),
+                       (J, ideal_product(J, K)),
+                       (J, meet)):
+        assert quotient_length(big, small) == ref_quotient_length(big, small)
+
+
+@PROPERTY
+@given(high_dim_pairs)
+def test_sliced_length_rejects_non_containment(pair):
+    J, I = pair
+    if ref_contains_ideal(J, I):
+        assert quotient_length(J, I) == ref_quotient_length(J, I)
     else:
         with pytest.raises(IdealDomainError):
             quotient_length(J, I)
