@@ -21,30 +21,23 @@ endpoints: both recover eps exactly on model data eps + c/n, but ceiling
 jitter of order 1/n makes endpoint fits noisy while the fitted estimate
 averages it out.  Per-entry difference-quotient secants are still reported
 as a diagnostic column.
-
-Per-n length computations are independent; with ``jobs > 1`` they fan out to
-a process pool and are reassembled in n-order, so output is identical to a
-sequential run.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .filtration import Filtration, filtration_dimension
 from .ring import (
     MonomialIdeal,
+    _face_primes,
     colength,
     dim_quotient,
     ideal_power,
-    ideal_sum,
-    maximal_power,
+    localize,
     quotient_length,
     saturate,
 )
@@ -241,11 +234,10 @@ def _sequence_report(seq: LengthSequence, window):
 
 
 # ---------------------------------------------------------------------------
-# sequence computation (optionally fanned out to workers)
+# sequence computation
 # ---------------------------------------------------------------------------
 
-# per-n functions fn(F, n) -> length or None, at module level so that a
-# process pool can pickle them
+# per-n functions fn(F, n) -> length or None
 
 
 def _sat_quotient_at(F, n):
@@ -270,49 +262,30 @@ def _gap_at(inner_f, outer_f, n):
     return lam
 
 
-def _pool(jobs):
-    """A process pool for jobs > 1, else a context that yields None."""
-    if jobs <= 1:
-        return contextlib.nullcontext()
-    return ProcessPoolExecutor(max_workers=jobs)
-
-
-def _entries(fn, F, N, jobs=1, pool=None):
-    """(n, fn(F, n)) for n = 1..N.  With jobs > 1 the levels go to a process
-    pool (``pool``, or one started for this call) in contiguous chunks, one
-    per worker, and come back in n-order."""
+def _entries(fn, F, N):
+    """(n, fn(F, n)) for n = 1..N, in n-order."""
     if N < 1:
         raise ValueError("N must be at least 1")
-    ns = range(1, N + 1)
-    if jobs <= 1:
-        return [(n, fn(F, n)) for n in ns]
-    if pool is None:
-        with ProcessPoolExecutor(max_workers=jobs) as own:
-            return _entries(fn, F, N, jobs, own)
-    step = (N + jobs - 1) // jobs
-    return list(zip(ns, pool.map(fn, itertools.repeat(F, N), ns,
-                                 chunksize=step)))
-
-
-def _sat_sequence(F, N, jobs=1, pool=None):
-    entries = _entries(_sat_quotient_at, F, N, jobs, pool)
-    return LengthSequence(dim=F.ctx.dim, entries=tuple(entries))
+    return [(n, fn(F, n)) for n in range(1, N + 1)]
 
 
 def sat_quotient_sequence(F: Filtration, N, jobs=1) -> LengthSequence:
     """lambda(I_n^sat / I_n) for n = 1..N, with infinite entries recorded as
-    ``None`` rather than raised."""
-    return _sat_sequence(F, N, jobs)
+    ``None`` rather than raised.  ``jobs`` is accepted for compatibility and
+    ignored: every level is computed in this process."""
+    entries = _entries(_sat_quotient_at, F, N)
+    return LengthSequence(dim=F.ctx.dim, entries=tuple(entries))
 
 
 def epsilon_report(F: Filtration, N, window=None, jobs=1) -> EpsilonReport:
-    """Normalized saturation-quotient sequence with convergence diagnostics."""
-    return _sequence_report(sat_quotient_sequence(F, N, jobs=jobs), window)
+    """Normalized saturation-quotient sequence with convergence diagnostics.
+    ``jobs`` is accepted for compatibility and ignored."""
+    return _sequence_report(sat_quotient_sequence(F, N), window)
 
 
-def samuel_sequence(F: Filtration, N, jobs=1) -> LengthSequence:
+def samuel_sequence(F: Filtration, N) -> LengthSequence:
     """Colengths of I_n (requires every member primary to the maximal ideal)."""
-    entries = _entries(_colength_at, F, N, jobs)
+    entries = _entries(_colength_at, F, N)
     for n, lam in entries:
         if lam is None:
             raise LocalizedSequenceError(
@@ -348,19 +321,15 @@ def _stabilized_difference(f, order, k_max, what):
     raise StabilizationError(f"{what} did not stabilize within k <= {k_max}")
 
 
-def samuel_of_quotient(I: MonomialIdeal, k_max=None) -> Fraction:
+def samuel_of_quotient(I: MonomialIdeal) -> Fraction:
     """Multiplicity of the quotient module R/I with respect to the maximal
-    ideal, at s = dim R/I: the stabilized s-th finite difference of
-    k -> lambda(R/(I + m^k))."""
-    s = dim_quotient(I)
-    if k_max is None:
-        k_max = 8 * max(2, I.max_degree())
-    ctx = I.ctx
-
-    def f(k):
-        return colength(ideal_sum(I, maximal_power(ctx, k)))
-
-    return Fraction(_stabilized_difference(f, s, k_max, "Hilbert function"))
+    ideal, exactly, by the associativity formula (Bruns-Herzog,
+    Cohen-Macaulay Rings, Cor. 4.7.8): with s = dim R/I, the sum of the
+    colengths of I localized at the face primes P_S containing I with
+    |S| = d - s (each such R/P_S is a polynomial ring, of multiplicity 1)."""
+    codim = I.dim - dim_quotient(I)
+    return Fraction(sum(colength(localize(I, S))
+                        for S in _face_primes(I, codim)))
 
 
 def ideal_multiplicity(I: MonomialIdeal, k_max=None) -> Fraction:
@@ -428,14 +397,10 @@ def e_s_localized(F: Filtration, N=200, window=None, s=None) -> ESLocalizedRepor
         window = max(2, N // 2)
     if N < 2 * window:
         raise ValueError("need N >= 2*window")
-    I1 = F.ideal_at(1)
     contributions = []
     total = Fraction(0)
     all_exact = True
-    for S in itertools.combinations(range(d), codim):
-        supports = (frozenset(i for i, e in enumerate(g) if e > 0) for g in I1.gens)
-        if not all(set(S) & sup for sup in supports):
-            continue
+    for S in _face_primes(F.ideal_at(1), codim):
         # the localized ring has dimension codim, so this is the normalized
         # colength (d-s)! * colength_p(I_n R_p) / n^(d-s)
         norm = samuel_sequence(F.localize(S), N).normalized()
@@ -538,20 +503,18 @@ class TruncationSweep:
         return [gap for _, _, gap in self.levels]
 
 
-def truncation_sweep(F: Filtration, levels, N, window=None, jobs=1) -> TruncationSweep:
+def truncation_sweep(F: Filtration, levels, N, window=None) -> TruncationSweep:
     """Estimate the saturation-quotient limit of each level-i truncation of F
-    and report the absolute gaps from the parent's estimate.  With jobs > 1
-    the parent and every level share one process pool."""
+    and report the absolute gaps from the parent's estimate."""
+    parent = epsilon_report(F, N, window)
+    if parent.fitted is None:
+        raise LocalizedSequenceError("parent sequence has infinite window entries")
     rows = []
-    with _pool(jobs) as pool:
-        parent = _sequence_report(_sat_sequence(F, N, jobs, pool), window)
-        if parent.fitted is None:
-            raise LocalizedSequenceError("parent sequence has infinite window entries")
-        for i in levels:
-            rep = _sequence_report(_sat_sequence(F.truncate(i), N, jobs, pool), window)
-            if rep.fitted is None:
-                raise LocalizedSequenceError(
-                    f"truncation level {i} has infinite window entries")
-            rows.append((i, rep.fitted, abs(rep.fitted - parent.fitted)))
+    for i in levels:
+        rep = epsilon_report(F.truncate(i), N, window)
+        if rep.fitted is None:
+            raise LocalizedSequenceError(
+                f"truncation level {i} has infinite window entries")
+        rows.append((i, rep.fitted, abs(rep.fitted - parent.fitted)))
     return TruncationSweep(N=N, window=parent.window,
                            parent_estimate=parent.fitted, levels=tuple(rows))

@@ -16,15 +16,12 @@ from .fixtures import fixture_ids, format_fixture_table, paper_examples
 from .scenario import ScenarioError, load_scenario, run_scenario
 
 
-def _add_common(p, *, filtration=True, jobs=False):
+def _add_common(p, *, filtration=True):
     p.add_argument("scenario", help="scenario JSON file declaring the filtrations")
     if filtration:
         p.add_argument("--filtration", required=True, help="filtration name")
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="json")
-    if jobs:
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for per-n fanout")
 
 
 def build_parser():
@@ -43,7 +40,7 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("epsilon", help="normalized saturation-length report")
-    _add_common(p, jobs=True)
+    _add_common(p)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--window", type=int)
 
@@ -70,7 +67,7 @@ def build_parser():
     p.add_argument("--window", type=int)
 
     p = sub.add_parser("truncate-sweep", help="level-i subfiltration estimates")
-    _add_common(p, jobs=True)
+    _add_common(p)
     p.add_argument("--levels", required=True,
                    help="comma separated truncation levels, e.g. 1,2,3,4")
     p.add_argument("--n-max", type=int, required=True)
@@ -92,7 +89,7 @@ def build_parser():
 
 
 def _task_from_args(args):
-    task = {"task": args.command, "jobs": getattr(args, "jobs", 1)}
+    task = {"task": args.command}
     for flag, key in (
             ("filtration", "filtration"), ("n", "n"), ("n_max", "n_max"),
             ("window", "window"), ("c", "c"), ("r_max", "r_max"),

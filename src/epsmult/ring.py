@@ -537,16 +537,22 @@ def localize(I, coords):
     return _from_points(sub, pts)
 
 
+def _face_primes(I, size):
+    """The coordinate sets S with |S| = ``size`` whose face prime
+    P_S = (x_i : i in S) contains I, i.e. S meets the support of every
+    generator, in ``itertools.combinations`` order."""
+    supports = [frozenset(i for i, e in enumerate(g) if e > 0) for g in I.gens]
+    for S in itertools.combinations(range(I.dim), size):
+        if all(not sup.isdisjoint(S) for sup in supports):
+            yield S
+
+
 def dim_quotient(I):
     """Krull dimension of R/I for a proper nonzero monomial ideal: d minus
     the least number of variables meeting the support of every generator."""
     if not I.is_proper():
         raise IdealDomainError("dimension of R/I needs a proper nonzero ideal")
-    supports = [frozenset(i for i, e in enumerate(g) if e > 0) for g in I.gens]
-    d = I.dim
-    for size in range(1, d + 1):
-        for S in itertools.combinations(range(d), size):
-            s = set(S)
-            if all(s & sup for sup in supports):
-                return d - size
+    for size in range(1, I.dim + 1):
+        if next(_face_primes(I, size), None) is not None:
+            return I.dim - size
     raise RuntimeError("no variable cover found")  # unreachable for proper ideals

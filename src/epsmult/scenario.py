@@ -2,10 +2,11 @@
 filtrations, and a task list, with deterministic CSV/JSON emission.
 
 No code is embedded in scenarios; every filtration is one of the declared
-spec kinds and every task carries explicit parameters.  Output bytes are
-stable across runs and worker counts: exact rationals serialize as "p/q"
-strings (decimal renderings are separate, explicitly labelled columns) and
-all JSON keys are sorted.
+spec kinds and every task carries explicit parameters.  Every task runs in
+this process; a ``jobs`` key is accepted on any task for compatibility with
+older scenario files and ignored.  Output bytes are stable across runs:
+exact rationals serialize as "p/q" strings (decimal renderings are separate,
+explicitly labelled columns) and all JSON keys are sorted.
 """
 
 from __future__ import annotations
@@ -212,10 +213,12 @@ def _run_task(scn: Scenario, task, index):
     if not isinstance(task, dict):
         raise ScenarioError(f"{where}: task must be an object")
     kind = _require(task, "task", where)
-    jobs = int(task.get("jobs", 1))
-    window = task.get("window")
-    window = int(window) if window is not None else None
     try:
+        # a ``jobs`` key is accepted on every task and ignored (all levels
+        # run in this process), but it must still be an integer
+        int(task.get("jobs", 1))
+        window = task.get("window")
+        window = int(window) if window is not None else None
         if kind == "eval":
             F = _resolve_filtration(scn, task, "filtration", where)
             return _EvalResult(int(_require(task, "n", where)),
@@ -223,7 +226,7 @@ def _run_task(scn: Scenario, task, index):
         if kind == "epsilon":
             F = _resolve_filtration(scn, task, "filtration", where)
             return epsilon_report(F, int(_require(task, "n_max", where)),
-                                  window=window, jobs=jobs)
+                                  window=window)
         if kind == "acheck":
             F = _resolve_filtration(scn, task, "filtration", where)
             return check_Ac(F, int(_require(task, "c", where)),
@@ -248,7 +251,7 @@ def _run_task(scn: Scenario, task, index):
             F = _resolve_filtration(scn, task, "filtration", where)
             levels = [int(i) for i in _require(task, "levels", where)]
             return truncation_sweep(F, levels, int(_require(task, "n_max", where)),
-                                    window=window, jobs=jobs)
+                                    window=window)
         if kind == "diff-check":
             inner = _resolve_filtration(scn, task, "inner", where)
             outer = _resolve_filtration(scn, task, "outer", where)

@@ -213,3 +213,30 @@ def brute_quotient_length(J, I, k_cap=100):
         for total in range(bound)
         for m in _monomials_of_degree(d, total)
         if J.contains(m) and not I.contains(m))
+
+
+def ref_samuel_of_quotient(I):
+    """e(R/I) for a proper nonzero I, from the Hilbert function
+    k -> #{monomials of degree k outside I} counted directly.
+
+    From degree K = sum_i max_g g_i on, a standard-pair decomposition of the
+    complement is fixed, so the Hilbert function is a polynomial of degree
+    s - 1 there (s = dim R/I) and its (s-1)-th difference is e(R/I); when
+    it vanishes there (s = 0), e(R/I) is the number of monomials outside I.
+    The order s - 1 is read off the values: the first order whose
+    differences are constant over d + 2 consecutive degrees, more than the
+    degree of any polynomial that could appear."""
+    d = I.dim
+
+    def hf(k):
+        return sum(1 for m in _monomials_of_degree(d, k)
+                   if not any(divides(g, m) for g in I.gens))
+
+    K = sum(max(g[i] for g in I.gens) for i in range(d))
+    diffs = [hf(k) for k in range(K, K + d + 2)]
+    if not any(diffs):
+        return sum(hf(k) for k in range(K))
+    while len(set(diffs)) > 1:
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        assert len(diffs) > 1, f"Hilbert function not polynomial from {K}"
+    return diffs[0]

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -168,15 +171,42 @@ def test_cli_single_commands(tmp_path, capsys):
     assert "x^4*y^3" in capsys.readouterr().out
 
 
-def test_cli_jobs_only_on_fanout_commands(tmp_path, capsys):
+def test_cli_rejects_jobs_on_every_command(tmp_path, capsys):
+    # every sequence runs in this process, so no command takes --jobs
     path = write_scenario(tmp_path, [])
-    with pytest.raises(SystemExit) as exc:
-        main(["es", path, "--filtration", "pi", "--n-max", "20", "--jobs", "2"])
-    assert exc.value.code == 2
-    assert "--jobs" in capsys.readouterr().err
+    for argv in (["es", path, "--filtration", "pi", "--n-max", "20"],
+                 ["epsilon", path, "--filtration", "quad", "--n-max", "20"],
+                 ["truncate-sweep", path, "--filtration", "quad",
+                  "--levels", "1", "--n-max", "20"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
     assert main(["truncate-sweep", path, "--filtration", "quad", "--levels", "1",
-                 "--n-max", "20", "--window", "5", "--jobs", "2"]) == 0
+                 "--n-max", "20", "--window", "5"]) == 0
     assert json.loads(capsys.readouterr().out)["levels"][0]["level"] == 1
+
+
+def test_scenario_non_integer_jobs_or_window_exits_2(tmp_path, capsys):
+    # a jobs key is ignored, but a malformed one is still a schema error
+    for key, value in (("jobs", "two"), ("window", "five")):
+        task = {"task": "epsilon", "filtration": "quad", "n_max": 20, key: value}
+        path = write_scenario(tmp_path, [task])
+        with pytest.raises(ScenarioError, match=r"task 1 \(epsilon\)"):
+            run_scenario(path)
+        assert main(["run", path]) == 2
+        assert value in capsys.readouterr().err
+
+
+def test_import_loads_no_process_pool():
+    import epsmult
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(epsmult.__file__)))
+    code = ("import sys, epsmult; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_paper_examples_subset(capsys):

@@ -1,12 +1,14 @@
 """Property tests: the kernel equals the reference kernel in
 ``ring_reference`` on random ideals, zero and unit ideals included; in two
 variables the staircase paths and saturation laws, in three and four the
-sweep minimalisation and the sliced length."""
+sweep minimalisation and the sliced length; and the multiplicity of R/I
+equals a direct count of the Hilbert function."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epsmult.asymptotics import samuel_of_quotient
 from epsmult.ring import (
     IdealDomainError,
     MonomialIdeal,
@@ -24,6 +26,7 @@ from ring_reference import (
     ref_intersect,
     ref_quotient_length,
     ref_quotient_length_2d,
+    ref_samuel_of_quotient,
     ref_saturate,
     ref_valuation_ideal,
     saturate_by_colon,
@@ -174,3 +177,17 @@ def test_sliced_length_rejects_non_containment(pair):
     else:
         with pytest.raises(IdealDomainError):
             quotient_length(J, I)
+
+
+def proper_ideals(ctx, max_exp):
+    """Proper ideals: 1-5 generators with entries up to ``max_exp``, none
+    of them the monomial 1."""
+    gen = st.tuples(*[st.integers(0, max_exp)] * ctx.dim).filter(any)
+    return st.lists(gen, min_size=1, max_size=5).map(
+        lambda gens: MonomialIdeal(ctx, gens))
+
+
+@PROPERTY
+@given(st.one_of(proper_ideals(CTX2, 8), proper_ideals(CTXS[3], 5)))
+def test_samuel_of_quotient_matches_hilbert_function(I):
+    assert samuel_of_quotient(I) == ref_samuel_of_quotient(I)
