@@ -31,12 +31,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .filtration import Filtration, filtration_dimension
+from .newton import _normalized_covolume
 from .ring import (
     MonomialIdeal,
     _face_primes,
     colength,
     dim_quotient,
-    ideal_power,
     localize,
     quotient_length,
     saturate,
@@ -48,7 +48,6 @@ __all__ = [
     "EpsilonReport",
     "DifferenceReport",
     "ESLocalizedReport",
-    "StabilizationError",
     "LocalizedSequenceError",
     "TruncationSweep",
     "sat_quotient_sequence",
@@ -64,10 +63,6 @@ __all__ = [
 ABS_TOL = Fraction(1, 1000)
 REL_TOL = Fraction(1, 100)
 DIVERGENCE_FACTOR = 10
-
-
-class StabilizationError(RuntimeError):
-    """A finite-difference computation did not stabilize within its budget."""
 
 
 class LocalizedSequenceError(RuntimeError):
@@ -299,28 +294,6 @@ def samuel_sequence(F: Filtration, N) -> LengthSequence:
 # ---------------------------------------------------------------------------
 
 
-def _finite_differences(values, order):
-    diffs = list(values)
-    for _ in range(order):
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    return diffs
-
-
-def _stabilized_difference(f, order, k_max, what):
-    """Evaluate f(1), f(2), ... until the order-th finite differences hold
-    constant over three consecutive steps; return that constant."""
-    values = []
-    k = 0
-    while k < k_max:
-        k += 1
-        values.append(f(k))
-        if len(values) >= order + 3:
-            diffs = _finite_differences(values, order)
-            if len(diffs) >= 3 and diffs[-1] == diffs[-2] == diffs[-3]:
-                return diffs[-1]
-    raise StabilizationError(f"{what} did not stabilize within k <= {k_max}")
-
-
 def samuel_of_quotient(I: MonomialIdeal) -> Fraction:
     """Multiplicity of the quotient module R/I with respect to the maximal
     ideal, exactly, by the associativity formula (Bruns-Herzog,
@@ -332,18 +305,14 @@ def samuel_of_quotient(I: MonomialIdeal) -> Fraction:
                         for S in _face_primes(I, codim)))
 
 
-def ideal_multiplicity(I: MonomialIdeal, k_max=None) -> Fraction:
-    """Samuel multiplicity of an m-primary ideal I: the stabilized d-th
-    finite difference of k -> lambda(R/I^k)."""
-    if colength(I) is None:
-        raise ValueError("ideal multiplicity needs an m-primary ideal")
-    if k_max is None:
-        k_max = 8 * max(2, I.max_degree())
-
-    def f(k):
-        return colength(ideal_power(I, k))
-
-    return Fraction(_stabilized_difference(f, I.dim, k_max, "power colengths"))
+def ideal_multiplicity(I: MonomialIdeal) -> Fraction:
+    """Samuel multiplicity of an m-primary ideal I in d <= 3 variables,
+    exactly: e(I) = e of the integral closure = d! * covol(NP(I)) (Rees;
+    for monomial ideals see Huneke-Swanson, Integral Closure of Ideals,
+    Rings, and Modules, 2006)."""
+    if I.dim > 3 or colength(I) is None:
+        raise ValueError("ideal multiplicity needs an m-primary ideal in d <= 3")
+    return Fraction(_normalized_covolume(I))
 
 
 # ---------------------------------------------------------------------------

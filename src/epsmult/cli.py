@@ -90,12 +90,9 @@ def build_parser():
 
 def _task_from_args(args):
     task = {"task": args.command}
-    for flag, key in (
-            ("filtration", "filtration"), ("n", "n"), ("n_max", "n_max"),
-            ("window", "window"), ("c", "c"), ("r_max", "r_max"),
-            ("left", "left"), ("right", "right"),
-            ("inner", "inner"), ("outer", "outer")):
-        value = getattr(args, flag, None)
+    for key in ("filtration", "n", "n_max", "window", "c", "r_max",
+                "left", "right", "inner", "outer"):
+        value = getattr(args, key, None)
         if value is not None:
             task[key] = value
     if getattr(args, "levels", None) is not None:

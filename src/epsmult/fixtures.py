@@ -99,26 +99,13 @@ def pi_line():
     ])
 
 
-# one instance per corpus run, so fixtures reuse evaluated levels
-def _pi_plane(shared):
-    if "pi_plane" not in shared:
-        shared["pi_plane"] = pi_plane()
-    return shared["pi_plane"]
-
-
-def _pi_line(shared):
-    if "pi_line" not in shared:
-        shared["pi_line"] = pi_line()
-    return shared["pi_line"]
-
-
 # ---------------------------------------------------------------------------
-# fixtures
+# fixtures (one pi filtration per run in ``shared`` reuses evaluated levels)
 # ---------------------------------------------------------------------------
 
 
 def fx_pi_lengths(shared):
-    F = _pi_plane(shared)
+    F = shared.setdefault("pi_plane", pi_plane())
     pi = ExactScalar(1, "pi")
     two_pi = ExactScalar(2, "pi")
     seq = sat_quotient_sequence(F, 200)
@@ -136,7 +123,7 @@ def fx_pi_lengths(shared):
 
 
 def fx_pi_epsilon(shared):
-    F = _pi_plane(shared)
+    F = shared.setdefault("pi_plane", pi_plane())
     rep = epsilon_report(F, 500, window=250)
     ok = rep.classification == "converging" and within_rel(
         rep.estimate, ExactScalar(1, "pi"), HALF_PERCENT, power=2)
@@ -149,7 +136,7 @@ def fx_pi_epsilon(shared):
 
 
 def fx_pi_localized(shared):
-    F = _pi_plane(shared)
+    F = shared.setdefault("pi_plane", pi_plane())
     rep = epsilon_report(F.localize([0]), 500, window=250)
     ok = rep.classification == "converging" and within_rel(
         rep.estimate, ExactScalar(1, "pi"), HALF_PERCENT)
@@ -162,7 +149,7 @@ def fx_pi_localized(shared):
 
 
 def fx_pi_es(shared):
-    F = _pi_plane(shared)
+    F = shared.setdefault("pi_plane", pi_plane())
     rep = e_s_localized(F, N=500)
     ok = within_rel(rep.value, ExactScalar(1, "pi"), HALF_PERCENT)
     return FixtureResult(
@@ -174,7 +161,7 @@ def fx_pi_es(shared):
 
 
 def fx_pi_truncations(shared):
-    F = _pi_plane(shared)
+    F = shared.setdefault("pi_plane", pi_plane())
     sweep = truncation_sweep(F, [1, 2, 3, 4], 100, window=50)
     gaps = sweep.gaps()
     non_increasing = all(a >= b for a, b in zip(gaps, gaps[1:]))
@@ -188,7 +175,7 @@ def fx_pi_truncations(shared):
 
 
 def fx_pi_spread_max(shared):
-    F = _pi_plane(shared)
+    F = shared.setdefault("pi_plane", pi_plane())
     cert_pi = spread_max_test(F, 5)
     F36 = DiscreteValuedFiltration(_PLANE, [
         (MonomialValuation((1, 0)), ExactScalar(3)),
@@ -209,7 +196,7 @@ def fx_pi_spread_max(shared):
 
 
 def fx_ceilpi_epsilon(shared):
-    F = _pi_line(shared)
+    F = shared.setdefault("pi_line", pi_line())
     rep = epsilon_report(F, 500, window=250)
     ok = rep.classification == "converging" and within_rel(
         rep.estimate, ExactScalar(1, "pi"), HALF_PERCENT)
@@ -222,7 +209,7 @@ def fx_ceilpi_epsilon(shared):
 
 
 def fx_ceilpi_ac(shared):
-    F = _pi_line(shared)
+    F = shared.setdefault("pi_line", pi_line())
     rep4 = check_Ac(F, 4, 50)
     rep3 = check_Ac(F, 3, 50)
     ok = rep4.holds and not rep3.holds and verify_ac_witness(F, rep3)
@@ -235,7 +222,7 @@ def fx_ceilpi_ac(shared):
 
 
 def fx_ceilpi_spread_zero(shared):
-    F = _pi_line(shared)
+    F = shared.setdefault("pi_line", pi_line())
     cert = spread_zero_test(F, 20, 10)
     from .diagnostics import ZeroSpreadCertificate
     if not isinstance(cert, ZeroSpreadCertificate):

@@ -2,10 +2,12 @@
 comparison of filtration Rees algebra closures.
 
 For a monomial ideal the integral closure consists of the lattice points of
-the Newton polyhedron (convex hull of the generator exponents plus the
-nonnegative orthant).  Membership is decided by an exact rational
-feasibility LP; in up to three variables a halfspace description is also
-computed and the two routes are required to agree.
+the Newton polyhedron NP(I) (convex hull of the generator exponents plus the
+nonnegative orthant).  In up to three variables NP(I) is held as its exact
+facets, built once per ideal (a lower hull of the staircase in d=2, gift
+wrapping in d=3), which decide membership and give the integral closure and
+e(I) = d! * covol(NP(I)); in higher dimension membership is an exact
+rational feasibility LP.  Tests check both against that LP and Fourier-Motzkin.
 
 Degreewise closure membership of x^a at degree m over a filtration asks for
 some r with r*a in the Newton polyhedron of I_(rm).  A positive answer is a
@@ -30,7 +32,14 @@ from .filtration import (
     PowerFiltration,
     TemplateFiltration,
 )
-from .ring import MonomialIdeal
+from .ring import (
+    MonomialIdeal,
+    _check_exponent,
+    _from_points,
+    _member,
+    _min_staircase,
+    _staircase,
+)
 from .textio import fraction_str, monomial_obj
 from .valuation import MonomialValuation, valuation_of_ideal
 
@@ -55,187 +64,234 @@ __all__ = [
 
 def _lp_convex_dominated(gens, a):
     """Is there lambda >= 0 with sum(lambda) = 1 and sum(lambda_i g_i) <= a
-    componentwise?  Exact rational simplex, Bland's rule (no cycling)."""
-    k = len(gens)
-    d = len(a)
-    ncols = k + d + 1  # lambdas, slacks, one artificial for the sum row
-    rows = []
-    for j in range(d):
-        row = [Fraction(g[j]) for g in gens] + [Fraction(0)] * (d + 1) + [Fraction(a[j])]
-        row[k + j] = Fraction(1)
-        rows.append(row)
-    sumrow = [Fraction(1)] * k + [Fraction(0)] * d + [Fraction(1), Fraction(1)]
-    rows.append(sumrow)
-    basis = list(range(k, k + d)) + [k + d]
-    cost = [Fraction(0)] * (k + d) + [Fraction(1)]
-    nrows = d + 1
-    while True:
-        y = [cost[basis[i]] for i in range(nrows)]
-        enter = None
-        for j in range(ncols):
-            cbar = cost[j] - sum(y[i] * rows[i][j] for i in range(nrows) if y[i])
-            if cbar < 0:
-                enter = j
-                break
+    componentwise?  Exact rational phase-1 simplex with Bland's rule (no
+    cycling) on the rows g.lambda + slack = a and sum(lambda) + t = 1,
+    minimising the artificial t: feasible iff t leaves the basis or ends
+    at 0.  Its row is the only one with a cost, so a column may enter iff
+    it is positive there."""
+    k, d = len(gens), len(a)
+    rows = [[Fraction(g[j]) for g in gens] + [Fraction(int(i == j)) for i in range(d)]
+            + [Fraction(0), Fraction(a[j])] for j in range(d)]
+    rows.append([Fraction(1)] * k + [Fraction(0)] * d + [Fraction(1)] * 2)
+    basis = list(range(k, k + d + 1))
+    while k + d in basis:
+        t = rows[basis.index(k + d)]
+        enter = next((j for j in range(k + d) if t[j] > 0), None)
         if enter is None:
-            value = sum(y[i] * rows[i][-1] for i in range(nrows) if y[i])
-            return value == 0
-        leave = None
-        best = None
-        for i in range(nrows):
-            coef = rows[i][enter]
-            if coef > 0:
-                ratio = rows[i][-1] / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave is None:
-            raise RuntimeError("unbounded phase-1 objective")  # cannot happen
-        pivot = rows[leave][enter]
-        rows[leave] = [c / pivot for c in rows[leave]]
-        for i in range(nrows):
-            if i != leave and rows[i][enter]:
-                f = rows[i][enter]
-                rows[i] = [c - f * p for c, p in zip(rows[i], rows[leave])]
+            return t[-1] == 0
+        leave = min((i for i in range(d + 1) if rows[i][enter] > 0),
+                    key=lambda i: (rows[i][-1] / rows[i][enter], basis[i]))
+        pivot = rows[leave]
+        pivot[:] = [c / pivot[enter] for c in pivot]
+        for row in rows:
+            if row is not pivot and row[enter]:
+                row[:] = [c - row[enter] * p for c, p in zip(row, pivot)]
         basis[leave] = enter
+    return True
+
+
+_UNITS = {d: tuple(tuple(int(i == j) for j in range(d)) for i in range(d)) for d in (1, 2, 3)}
 
 
 def _primitive(vec):
-    g = 0
-    for c in vec:
-        g = gcd(g, c)
-    return tuple(c // g for c in vec) if g else None
+    g = gcd(*vec)
+    return tuple(c // g for c in vec)
 
 
-def _halfspace_normals(gens, d):
-    """Candidate outer normals (w >= 0) covering every facet of
-    conv(gens) + orthant, for d <= 3.  Extra valid inequalities are
-    harmless since each is used with rhs = min_g w.g."""
-    normals = set()
-    for i in range(d):
-        normals.add(tuple(1 if j == i else 0 for j in range(d)))
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _half_hull(pts, t=0, s=1):
+    """Andrew's monotone chain in the (t, s) coordinate plane over points
+    sorted by (t, s): the strictly convex chain turning left."""
+    chain = []
+    for p in pts:
+        while len(chain) > 1 and (
+                (chain[-1][t] - chain[-2][t]) * (p[s] - chain[-2][s])
+                <= (chain[-1][s] - chain[-2][s]) * (p[t] - chain[-2][t])):
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
+def _lower_chain(points, t, s):
+    """Vertices, by increasing t, of the compact edges of conv(points) plus
+    the ray in +s, in the (t, s) coordinate plane: of the points sharing a t
+    only the lowest counts, then the lower hull."""
+    low = {p[t]: p for p in sorted(points, key=lambda p: (p[t], -p[s]))}
+    return _half_hull(list(low.values()), t, s)
+
+
+def _polygon(points):
+    """Vertices, counterclockwise seen from above, of the convex hull of
+    points on a plane w.x = c with w_3 > 0 (so the (x, y) shadow is
+    one-to-one)."""
+    pts = sorted(points)
+    return _half_hull(pts)[:-1] + _half_hull(pts[::-1])[:-1]
+
+
+def _planar_edges(stair):
+    """(normal, rhs) of the compact edges of a 2-D Newton polygon, read off
+    the lower hull of its staircase."""
+    chain = _lower_chain(stair, 0, 1)
+    for p, q in zip(chain, chain[1:]):
+        w = _primitive((p[1] - q[1], q[0] - p[0]))
+        yield w, w[0] * p[0] + w[1] * p[1]
+
+
+def _pivot(gens, a, u, n0, c):
+    """Gift wrapping across the edge through ``a`` along ``u`` of the facet
+    with inner normal ``n0`` that runs from the edge towards ``c``: seen
+    along the edge, the generators and rays lie in the half-plane n0 >= 0,
+    and the plane through the one furthest from the facet is the other
+    facet on the edge.  Returns its primitive inner normal."""
+    vecs = [tuple(x - y for x, y in zip(g, a)) for g in gens] + list(_UNITS[3])
+
+    def normal(v):
+        n = _cross(u, v)
+        return n if _dot(n, c) > 0 else tuple(-x for x in n)
+
+    n = normal(next(v for v in vecs if _dot(n0, v) > 0))
+    for v in vecs:
+        if _dot(n, v) < 0:
+            n = normal(v)
+    return _primitive(n)
+
+
+def _facets(I):
+    """Facets of NP(I) in d <= 3 as sorted pairs (w, rhs), cached on the
+    ideal: primitive integer inner normals w >= 0 with rhs = min over the
+    generators g of w.g.
+
+    The d unit normals always give facets.  In d=2 the others are the
+    compact edges, from the lower hull of the staircase.  In d=3 a facet
+    with w_k = 0 is a compact edge of the Newton polygon of the generators
+    with coordinate k dropped; the compact facets (w > 0) are found by
+    gift wrapping, starting across the compact edges of the facets above
+    (the facets' adjacency graph is connected, and an edge of a compact
+    facet is compact)."""
+    try:
+        return I._facets
+    except AttributeError:
+        pass
+    gens, d = I.gens, I.dim
+    facets = {(e, min(g[i] for g in gens)) for i, e in enumerate(_UNITS[d])}
     if d == 2:
-        for g, h in itertools.combinations(gens, 2):
-            w = (g[1] - h[1], h[0] - g[0])
-            if w[0] < 0 or w[1] < 0:
-                w = (-w[0], -w[1])
-            if w[0] >= 0 and w[1] >= 0:
-                p = _primitive(w)
-                if p:
-                    normals.add(p)
-    elif d == 3:
-        axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        facets.update(_planar_edges(_staircase(I)))
+    if d != 3:
+        I._facets = tuple(sorted(facets))
+        return I._facets
+    edges = []  # (a, b, inner normal, direction into the facet from ab)
+    for k in range(3):
+        t, s = (i for i in range(3) if i != k)
+        low = min(g[k] for g in gens)
+        chain = _lower_chain([g for g in gens if g[k] == low], t, s)
+        edges += [(p, q, _UNITS[3][k], _UNITS[3][s])
+                  for p, q in zip(chain, chain[1:])]
+        for w2, rhs in _planar_edges(_min_staircase((g[t], g[s]) for g in gens)):
+            w = w2[:k] + (0,) + w2[k:]
+            facets.add((w, rhs))
+            chain = _lower_chain([g for g in gens if _dot(w, g) == rhs], t, k)
+            edges += [(p, q, w, _UNITS[3][k]) for p, q in zip(chain, chain[1:])]
+    done = set()
+    while edges:
+        a, b, n0, c = edges.pop()
+        if (a, b) in done:
+            continue
+        done.update(((a, b), (b, a)))
+        w = _pivot(gens, a, tuple(y - x for x, y in zip(a, b)), n0, c)
+        rhs = _dot(w, a)
+        if 0 in w or (w, rhs) in facets:
+            continue  # a facet with a zero weight is listed already
+        facets.add((w, rhs))
+        poly = _polygon([g for g in gens if _dot(w, g) == rhs])
+        for i, p in enumerate(poly):
+            q, r = poly[i - len(poly) + 1], poly[i - len(poly) + 2]
+            edges.append((p, q, w, tuple(y - x for x, y in zip(p, r))))
+    I._facets = tuple(sorted(facets))
+    return I._facets
 
-        def cross(u, v):
-            return (u[1] * v[2] - u[2] * v[1],
-                    u[2] * v[0] - u[0] * v[2],
-                    u[0] * v[1] - u[1] * v[0])
 
-        dirs = []
-        for g, h in itertools.combinations(gens, 2):
-            dirs.append(tuple(b - a for a, b in zip(g, h)))
-        candidates = []
-        for u, v in itertools.combinations(dirs, 2):
-            candidates.append(cross(u, v))
-        for u in dirs:
-            for e in axes:
-                candidates.append(cross(u, e))
-        for w in candidates:
-            for sign in (1, -1):
-                sw = tuple(sign * c for c in w)
-                if all(c >= 0 for c in sw) and any(c > 0 for c in sw):
-                    p = _primitive(sw)
-                    if p:
-                        normals.add(p)
-    else:
-        raise ValueError("halfspace description only computed for d <= 3")
-    return tuple(sorted(normals))
+def _normalized_covolume(I):
+    """d! times the volume of the orthant outside NP(I), for an m-primary I
+    in d <= 3: the orthant minus NP(I) is the union of the cones from the
+    origin over the compact facets, so this is the sum of |det| over the
+    edges (d=2) or over a fan triangulation of each compact facet (d=3)."""
+    if I.dim == 1:
+        return I.gens[0][0]
+    if I.dim == 2:
+        chain = _lower_chain(_staircase(I), 0, 1)
+        return sum(abs(p[0] * q[1] - p[1] * q[0]) for p, q in zip(chain, chain[1:]))
+    faces = [_polygon([g for g in I.gens if _dot(w, g) == rhs])
+             for w, rhs in _facets(I) if 0 not in w]
+    return sum(abs(_dot(f[0], _cross(p, q))) for f in faces for p, q in zip(f[1:], f[2:]))
 
 
 class NewtonPolyhedron:
     """Convex hull of the generator exponents plus the nonnegative orthant.
 
-    Membership is answered by the LP route in any dimension; in d <= 3 a
-    halfspace description is built on demand and must agree with the LP."""
+    In d <= 3 it is cut out by its exact facets; in higher dimension
+    membership is the exact LP."""
 
     def __init__(self, I: MonomialIdeal):
         if I.is_zero():
             raise ValueError("the zero ideal has no Newton polyhedron")
         self.ideal = I
-        self._halfspaces = None
 
-    def halfspaces(self):
-        """Pairs (w, rhs) with the polyhedron equal to {x >= 0 : w.x >= rhs}."""
-        if self._halfspaces is None:
-            gens = self.ideal.gens
-            normals = _halfspace_normals(gens, self.ideal.dim)
-            self._halfspaces = tuple(
-                (w, min(sum(wc * gc for wc, gc in zip(w, g)) for g in gens))
-                for w in normals)
-        return self._halfspaces
+    def facets(self):
+        """Pairs (w, rhs), one per facet, sorted, with the polyhedron equal
+        to {x : w.x >= rhs for all of them}; only in d <= 3."""
+        if self.ideal.dim > 3:
+            raise ValueError("facets are only computed for d <= 3")
+        return _facets(self.ideal)
 
-    def contains(self, a, method="lp"):
-        if len(a) != self.ideal.dim:
-            raise ValueError("point has wrong dimension")
-        if method == "lp":
-            return _lp_convex_dominated(self.ideal.gens, a)
-        if method == "halfspace":
-            return all(
-                sum(wc * ac for wc, ac in zip(w, a)) >= rhs
-                for w, rhs in self.halfspaces())
-        raise ValueError(f"unknown method {method!r}")
+    def contains(self, a):
+        a = _check_exponent(a, self.ideal.dim)
+        if self.ideal.dim > 3:
+            return _member(self.ideal.gens, a) or _lp_convex_dominated(self.ideal.gens, a)
+        return all(_dot(w, a) >= rhs for w, rhs in _facets(self.ideal))
 
 
 def np_membership(I: MonomialIdeal, a) -> bool:
     """x^a lies in the Newton polyhedron of I (equivalently, in the integral
     closure of I for monomial ideals)."""
-    if I.is_zero():
-        raise ValueError("membership in the zero ideal's polyhedron is undefined")
-    if I.contains(a):
-        return True
-    return _lp_convex_dominated(I.gens, tuple(a))
+    return NewtonPolyhedron(I).contains(a)
 
 
 def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
     """Minimal lattice points of the Newton polyhedron.  Minimal generators
     live inside the componentwise generator maximum (beyond it, points are
-    dominated), so that box is enumerated."""
+    dominated).  In d <= 3 each column over the first d-1 coordinates of
+    that box takes its least last coordinate from the facets; in higher
+    dimension the box is enumerated."""
     if I.is_zero():
         raise ValueError("integral closure of the zero ideal")
     if I.is_unit():
         return I
     d = I.dim
-    box = tuple(max(g[i] for g in I.gens) for i in range(d))
-    if d == 2:
-        np_ = NewtonPolyhedron(I)
-        hs = np_.halfspaces()
-        pts = []
-        for a in range(box[0] + 1):
-            ymin = 0
-            ok = True
-            for (wx, wy), rhs in hs:
-                need = rhs - wx * a
-                if wy == 0:
-                    if need > 0:
-                        ok = False
-                        break
-                elif need > 0:
-                    ymin = max(ymin, -(-need // wy))
-            if ok:
-                pts.append((a, ymin))
-        return MonomialIdeal(I.ctx, pts)
-    if d == 3:
-        np_ = NewtonPolyhedron(I)
-        pts = [
-            p for p in itertools.product(*(range(b + 1) for b in box))
-            if np_.contains(p, method="halfspace")
-        ]
-        return MonomialIdeal(I.ctx, pts)
-    pts = [
-        p for p in itertools.product(*(range(b + 1) for b in box))
-        if np_membership(I, p)
-    ]
-    return MonomialIdeal(I.ctx, pts)
+    box = [range(max(g[i] for g in I.gens) + 1) for i in range(d)]
+    if d > 3:
+        return _from_points(I.ctx, [p for p in itertools.product(*box)
+                                    if np_membership(I, p)])
+    pts = []
+    for col in itertools.product(*box[:-1]):
+        last = 0
+        for w, rhs in _facets(I):
+            need = rhs - _dot(w[:-1], col)
+            if w[-1]:
+                last = max(last, -(-need // w[-1]))
+            elif need > 0:
+                break
+        else:
+            pts.append(col + (last,))
+    return _from_points(I.ctx, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -289,22 +345,12 @@ class ClosureMembership:
     certificate: object | None = None
 
 
-def _template_affine_data(F: TemplateFiltration):
-    forms = F.generator_affine_forms()
-    if any(f is None for g in forms for f in g):
-        return None
-    return forms
-
-
 def _weight_candidates(F: Filtration, m):
     d = F.ctx.dim
-    cands = []
-    for bits in itertools.product((0, 1), repeat=d):
-        if any(bits):
-            cands.append(bits)
+    cands = [bits for bits in itertools.product((0, 1), repeat=d) if any(bits)]
     Im = F.ideal_at(m)
     if not Im.is_zero() and d <= 3:
-        for w, _ in NewtonPolyhedron(Im).halfspaces():
+        for w, _ in NewtonPolyhedron(Im).facets():
             if w not in cands:
                 cands.append(w)
     return cands
@@ -313,17 +359,15 @@ def _weight_candidates(F: Filtration, m):
 def _affine_separation(F: TemplateFiltration, a, m):
     """Try to exclude x^a from degree-m closure membership using a weight
     whose values on the generator templates are affine in the level."""
-    forms = _template_affine_data(F)
-    if forms is None:
+    forms = F.generator_affine_forms()
+    if any(f is None for g in forms for f in g):
         return None
     wa_candidates = _weight_candidates(F, m)
     for w in wa_candidates:
         wa = sum(wc * ac for wc, ac in zip(w, a))
-        per_gen = []
-        for gform in forms:
-            slope = m * sum(wc * fa for wc, (fa, _) in zip(w, gform))
-            intercept = sum(wc * fb for wc, (_, fb) in zip(w, gform))
-            per_gen.append((Fraction(slope), Fraction(intercept)))
+        per_gen = [(Fraction(m * sum(wc * fa for wc, (fa, _) in zip(w, gform))),
+                    Fraction(sum(wc * fb for wc, (_, fb) in zip(w, gform))))
+                   for gform in forms]
         if all(wa < s or (wa == s and c > 0) for s, c in per_gen):
             slope = min(s for s, _ in per_gen)
             intercept = min(c for s, c in per_gen if s == slope)

@@ -176,10 +176,11 @@ class MonomialIdeal:
     ``gens == ()`` is the zero ideal and ``gens == ((0,...,0),)`` the unit
     ideal; both are explicit canonical values.  Equality and hashing ignore
     variable names, only the dimension and the generators matter.  In two
-    variables ``_stair`` caches the generators by increasing x.
+    variables ``_stair`` caches the generators by increasing x, and in up
+    to three ``_facets`` the facets of the Newton polyhedron.
     """
 
-    __slots__ = ("ctx", "gens", "_stair")
+    __slots__ = ("ctx", "gens", "_stair", "_facets")
 
     def __init__(self, ctx, gens, _canonical=False):
         self.ctx = ctx

@@ -131,14 +131,16 @@ def load_scenario(path) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be an object")
     ring = _require(doc, "ring", "scenario")
-    dim = int(_require(ring, "dimension", "ring block"))
-    names = tuple(ring.get("names", ()))
+    filtrations = _require(doc, "filtrations", "scenario")
+    if not isinstance(ring, dict) or not isinstance(filtrations, dict):
+        raise ScenarioError("ring and filtrations must be objects")
+    dim = _require(ring, "dimension", "ring block")
     try:
-        ctx = RingContext(dim, names)
-    except ValueError as exc:
+        ctx = RingContext(int(dim), tuple(ring.get("names", ())))
+    except (ValueError, TypeError) as exc:
         raise ScenarioError(f"ring block: {exc}") from exc
     built: dict[str, Filtration] = {}
-    for name, block in _require(doc, "filtrations", "scenario").items():
+    for name, block in filtrations.items():
         built[name] = _build_filtration(name, block, ctx, built)
     tasks = _require(doc, "tasks", "scenario")
     if not isinstance(tasks, list):

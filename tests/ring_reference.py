@@ -1,6 +1,7 @@
 """Reference monomial-ideal kernel: the plain algorithms that the staircase,
-sweep and slice paths of ``epsmult.ring`` and ``epsmult.valuation``
-replaced, kept as test oracles, and a brute-force length count.
+sweep and slice paths of ``epsmult.ring`` and ``epsmult.valuation`` and the
+exact facets of ``epsmult.newton`` replaced, kept as test oracles, and
+brute-force counts.
 
 Every result here is built from candidate generator lists by validating each
 point and minimalising with pairwise divisibility, so nothing shares the
@@ -9,8 +10,16 @@ profile merges, sweeps or slices of the fast kernel beyond the
 """
 
 import itertools
+from math import gcd
 
-from epsmult.ring import IdealDomainError, MonomialIdeal, divides
+from epsmult.newton import _lp_convex_dominated
+from epsmult.ring import (
+    IdealDomainError,
+    MonomialIdeal,
+    colength,
+    divides,
+    ideal_power,
+)
 
 
 def ref_ideal(ctx, points):
@@ -240,3 +249,149 @@ def ref_samuel_of_quotient(I):
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
         assert len(diffs) > 1, f"Hilbert function not polynomial from {K}"
     return diffs[0]
+
+
+def ref_ideal_multiplicity(I, k_max=None):
+    """e(I) for an m-primary I as the d-th finite difference of
+    k -> colength(I^k), taken once it holds constant over three consecutive
+    k (a stopping rule, not a proof; the exact value is d! * covol(NP(I)))."""
+    if k_max is None:
+        k_max = 8 * max(2, I.max_degree())
+    values = []
+    for k in range(1, k_max + 1):
+        values.append(colength(ideal_power(I, k)))
+        diffs = values
+        for _ in range(I.dim):
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        if len(diffs) >= 3 and diffs[-1] == diffs[-2] == diffs[-3]:
+            return diffs[-1]
+    raise AssertionError(f"power colengths did not stabilize within k <= {k_max}")
+
+
+def _primitive(vec):
+    g = 0
+    for c in vec:
+        g = gcd(g, c)
+    return tuple(c // g for c in vec) if g else None
+
+
+def ref_halfspace_normals(gens, d):
+    """Candidate inner normals (w >= 0) covering every facet of
+    conv(gens) + orthant, for d <= 3: the normals of the lines through two
+    generators (d=2), of the planes spanned by two generator differences
+    or by one and a unit vector (d=3), and the unit vectors.  Extra valid
+    inequalities are harmless since each is used with rhs = min_g w.g."""
+    normals = set()
+    for i in range(d):
+        normals.add(tuple(1 if j == i else 0 for j in range(d)))
+    if d == 2:
+        for g, h in itertools.combinations(gens, 2):
+            w = (g[1] - h[1], h[0] - g[0])
+            if w[0] < 0 or w[1] < 0:
+                w = (-w[0], -w[1])
+            if w[0] >= 0 and w[1] >= 0:
+                p = _primitive(w)
+                if p:
+                    normals.add(p)
+    elif d == 3:
+        axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+        def cross(u, v):
+            return (u[1] * v[2] - u[2] * v[1],
+                    u[2] * v[0] - u[0] * v[2],
+                    u[0] * v[1] - u[1] * v[0])
+
+        dirs = []
+        for g, h in itertools.combinations(gens, 2):
+            dirs.append(tuple(b - a for a, b in zip(g, h)))
+        candidates = []
+        for u, v in itertools.combinations(dirs, 2):
+            candidates.append(cross(u, v))
+        for u in dirs:
+            for e in axes:
+                candidates.append(cross(u, e))
+        for w in candidates:
+            for sign in (1, -1):
+                sw = tuple(sign * c for c in w)
+                if all(c >= 0 for c in sw) and any(c > 0 for c in sw):
+                    p = _primitive(sw)
+                    if p:
+                        normals.add(p)
+    else:
+        raise ValueError("halfspace description only computed for d <= 3")
+    return tuple(sorted(normals))
+
+
+def ref_halfspaces(I):
+    """Pairs (w, rhs) over the candidate normals, rhs = min_g w.g; the
+    polyhedron is {x >= 0 : w.x >= rhs for all of them}."""
+    return tuple(
+        (w, min(sum(wc * gc for wc, gc in zip(w, g)) for g in I.gens))
+        for w in ref_halfspace_normals(I.gens, I.dim))
+
+
+def ref_normalized_covolume(I):
+    """d! * covol(NP(I)) for an m-primary I, by counting: the lattice points
+    of the orthant outside k*NP(I) number a polynomial in k of degree d with
+    leading coefficient covol(NP(I)) (Ehrhart, applied to the cones from the
+    origin over the compact faces, whose vertices are lattice points), so
+    its d-th difference over k = 1..d+1 is the value.  The count runs column
+    by column against the candidate halfspaces; a second difference, over
+    k = 2..d+2, must agree."""
+    d = I.dim
+    hs = ref_halfspaces(I)
+
+    def outside(k):
+        box = [range(k * max(g[i] for g in I.gens) + 1) for i in range(d - 1)]
+        total = 0
+        for col in itertools.product(*box):
+            last = 0
+            for w, rhs in hs:
+                if w[-1]:
+                    need = k * rhs - sum(a * b for a, b in zip(w, col))
+                    last = max(last, -(-need // w[-1]))
+            total += last
+        return total
+
+    diffs = [outside(k) for k in range(1, d + 3)]
+    for _ in range(d):
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    assert diffs[0] == diffs[1], "count is not a polynomial of degree d"
+    return diffs[0]
+
+
+def ref_integral_closure(I):
+    """Every lattice point of the generator box that the LP puts in the
+    Newton polyhedron, minimalised."""
+    box = [range(max(g[i] for g in I.gens) + 1) for i in range(I.dim)]
+    return ref_ideal(I.ctx, [p for p in itertools.product(*box)
+                             if _lp_convex_dominated(I.gens, p)])
+
+
+def oracle_np_member(gens, a):
+    """Feasibility of sum(lam_i g_i) <= a, lam in the simplex, by eliminating
+    lam_1..lam_{k-1} with Fourier-Motzkin (lam_k substituted out)."""
+    k = len(gens)
+    d = len(a)
+    last = gens[-1]
+    nvars = k - 1
+    ineqs = []  # (coeff vector, rhs) meaning sum c_i x_i <= rhs
+    for j in range(d):
+        ineqs.append(([gens[i][j] - last[j] for i in range(nvars)],
+                      a[j] - last[j]))
+    for i in range(nvars):
+        ineqs.append(([-1 if t == i else 0 for t in range(nvars)], 0))
+    ineqs.append(([1] * nvars, 1))
+    for var in range(nvars):
+        pos, neg, rest = [], [], []
+        for coeffs, rhs in ineqs:
+            c = coeffs[var]
+            (pos if c > 0 else neg if c < 0 else rest).append((coeffs, rhs))
+        new = rest
+        for cp, rp in pos:
+            for cn, rn in neg:
+                m_p, m_n = cp[var], -cn[var]
+                coeffs = [m_n * x + m_p * y for x, y in zip(cp, cn)]
+                new.append((coeffs, m_n * rp + m_p * rn))
+        ineqs = new
+    return all(rhs >= 0 for _, rhs in ineqs)

@@ -163,15 +163,6 @@ def test_samuel_sequence_examples():
         assert lam == 3 * n * n + 3 * n
 
 
-def test_samuel_stabilization_budget():
-    from epsmult.asymptotics import StabilizationError
-
-    # the stopping rule compares three d-th differences, so it needs d + 3
-    # powers: a budget of three can never suffice
-    with pytest.raises(StabilizationError):
-        ideal_multiplicity(MonomialIdeal(CTX2, [(9, 0), (0, 9)]), k_max=3)
-
-
 def test_samuel_of_quotient_examples():
     assert samuel_of_quotient(MonomialIdeal(CTX2, [(1, 0)])) == 1
     assert samuel_of_quotient(MonomialIdeal(CTX2, [(3, 0)])) == 3
@@ -202,6 +193,14 @@ def test_ideal_multiplicity_matches_power_colengths():
         assert d2[-1] == d2[-2] == expected
     with pytest.raises(ValueError):
         ideal_multiplicity(MonomialIdeal(CTX2, [(1, 0)]))
+    # the third differences of k -> colength(I^k) hold at 119 four times
+    # in a row before they settle at e(I) = 6 * covol(NP(I)) = 120
+    I = MonomialIdeal(RingContext(3), [(0, 4, 0), (0, 0, 5), (1, 1, 3),
+                                       (6, 0, 0), (5, 3, 2)])
+    assert ideal_multiplicity(I) == 120
+    # exact only through the Newton polyhedron's facets, so d <= 3
+    with pytest.raises(ValueError, match="d <= 3"):
+        ideal_multiplicity(maximal_power(RingContext(4), 1))
 
 
 # ---------------------------------------------------------------------------

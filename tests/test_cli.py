@@ -198,6 +198,21 @@ def test_scenario_non_integer_jobs_or_window_exits_2(tmp_path, capsys):
         assert value in capsys.readouterr().err
 
 
+def test_malformed_ring_or_filtrations_exit_2(tmp_path, capsys):
+    # a non-integer dimension and a filtrations list end in ScenarioError,
+    # not in a ValueError or AttributeError traceback
+    for key, value, message in (
+            ("ring", {"dimension": "two"}, "ring block"),
+            ("filtrations", [], "must be objects")):
+        doc = dict(SCENARIO, **{key: value})
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ScenarioError, match=message):
+            load_scenario(str(path))
+        assert main(["run", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_import_loads_no_process_pool():
     import epsmult
 

@@ -11,6 +11,7 @@ from epsmult.newton import (
     ContainmentCertificate,
     NewtonPolyhedron,
     SeparationCertificate,
+    _lp_convex_dominated,
     filtration_integral_member,
     integral_closure,
     np_membership,
@@ -19,43 +20,10 @@ from epsmult.newton import (
 )
 from epsmult.ring import MonomialIdeal, RingContext, maximal_power
 from epsmult.valuation import ExactScalar, MonomialValuation
+from ring_reference import oracle_np_member
 
 CTX2 = RingContext(2)
 CTX3 = RingContext(3)
-
-
-# ---------------------------------------------------------------------------
-# independent oracle: Fourier-Motzkin elimination over the simplex variables
-# ---------------------------------------------------------------------------
-
-
-def oracle_np_member(gens, a):
-    """Feasibility of sum(lam_i g_i) <= a, lam in the simplex, by eliminating
-    lam_1..lam_{k-1} with Fourier-Motzkin (lam_k substituted out)."""
-    k = len(gens)
-    d = len(a)
-    last = gens[-1]
-    nvars = k - 1
-    ineqs = []  # (coeff vector, rhs) meaning sum c_i x_i <= rhs
-    for j in range(d):
-        ineqs.append(([gens[i][j] - last[j] for i in range(nvars)],
-                      a[j] - last[j]))
-    for i in range(nvars):
-        ineqs.append(([-1 if t == i else 0 for t in range(nvars)], 0))
-    ineqs.append(([1] * nvars, 1))
-    for var in range(nvars):
-        pos, neg, rest = [], [], []
-        for coeffs, rhs in ineqs:
-            c = coeffs[var]
-            (pos if c > 0 else neg if c < 0 else rest).append((coeffs, rhs))
-        new = rest
-        for cp, rp in pos:
-            for cn, rn in neg:
-                m_p, m_n = cp[var], -cn[var]
-                coeffs = [m_n * x + m_p * y for x, y in zip(cp, cn)]
-                new.append((coeffs, m_n * rp + m_p * rn))
-        ineqs = new
-    return all(rhs >= 0 for _, rhs in ineqs)
 
 
 def random_instance(rng, d):
@@ -93,6 +61,7 @@ def test_np_membership_against_fm_oracle():
 
 
 def test_lp_and_halfspace_routes_agree():
+    # the facet route of d <= 3 against the LP oracle
     rng = random.Random(31)
     for _ in range(60):
         d = rng.choice((2, 3))
@@ -101,7 +70,24 @@ def test_lp_and_halfspace_routes_agree():
         box = [max(g[i] for g in I.gens) + 2 for i in range(d)]
         for _ in range(15):
             p = tuple(rng.randint(0, box[i]) for i in range(d))
-            assert NP.contains(p, "lp") == NP.contains(p, "halfspace"), (I.gens, p)
+            assert NP.contains(p) == _lp_convex_dominated(I.gens, p), (I.gens, p)
+
+
+def test_lp_route_in_four_variables():
+    # beyond three variables no facets are built and the LP decides
+    ctx = RingContext(4)
+    rng = random.Random(4)
+    for _ in range(40):
+        gens = [tuple(rng.randint(0, 5) for _ in range(4))
+                for _ in range(rng.randint(1, 4))]
+        I = MonomialIdeal(ctx, gens)
+        a = tuple(rng.randint(0, 6) for _ in range(4))
+        assert np_membership(I, a) == oracle_np_member(I.gens, a), (I.gens, a)
+    squares = MonomialIdeal(ctx, [tuple(2 * (i == j) for j in range(4))
+                                  for i in range(4)])
+    assert integral_closure(squares) == maximal_power(ctx, 2)
+    with pytest.raises(ValueError):
+        NewtonPolyhedron(squares).facets()
 
 
 def _radical(I):

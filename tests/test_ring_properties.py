@@ -1,14 +1,31 @@
 """Property tests: the kernel equals the reference kernel in
 ``ring_reference`` on random ideals, zero and unit ideals included; in two
 variables the staircase paths and saturation laws, in three and four the
-sweep minimalisation and the sliced length; and the multiplicity of R/I
-equals a direct count of the Hilbert function."""
+sweep minimalisation and the sliced length; the multiplicity of R/I equals
+a direct count of the Hilbert function; and in two and three variables the
+exact facets of the Newton polyhedron agree with the LP, Fourier-Motzkin
+and candidate-normal references, give the integral closure and e(I), and
+back every separation certificate."""
+
+from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epsmult.asymptotics import samuel_of_quotient
+from epsmult.asymptotics import ideal_multiplicity, samuel_of_quotient
+from epsmult.filtration import PowerFiltration, TemplateFiltration
+from epsmult.newton import (
+    NewtonPolyhedron,
+    _affine_separation,
+    _lp_convex_dominated,
+    _power_separation,
+    integral_closure,
+    np_membership,
+    verify_separation_certificate,
+)
 from epsmult.ring import (
     IdealDomainError,
     MonomialIdeal,
@@ -21,9 +38,14 @@ from epsmult.ring import (
 )
 from epsmult.valuation import MonomialValuation, valuation_ideal
 from ring_reference import (
+    oracle_np_member,
     ref_contains_ideal,
+    ref_halfspaces,
     ref_ideal,
+    ref_ideal_multiplicity,
+    ref_integral_closure,
     ref_intersect,
+    ref_normalized_covolume,
     ref_quotient_length,
     ref_quotient_length_2d,
     ref_samuel_of_quotient,
@@ -191,3 +213,135 @@ def proper_ideals(ctx, max_exp):
 @given(st.one_of(proper_ideals(CTX2, 8), proper_ideals(CTXS[3], 5)))
 def test_samuel_of_quotient_matches_hilbert_function(I):
     assert samuel_of_quotient(I) == ref_samuel_of_quotient(I)
+
+
+# Newton polyhedra in d = 2 and 3: nonzero ideals, the unit ideal included,
+# with small exponents so that collinear and coplanar generators are common
+
+
+def nonzero_ideals(ctx, max_exp, max_gens=6):
+    gen = st.tuples(*[st.integers(0, max_exp)] * ctx.dim)
+    return st.lists(gen, min_size=1, max_size=max_gens).map(
+        lambda gens: MonomialIdeal(ctx, gens))
+
+
+polyhedra = st.one_of(nonzero_ideals(CTX2, 9), nonzero_ideals(CTXS[3], 6))
+
+
+def _rank(vectors):
+    rows = [[Fraction(c) for c in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in rows[rank:] if r[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows.insert(rank, pivot)
+        for r in rows[rank + 1:]:
+            f = r[col] / pivot[col]
+            r[:] = [x - f * y for x, y in zip(r, pivot)]
+        rank += 1
+    return rank
+
+
+@PROPERTY
+@given(polyhedra, st.lists(st.tuples(*[st.integers(0, 11)] * 3), min_size=1,
+                           max_size=6))
+def test_facet_membership_matches_lp_and_fm_oracles(I, points):
+    NP = NewtonPolyhedron(I)
+    for p in points:
+        a = p[:I.dim]
+        assert NP.contains(a) == np_membership(I, a) == \
+            _lp_convex_dominated(I.gens, a) == oracle_np_member(I.gens, a), a
+    for g in I.gens:
+        assert NP.contains(g)
+
+
+@PROPERTY
+@given(polyhedra)
+def test_stored_normals_are_true_facets(I):
+    d = I.dim
+    facets = NewtonPolyhedron(I).facets()
+    assert list(facets) == sorted(set(facets))
+    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    for w, rhs in facets:
+        assert min(w) >= 0 and gcd(*w) == 1
+        assert rhs == min(sum(a * b for a, b in zip(w, g)) for g in I.gens)
+        # the face is conv(generators on it) + cone(rays on it): a facet
+        # iff it spans dimension d - 1
+        face = [g for g in I.gens if sum(a * b for a, b in zip(w, g)) == rhs]
+        rays = [e for e, c in zip(units, w) if c == 0]
+        spans = [tuple(a - b for a, b in zip(g, face[0])) for g in face[1:]]
+        assert _rank(spans + rays) == d - 1, (I.gens, w)
+
+
+@PROPERTY
+@given(polyhedra)
+def test_facets_cut_out_reference_polyhedron(I):
+    facets = NewtonPolyhedron(I).facets()
+    reference = ref_halfspaces(I)
+    # every facet is one of the old candidate inequalities
+    assert set(facets) <= set(reference)
+    box = [range(max(g[i] for g in I.gens) + 3) for i in range(I.dim)]
+    for p in product(*box):
+        assert all(sum(a * b for a, b in zip(w, p)) >= rhs
+                   for w, rhs in facets) == all(
+            sum(a * b for a, b in zip(w, p)) >= rhs for w, rhs in reference), p
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(polyhedra)
+def test_integral_closure_matches_box_enumeration(I):
+    assert integral_closure(I) == ref_integral_closure(I)
+
+
+def primary_ideals(ctx, max_exp):
+    """m-primary ideals: a pure power of each variable plus up to three
+    random generators."""
+    gen = st.tuples(*[st.integers(0, max_exp)] * ctx.dim)
+    powers = st.tuples(*[st.integers(1, max_exp)] * ctx.dim).map(
+        lambda p: [tuple(p[i] if j == i else 0 for j in range(ctx.dim))
+                   for i in range(ctx.dim)])
+    return st.tuples(powers, st.lists(gen, max_size=3)).map(
+        lambda t: MonomialIdeal(ctx, t[0] + t[1]))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.one_of(primary_ideals(CTX2, 6), primary_ideals(CTXS[3], 3)))
+def test_ideal_multiplicity_matches_stabilized_difference(I):
+    assert ideal_multiplicity(I) == ref_ideal_multiplicity(I)
+
+
+@PROPERTY
+@given(st.one_of(primary_ideals(CTX2, 9), primary_ideals(CTXS[3], 6)))
+def test_ideal_multiplicity_matches_lattice_count(I):
+    assert ideal_multiplicity(I) == ref_normalized_covolume(I)
+
+
+def affine_templates(ctx):
+    """Template filtrations whose coordinates are a*n + b, a, b >= 0."""
+    coord = st.tuples(st.integers(0, 2), st.integers(0, 3)).map(
+        lambda ab: f"{ab[0]}*n+{ab[1]}" if ab[0] else str(ab[1]))
+    gen = st.tuples(*[coord] * ctx.dim)
+    return st.lists(gen, min_size=1, max_size=3).map(
+        lambda gens: TemplateFiltration(ctx, gens))
+
+
+certified = st.one_of(
+    affine_templates(CTX2), affine_templates(CTXS[3]),
+    nonzero_ideals(CTX2, 5, 4).filter(MonomialIdeal.is_proper).map(
+        PowerFiltration),
+    nonzero_ideals(CTXS[3], 4, 4).filter(MonomialIdeal.is_proper).map(
+        PowerFiltration))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(certified, st.integers(1, 2))
+def test_separation_certificates_recheck(F, m):
+    separate = (_power_separation if isinstance(F, PowerFiltration)
+                else _affine_separation)
+    for a in product(range(5), repeat=F.ctx.dim):
+        cert = separate(F, a, m)
+        if cert is not None:
+            assert cert.degree == m and cert.monomial == a
+            assert verify_separation_certificate(F, cert, 12), (F.describe(), cert)
