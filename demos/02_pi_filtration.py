@@ -4,16 +4,13 @@
 # lengths converge to pi^2, and localizing at the line (x) gives pi.  All
 # ceilings of n*pi are certified by interval refinement, never float-rounded.
 
-from epsmult import DiscreteValuedFiltration, RingContext, epsilon_report
+from epsmult import epsilon_report
+from epsmult.fixtures import pi_plane
 from epsmult.textio import decimal_str, format_generators
-from epsmult.valuation import ExactScalar, MonomialValuation, ceil_mul
+from epsmult.valuation import ExactScalar, ceil_mul
 
-ctx = RingContext(2)
 pi = ExactScalar(1, "pi")
-F = DiscreteValuedFiltration(ctx, [
-    (MonomialValuation((1, 0)), pi),                  # order along x
-    (MonomialValuation((1, 1)), ExactScalar(2, "pi")),  # order at the origin
-])
+F = pi_plane()  # its docstring states the definition above
 
 print("I_1 =", format_generators(F.ideal_at(1)))
 print("I_2 =", format_generators(F.ideal_at(2)))

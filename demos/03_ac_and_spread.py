@@ -4,10 +4,8 @@
 # precisely when c > a, and failures come with re-checkable witnesses.
 
 from epsmult import (
-    DiscreteValuedFiltration,
     PowerFiltration,
     RingContext,
-    TemplateFiltration,
     check_Ac,
     maximal_power,
     spread_max_test,
@@ -16,14 +14,14 @@ from epsmult import (
     verify_ac_witness,
     verify_zero_certificate,
 )
+from epsmult.fixtures import pi_line, rational_plane, template_family
 from epsmult.textio import format_monomial
-from epsmult.valuation import ExactScalar, MonomialValuation
 
 ctx = RingContext(2)
 
 print("A(c) on K_n = (x^2, x y^(a n)), n <= 50:")
 for a in (1, 2, 3):
-    K = TemplateFiltration(ctx, [("2", "0"), ("1", f"{a}*n")])
+    K = template_family(f"{a}*n")
     row = []
     for c in range(1, 6):
         rep = check_Ac(K, c, 50)
@@ -34,24 +32,20 @@ for a in (1, 2, 3):
 
 # a failure witness in full: it lies in the saturation and in m^(cn) but not
 # in the ideal itself
-K2 = TemplateFiltration(ctx, [("2", "0"), ("1", "2*n")])
+K2 = template_family("2*n")
 rep = check_Ac(K2, 2, 50)
 print("\nK with a=2 fails A(2) at n =", rep.witness_n,
       "with witness", format_monomial(rep.witness, ctx.names))
 
 # spread certificates: a saturation gap pushes the analytic spread to the
-# ring dimension for certified representations
-F = DiscreteValuedFiltration(ctx, [
-    (MonomialValuation((1, 0)), ExactScalar(3)),
-    (MonomialValuation((1, 1)), ExactScalar(6)),
-])
-cert = spread_max_test(F, 5)
+# ring dimension for certified representations, such as the rational
+# discrete-valued (x)^(3n) meet m^(6n)
+cert = spread_max_test(rational_plane(), 5)
 print("\nrational discrete-valued (3, 6):", cert.note)
 
 # the one-variable ceil-pi family instead has zero spread: every generator
 # power eventually falls into m * I_(rn), with r sized by the ceiling defect
-line = DiscreteValuedFiltration(RingContext(1), [
-    (MonomialValuation((1,)), ExactScalar(1, "pi"))])
+line = pi_line()  # (x^ceil(n pi)) in one variable
 zero = spread_zero_test(line, 12, 10)
 print("zero-spread certificates (n, r):",
       [(n, r) for n, _, r in zero.entries])

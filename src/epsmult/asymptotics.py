@@ -184,17 +184,17 @@ def _secants(normalized, window):
     return tuple(out)
 
 
-def _classify(normalized, window):
-    """Apply the documented classification rules to (n, value) pairs."""
-    tail = normalized[-window:]
-    if any(v is None for _, v in tail):
+def _classify(normalized, window, fit):
+    """Apply the documented classification rules to (n, value) pairs, given
+    the trailing-window fit (None when the window has an infinite entry)."""
+    if fit is None:
         return "diverging", None, None
     head_vals = [v for _, v in normalized[:window] if v is not None]
-    tail_vals = [v for _, v in tail]
+    tail_vals = [v for _, v in normalized[-window:]]
     increasing = all(a < b for a, b in zip(tail_vals, tail_vals[1:]))
     if head_vals and increasing and tail_vals[-1] > DIVERGENCE_FACTOR * _median(head_vals):
         return "diverging", None, None
-    eps, _, spread = _window_fit(tail)
+    eps, _, spread = fit
     mean = sum(tail_vals) / len(tail_vals)
     tol = max(ABS_TOL, REL_TOL * abs(mean))
     if spread < tol:
@@ -211,11 +211,9 @@ def _sequence_report(seq: LengthSequence, window):
     if len(seq.entries) < 2 * window:
         raise ValueError("need at least 2*window entries")
     norm = seq.normalized()
-    classification, estimate, residual = _classify(norm, window)
     tail = norm[-window:]
-    fitted = None
-    if all(v is not None for _, v in tail):
-        fitted, _ = _fit_inverse_n(tail)
+    fit = _window_fit(tail) if all(v is not None for _, v in tail) else None
+    classification, estimate, residual = _classify(norm, window, fit)
     return EpsilonReport(
         sequence=seq,
         window=window,
@@ -224,7 +222,7 @@ def _sequence_report(seq: LengthSequence, window):
         classification=classification,
         estimate=estimate,
         residual=residual,
-        fitted=fitted,
+        fitted=fit[0] if fit else None,
     )
 
 

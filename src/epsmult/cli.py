@@ -16,10 +16,14 @@ from .fixtures import fixture_ids, format_fixture_table, paper_examples
 from .scenario import ScenarioError, load_scenario, run_scenario
 
 
-def _add_common(p, *, filtration=True):
+def _add_common(p, *, filtration=True, n_max=True, window=False):
     p.add_argument("scenario", help="scenario JSON file declaring the filtrations")
     if filtration:
         p.add_argument("--filtration", required=True, help="filtration name")
+    if n_max:
+        p.add_argument("--n-max", type=int, required=True)
+    if window:
+        p.add_argument("--window", type=int)
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="json")
 
@@ -36,49 +40,38 @@ def build_parser():
     p.add_argument("scenario")
 
     p = sub.add_parser("eval", help="print the ideal at one level")
-    _add_common(p)
+    _add_common(p, n_max=False)
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("epsilon", help="normalized saturation-length report")
-    _add_common(p)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--window", type=int)
+    _add_common(p, window=True)
 
     p = sub.add_parser("acheck", help="property A(c) comparison")
     _add_common(p)
     p.add_argument("--c", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
 
     p = sub.add_parser("spread", help="analytic spread certificates and rank bound")
     _add_common(p)
-    p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--r-max", type=int, default=10)
 
     p = sub.add_parser("closure-compare", help="compare Rees algebra closures")
     _add_common(p, filtration=False)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--r-max", type=int, default=4)
 
     p = sub.add_parser("es", help="face-prime localized multiplicity sum")
-    _add_common(p)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--window", type=int)
+    _add_common(p, window=True)
 
     p = sub.add_parser("truncate-sweep", help="level-i subfiltration estimates")
-    _add_common(p)
+    _add_common(p, window=True)
     p.add_argument("--levels", required=True,
                    help="comma separated truncation levels, e.g. 1,2,3,4")
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--window", type=int)
 
     p = sub.add_parser("diff-check", help="limit additivity across an inclusion")
-    _add_common(p, filtration=False)
+    _add_common(p, filtration=False, window=True)
     p.add_argument("--inner", required=True)
     p.add_argument("--outer", required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--window", type=int)
 
     p = sub.add_parser("paper-examples", help="run the worked-example corpus")
     p.add_argument("--id", action="append", dest="ids",

@@ -226,13 +226,14 @@ def spread_zero_test(F: Filtration, N, r_max):
     m = MonomialIdeal.maximal(F.ctx)
     entries = []
     for n in range(1, N + 1):
-        In = F.ideal_at(n)
-        for g in In.gens:
-            bound = _adaptive_r_bound(F, n, r_max)
+        bound = _adaptive_r_bound(F, n, r_max)
+        targets = {}  # r -> m * I_(rn), shared by the generators of I_n
+        for g in F.ideal_at(n).gens:
             found = None
             for r in range(2, bound + 1):
-                target = ideal_product(m, F.ideal_at(r * n))
-                if target.contains(tuple(r * e for e in g)):
+                if r not in targets:
+                    targets[r] = ideal_product(m, F.ideal_at(r * n))
+                if targets[r].contains(tuple(r * e for e in g)):
                     found = r
                     break
             if found is None:
@@ -244,9 +245,11 @@ def spread_zero_test(F: Filtration, N, r_max):
 def verify_zero_certificate(F: Filtration, cert: ZeroSpreadCertificate) -> bool:
     """Re-check every generator certificate by direct containment."""
     m = MonomialIdeal.maximal(F.ctx)
+    targets = {}  # r*n -> m * I_(rn)
     for n, g, r in cert.entries:
-        target = ideal_product(m, F.ideal_at(r * n))
-        if not target.contains(tuple(r * e for e in g)):
+        if r * n not in targets:
+            targets[r * n] = ideal_product(m, F.ideal_at(r * n))
+        if not targets[r * n].contains(tuple(r * e for e in g)):
             return False
     return True
 

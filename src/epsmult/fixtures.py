@@ -29,6 +29,7 @@ from .asymptotics import (
     truncation_sweep,
 )
 from .diagnostics import (
+    ZeroSpreadCertificate,
     check_Ac,
     spread_max_test,
     spread_zero_test,
@@ -52,6 +53,10 @@ __all__ = [
     "format_fixture_table",
     "pi_plane",
     "pi_line",
+    "rational_plane",
+    "template_family",
+    "staircase_pair",
+    "ascent_pair",
     "within_rel",
 ]
 
@@ -80,12 +85,15 @@ def within_rel(est, scalar, rel, power=1):
 
 
 # ---------------------------------------------------------------------------
-# shared filtrations
+# worked-example filtrations: one builder per family
 # ---------------------------------------------------------------------------
 
 
 def pi_plane():
-    """The plane ceil-pi filtration I_n = (x)^ceil(n pi) cap m^ceil(2n pi)."""
+    """The plane ceil-pi filtration I_n = (x)^ceil(n pi) cap m^ceil(2n pi):
+    discrete valued by the order along x and the order at the origin, with
+    irrational multipliers pi and 2 pi.  Its normalized saturation lengths
+    converge to pi^2, and localizing at (x) gives pi."""
     return DiscreteValuedFiltration(RingContext(2), [
         (MonomialValuation((1, 0)), ExactScalar(1, "pi")),
         (MonomialValuation((1, 1)), ExactScalar(2, "pi")),
@@ -93,14 +101,53 @@ def pi_plane():
 
 
 def pi_line():
-    """The line filtration I_n = (x^ceil(n pi)) in one variable."""
+    """The line filtration I_n = (x^ceil(n pi)) in one variable: limit pi,
+    A(4) but not A(3), and zero-spread certificates."""
     return DiscreteValuedFiltration(RingContext(1), [
         (MonomialValuation((1,)), ExactScalar(1, "pi")),
     ])
 
 
+def rational_plane():
+    """The rational analogue I_n = (x)^(3n) cap m^(6n) of the pi plane; a
+    saturation gap certifies analytic spread 2 for it."""
+    return DiscreteValuedFiltration(_PLANE, [
+        (MonomialValuation((1, 0)), ExactScalar(3)),
+        (MonomialValuation((1, 1)), ExactScalar(6)),
+    ])
+
+
+def template_family(expr):
+    """The family I_n = (x^2, x y^expr) for an exponent expression in n.
+    With expr = a*n it satisfies A(c) exactly when c > a; n^2 and n have
+    normalized lengths exactly 2 and 2/n; n^3 diverges; n*sigma(n)
+    oscillates (surrogate sigma)."""
+    return TemplateFiltration(_PLANE, [("2", "0"), ("1", expr)])
+
+
+def staircase_pair():
+    """The staircase pair (I, J): I_n = (x)^n and J_n = (x^(n+1), x^n y).
+    Both limits are 0 and their localizations at (x) agree, but their Rees
+    algebras have different integral closures."""
+    return (PowerFiltration(MonomialIdeal(_PLANE, [(1, 0)])),
+            TemplateFiltration(_PLANE, [("n+1", "0"), ("n", "1")]))
+
+
+def ascent_pair():
+    """The ascent pair (J, I): powers of x*m^2 and, inside them, powers of
+    x^3; A(1) fails for J at n = 1 and holds for I."""
+    return (PowerFiltration(ideal_product(MonomialIdeal(_PLANE, [(1, 0)]),
+                                          maximal_power(_PLANE, 2))),
+            PowerFiltration(MonomialIdeal(_PLANE, [(3, 0)])))
+
+
+def _template(shared, expr):
+    return shared.setdefault(("template", expr), template_family(expr))
+
+
 # ---------------------------------------------------------------------------
-# fixtures (one pi filtration per run in ``shared`` reuses evaluated levels)
+# fixtures (each runner takes its filtrations from ``shared`` by family, so
+# a fixture runs alone and a full run reuses evaluated levels)
 # ---------------------------------------------------------------------------
 
 
@@ -122,30 +169,27 @@ def fx_pi_lengths(shared):
         not bad)
 
 
-def fx_pi_epsilon(shared):
-    F = shared.setdefault("pi_plane", pi_plane())
+def _converging_to_pi(fid, title, F, power):
     rep = epsilon_report(F, 500, window=250)
     ok = rep.classification == "converging" and within_rel(
-        rep.estimate, ExactScalar(1, "pi"), HALF_PERCENT, power=2)
+        rep.estimate, ExactScalar(1, "pi"), HALF_PERCENT, power=power)
     return FixtureResult(
-        "pi-epsilon", "plane ceil-pi filtration: normalized limit",
-        "literature", False,
-        "converging within 0.5% of pi^2 at N=500",
+        fid, title, "literature", False,
+        f"converging within 0.5% of {'pi^2' if power == 2 else 'pi'} at N=500",
         f"{rep.classification}, estimate {decimal_str(rep.estimate, 6)}",
         ok)
+
+
+def fx_pi_epsilon(shared):
+    return _converging_to_pi(
+        "pi-epsilon", "plane ceil-pi filtration: normalized limit",
+        shared.setdefault("pi_plane", pi_plane()), 2)
 
 
 def fx_pi_localized(shared):
-    F = shared.setdefault("pi_plane", pi_plane())
-    rep = epsilon_report(F.localize([0]), 500, window=250)
-    ok = rep.classification == "converging" and within_rel(
-        rep.estimate, ExactScalar(1, "pi"), HALF_PERCENT)
-    return FixtureResult(
+    return _converging_to_pi(
         "pi-localized", "plane ceil-pi filtration localized at (x)",
-        "literature", False,
-        "converging within 0.5% of pi at N=500",
-        f"{rep.classification}, estimate {decimal_str(rep.estimate, 6)}",
-        ok)
+        shared.setdefault("pi_plane", pi_plane()).localize([0]), 1)
 
 
 def fx_pi_es(shared):
@@ -177,11 +221,8 @@ def fx_pi_truncations(shared):
 def fx_pi_spread_max(shared):
     F = shared.setdefault("pi_plane", pi_plane())
     cert_pi = spread_max_test(F, 5)
-    F36 = DiscreteValuedFiltration(_PLANE, [
-        (MonomialValuation((1, 0)), ExactScalar(3)),
-        (MonomialValuation((1, 1)), ExactScalar(6)),
-    ])
-    cert36 = spread_max_test(F36, 5)
+    cert36 = spread_max_test(
+        shared.setdefault("rational_plane", rational_plane()), 5)
     ok = (cert_pi is not None and cert_pi.asserted_spread is None
           and cert_pi.witness_n == 1
           and cert36 is not None and cert36.asserted_spread == 2
@@ -196,16 +237,9 @@ def fx_pi_spread_max(shared):
 
 
 def fx_ceilpi_epsilon(shared):
-    F = shared.setdefault("pi_line", pi_line())
-    rep = epsilon_report(F, 500, window=250)
-    ok = rep.classification == "converging" and within_rel(
-        rep.estimate, ExactScalar(1, "pi"), HALF_PERCENT)
-    return FixtureResult(
+    return _converging_to_pi(
         "ceilpi-epsilon", "line filtration (x^ceil(n pi)): saturation limit",
-        "literature", False,
-        "converging within 0.5% of pi at N=500",
-        f"{rep.classification}, estimate {decimal_str(rep.estimate, 6)}",
-        ok)
+        shared.setdefault("pi_line", pi_line()), 1)
 
 
 def fx_ceilpi_ac(shared):
@@ -224,7 +258,6 @@ def fx_ceilpi_ac(shared):
 def fx_ceilpi_spread_zero(shared):
     F = shared.setdefault("pi_line", pi_line())
     cert = spread_zero_test(F, 20, 10)
-    from .diagnostics import ZeroSpreadCertificate
     if not isinstance(cert, ZeroSpreadCertificate):
         return FixtureResult(
             "ceilpi-spread-zero", "line filtration: nilpotency certificates",
@@ -242,10 +275,7 @@ def fx_ceilpi_spread_zero(shared):
 
 
 def fx_growth_lengths(shared):
-    ctx = _PLANE
-    J = TemplateFiltration(ctx, [("2", "0"), ("1", "n^2")])
-    I = TemplateFiltration(ctx, [("2", "0"), ("1", "n")])
-    shared["growth_J"], shared["growth_I"] = J, I
+    J, I = _template(shared, "n^2"), _template(shared, "n")
     normJ = sat_quotient_sequence(J, 100).normalized()
     normI = sat_quotient_sequence(I, 100).normalized()
     okJ = all(v == 2 for _, v in normJ)
@@ -259,7 +289,7 @@ def fx_growth_lengths(shared):
 
 
 def fx_growth_diff(shared):
-    J, I = shared["growth_J"], shared["growth_I"]
+    J, I = _template(shared, "n^2"), _template(shared, "n")
     rep = epsilon_difference_check(J, I, 100, window=20)
     ok = rep.residual is not None and abs(rep.residual) < Fraction(1, 100)
     return FixtureResult(
@@ -271,7 +301,7 @@ def fx_growth_diff(shared):
 
 
 def fx_growth_closure(shared):
-    J, I = shared["growth_J"], shared["growth_I"]
+    J, I = _template(shared, "n^2"), _template(shared, "n")
     verdict = rees_closure_compare(I, J, 20, 4)
     ok = verdict.outcome == "equal-up-to-bound" and verdict.max_r_used <= 2
     return FixtureResult(
@@ -283,11 +313,10 @@ def fx_growth_closure(shared):
 
 
 def fx_ac_grid(shared):
-    ctx = _PLANE
     cells = []
     all_ok = True
     for a in (1, 2, 3):
-        K = TemplateFiltration(ctx, [("2", "0"), ("1", f"{a}*n")])
+        K = _template(shared, f"{a}*n")
         for c in range(1, 6):
             rep = check_Ac(K, c, 50)
             expected = c > a
@@ -305,10 +334,7 @@ def fx_ac_grid(shared):
 
 
 def fx_ac_ascent(shared):
-    ctx = _PLANE
-    J = PowerFiltration(ideal_product(
-        MonomialIdeal(ctx, [(1, 0)]), maximal_power(ctx, 2)))
-    I = PowerFiltration(MonomialIdeal(ctx, [(3, 0)]))
+    J, I = shared.setdefault("ascent", ascent_pair())
     repJ = check_Ac(J, 1, 10)
     repI = check_Ac(I, 1, 50)
     ok = (not repJ.holds and repJ.witness_n == 1 and verify_ac_witness(J, repJ)
@@ -322,9 +348,7 @@ def fx_ac_ascent(shared):
 
 
 def fx_tau_cubic(shared):
-    ctx = _PLANE
-    T = TemplateFiltration(ctx, [("2", "0"), ("1", "n^3")])
-    rep = epsilon_report(T, 60, window=10)
+    rep = epsilon_report(_template(shared, "n^3"), 60, window=10)
     return FixtureResult(
         "tau-cubic", "cubic exponent growth diverges",
         "literature", False,
@@ -334,8 +358,7 @@ def fx_tau_cubic(shared):
 
 
 def fx_tau_ac_bound(shared):
-    ctx = _PLANE
-    K = TemplateFiltration(ctx, [("2", "0"), ("1", "2*n")])
+    K = _template(shared, "2*n")
     rep = check_Ac(K, 3, 50)
     norm = sat_quotient_sequence(K, 50).normalized()
     bounded = all(v <= Fraction(2 * 3, n) for n, v in norm)
@@ -348,10 +371,7 @@ def fx_tau_ac_bound(shared):
 
 
 def fx_staircase_lengths(shared):
-    ctx = _PLANE
-    I = PowerFiltration(MonomialIdeal(ctx, [(1, 0)]))
-    J = TemplateFiltration(ctx, [("n+1", "0"), ("n", "1")])
-    shared["stair_I"], shared["stair_J"] = I, J
+    I, J = shared.setdefault("staircase", staircase_pair())
     seqJ = sat_quotient_sequence(J, 100)
     lengths_ok = all(lam == 1 for _, lam in seqJ.entries)
     repI = epsilon_report(I, 200, window=50)
@@ -370,7 +390,7 @@ def fx_staircase_lengths(shared):
 
 
 def fx_staircase_closure(shared):
-    I, J = shared["stair_I"], shared["stair_J"]
+    I, J = shared.setdefault("staircase", staircase_pair())
     verdict = rees_closure_compare(I, J, 10, 6)
     ok = (verdict.outcome == "proven-different" and verdict.degree == 1
           and verdict.monomial == (1, 0)
@@ -385,11 +405,10 @@ def fx_staircase_closure(shared):
 
 
 def fx_es_line(shared):
-    ctx = _PLANE
-    P = PowerFiltration(MonomialIdeal(ctx, [(1, 0)]))
+    P, _ = shared.setdefault("staircase", staircase_pair())
     rep = e_s_localized(P, N=40)
     ratios_ok = all(
-        samuel_of_quotient(MonomialIdeal(ctx, [(n, 0)])) == n
+        samuel_of_quotient(MonomialIdeal(_PLANE, [(n, 0)])) == n
         for n in range(1, 21))
     ok = rep.value == 1 and rep.exact and ratios_ok
     return FixtureResult(
@@ -401,10 +420,7 @@ def fx_es_line(shared):
 
 
 def fx_sigma_oscillation(shared):
-    ctx = _PLANE
-    H = TemplateFiltration(ctx, [("2", "0"), ("1", "n*sigma(n)")])
-    shared["sigma_H"] = H
-    rep = epsilon_report(H, 1024, window=256)
+    rep = epsilon_report(_template(shared, "n*sigma(n)"), 1024, window=256)
     ok = rep.classification == "oscillating" and rep.estimate == 1
     return FixtureResult(
         "sigma-oscillation", "surrogate oscillating family has no limit",
@@ -416,7 +432,7 @@ def fx_sigma_oscillation(shared):
 
 
 def fx_sigma_ac(shared):
-    H = shared["sigma_H"]
+    H = _template(shared, "n*sigma(n)")
     failures = {c: check_Ac(H, c, 64) for c in (1, 2, 3, 4)}
     ok = all(not rep.holds and verify_ac_witness(H, rep)
              for rep in failures.values())
@@ -429,10 +445,8 @@ def fx_sigma_ac(shared):
 
 
 def fx_sigma_closure(shared):
-    ctx = _PLANE
-    H = shared["sigma_H"]
-    J = TemplateFiltration(ctx, [("2", "0"), ("1", "n")])
-    verdict = rees_closure_compare(H, J, 12, 4)
+    verdict = rees_closure_compare(
+        _template(shared, "n*sigma(n)"), _template(shared, "n"), 12, 4)
     ok = verdict.outcome == "equal-up-to-bound" and verdict.max_r_used <= 2
     return FixtureResult(
         "sigma-closure", "surrogate family shares its closure with the linear family",
@@ -442,58 +456,49 @@ def fx_sigma_closure(shared):
         ok)
 
 
-# (id, runner, whether later fixtures read its shared state); ids match the
-# FixtureResult ids, which a test asserts
+# (id, runner); ids match the FixtureResult ids, which a test asserts
 _REGISTRY = [
-    ("pi-lengths", fx_pi_lengths, False),
-    ("pi-epsilon", fx_pi_epsilon, False),
-    ("pi-localized", fx_pi_localized, False),
-    ("pi-es", fx_pi_es, False),
-    ("pi-truncations", fx_pi_truncations, False),
-    ("pi-spread-max", fx_pi_spread_max, False),
-    ("ceilpi-epsilon", fx_ceilpi_epsilon, False),
-    ("ceilpi-ac", fx_ceilpi_ac, False),
-    ("ceilpi-spread-zero", fx_ceilpi_spread_zero, False),
-    ("growth-square-lengths", fx_growth_lengths, True),
-    ("growth-square-diff", fx_growth_diff, False),
-    ("growth-square-closure", fx_growth_closure, False),
-    ("ac-grid", fx_ac_grid, False),
-    ("ac-ascent", fx_ac_ascent, False),
-    ("tau-cubic", fx_tau_cubic, False),
-    ("tau-ac-bound", fx_tau_ac_bound, False),
-    ("staircase-lengths", fx_staircase_lengths, True),
-    ("staircase-closure", fx_staircase_closure, False),
-    ("es-line", fx_es_line, False),
-    ("sigma-oscillation", fx_sigma_oscillation, True),
-    ("sigma-ac", fx_sigma_ac, False),
-    ("sigma-closure", fx_sigma_closure, False),
+    ("pi-lengths", fx_pi_lengths),
+    ("pi-epsilon", fx_pi_epsilon),
+    ("pi-localized", fx_pi_localized),
+    ("pi-es", fx_pi_es),
+    ("pi-truncations", fx_pi_truncations),
+    ("pi-spread-max", fx_pi_spread_max),
+    ("ceilpi-epsilon", fx_ceilpi_epsilon),
+    ("ceilpi-ac", fx_ceilpi_ac),
+    ("ceilpi-spread-zero", fx_ceilpi_spread_zero),
+    ("growth-square-lengths", fx_growth_lengths),
+    ("growth-square-diff", fx_growth_diff),
+    ("growth-square-closure", fx_growth_closure),
+    ("ac-grid", fx_ac_grid),
+    ("ac-ascent", fx_ac_ascent),
+    ("tau-cubic", fx_tau_cubic),
+    ("tau-ac-bound", fx_tau_ac_bound),
+    ("staircase-lengths", fx_staircase_lengths),
+    ("staircase-closure", fx_staircase_closure),
+    ("es-line", fx_es_line),
+    ("sigma-oscillation", fx_sigma_oscillation),
+    ("sigma-ac", fx_sigma_ac),
+    ("sigma-closure", fx_sigma_closure),
 ]
 
 
 def fixture_ids():
-    return [fid for fid, _, _ in _REGISTRY]
+    return [fid for fid, _ in _REGISTRY]
 
 
 def paper_examples(ids=None):
     """Run the fixture corpus (optionally a subset by id) in registry order.
 
-    Fixtures share evaluated filtrations through a common cache, so a full
-    run reuses the expensive sequences.
+    Fixtures share evaluated filtrations through a common cache keyed by
+    family, so a full run reuses the expensive sequences, and a fixture run
+    alone builds what it needs and gives the same row.
     """
-    wanted = set(ids) if ids else None
-    if wanted is not None:
-        missing = wanted - set(fixture_ids())
-        if missing:
-            raise ValueError(f"unknown fixture ids: {sorted(missing)}")
+    missing = set(ids or ()) - set(fixture_ids())
+    if missing:
+        raise ValueError(f"unknown fixture ids: {sorted(missing)}")
     shared: dict = {}
-    results = []
-    for fid, fn, seeds in _REGISTRY:
-        if wanted is not None and fid not in wanted:
-            if seeds:
-                fn(shared)
-            continue
-        results.append(fn(shared))
-    return results
+    return [fn(shared) for fid, fn in _REGISTRY if not ids or fid in ids]
 
 
 def format_fixture_table(results):

@@ -81,6 +81,8 @@ def _build_filtration(name, block, ctx, built):
             gens = _require(block, "generators", where)
             tau = block.get("tau")
             if tau is not None:
+                if not isinstance(tau, dict):
+                    raise ScenarioError(f"{where}: tau must be an object")
                 tau = {int(k): int(v) for k, v in tau.items()}
             return TemplateFiltration(ctx, [tuple(g) for g in gens], tau=tau)
         if kind == "table":
@@ -145,6 +147,11 @@ def load_scenario(path) -> Scenario:
     tasks = _require(doc, "tasks", "scenario")
     if not isinstance(tasks, list):
         raise ScenarioError("tasks must be a list")
+    for index, task in enumerate(tasks):
+        if not isinstance(task, dict):
+            raise ScenarioError(f"task {index+1}: task must be an object")
+        if task.get("out") is not None and not isinstance(task["out"], str):
+            raise ScenarioError(f"task {index+1}: out must be a string path")
     return Scenario(ctx=ctx, filtrations=built, tasks=tasks,
                     base_dir=os.path.dirname(os.path.abspath(path)))
 
@@ -212,8 +219,6 @@ class _SpreadResult:
 
 def _run_task(scn: Scenario, task, index):
     where = f"task {index+1} ({task.get('task', '?')})"
-    if not isinstance(task, dict):
-        raise ScenarioError(f"{where}: task must be an object")
     kind = _require(task, "task", where)
     try:
         # a ``jobs`` key is accepted on every task and ignored (all levels
@@ -221,20 +226,18 @@ def _run_task(scn: Scenario, task, index):
         int(task.get("jobs", 1))
         window = task.get("window")
         window = int(window) if window is not None else None
-        if kind == "eval":
+        if kind in ("eval", "epsilon", "acheck", "spread", "es", "truncate-sweep"):
             F = _resolve_filtration(scn, task, "filtration", where)
+        if kind == "eval":
             return _EvalResult(int(_require(task, "n", where)),
                                F.ideal_at(int(_require(task, "n", where))))
         if kind == "epsilon":
-            F = _resolve_filtration(scn, task, "filtration", where)
             return epsilon_report(F, int(_require(task, "n_max", where)),
                                   window=window)
         if kind == "acheck":
-            F = _resolve_filtration(scn, task, "filtration", where)
             return check_Ac(F, int(_require(task, "c", where)),
                             int(_require(task, "n_max", where)))
         if kind == "spread":
-            F = _resolve_filtration(scn, task, "filtration", where)
             N = int(_require(task, "n_max", where))
             r_max = int(task.get("r_max", 10))
             return _SpreadResult(spread_max_test(F, N),
@@ -246,11 +249,9 @@ def _run_task(scn: Scenario, task, index):
             return rees_closure_compare(F, G, int(_require(task, "n_max", where)),
                                         int(task.get("r_max", 4)))
         if kind == "es":
-            F = _resolve_filtration(scn, task, "filtration", where)
             return e_s_localized(F, N=int(_require(task, "n_max", where)),
                                  window=window)
         if kind == "truncate-sweep":
-            F = _resolve_filtration(scn, task, "filtration", where)
             levels = [int(i) for i in _require(task, "levels", where)]
             return truncation_sweep(F, levels, int(_require(task, "n_max", where)),
                                     window=window)

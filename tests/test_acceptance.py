@@ -1,7 +1,13 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  All tolerances are pinned here, in the assertions.
+lines.  Criteria 02-07, 09 and 11 delegate to the worked-example fixtures of
+``epsmult.fixtures`` (see ``CORPUS``): one ``paper_examples`` run serves them
+all, each asserts that its fixtures pass and prints their computed lines.
+Their tolerances are the fixtures' own, stated in each fixture's
+``expected:`` line, which ``tests/test_golden.py`` pins byte for byte.  The
+other criteria compute here, on filtrations from the fixture builders, and
+pin their tolerances in the assertions.
 
 Criterion 10 checks the level-i truncations of the plane ceil-pi filtration
 I_n = (x)^ceil(n pi) cap m^ceil(2n pi) against their exact limits, which
@@ -34,33 +40,10 @@ from fractions import Fraction
 
 import pytest
 
-from epsmult.asymptotics import (
-    e_s_localized,
-    epsilon_difference_check,
-    epsilon_report,
-    samuel_of_quotient,
-    sat_quotient_sequence,
-    truncation_sweep,
-)
-from epsmult.diagnostics import (
-    ZeroSpreadCertificate,
-    check_Ac,
-    spread_max_test,
-    spread_zero_test,
-    verify_ac_witness,
-    verify_zero_certificate,
-)
-from epsmult.filtration import (
-    PowerFiltration,
-    TemplateFiltration,
-)
-from epsmult.fixtures import pi_line, pi_plane, within_rel
-from epsmult.newton import (
-    integral_closure,
-    np_membership,
-    rees_closure_compare,
-    verify_separation_certificate,
-)
+from epsmult.asymptotics import sat_quotient_sequence, truncation_sweep
+from epsmult.diagnostics import spread_max_test
+from epsmult.fixtures import paper_examples, pi_line, pi_plane, template_family
+from epsmult.newton import integral_closure, np_membership, rees_closure_compare
 from epsmult.ring import (
     MonomialIdeal,
     RingContext,
@@ -71,7 +54,7 @@ from epsmult.ring import (
     saturate,
 )
 from epsmult.valuation import ExactScalar, ceil_mul
-from ring_reference import brute_quotient_length
+from ring_reference import brute_quotient_length, oracle_np_member
 
 CTX2 = RingContext(2)
 PI = ExactScalar(1, "pi")
@@ -79,6 +62,17 @@ TWO_PI = ExactScalar(2, "pi")
 HALF_PERCENT = Fraction(1, 200)
 # (ceil(a*pi), ceil(2*a*pi)) for a = 1..4, with pi = 3.14159265...
 CEIL_PI_MULTIPLES = {1: (4, 7), 2: (7, 13), 3: (10, 19), 4: (13, 26)}
+# the fixtures each delegated criterion runs, condition for condition
+CORPUS = {
+    2: ["pi-epsilon", "pi-localized"],
+    3: ["growth-square-lengths", "growth-square-diff"],
+    4: ["ac-grid"],
+    5: ["ac-ascent"],
+    6: ["ceilpi-epsilon", "ceilpi-spread-zero"],
+    7: ["staircase-lengths", "staircase-closure"],
+    9: ["tau-cubic", "tau-ac-bound"],
+    11: ["es-line", "pi-es"],
+}
 
 
 def announce(num, ok, detail):
@@ -88,7 +82,23 @@ def announce(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def shared():
-    return {"pi_plane": pi_plane(), "pi_line": pi_line()}
+    return {"pi_plane": pi_plane()}
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    results = paper_examples([fid for ids in CORPUS.values() for fid in ids])
+    return {r.fixture_id: r for r in results}
+
+
+def assert_corpus(corpus, num, ok=True, detail=""):
+    """Assert criterion ``num``'s fixtures pass (and ``ok``); announce their
+    computed lines."""
+    rows = [corpus[fid] for fid in CORPUS[num]]
+    lines = [f"{r.fixture_id}: {r.computed}" for r in rows]
+    if detail:
+        lines.append(detail)
+    assert announce(num, ok and all(r.passed for r in rows), "; ".join(lines))
 
 
 def test_criterion_01_pi_lengths_exact_and_fast(shared):
@@ -106,134 +116,45 @@ def test_criterion_01_pi_lengths_exact_and_fast(shared):
     shared["pi_plane"]._cache.update(fresh._cache)
 
 
-def test_criterion_02_pi_limit_and_localization(shared):
-    F = shared["pi_plane"]
-    rep = epsilon_report(F, 500, window=250)
-    ok_plane = (rep.classification == "converging"
-                and within_rel(rep.estimate, PI, HALF_PERCENT, power=2))
-    loc = epsilon_report(F.localize([0]), 500, window=250)
-    ok_loc = (loc.classification == "converging"
-              and within_rel(loc.estimate, PI, HALF_PERCENT))
-    ok = ok_plane and ok_loc
-    assert announce(
-        2, ok,
-        f"plane: {rep.classification} {float(rep.estimate):.5f} (pi^2 within 0.5%); "
-        f"localized: {loc.classification} {float(loc.estimate):.5f} (pi within 0.5%)")
+def test_criterion_02_pi_limit_and_localization(corpus):
+    assert_corpus(corpus, 2)
 
 
-def test_criterion_03_growth_square_family():
-    J = TemplateFiltration(CTX2, [("2", "0"), ("1", "n^2")])
-    I = TemplateFiltration(CTX2, [("2", "0"), ("1", "n")])
-    normJ = sat_quotient_sequence(J, 100).normalized()
-    normI = sat_quotient_sequence(I, 100).normalized()
-    ok_j = all(v == 2 for _, v in normJ)
-    ok_i = all(v == Fraction(2, n) for n, v in normI)
-    diff = epsilon_difference_check(J, I, 100, window=20)
-    ok_res = diff.residual is not None and abs(diff.residual) < Fraction(1, 100)
-    ok = ok_j and ok_i and ok_res
-    assert announce(
-        3, ok,
-        f"quadratic family exactly 2: {ok_j}; linear exactly 2/n: {ok_i}; "
-        f"residual = {diff.residual}")
+def test_criterion_03_growth_square_family(corpus):
+    assert_corpus(corpus, 3)
 
 
-def test_criterion_04_ac_grid():
-    cells_ok = 0
-    for a in (1, 2, 3):
-        K = TemplateFiltration(CTX2, [("2", "0"), ("1", f"{a}*n")])
-        for c in range(1, 6):
-            rep = check_Ac(K, c, 50)
-            good = rep.holds == (c > a)
-            if not rep.holds:
-                good = good and verify_ac_witness(K, rep)
-            cells_ok += good
-    ok = cells_ok == 15
-    assert announce(4, ok, f"{cells_ok}/15 cells match (holds iff c > a), "
-                           "failure witnesses re-verified")
+def test_criterion_04_ac_grid(corpus):
+    assert_corpus(corpus, 4)
 
 
-def test_criterion_05_ac_ascent_failure():
-    J = PowerFiltration(ideal_product(MonomialIdeal(CTX2, [(1, 0)]),
-                                      maximal_power(CTX2, 2)))
-    I = PowerFiltration(MonomialIdeal(CTX2, [(3, 0)]))
-    repJ = check_Ac(J, 1, 20)
-    repI = check_Ac(I, 1, 50)
-    ok = (not repJ.holds and repJ.witness_n == 1 and verify_ac_witness(J, repJ)
-          and repI.holds)
-    assert announce(
-        5, ok, f"x*m^2 powers fail A(1) at n={repJ.witness_n} (verified); "
-               f"x^3 powers hold A(1) to 50: {repI.holds}")
+def test_criterion_05_ac_ascent_failure(corpus):
+    assert_corpus(corpus, 5)
 
 
-def test_criterion_06_line_family(shared):
-    F = shared["pi_line"]
-    rep = epsilon_report(F, 500, window=250)
-    ok_eps = (rep.classification == "converging"
-              and within_rel(rep.estimate, PI, HALF_PERCENT))
-    zero = spread_zero_test(F, 20, 10)
-    ok_zero = (isinstance(zero, ZeroSpreadCertificate)
-               and max(r for _, _, r in zero.entries) <= 2000
-               and verify_zero_certificate(F, zero))
-    max_cert = spread_max_test(F, 10)
+def test_criterion_06_line_family(corpus):
+    max_cert = spread_max_test(pi_line(), 10)
     ok_max = (max_cert is not None and max_cert.criterion_holds
               and max_cert.asserted_spread is None
               and max_cert.representation == "uncertified")
-    ok = ok_eps and ok_zero and ok_max
-    max_r = max(r for _, _, r in zero.entries) if ok_zero else None
-    assert announce(
-        6, ok,
-        f"limit {float(rep.estimate):.5f} (pi within 0.5%); zero-certificates all "
-        f"n<=20 with adaptive r<= {max_r}; maximality criterion holds with "
-        "spread assertion withheld (not certified rational discrete-valued)")
+    assert_corpus(corpus, 6, ok_max,
+                  f"maximality criterion holds with spread assertion withheld: {ok_max}")
 
 
-def test_criterion_07_staircase_pair():
-    I = PowerFiltration(MonomialIdeal(CTX2, [(1, 0)]))
-    J = TemplateFiltration(CTX2, [("n+1", "0"), ("n", "1")])
-    seqJ = sat_quotient_sequence(J, 100)
-    ok_len = all(lam == 1 for _, lam in seqJ.entries)
-    repI = epsilon_report(I, 200, window=50)
-    repJ = epsilon_report(J, 200, window=50)
-    ok_eps = (repI.estimate is not None and abs(repI.estimate) < Fraction(1, 1000)
-              and repJ.estimate is not None and abs(repJ.estimate) < Fraction(1, 1000))
-    ok_loc = all(I.localize([0]).ideal_at(n) == J.localize([0]).ideal_at(n)
-                 for n in range(1, 51))
-    verdict = rees_closure_compare(I, J, 10, 6)
-    ok_sep = (verdict.outcome == "proven-different" and verdict.degree == 1
-              and verdict.monomial == (1, 0)
-              and verdict.certificate.weight == (1, 1)
-              and verify_separation_certificate(J, verdict.certificate, 100))
-    ok = ok_len and ok_eps and ok_loc and ok_sep
-    assert announce(
-        7, ok,
-        f"lengths all 1: {ok_len}; estimates < 1e-3: {ok_eps}; localized equal "
-        f"n<=50: {ok_loc}; separated at degree 1 by x with weight (1,1), "
-        f"re-verified r<=100: {ok_sep}")
+def test_criterion_07_staircase_pair(corpus):
+    assert_corpus(corpus, 7)
 
 
 def test_criterion_08_tau_pair_closure():
-    T2 = TemplateFiltration(CTX2, [("2", "0"), ("1", "2*n")])
-    T1 = TemplateFiltration(CTX2, [("2", "0"), ("1", "n")])
-    verdict = rees_closure_compare(T2, T1, 20, 4)
+    verdict = rees_closure_compare(template_family("2*n"), template_family("n"), 20, 4)
     ok = verdict.outcome == "equal-up-to-bound" and verdict.max_r_used <= 2
     assert announce(
         8, ok, f"{verdict.outcome} at (N=20, r_max=4), all memberships at "
                f"r <= {verdict.max_r_used}")
 
 
-def test_criterion_09_divergence_and_ac_bound():
-    T3 = TemplateFiltration(CTX2, [("2", "0"), ("1", "n^3")])
-    rep = epsilon_report(T3, 60, window=10)
-    ok_div = rep.classification == "diverging"
-    a, c = 2, 3
-    K = TemplateFiltration(CTX2, [("2", "0"), ("1", f"{a}*n")])
-    holds = check_Ac(K, c, 50).holds
-    norm = sat_quotient_sequence(K, 50).normalized()
-    ok_bound = holds and all(v <= Fraction(2 * c, n) for n, v in norm)
-    ok = ok_div and ok_bound
-    assert announce(
-        9, ok, f"cubic family: {rep.classification} by N=60; A(3) holds for a=2 "
-               f"and normalized <= 2c/n up to 50: {ok_bound}")
+def test_criterion_09_divergence_and_ac_bound(corpus):
+    assert_corpus(corpus, 9)
 
 
 def _exact_truncation_limit(level):
@@ -280,42 +201,8 @@ def test_criterion_10_truncation_convergence(shared):
         "is exactly pi^2 - 457/48 = 0.3488, see the module docstring)")
 
 
-def test_criterion_11_localized_multiplicity(shared):
-    P = PowerFiltration(MonomialIdeal(CTX2, [(1, 0)]))
-    repP = e_s_localized(P, N=40)
-    ok_line = repP.value == 1 and repP.exact
-    ok_ratio = all(samuel_of_quotient(MonomialIdeal(CTX2, [(n, 0)])) == n
-                   for n in range(1, 21))
-    repF = e_s_localized(shared["pi_plane"], N=500)
-    ok_pi = within_rel(repF.value, PI, HALF_PERCENT)
-    ok = ok_line and ok_ratio and ok_pi
-    assert announce(
-        11, ok,
-        f"line powers: sum = {repP.value} (exact={repP.exact}), quotient "
-        f"multiplicities/n all 1: {ok_ratio}; plane ceil-pi sum "
-        f"{float(repF.value):.5f} (pi within 0.5%)")
-
-
-def _oracle_np_member(gens, a):
-    k = len(gens)
-    last = gens[-1]
-    nvars = k - 1
-    ineqs = [([gens[i][j] - last[j] for i in range(nvars)], a[j] - last[j])
-             for j in range(len(a))]
-    for i in range(nvars):
-        ineqs.append(([-1 if t == i else 0 for t in range(nvars)], 0))
-    ineqs.append(([1] * nvars, 1))
-    for var in range(nvars):
-        pos, neg, rest = [], [], []
-        for coeffs, rhs in ineqs:
-            cv = coeffs[var]
-            (pos if cv > 0 else neg if cv < 0 else rest).append((coeffs, rhs))
-        ineqs = rest + [
-            ([mn * x + mp * y for x, y in zip(cp, cn)], mn * rp + mp * rn)
-            for cp, rp in pos for cn, rn in neg
-            for mp, mn in [(cp[var], -cn[var])]
-        ]
-    return all(rhs >= 0 for _, rhs in ineqs)
+def test_criterion_11_localized_multiplicity(corpus):
+    assert_corpus(corpus, 11)
 
 
 def test_criterion_12_oracle_suites():
@@ -355,7 +242,7 @@ def test_criterion_12_oracle_suites():
         gens = [g for g in gens if any(g)] or [(1,) * d]
         I = MonomialIdeal(ctx, gens)
         a = tuple(rng.randint(0, 10) for _ in range(d))
-        assert np_membership(I, a) == _oracle_np_member(I.gens, a)
+        assert np_membership(I, a) == oracle_np_member(I.gens, a)
         np_checked += 1
     ok_np = np_checked == 200
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,8 @@ from epsmult.newton import SeparationCertificate, verify_separation_certificate
 from epsmult.ring import RingContext
 from epsmult.scenario import ScenarioError, load_scenario, run_scenario
 from epsmult.valuation import parse_scalar
+
+GOLDEN_TABLE = Path(__file__).resolve().parent / "golden" / "paper_examples.txt"
 
 SCENARIO = {
     "ring": {"dimension": 2, "names": ["x", "y"]},
@@ -199,11 +202,18 @@ def test_scenario_non_integer_jobs_or_window_exits_2(tmp_path, capsys):
 
 
 def test_malformed_ring_or_filtrations_exit_2(tmp_path, capsys):
-    # a non-integer dimension and a filtrations list end in ScenarioError,
-    # not in a ValueError or AttributeError traceback
+    # a non-integer dimension, a filtrations list, a tau list, a task that is
+    # not an object and a non-string out path end in ScenarioError while the
+    # scenario loads, not in a ValueError, AttributeError or TypeError traceback
+    tau_list = {"t": {"type": "template", "generators": [["2", "0"], ["1", "tau(n)"]],
+                      "tau": [1, 2]}}
     for key, value, message in (
             ("ring", {"dimension": "two"}, "ring block"),
-            ("filtrations", [], "must be objects")):
+            ("filtrations", [], "must be objects"),
+            ("filtrations", tau_list, "tau must be an object"),
+            ("tasks", [["eval", "pi"]], "task must be an object"),
+            ("tasks", [{"task": "eval", "filtration": "pi", "n": 1, "out": 3}],
+             "out must be a string")):
         doc = dict(SCENARIO, **{key: value})
         path = tmp_path / "scn.json"
         path.write_text(json.dumps(doc))
@@ -232,13 +242,25 @@ def test_cli_paper_examples_subset(capsys):
     assert "[PASS] tau-cubic" in out
 
 
+def _fixture_block(lines, fid):
+    """The three table lines of fixture ``fid``: status, expected, computed."""
+    i = next(i for i, line in enumerate(lines)
+             if line.startswith("  [") and line.split()[1] == fid)
+    return lines[i:i + 3]
+
+
 def test_cli_paper_examples_dependency_seeding(capsys):
-    # growth-square-diff needs the filtrations seeded by growth-square-lengths
-    rc = main(["paper-examples", "--id", "growth-square-diff"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "[PASS] growth-square-diff" in out
-    assert "growth-square-lengths" not in out
+    # every fixture builds the filtration families it reads itself, so each
+    # one run alone gives its row of the full table
+    from epsmult.fixtures import fixture_ids
+
+    golden = GOLDEN_TABLE.read_text().splitlines()
+    for fid in fixture_ids():
+        rc = main(["paper-examples", "--id", fid])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert sum(line.startswith("  [") for line in out) == 1
+        assert _fixture_block(out, fid) == _fixture_block(golden, fid)
 
 
 def test_cli_paper_examples_unknown_id(capsys):
