@@ -1,10 +1,12 @@
-"""Golden bytes: the output of ``epsmult run demos/scenario_pi.json`` and the
+"""Golden bytes: the output of ``epsmult run`` on ``demos/scenario_pi.json``
+(two variables) and ``demos/scenario_space.json`` (three variables), and the
 ``epsmult paper-examples`` table, byte for byte.
 
 The expected files under ``tests/golden/`` were generated before the
-sequence engine and the report protocol were unified; a refactor that
-changes any output byte fails here.  The scenario runs on a copy in a
-temporary directory, so nothing is written into ``demos/``.
+sequence engine and the report protocol were unified (the three-variable
+ones before the ideal kernel moved to slice stacks in every dimension); a
+refactor that changes any output byte fails here.  Each scenario runs on a
+copy in a temporary directory, so nothing is written into ``demos/``.
 """
 
 import hashlib
@@ -15,22 +17,38 @@ from epsmult.cli import main
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
-SCENARIO = HERE.parent / "demos" / "scenario_pi.json"
-SCENARIO_OUTPUTS = ("pi_epsilon.csv", "pi_es.json", "linear_a2.json",
+DEMOS = HERE.parent / "demos"
+SCENARIO_OUTPUTS = {
+    "scenario_pi": ("pi_epsilon.csv", "pi_es.json", "linear_a2.json",
                     "linear_spread.json", "closure.json", "diff.json",
-                    "sweep.json")
+                    "sweep.json"),
+    "scenario_space": ("skew_eval.json", "skew2_eval.json",
+                       "template_eval.json", "meet_epsilon.csv",
+                       "skew_epsilon.json", "meet_es.json", "meet_a2.json",
+                       "linear_spread.json", "closure.json", "diff.json",
+                       "sweep.json"),
+}
 TABLE_SHA256 = "507b9e4a8a945cc6e14cef5301ad1271262b55093578763be1ff72fce9ad6407"
 
 
-def test_golden_scenario_pi_outputs(tmp_path, capsys):
-    scenario = tmp_path / "scenario_pi.json"
-    shutil.copy(SCENARIO, scenario)
+def _check_scenario(stem, tmp_path):
+    scenario = tmp_path / f"{stem}.json"
+    shutil.copy(DEMOS / f"{stem}.json", scenario)
     assert main(["run", str(scenario)]) == 0
     out = tmp_path / "out"
-    assert sorted(p.name for p in out.iterdir()) == sorted(SCENARIO_OUTPUTS)
-    for name in SCENARIO_OUTPUTS:
-        expected = (GOLDEN / "scenario_pi" / name).read_bytes()
+    outputs = SCENARIO_OUTPUTS[stem]
+    assert sorted(p.name for p in out.iterdir()) == sorted(outputs)
+    for name in outputs:
+        expected = (GOLDEN / stem / name).read_bytes()
         assert (out / name).read_bytes() == expected, name
+
+
+def test_golden_scenario_pi_outputs(tmp_path, capsys):
+    _check_scenario("scenario_pi", tmp_path)
+
+
+def test_golden_scenario_space_outputs(tmp_path, capsys):
+    _check_scenario("scenario_space", tmp_path)
 
 
 def test_golden_paper_examples_table(tmp_path, capsys):
