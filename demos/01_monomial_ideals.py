@@ -48,7 +48,7 @@ ctx3 = RingContext(3)
 print("dim R/(xy, xz) in 3 variables =", dim_quotient(
     MonomialIdeal(ctx3, [(1, 1, 0), (1, 0, 1)])))
 
-# in three variables a length is a sum over slices z = c, each a two-variable
+# in three variables a length is a sum over slices x = c, each a two-variable
 # staircase count: (x^2)/((x^2) meet m^4) = x^2 (k[x,y,z] / m^2) has length 4
 X2 = MonomialIdeal(ctx3, [(2, 0, 0)])
 print("length (x^2)/(x^2 meet m^4) in 3 variables =",

@@ -9,6 +9,7 @@ code.  ``paper-examples`` runs the built-in worked-example corpus.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import scenario as scn_mod
@@ -104,6 +105,18 @@ def _write(text, out):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        code = _run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head -1``): a normal end.
+        # Point stdout at /dev/null so that the final flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+
+
+def _run(args) -> int:
+    try:
         if args.command == "run":
             written = run_scenario(args.scenario, stdout=sys.stdout)
             for path in written:
@@ -124,8 +137,10 @@ def main(argv=None) -> int:
                 print(f"wrote {args.out}")
             return 0 if all(r.passed for r in results if not r.surrogate) else 1
         scn = load_scenario(args.scenario)
-        payload = scn_mod._run_task(scn, _task_from_args(args), 0)
-        _write(scn_mod.emit(payload, args.format, names=scn.ctx.names), args.out)
+        task = _task_from_args(args)
+        payload = scn_mod._run_task(scn, task, 0)
+        names = scn_mod._task_names(scn, task)
+        _write(scn_mod.emit(payload, args.format, names=names), args.out)
         return 0
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)

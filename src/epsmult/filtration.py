@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from .ring import (
     MonomialIdeal,
     RingContext,
+    _localized_ring,
     dim_quotient,
     ideal_product,
     ideal_sum,
@@ -228,7 +229,7 @@ class Filtration:
         raise NotImplementedError
 
     def localize(self, coords) -> "LocalizedFiltration":
-        return LocalizedFiltration(self, tuple(sorted(set(coords))))
+        return LocalizedFiltration(self, coords)
 
     def truncate(self, level) -> "TruncationFiltration":
         return TruncationFiltration(self, level)
@@ -383,11 +384,7 @@ class LocalizedFiltration(Filtration):
     """n -> localize(parent I_n, S): coordinates outside S become units."""
 
     def __init__(self, parent: Filtration, coords):
-        coords = tuple(sorted(set(coords)))
-        if not coords:
-            raise ValueError("localization needs a nonempty variable subset")
-        sub = RingContext(len(coords),
-                          tuple(parent.ctx.names[i] for i in coords))
+        coords, sub = _localized_ring(parent.ctx, coords)
         super().__init__(sub)
         self.parent = parent
         self.coords = coords

@@ -37,8 +37,8 @@ from .ring import (
     _check_exponent,
     _from_points,
     _member,
-    _min_staircase,
-    _staircase,
+    _slices,
+    _stack_of,
 )
 from .textio import fraction_str, monomial_obj
 from .valuation import MonomialValuation, valuation_of_ideal
@@ -184,7 +184,7 @@ def _facets(I):
     gens, d = I.gens, I.dim
     facets = {(e, min(g[i] for g in gens)) for i, e in enumerate(_UNITS[d])}
     if d == 2:
-        facets.update(_planar_edges(_staircase(I)))
+        facets.update(_planar_edges(_slices(I)))
     if d != 3:
         I._facets = tuple(sorted(facets))
         return I._facets
@@ -195,7 +195,7 @@ def _facets(I):
         chain = _lower_chain([g for g in gens if g[k] == low], t, s)
         edges += [(p, q, _UNITS[3][k], _UNITS[3][s])
                   for p, q in zip(chain, chain[1:])]
-        for w2, rhs in _planar_edges(_min_staircase((g[t], g[s]) for g in gens)):
+        for w2, rhs in _planar_edges(_stack_of([(g[t], g[s]) for g in gens], 2)):
             w = w2[:k] + (0,) + w2[k:]
             facets.add((w, rhs))
             chain = _lower_chain([g for g in gens if _dot(w, g) == rhs], t, k)
@@ -227,7 +227,7 @@ def _normalized_covolume(I):
     if I.dim == 1:
         return I.gens[0][0]
     if I.dim == 2:
-        chain = _lower_chain(_staircase(I), 0, 1)
+        chain = _lower_chain(_slices(I), 0, 1)
         return sum(abs(p[0] * q[1] - p[1] * q[0]) for p, q in zip(chain, chain[1:]))
     faces = [_polygon([g for g in I.gens if _dot(w, g) == rhs])
              for w, rhs in _facets(I) if 0 not in w]

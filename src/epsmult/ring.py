@@ -6,40 +6,42 @@ nonnegative Python ints, so exponents may grow without bound), an ideal with
 the divisibility antichain of its minimal generators in a fixed canonical
 order (graded lexicographic).
 
-In two variables an ideal is also a staircase: its generators sorted by
-increasing x have strictly decreasing y, and they are the corners of the
-min-y profile q(a) = least q with x^a*y^q in the ideal, a nonincreasing
-step function.  Intersection, containment and lengths are linear merges of
-two profiles, saturation is the single corner x^(min a)*y^(min b), and
-valuation ideals are written as staircases directly.  The staircase is kept
-beside the generators (built with the ideal, or sorted once on first use);
-the generators themselves stay in grlex order, so equality, hashing, ``repr``
-and everything serialised are the same in every dimension.
+In d >= 2 variables an ideal I is also a stack of slices along the first
+variable: the pairs (a, S_a), by increasing a, at which the slice
+S_a = {monomials m in the other d-1 variables : x^a*m in I} grows.  S_a is
+generated by the projections of the generators with first coordinate at
+most a, so it is constant between two entries and beyond the last.  In two
+variables a slice is the principal ideal (y^q), held as the exponent q:
+the stack is the staircase of corners, with strictly decreasing q.  In more
+variables a slice is a (d-1)-variable ideal with its own stack.
 
-In other dimensions minimalisation is one sweep in order of the last
-coordinate: a point is minimal iff its projection to the other coordinates
-is not yet in the ideal of the accepted projections, which in three
-variables is a 2-D staircase updated by bisection.  In d >= 3 the length of
-a finite quotient is a sum over slices along the last variable: between two
-consecutive last coordinates of the generators both slices are fixed
-(d-1)-variable ideals, so each run adds its width times one slice length,
-recursively down to the two-variable count.
+Every kernel operation is written once over stacks.  ``_profile_steps``
+merges two stacks into the runs on which both slices are constant, and each
+operation recurses on the slices down to the two-variable closed forms:
+intersection meets slices, containment compares them, the length of a
+finite quotient sums the slice lengths times the run widths, saturation is
+sat(I)_a = S_top meet sat(S_a), and minimalisation joins each column of
+points to the slice below.  Only one variable keeps small closed forms of
+its own.  The stack is kept beside the generators (built with the ideal, or
+once on first use); the generators themselves stay in grlex order, so
+equality, hashing, ``repr`` and everything serialised are the same in every
+dimension.
 
 Only the public constructor validates exponents.  Results of the kernel's
 own operations go through ``_from_points`` (minimalise trusted points) or
-``_staircase_ideal`` (a known d=2 staircase), both of which end in the
-canonical constructor path.
+``_stack_ideal`` (a known stack), both of which end in the canonical
+constructor path.
 
-All values are immutable (the staircase cache is filled at most once, and
-with the same value by any writer) and every operation is pure; the module
-is safe to share between concurrent workers without synchronization.
+All values are immutable (the stack cache is filled at most once, and with
+the same value by any writer) and every operation is pure; the module is
+safe to share between concurrent workers without synchronization.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
 __all__ = [
     "RingContext",
@@ -114,59 +116,9 @@ def _member(gens, a):
     return any(divides(g, a) for g in gens)
 
 
-def _min_staircase(points):
-    """d=2 minimal points by increasing x: sort by (x, y); a point is minimal
-    iff its y is strictly below the smallest y seen so far."""
-    best = None
-    out = []
-    for p in sorted(set(points)):
-        if best is None or p[1] < best:
-            out.append(p)
-            best = p[1]
-    return tuple(out)
-
-
 def _grlex_of_lex(points):
-    # points in lex order (as a d=2 staircase is: its x are distinct and
-    # increasing) go to grlex order by a stable sort on the degree
+    # points in lex order go to grlex order by a stable sort on the degree
     return tuple(sorted(points, key=sum))
-
-
-def _minimal_antichain(points):
-    """Divisibility-minimal elements of ``points`` in canonical order, by one
-    sweep in lex order of (last coordinate, the rest), which puts every
-    proper divisor before the points it divides.  A point is minimal iff its
-    projection to the first d-1 coordinates is not in the ideal of the
-    projections accepted so far.  In three variables that ideal is a 2-D
-    staircase (corners ``xs`` increasing, ``ys`` decreasing), tested by
-    bisection and updated by splicing out the corners the new point
-    divides; otherwise the accepted points are tested directly, which is
-    the same test as their last coordinates are no larger."""
-    # lex order, then a stable sort on the last coordinate (int keys, no
-    # key tuples): the order of (last coordinate, the rest)
-    pts = sorted(set(points))
-    pts.sort(key=lambda p: p[-1])
-    staircase = bool(pts) and len(pts[0]) == 3
-    xs, ys = [], []
-    out = []
-    for p in pts:
-        if staircase:
-            a, b = p[0], p[1]
-            i = bisect_right(xs, a)
-            if i and ys[i - 1] <= b:
-                continue
-            # a corner with the same x lies above (a, b), so it goes too
-            lo = i - 1 if i and xs[i - 1] == a else i
-            hi = i
-            while hi < len(ys) and ys[hi] >= b:
-                hi += 1
-            xs[lo:hi] = (a,)
-            ys[lo:hi] = (b,)
-        elif _member(out, p):
-            continue
-        out.append(p)
-    out.sort()
-    return _grlex_of_lex(out)
 
 
 class MonomialIdeal:
@@ -176,23 +128,22 @@ class MonomialIdeal:
     ``gens == ()`` is the zero ideal and ``gens == ((0,...,0),)`` the unit
     ideal; both are explicit canonical values.  Equality and hashing ignore
     variable names, only the dimension and the generators matter.  In two
-    variables ``_stair`` caches the generators by increasing x, and in up
-    to three ``_facets`` the facets of the Newton polyhedron.
+    or more variables ``_stack`` caches the slice stack along the first
+    variable, and in up to three ``_facets`` the facets of the Newton
+    polyhedron.
     """
 
-    __slots__ = ("ctx", "gens", "_stair", "_facets")
+    __slots__ = ("ctx", "gens", "_stack", "_facets")
 
     def __init__(self, ctx, gens, _canonical=False):
         self.ctx = ctx
         if _canonical:
             self.gens = gens
         else:
-            pts = [_check_exponent(g, ctx.dim) for g in gens]
-            if ctx.dim == 2:
-                self._stair = _min_staircase(pts)
-                self.gens = _grlex_of_lex(self._stair)
-            else:
-                self.gens = _minimal_antichain(pts)
+            I = _from_points(ctx, [_check_exponent(g, ctx.dim) for g in gens])
+            self.gens = I.gens
+            if ctx.dim > 1:
+                self._stack = I._stack
 
     # -- constructors -------------------------------------------------
 
@@ -257,14 +208,16 @@ class MonomialIdeal:
         return _member(self.gens, _check_exponent(a, self.dim))
 
     def contains_ideal(self, other):
-        """Ideal containment other <= self, checked on generators (in two
-        variables: the profile of other lies on or above that of self)."""
+        """Ideal containment other <= self: in two or more variables every
+        slice of other lies in the slice of self (for two-variable slices
+        (y^q), the exponent of self is at most that of other)."""
         _compatible(self, other)
-        if self.dim == 2:
-            return all(qo is None or (qs is not None and qs <= qo)
-                       for _, qs, qo in _profile_steps(self, other))
-        gens = self.gens
-        return all(_member(gens, g) for g in other.gens)
+        if self.dim == 1:
+            return all(_member(self.gens, g) for g in other.gens)
+        flat = self.dim == 2
+        return all(so is None or (ss is not None and (
+            ss <= so if flat else ss.contains_ideal(so)))
+            for _, ss, so in _profile_steps(self, other))
 
 
 def _compatible(I, J):
@@ -276,35 +229,69 @@ def _compatible(I, J):
 def _from_points(ctx, points):
     """Trusted internal path: the ideal generated by exponent tuples the
     kernel built itself, minimalised without re-validation."""
+    if ctx.dim == 1:
+        return MonomialIdeal(ctx, (min(points),) if points else (),
+                             _canonical=True)
+    return _stack_ideal(ctx, _stack_of(points, ctx.dim))
+
+
+def _stack_of(points, d):
+    """The slice stack of the ideal generated by ``points`` in d >= 2
+    variables: walk the points in lex order, one column of equal first
+    coordinate at a time, join the column's projections to the slice below
+    and keep the column if the slice grew.  In two variables the join keeps
+    the least exponent."""
+    flat = d == 2
+    sub = None if flat else RingContext(d - 1)
+    stack = []
+    last = None
+    for a, column in itertools.groupby(sorted(points), itemgetter(0)):
+        if flat:
+            s = next(column)[1]
+            if last is not None and s >= last:
+                continue
+        else:
+            s = _from_points(sub, [p[1:] for p in column]
+                             + list(last.gens if last is not None else ()))
+            if s == last:
+                continue
+        stack.append((a, s))
+        last = s
+    return tuple(stack)
+
+
+def _stack_ideal(ctx, stack):
+    """Trusted path: the ideal whose slice stack is ``stack``.  A generator
+    x^a*m is a generator m of the slice at a that the slice below lacks."""
     if ctx.dim == 2:
-        return _staircase_ideal(ctx, _min_staircase(points))
-    return MonomialIdeal(ctx, _minimal_antichain(points), _canonical=True)
-
-
-def _staircase_ideal(ctx, stair):
-    """Trusted d=2 path: the ideal whose corners by increasing x (strictly
-    decreasing y) are the tuple ``stair``."""
-    I = MonomialIdeal(ctx, _grlex_of_lex(stair), _canonical=True)
-    I._stair = stair
+        gens = stack
+    else:
+        gens = []
+        old = set()
+        for a, s in stack:
+            gens += [(a,) + m for m in s.gens if m not in old]
+            old = set(s.gens)
+        gens.sort()
+    I = MonomialIdeal(ctx, _grlex_of_lex(gens), _canonical=True)
+    I._stack = stack
     return I
 
 
-def _staircase(I):
-    """The d=2 generators by increasing x, cached on the ideal."""
+def _slices(I):
+    """The slice stack of an ideal in d >= 2 variables, cached on it."""
     try:
-        return I._stair
+        return I._stack
     except AttributeError:
-        I._stair = stair = tuple(sorted(I.gens))
-        return stair
+        I._stack = stack = _stack_of(I.gens, I.dim)
+        return stack
 
 
 def _profile_steps(A, B):
-    """Merge the staircases of two d=2 ideals: yield (a, qa, qb) at every x
-    coordinate a of a corner of either, with the min-y profiles of A and B
-    there (``None`` where the column holds no monomial of the ideal).  Both
-    profiles are constant from one yielded a to the next, and beyond the
-    last."""
-    sa, sb = _staircase(A), _staircase(B)
+    """Merge the slice stacks of two ideals in d >= 2 variables: yield
+    (a, sa, sb) at every first coordinate a of an entry of either, with the
+    slices of A and B there (``None`` while a slice is zero).  Both slices
+    are constant from one yielded a to the next, and beyond the last."""
+    sa, sb = _slices(A), _slices(B)
     na, nb = len(sa), len(sb)
     i = j = 0
     qa = qb = None
@@ -367,8 +354,9 @@ def maximal_power(ctx, k):
 
 
 def intersect(I, J):
-    """Componentwise-max (lcm) intersection; in two variables the max of
-    the two min-y profiles, read off one merge of the staircases."""
+    """I meet J, slice by slice: on each run of the merged stacks the slice
+    is the intersection of the two slices (of two-variable slices (y^q),
+    the larger exponent)."""
     _compatible(I, J)
     if I.is_zero() or J.is_zero():
         return MonomialIdeal.zero(I.ctx)
@@ -376,22 +364,19 @@ def intersect(I, J):
         return J
     if J.is_unit():
         return I
-    if I.dim == 2:
-        out = []
-        last = None
-        for a, qi, qj in _profile_steps(I, J):
-            if qi is None or qj is None:
-                continue
-            q = qi if qi > qj else qj
-            if last is None or q < last:
-                out.append((a, q))
-                last = q
-        return _staircase_ideal(I.ctx, tuple(out))
-    pts = [
-        tuple(max(a, b) for a, b in zip(g, h))
-        for g in I.gens for h in J.gens
-    ]
-    return _from_points(I.ctx, pts)
+    if I.dim == 1:
+        return I if I.gens[0] >= J.gens[0] else J
+    flat = I.dim == 2
+    out = []
+    last = None
+    for a, si, sj in _profile_steps(I, J):
+        if si is None or sj is None:
+            continue
+        s = (si if si > sj else sj) if flat else intersect(si, sj)
+        if s != last:
+            out.append((a, s))
+            last = s
+    return _stack_ideal(I.ctx, tuple(out))
 
 
 def colon(I, J):
@@ -413,96 +398,69 @@ def colon(I, J):
 
 
 def saturate(I):
-    """I : m^infinity.
+    """I : m^infinity, slice by slice.
 
-    Computed as the intersection over variables of I : x_i^infinity, where
-    the latter is obtained by zeroing the i-th coordinate of each generator
-    (in two variables: the single generator x^(min a)*y^(min b)); this
-    closed form agrees with iterating I <- I : m to a fixed point (the ring
-    tests keep that iteration as an independent oracle).
+    I : x^infinity has every slice equal to the top slice S_top of I, and
+    saturating by the other variables acts on each slice alone, so
+    sat(I)_a = S_top meet sat(S_a).  A two-variable slice (y^q) saturates
+    to the unit ideal, so there sat(I) is the single generator
+    x^(min a)*y^(min q).  The ring tests keep the intersection over
+    variables of I : x_i^infinity and the iteration I <- I : m to a fixed
+    point as independent oracles.
     """
     if I.is_zero() or I.is_unit():
         return I
-    if I.dim == 2:
-        stair = _staircase(I)
-        return _staircase_ideal(I.ctx, ((stair[0][0], stair[-1][1]),))
-    result = None
-    for i in range(I.dim):
-        pts = [g[:i] + (0,) + g[i + 1:] for g in I.gens]
-        part = _from_points(I.ctx, pts)
-        result = part if result is None else intersect(result, part)
-    return result
+    if I.dim == 1:
+        return MonomialIdeal.unit(I.ctx)
+    flat = I.dim == 2
+    stack = _slices(I)
+    top = stack[-1][1]
+    out = []
+    last = None
+    for a, s in stack[:1] if flat else stack:
+        t = top if flat else intersect(top, saturate(s))
+        if t != last:
+            out.append((a, t))
+            last = t
+    return _stack_ideal(I.ctx, tuple(out))
 
 
-def _quotient_length_2d(J, I):
-    """Staircase count of the monomials in J but not in I <= J, one merge of
-    the two profiles; ``None`` when a column or the tail is infinite."""
-    total = 0
-    start = diff = 0
-    for a, qj, qi in _profile_steps(J, I):
-        total += (a - start) * diff
-        if qj is None:
-            diff = 0
-        elif qi is None:
-            return None
-        else:
-            diff = qi - qj
-        start = a
-    # beyond the last corner both profiles are constant
-    return total if diff == 0 else None
-
-
-def _sliced_length(J, I):
+def _length(J, I):
     """Length of J/I for I <= J in d >= 2 variables; ``None`` if infinite.
 
-    The slice I_c is the (d-1)-variable ideal of the first d-1 coordinates of
-    the generators of I whose last coordinate is at most c, so that
-    lambda(J/I) = sum over c >= 0 of lambda(J_c/I_c).  Both slices change
-    only at a last coordinate of some generator (below the least one both
-    are zero), so each run between consecutive such cuts adds its length
-    times one slice length; past the top cut the slices stay fixed, and the
-    quotient is finite only if they are equal there.  Two-variable slices
-    end in the staircase count.
+    lambda(J/I) is the sum over a of lambda(J_a/I_a).  Both slices are
+    constant on each run of the merged stacks (below the first entry of J
+    both are zero), so each run adds its width times one slice length, that
+    of two-variable slices (y^q) being the difference of the exponents;
+    beyond the last entry the slices stay fixed, and the quotient is finite
+    only if they are equal there.
     """
-    if J.dim == 2:
-        return _quotient_length_2d(J, I)
-    sub = RingContext(J.dim - 1)
-    # the projections of the generators of J and of I, by last coordinate
-    layers = {}
-    for side, ideal in enumerate((J, I)):
-        for g in ideal.gens:
-            layers.setdefault(g[-1], ([], []))[side].append(g[:-1])
-    cuts = sorted(layers)
-    Jc = Ic = MonomialIdeal.zero(sub)
-    total = 0
-    for c, nxt in zip(cuts, cuts[1:] + [None]):
-        new_j, new_i = layers[c]
-        # each slice is the one below plus the generators on the cut
-        if new_j:
-            Jc = _from_points(sub, Jc.gens + tuple(new_j))
-        if new_i:
-            Ic = _from_points(sub, Ic.gens + tuple(new_i))
-        if Jc == Ic:
-            continue
-        if nxt is None:
+    flat = J.dim == 2
+    total = start = diff = 0
+    for a, sj, si in _profile_steps(J, I):
+        total += (a - start) * diff
+        if sj is None:
+            diff = 0
+        elif si is None:
             return None
-        n = _sliced_length(Jc, Ic)
-        if n is None:
-            return None
-        total += (nxt - c) * n
-    return total
+        elif flat:
+            diff = si - sj
+        else:
+            diff = _length(sj, si)
+            if diff is None:
+                return None
+        start = a
+    return total if diff == 0 else None
 
 
 def quotient_length(J, I):
     """Length of J/I for monomial ideals I <= J; ``None`` means infinite.
 
-    In one variable the length is a difference of exponents, and in two the
-    staircase count merges the two profiles once.  In d >= 3 variables the
-    quotient is cut along the last variable into (d-1)-variable slices,
-    constant between consecutive last coordinates of the generators, and
-    the slice lengths are summed down to the two-variable count; the
-    quotient is infinite iff a slice quotient is, or the slices above the
-    top cut still differ.
+    In one variable the length is a difference of exponents.  In more, the
+    quotient is cut along the first variable into slice quotients, constant
+    on the runs of the merged slice stacks, and the slice lengths are
+    summed recursively down to two-variable staircase counts; the quotient
+    is infinite iff a slice quotient is, or the top slices differ.
     """
     _compatible(J, I)
     if not J.contains_ideal(I):
@@ -514,7 +472,7 @@ def quotient_length(J, I):
         return I.gens[0][0] - J.gens[0][0] if I.gens else None
     # the slices recurse through the private helper, so that a trace
     # wrapped around this function sees one call per quotient
-    return _sliced_length(J, I)
+    return _length(J, I)
 
 
 def colength(I):
@@ -522,18 +480,23 @@ def colength(I):
     return quotient_length(MonomialIdeal.unit(I.ctx), I)
 
 
-def localize(I, coords):
-    """Delete the coordinates outside ``coords`` (those variables become
-    units) and minimalize in the smaller ring."""
-    coords = sorted(set(coords))
+def _localized_ring(ctx, coords):
+    """The sorted coordinates of a localization at the variables
+    ``coords`` and the ring of those variables; ``ValueError`` if the
+    subset is empty or names a coordinate outside ``ctx``."""
+    coords = tuple(sorted(set(coords)))
     if not coords:
         raise ValueError("localization needs a nonempty variable subset")
     for i in coords:
-        if not 0 <= i < I.dim:
+        if not 0 <= i < ctx.dim:
             raise ValueError(f"variable index {i} out of range")
-    sub = RingContext(len(coords), tuple(I.ctx.names[i] for i in coords))
-    if I.is_zero():
-        return MonomialIdeal.zero(sub)
+    return coords, RingContext(len(coords), tuple(ctx.names[i] for i in coords))
+
+
+def localize(I, coords):
+    """Delete the coordinates outside ``coords`` (those variables become
+    units) and minimalize in the smaller ring."""
+    coords, sub = _localized_ring(I.ctx, coords)
     pts = [tuple(g[i] for i in coords) for g in I.gens]
     return _from_points(sub, pts)
 

@@ -100,12 +100,14 @@ def _build_filtration(name, block, ctx, built):
             parent = _require(block, "parent", where)
             if parent not in built:
                 raise ScenarioError(f"{where}: unknown parent {parent!r}")
-            variables = _require(block, "variables", where)
+            # the variables are those of the parent's ring, which is
+            # smaller than the scenario's if the parent is localized itself
+            names = built[parent].ctx.names
             coords = []
-            for v in variables:
-                if v not in ctx.names:
+            for v in _require(block, "variables", where):
+                if v not in names:
                     raise ScenarioError(f"{where}: unknown variable {v!r}")
-                coords.append(ctx.names.index(v))
+                coords.append(names.index(v))
             return built[parent].localize(coords)
     except ScenarioError:
         raise
@@ -217,6 +219,17 @@ class _SpreadResult:
         }
 
 
+# the key naming the filtration whose ring a task's output is written in
+_NAMES_FROM = {"closure-compare": "left", "diff-check": "inner"}
+
+
+def _task_names(scn: Scenario, task):
+    """Variable names for a task that ran: those of the ring its filtration
+    lives in, so a localized filtration prints in its own variables."""
+    key = _NAMES_FROM.get(task["task"], "filtration")
+    return scn.filtrations[task[key]].ctx.names
+
+
 def _run_task(scn: Scenario, task, index):
     where = f"task {index+1} ({task.get('task', '?')})"
     kind = _require(task, "task", where)
@@ -278,7 +291,7 @@ def run_scenario(path, stdout=None) -> list:
     for index, task in enumerate(scn.tasks):
         payload = _run_task(scn, task, index)
         fmt = task.get("format", "json")
-        text = emit(payload, fmt, names=scn.ctx.names)
+        text = emit(payload, fmt, names=_task_names(scn, task))
         out = task.get("out")
         if out is None:
             if stdout is not None:

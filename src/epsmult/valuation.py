@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import MonomialIdeal, RingContext, _from_points, _staircase_ideal
+from .ring import MonomialIdeal, RingContext, _stack_ideal
 
 __all__ = [
     "ExactScalar",
@@ -203,50 +203,37 @@ def valuation_ideal(v: MonomialValuation, n, ctx: RingContext):
     ideal.  Minimal points are zero on zero-weight coordinates."""
     if ctx.dim != v.dim:
         raise ValueError("valuation and ring dimension differ")
+    return _valuation_ideal(v.weights, n, ctx)
+
+
+def _valuation_ideal(w, n, ctx):
+    """{x^a : w . a >= n} for nonnegative weights ``w`` that are not all
+    zero unless n <= 0.  In d >= 2 variables the slice at first exponent a
+    is the valuation ideal one variable down at level n - w[0]*a (in two
+    variables, (y^q) with q = ceil((n - w[0]*a) / w[1])), the unit ideal
+    from a = ceil(n / w[0]) on.  If the other weights are zero, no column
+    below that reaches n."""
     if n <= 0:
         return MonomialIdeal.unit(ctx)
-    w = v.weights
-    if ctx.dim == 2:
-        return _staircase_ideal(ctx, _valuation_staircase(w[0], w[1], n))
-    pos = v.center()
-    pts = []
-
-    def rec(idx, acc, remaining):
-        i = pos[idx]
-        if idx == len(pos) - 1:
-            e = -(-remaining // w[i]) if remaining > 0 else 0
-            pts.append(acc + ((i, e),))
-            return
-        top = -(-remaining // w[i]) if remaining > 0 else 0
-        for e in range(top + 1):
-            rec(idx + 1, acc + ((i, e),), remaining - e * w[i])
-
-    rec(0, (), n)
-    gens = []
-    for assignment in pts:
-        e = [0] * ctx.dim
-        for i, c in assignment:
-            e[i] = c
-        gens.append(tuple(e))
-    return _from_points(ctx, gens)
-
-
-def _valuation_staircase(w0, w1, n):
-    """Corners of {(a, b) : w0*a + w1*b >= n} by increasing a (n > 0): one
-    pass over a, keeping the least a for each value of b = ceil((n - w0*a)/w1)."""
-    if w1 == 0:
-        return ((-(-n // w0), 0),)
-    if w0 == 0:
-        return ((0, -(-n // w1)),)
-    stair = []
+    w0, rest = w[0], w[1:]
+    if ctx.dim == 1:
+        return MonomialIdeal(ctx, ((-(-n // w0),),), _canonical=True)
+    flat = ctx.dim == 2
+    w1 = rest[0]
+    sub = None if flat else RingContext(ctx.dim - 1)
+    top = -(-n // w0) if w0 else 0
+    stack = []
     last = None
-    for a in range(-(-n // w0) + 1):
+    for a in range(0 if any(rest) else top, top + 1):
         r = n - w0 * a
-        b = -(-r // w1) if r > 0 else 0
-        if b != last:
-            stair.append((a, b))
-            last = b
-    return tuple(stair)
+        if flat:
+            s = -(-r // w1) if r > 0 else 0
+        else:
+            s = _valuation_ideal(rest, r, sub)
+        if s != last:
+            stack.append((a, s))
+            last = s
+    return _stack_ideal(ctx, tuple(stack))
 
 
 def valuation_of_ideal(v: MonomialValuation, I: MonomialIdeal):

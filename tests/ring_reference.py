@@ -1,11 +1,10 @@
-"""Reference monomial-ideal kernel: the plain algorithms that the staircase,
-sweep and slice paths of ``epsmult.ring`` and ``epsmult.valuation`` and the
-exact facets of ``epsmult.newton`` replaced, kept as test oracles, and
-brute-force counts.
+"""Reference monomial-ideal kernel: the plain algorithms that the slice
+stacks of ``epsmult.ring`` and ``epsmult.valuation`` and the exact facets of
+``epsmult.newton`` replaced, kept as test oracles, and brute-force counts.
 
 Every result here is built from candidate generator lists by validating each
 point and minimalising with pairwise divisibility, so nothing shares the
-profile merges, sweeps or slices of the fast kernel beyond the
+stack merges or recursive slices of the fast kernel beyond the
 ``MonomialIdeal`` value type.
 """
 
@@ -16,6 +15,7 @@ from epsmult.newton import _lp_convex_dominated
 from epsmult.ring import (
     IdealDomainError,
     MonomialIdeal,
+    RingContext,
     colength,
     divides,
     ideal_power,
@@ -34,6 +34,22 @@ def ref_ideal(ctx, points):
     gens = [p for p in pts if not any(q != p and divides(q, p) for q in pts)]
     return MonomialIdeal(ctx, tuple(sorted(gens, key=lambda e: (sum(e), e))),
                          _canonical=True)
+
+
+def ref_slice_stack(I):
+    """The slice stack along the first variable, rebuilt from the generators
+    of an ideal in d >= 2 variables: at each first coordinate a of a
+    generator, the ideal of the projections of the generators with first
+    coordinate at most a (in two variables, its least exponent), kept where
+    it grows."""
+    sub = RingContext(I.dim - 1)
+    stack = []
+    for a in sorted({g[0] for g in I.gens}):
+        low = [g[1:] for g in I.gens if g[0] <= a]
+        s = min(p[0] for p in low) if I.dim == 2 else ref_ideal(sub, low)
+        if not stack or s != stack[-1][1]:
+            stack.append((a, s))
+    return tuple(stack)
 
 
 def ref_contains_ideal(I, J):

@@ -202,15 +202,20 @@ def test_scenario_non_integer_jobs_or_window_exits_2(tmp_path, capsys):
 
 
 def test_malformed_ring_or_filtrations_exit_2(tmp_path, capsys):
-    # a non-integer dimension, a filtrations list, a tau list, a task that is
+    # a non-integer dimension, a filtrations list, a tau list, a localization
+    # of a localized filtration at a variable its ring lacks, a task that is
     # not an object and a non-string out path end in ScenarioError while the
-    # scenario loads, not in a ValueError, AttributeError or TypeError traceback
+    # scenario loads, not in a ValueError, AttributeError, IndexError or
+    # TypeError traceback
     tau_list = {"t": {"type": "template", "generators": [["2", "0"], ["1", "tau(n)"]],
                       "tau": [1, 2]}}
+    nested = dict(SCENARIO["filtrations"], pi_x_y={
+        "type": "localized", "parent": "pi_at_x", "variables": ["y"]})
     for key, value, message in (
             ("ring", {"dimension": "two"}, "ring block"),
             ("filtrations", [], "must be objects"),
             ("filtrations", tau_list, "tau must be an object"),
+            ("filtrations", nested, "unknown variable 'y'"),
             ("tasks", [["eval", "pi"]], "task must be an object"),
             ("tasks", [{"task": "eval", "filtration": "pi", "n": 1, "out": 3}],
              "out must be a string")):
@@ -221,6 +226,52 @@ def test_malformed_ring_or_filtrations_exit_2(tmp_path, capsys):
             load_scenario(str(path))
         assert main(["run", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+
+def test_nested_localization_uses_parent_ring(tmp_path, capsys):
+    # "yz" lives in the ring (y, z): its own localizations name those
+    # variables, and every task prints monomials in its filtration's ring
+    doc = {"ring": {"dimension": 3, "names": ["x", "y", "z"]},
+           "filtrations": {
+               "F": {"type": "power", "base": ["x*y^2*z"]},
+               "yz": {"type": "localized", "parent": "F", "variables": ["y", "z"]},
+               "at_y": {"type": "localized", "parent": "yz", "variables": ["y"]},
+               "at_z": {"type": "localized", "parent": "yz", "variables": ["z"]}},
+           "tasks": [{"task": "eval", "filtration": name, "n": 1,
+                      "out": f"{name}.json"} for name in ("yz", "at_y", "at_z")]}
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(doc))
+    scn = load_scenario(str(path))
+    assert scn.filtrations["at_y"].ctx.names == ("y",)
+    assert scn.filtrations["at_y"].ideal_at(1).gens == ((2,),)
+    assert scn.filtrations["at_z"].ctx.names == ("z",)
+    assert scn.filtrations["at_z"].ideal_at(1).gens == ((1,),)
+    # the ring of "yz" has two coordinates, so 2 is out of range
+    with pytest.raises(ValueError, match="out of range"):
+        scn.filtrations["yz"].localize([2])
+    run_scenario(str(path))
+    printed = {name: json.loads((tmp_path / f"{name}.json").read_text())["generators"]
+               for name in ("yz", "at_y", "at_z")}
+    assert printed == {"yz": ["y^2*z"], "at_y": ["y^2"], "at_z": ["z"]}
+    assert main(["eval", str(path), "--filtration", "yz", "--n", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["generators"] == ["y^4*z^2"]
+
+
+def test_cli_closed_stdout_is_a_normal_end():
+    # the reader closes the pipe before the child writes (as ``| head -1``
+    # does once it has its line): exit 0 and no traceback
+    import epsmult
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(epsmult.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "epsmult.cli", "paper-examples", "--list"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src))
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert err == b""
 
 
 def test_import_loads_no_process_pool():

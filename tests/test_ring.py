@@ -234,8 +234,8 @@ def test_quotient_length_1d_matches_enumeration():
 
 def test_quotient_length_2d_matches_general_path():
     # embed each two-variable pair in three variables, the new zero
-    # coordinate at every index; the slices cut along the last coordinate,
-    # so only index 2 leaves a single slice
+    # coordinate at every index; the slices cut along the first coordinate,
+    # so only index 0 leaves a single slice
     rng = random.Random(55)
     for _ in range(20):
         J2 = random_ideal(rng, CTX2, max_gens=3, max_exp=4)

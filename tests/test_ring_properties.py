@@ -1,11 +1,13 @@
 """Property tests: the kernel equals the reference kernel in
-``ring_reference`` on random ideals, zero and unit ideals included; in two
-variables the staircase paths and saturation laws, in three and four the
-sweep minimalisation and the sliced length; the multiplicity of R/I equals
-a direct count of the Hilbert function; and in two and three variables the
-exact facets of the Newton polyhedron agree with the LP, Fourier-Motzkin
-and candidate-normal references, give the integral closure and e(I), and
-back every separation certificate."""
+``ring_reference`` on random ideals, zero and unit ideals included, in one
+to four variables: intersection, containment, saturation with its laws,
+valuation ideals, minimalisation and lengths; the cached slice stack of
+every result equals the one rebuilt from its generators; sum and
+intersection obey the lattice laws and lengths add along chains; the
+multiplicity of R/I equals a direct count of the Hilbert function; and in
+two and three variables the exact facets of the Newton polyhedron agree
+with the LP, Fourier-Motzkin and candidate-normal references, give the
+integral closure and e(I), and back every separation certificate."""
 
 from fractions import Fraction
 from itertools import product
@@ -30,8 +32,9 @@ from epsmult.ring import (
     IdealDomainError,
     MonomialIdeal,
     RingContext,
-    _staircase,
+    _slices,
     ideal_product,
+    ideal_sum,
     intersect,
     quotient_length,
     saturate,
@@ -50,15 +53,19 @@ from ring_reference import (
     ref_quotient_length_2d,
     ref_samuel_of_quotient,
     ref_saturate,
+    ref_slice_stack,
     ref_valuation_ideal,
     saturate_by_colon,
 )
 
-CTX2 = RingContext(2)
+CTXS = {d: RingContext(d) for d in (1, 2, 3, 4)}
+CTX2 = CTXS[2]
 
 # deterministic examples, so that every run checks the same ideals
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
                     max_examples=150)
+# the tests that draw from four dimensions draw twice as many examples
+PROPERTY_ANY_DIM = settings(PROPERTY, max_examples=300)
 
 points = st.tuples(st.integers(0, 9), st.integers(0, 9))
 ideals = st.one_of(
@@ -67,48 +74,118 @@ ideals = st.one_of(
     st.lists(points, min_size=1, max_size=7).map(
         lambda gens: MonomialIdeal(CTX2, gens)),
 )
-weights = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any)
 
 
-def assert_staircase_consistent(I):
-    # the cached staircase is the generators by increasing x
-    assert _staircase(I) == tuple(sorted(I.gens))
+def assert_stack_consistent(I):
+    # the cached slice stack is the one rebuilt from the generators, and
+    # so are the stacks of its slices
+    if I.dim > 1:
+        assert _slices(I) == ref_slice_stack(I)
+    if I.dim > 2:
+        for _, s in _slices(I):
+            assert_stack_consistent(s)
 
 
-@PROPERTY
-@given(ideals, ideals)
-def test_intersect_matches_reference(I, J):
+def ideals_of(dim):
+    """Zero, unit, random and m-primary ideals (random generators plus a pure
+    power of each variable), so that finite nonzero lengths are common; the
+    fewer the variables, the larger the exponents."""
+    ctx = CTXS[dim]
+    coord = st.integers(0, {1: 9, 2: 9, 3: 4, 4: 3}[dim])
+    gens = st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=4)
+    powers = st.tuples(*[st.integers(1, 4)] * dim).map(
+        lambda p: [tuple(p[i] if j == i else 0 for j in range(dim))
+                   for i in range(dim)])
+    return st.one_of(
+        st.just(MonomialIdeal.zero(ctx)),
+        st.just(MonomialIdeal.unit(ctx)),
+        gens.map(lambda g: MonomialIdeal(ctx, g)),
+        st.tuples(gens, powers).map(lambda t: MonomialIdeal(ctx, t[0] + t[1])),
+    )
+
+
+def ideal_pairs(dim):
+    return st.tuples(ideals_of(dim), ideals_of(dim))
+
+
+# the two-variable ideals above, then ideals in one, three and four variables
+any_dim_ideals = st.one_of(ideals, ideals_of(1), ideals_of(3), ideals_of(4))
+any_dim_pairs = st.one_of(st.tuples(ideals, ideals), ideal_pairs(1),
+                          ideal_pairs(3), ideal_pairs(4))
+
+
+@PROPERTY_ANY_DIM
+@given(any_dim_pairs)
+def test_intersect_matches_reference(pair):
+    I, J = pair
     X = intersect(I, J)
     assert X == ref_intersect(I, J)
     assert X == intersect(J, I)
-    assert_staircase_consistent(X)
+    assert_stack_consistent(X)
 
 
-@PROPERTY
-@given(ideals)
+@PROPERTY_ANY_DIM
+@given(any_dim_ideals)
 def test_saturate_matches_reference_and_laws(I):
     S = saturate(I)
     assert S == ref_saturate(I) == saturate_by_colon(I)
-    assert_staircase_consistent(S)
+    assert_stack_consistent(S)
     # extensive and idempotent
     assert S.contains_ideal(I) and ref_contains_ideal(S, I)
     assert saturate(S) == S
 
 
-@PROPERTY
-@given(ideals, ideals)
-def test_contains_ideal_matches_reference(I, J):
+@PROPERTY_ANY_DIM
+@given(any_dim_pairs)
+def test_contains_ideal_matches_reference(pair):
+    I, J = pair
     assert I.contains_ideal(J) == ref_contains_ideal(I, J)
     assert I.contains_ideal(intersect(I, J))
 
 
-@PROPERTY
-@given(weights, st.integers(-2, 40))
-def test_valuation_ideal_matches_reference(w, n):
+@st.composite
+def valuation_levels(draw):
+    """Weights in one to four variables and a level, the level smaller in
+    more variables so that the reference enumeration stays small."""
+    d = draw(st.sampled_from((2, 1, 3, 4)))
+    w = draw(st.tuples(*[st.integers(0, 4)] * d).filter(any))
+    return w, draw(st.integers(-2, {1: 40, 2: 40, 3: 14, 4: 7}[d]))
+
+
+@PROPERTY_ANY_DIM
+@given(valuation_levels())
+def test_valuation_ideal_matches_reference(wn):
+    w, n = wn
     v = MonomialValuation(w)
-    V = valuation_ideal(v, n, CTX2)
-    assert V == ref_valuation_ideal(v, n, CTX2)
-    assert_staircase_consistent(V)
+    ctx = CTXS[len(w)]
+    V = valuation_ideal(v, n, ctx)
+    assert V == ref_valuation_ideal(v, n, ctx)
+    assert_stack_consistent(V)
+
+
+def _add(*lengths):
+    # lengths with None for infinite
+    return None if None in lengths else sum(lengths)
+
+
+@PROPERTY
+@given(st.one_of(*[st.tuples(ideals_of(d), ideals_of(d), ideals_of(d))
+                   for d in (2, 3, 4)]))
+def test_lattice_laws(triple):
+    I, J, K = triple
+    meet, join = intersect(I, J), ideal_sum(I, J)
+    for X in (meet, join):
+        assert_stack_consistent(X)
+    # commutative, associative, absorption
+    assert meet == intersect(J, I) and join == ideal_sum(J, I)
+    assert intersect(meet, K) == intersect(I, intersect(J, K))
+    assert ideal_sum(join, K) == ideal_sum(I, ideal_sum(J, K))
+    assert ideal_sum(I, meet) == I == intersect(I, join)
+    assert I.contains_ideal(meet) and join.contains_ideal(I)
+    # lengths add along I meet K <= I <= I + J
+    low = intersect(I, K)
+    assert quotient_length(join, low) == _add(quotient_length(join, I),
+                                              quotient_length(I, low))
 
 
 @PROPERTY
@@ -132,7 +209,6 @@ def test_quotient_length_rejects_non_containment(J, I):
 
 
 # d = 3 and 4: small exponents, so that ties in every coordinate are common
-CTXS = {3: RingContext(3), 4: RingContext(4)}
 
 
 @st.composite
@@ -147,27 +223,6 @@ def point_lists(draw, dim):
     return draw(st.permutations(pts + [p, same_x, same_last]))
 
 
-def ideals_of(dim):
-    """Zero, unit, random and m-primary ideals (random generators plus a pure
-    power of each variable), so that finite nonzero lengths are common."""
-    ctx = CTXS[dim]
-    coord = st.integers(0, 4 if dim == 3 else 3)
-    gens = st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=4)
-    powers = st.tuples(*[st.integers(1, 4)] * dim).map(
-        lambda p: [tuple(p[i] if j == i else 0 for j in range(dim))
-                   for i in range(dim)])
-    return st.one_of(
-        st.just(MonomialIdeal.zero(ctx)),
-        st.just(MonomialIdeal.unit(ctx)),
-        gens.map(lambda g: MonomialIdeal(ctx, g)),
-        st.tuples(gens, powers).map(lambda t: MonomialIdeal(ctx, t[0] + t[1])),
-    )
-
-
-def ideal_pairs(dim):
-    return st.tuples(ideals_of(dim), ideals_of(dim))
-
-
 high_dim_pairs = st.one_of(ideal_pairs(3), ideal_pairs(4))
 
 
@@ -175,7 +230,9 @@ high_dim_pairs = st.one_of(ideal_pairs(3), ideal_pairs(4))
 @given(st.one_of(point_lists(3), point_lists(4)))
 def test_sweep_minimalisation_matches_reference(pts):
     ctx = CTXS[len(pts[0])]
-    assert MonomialIdeal(ctx, pts) == ref_ideal(ctx, pts)
+    X = MonomialIdeal(ctx, pts)
+    assert X == ref_ideal(ctx, pts)
+    assert_stack_consistent(X)
 
 
 @PROPERTY
