@@ -350,7 +350,8 @@ def e_s_localized(F: Filtration, N=200, window=None, s=None) -> ESLocalizedRepor
     lim (d-s)! * colength_p(I_n R_p) / n^(d-s), estimated by the same
     least-squares extrapolation as the epsilon machinery; a contribution is
     flagged exact when the localized sequence matches eps + c/n exactly
-    across the trailing window.
+    across the trailing window, which must hold at least two points (a
+    one-point fit always matches).
     """
     fdim = filtration_dimension(F)
     d = F.ctx.dim
@@ -362,6 +363,8 @@ def e_s_localized(F: Filtration, N=200, window=None, s=None) -> ESLocalizedRepor
     codim = d - s
     if window is None:
         window = max(2, N // 2)
+    if window < 2:
+        raise ValueError("window must be at least 2")
     if N < 2 * window:
         raise ValueError("need N >= 2*window")
     contributions = []

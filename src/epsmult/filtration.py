@@ -24,13 +24,13 @@ from .ring import (
     MonomialIdeal,
     RingContext,
     _localized_ring,
+    _weight_ideal,
     dim_quotient,
     ideal_product,
     ideal_sum,
-    intersect,
     localize,
 )
-from .valuation import ExactScalar, ceil_mul, valuation_ideal
+from .valuation import ExactScalar, ceil_mul
 
 __all__ = [
     "Filtration",
@@ -284,11 +284,8 @@ class DiscreteValuedFiltration(Filtration):
         self.pairs = pairs
 
     def _compute(self, n):
-        result = None
-        for v, a in self.pairs:
-            part = valuation_ideal(v, ceil_mul(a, n), self.ctx)
-            result = part if result is None else intersect(result, part)
-        return result
+        return _weight_ideal([(v.weights, ceil_mul(a, n)) for v, a in self.pairs],
+                             self.ctx)
 
     @property
     def is_rational_discrete_valued(self):

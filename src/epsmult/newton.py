@@ -39,6 +39,7 @@ from .ring import (
     _member,
     _slices,
     _stack_of,
+    _weight_ideal,
 )
 from .textio import fraction_str, monomial_obj
 from .valuation import MonomialValuation, valuation_of_ideal
@@ -266,32 +267,19 @@ def np_membership(I: MonomialIdeal, a) -> bool:
 
 
 def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
-    """Minimal lattice points of the Newton polyhedron.  Minimal generators
-    live inside the componentwise generator maximum (beyond it, points are
-    dominated).  In d <= 3 each column over the first d-1 coordinates of
-    that box takes its least last coordinate from the facets; in higher
-    dimension the box is enumerated."""
+    """Minimal lattice points of the Newton polyhedron.  In d <= 3 that is
+    the ideal of the facet inequalities w.a >= rhs.  In higher dimension
+    the box up to the componentwise generator maximum is enumerated
+    (beyond it, points are dominated)."""
     if I.is_zero():
         raise ValueError("integral closure of the zero ideal")
     if I.is_unit():
         return I
-    d = I.dim
-    box = [range(max(g[i] for g in I.gens) + 1) for i in range(d)]
-    if d > 3:
-        return _from_points(I.ctx, [p for p in itertools.product(*box)
-                                    if np_membership(I, p)])
-    pts = []
-    for col in itertools.product(*box[:-1]):
-        last = 0
-        for w, rhs in _facets(I):
-            need = rhs - _dot(w[:-1], col)
-            if w[-1]:
-                last = max(last, -(-need // w[-1]))
-            elif need > 0:
-                break
-        else:
-            pts.append(col + (last,))
-    return _from_points(I.ctx, pts)
+    if I.dim <= 3:
+        return _weight_ideal(_facets(I), I.ctx)
+    box = [range(max(g[i] for g in I.gens) + 1) for i in range(I.dim)]
+    return _from_points(I.ctx, [p for p in itertools.product(*box)
+                                if np_membership(I, p)])
 
 
 # ---------------------------------------------------------------------------
@@ -356,16 +344,24 @@ def _weight_candidates(F: Filtration, m):
     return cands
 
 
-def _affine_separation(F: TemplateFiltration, a, m):
+def _affine_separation(F: TemplateFiltration | PowerFiltration, a, m):
     """Try to exclude x^a from degree-m closure membership using a weight
-    whose values on the generator templates are affine in the level."""
-    forms = F.generator_affine_forms()
-    if any(f is None for g in forms for f in g):
-        return None
-    wa_candidates = _weight_candidates(F, m)
-    for w in wa_candidates:
+    whose values on the generators of I_(rm) are affine in r.  A template
+    generator coordinate f_a*n + f_b is m*f_a*r + f_b there.  Weight values
+    are additive on products of monomial ideals, so for an ideal-power
+    filtration nu_w(I_(rm)) = r * nu_w(I_m) exactly: the forms are the
+    generators g of I_m with slope w.g and intercept 0, and a weight with
+    w.a < nu_w(I_m) excludes every r."""
+    if isinstance(F, PowerFiltration):
+        forms = [[(c, 0) for c in g] for g in F.ideal_at(m).gens]
+    else:
+        forms = F.generator_affine_forms()
+        if any(f is None for g in forms for f in g):
+            return None
+        forms = [[(m * fa, fb) for fa, fb in g] for g in forms]
+    for w in _weight_candidates(F, m):
         wa = sum(wc * ac for wc, ac in zip(w, a))
-        per_gen = [(Fraction(m * sum(wc * fa for wc, (fa, _) in zip(w, gform))),
+        per_gen = [(Fraction(sum(wc * fa for wc, (fa, _) in zip(w, gform))),
                     Fraction(sum(wc * fb for wc, (_, fb) in zip(w, gform))))
                    for gform in forms]
         if all(wa < s or (wa == s and c > 0) for s, c in per_gen):
@@ -374,21 +370,6 @@ def _affine_separation(F: TemplateFiltration, a, m):
             return SeparationCertificate(
                 degree=m, monomial=tuple(a), weight=tuple(w),
                 slope=slope, intercept=intercept)
-    return None
-
-
-def _power_separation(F: PowerFiltration, a, m):
-    """Weight values are additive on products of monomial ideals, so for an
-    ideal-power filtration nu_w(I_(rm)) = r * nu_w(I_m) exactly: a weight
-    with w.a < nu_w(I_m) excludes every r."""
-    Im = F.ideal_at(m)
-    for w in _weight_candidates(F, m):
-        wa = sum(wc * ac for wc, ac in zip(w, a))
-        level = min(sum(wc * gc for wc, gc in zip(w, g)) for g in Im.gens)
-        if wa < level:
-            return SeparationCertificate(
-                degree=m, monomial=tuple(a), weight=tuple(w),
-                slope=Fraction(level), intercept=Fraction(0))
     return None
 
 
@@ -411,12 +392,8 @@ def filtration_integral_member(F: Filtration, a, m, r_max) -> ClosureMembership:
             continue
         if np_membership(Irm, tuple(r * c for c in a)):
             return ClosureMembership(status="yes", r=r)
-    if isinstance(F, TemplateFiltration):
+    if isinstance(F, (TemplateFiltration, PowerFiltration)):
         cert = _affine_separation(F, a, m)
-        if cert is not None:
-            return ClosureMembership(status="no", certificate=cert)
-    if isinstance(F, PowerFiltration):
-        cert = _power_separation(F, a, m)
         if cert is not None:
             return ClosureMembership(status="no", certificate=cert)
     return ClosureMembership(status="unknown")

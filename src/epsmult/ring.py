@@ -27,10 +27,16 @@ once on first use); the generators themselves stay in grlex order, so
 equality, hashing, ``repr`` and everything serialised are the same in every
 dimension.
 
+Ideals cut out by weight inequalities {x^a : w . a >= n for every cut
+(w, n)} -- valuation ideals, the levels of a discrete-valued filtration
+(their meet), m and its powers, and integral closures from the facets of
+the Newton polyhedron -- are built by one routine, ``_weight_ideal``, which
+writes their slice stack directly from the cuts.
+
 Only the public constructor validates exponents.  Results of the kernel's
-own operations go through ``_from_points`` (minimalise trusted points) or
-``_stack_ideal`` (a known stack), both of which end in the canonical
-constructor path.
+own operations go through ``_from_points`` (minimalise trusted points),
+``_stack_ideal`` (a known stack) or ``_weight_ideal`` (weight cuts), all of
+which end in the canonical constructor path.
 
 All values are immutable (the stack cache is filled at most once, and with
 the same value by any writer) and every operation is pure; the module is
@@ -157,11 +163,7 @@ class MonomialIdeal:
 
     @classmethod
     def maximal(cls, ctx):
-        # grlex order of the unit vectors: the last variable's comes first
-        gens = tuple(
-            tuple(1 if j == i else 0 for j in range(ctx.dim))
-            for i in reversed(range(ctx.dim)))
-        return cls(ctx, gens, _canonical=True)
+        return _weight_ideal((((1,) * ctx.dim, 1),), ctx)
 
     # -- basic structure ----------------------------------------------
 
@@ -335,22 +337,57 @@ def ideal_power(I, n):
 
 
 def maximal_power(ctx, k):
-    """m^k constructed directly from the compositions of k into dim parts."""
-    if k == 0:
+    """m^k = {x^a : a_1 + ... + a_d >= k} for an integer k >= 0."""
+    if not isinstance(k, int) or k < 0:
+        raise ValueError(f"m^k needs an integer k >= 0, got {k!r}")
+    return _weight_ideal((((1,) * ctx.dim, k),), ctx)
+
+
+def _weight_ideal(cuts, ctx):
+    """{x^a : w . a >= n for every cut (w, n)}, for nonzero nonnegative
+    integer weights and integer levels: valuation ideals, their meets,
+    powers of m and integral closures, built as a slice stack.
+
+    A cut with n <= 0 always holds.  In d >= 2 variables the slice at
+    first exponent a has the cuts (w[1:], n - w[0]*a) one variable down.
+    The slices are zero below the least a meeting every cut whose other
+    weights are zero (those cuts then drop out) and constant from the
+    largest ceil(n/w[0]) on.  In two variables the slice (y^q) has q the
+    largest ceil(r/w[1]) over the cuts with r = n - w[0]*a > 0, and in one
+    variable the ideal is (x^q) with q the largest ceil(n/w[0]).
+    """
+    cuts = [(w, n) for w, n in cuts if n > 0]
+    if not cuts:
         return MonomialIdeal.unit(ctx)
-    d = ctx.dim
-    if d == 1:
-        return MonomialIdeal(ctx, ((k,),), _canonical=True)
-    gens = []
-    for head in itertools.combinations(range(k + d - 1), d - 1):
-        prev = -1
-        e = []
-        for h in head:
-            e.append(h - prev - 1)
-            prev = h
-        e.append(k + d - 2 - prev)
-        gens.append(tuple(e))
-    return _from_points(ctx, gens)
+    if ctx.dim == 1:
+        q = max(-(-n // w[0]) for w, n in cuts)
+        return MonomialIdeal(ctx, ((q,),), _canonical=True)
+    flat = ctx.dim == 2
+    sub = None if flat else RingContext(ctx.dim - 1)
+    start = top = 0
+    live = []
+    for w, n in cuts:
+        bound = -(-n // w[0]) if w[0] else 0
+        top = max(top, bound)
+        if any(w[1:]):
+            live.append((w[0], w[1] if flat else w[1:], n))
+        else:
+            start = max(start, bound)
+    stack = []
+    last = None
+    for a in range(start, top + 1):
+        if flat:
+            s = 0
+            for w0, w1, n in live:
+                r = n - w0 * a
+                if r > s * w1:  # ceil(r / w1) > s
+                    s = -(-r // w1)
+        else:
+            s = _weight_ideal([(w, n - w0 * a) for w0, w, n in live], sub)
+        if s != last:
+            stack.append((a, s))
+            last = s
+    return _stack_ideal(ctx, tuple(stack))
 
 
 def intersect(I, J):

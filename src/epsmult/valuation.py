@@ -8,6 +8,9 @@ tail bound is exact, so ``ceil(n * a)`` can be certified rather than
 float-rounded: the bracket is refined until both endpoints round up to the
 same integer, which simultaneously certifies that n*a is not itself an
 integer.
+
+A valuation ideal {x^a : weights . a >= n} is one call to the ring's
+weight-inequality builder; this module builds no ideals of its own.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import MonomialIdeal, RingContext, _stack_ideal
+from .ring import MonomialIdeal, RingContext, _weight_ideal
 
 __all__ = [
     "ExactScalar",
@@ -199,41 +202,14 @@ class MonomialValuation:
 
 
 def valuation_ideal(v: MonomialValuation, n, ctx: RingContext):
-    """Minimal generators of {x^a : weights . a >= n}; n <= 0 gives the unit
-    ideal.  Minimal points are zero on zero-weight coordinates."""
+    """Minimal generators of {x^a : weights . a >= n} for an integer level n;
+    n <= 0 gives the unit ideal.  Minimal points are zero on zero-weight
+    coordinates."""
     if ctx.dim != v.dim:
         raise ValueError("valuation and ring dimension differ")
-    return _valuation_ideal(v.weights, n, ctx)
-
-
-def _valuation_ideal(w, n, ctx):
-    """{x^a : w . a >= n} for nonnegative weights ``w`` that are not all
-    zero unless n <= 0.  In d >= 2 variables the slice at first exponent a
-    is the valuation ideal one variable down at level n - w[0]*a (in two
-    variables, (y^q) with q = ceil((n - w[0]*a) / w[1])), the unit ideal
-    from a = ceil(n / w[0]) on.  If the other weights are zero, no column
-    below that reaches n."""
-    if n <= 0:
-        return MonomialIdeal.unit(ctx)
-    w0, rest = w[0], w[1:]
-    if ctx.dim == 1:
-        return MonomialIdeal(ctx, ((-(-n // w0),),), _canonical=True)
-    flat = ctx.dim == 2
-    w1 = rest[0]
-    sub = None if flat else RingContext(ctx.dim - 1)
-    top = -(-n // w0) if w0 else 0
-    stack = []
-    last = None
-    for a in range(0 if any(rest) else top, top + 1):
-        r = n - w0 * a
-        if flat:
-            s = -(-r // w1) if r > 0 else 0
-        else:
-            s = _valuation_ideal(rest, r, sub)
-        if s != last:
-            stack.append((a, s))
-            last = s
-    return _stack_ideal(ctx, tuple(stack))
+    if not isinstance(n, int):
+        raise ValueError(f"valuation ideal levels are integers, got {n!r}")
+    return _weight_ideal(((v.weights, n),), ctx)
 
 
 def valuation_of_ideal(v: MonomialValuation, I: MonomialIdeal):

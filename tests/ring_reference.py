@@ -126,6 +126,17 @@ def ref_valuation_ideal(v, n, ctx):
     return ref_ideal(ctx, gens)
 
 
+def ref_maximal_power(ctx, k):
+    """m^k generated by the compositions of k into ``ctx.dim`` parts, read
+    off the positions of d-1 bars among k+d-1 slots."""
+    d = ctx.dim
+    gens = []
+    for bars in itertools.combinations(range(k + d - 1), d - 1):
+        edges = (-1,) + bars + (k + d - 1,)
+        gens.append(tuple(edges[i + 1] - edges[i] - 1 for i in range(d)))
+    return ref_ideal(ctx, gens)
+
+
 def _dense_min_y_profile(I, x_max):
     """Least q with x^a*y^q in I, for a = 0..x_max (None = none)."""
     prof = [None] * (x_max + 1)

@@ -141,6 +141,11 @@ def test_window_validation():
         epsilon_report(F, 10, window=6)  # needs N >= 2*window
     with pytest.raises(ValueError):
         epsilon_report(F, 10, window=1)
+    # a one-point fit always has zero spread, and window 0 fitted the
+    # whole sequence
+    for window in (1, 0, -3):
+        with pytest.raises(ValueError, match="at least 2"):
+            e_s_localized(F, N=40, window=window)
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,21 @@ def test_scenario_non_integer_jobs_or_window_exits_2(tmp_path, capsys):
         assert value in capsys.readouterr().err
 
 
+def test_es_window_below_two_exits_2(tmp_path, capsys):
+    # window 1 used to report pi_plane at N=40 as exact, window 0 to fit
+    # the whole sequence
+    for window in (1, 0):
+        task = {"task": "es", "filtration": "pi", "n_max": 40, "window": window}
+        path = write_scenario(tmp_path, [task])
+        with pytest.raises(ScenarioError, match=r"task 1 \(es\): window"):
+            run_scenario(path)
+        assert main(["run", path]) == 2
+        assert "window must be at least 2" in capsys.readouterr().err
+        assert main(["es", path, "--filtration", "pi", "--n-max", "40",
+                     "--window", str(window)]) == 2
+        assert "window must be at least 2" in capsys.readouterr().err
+
+
 def test_malformed_ring_or_filtrations_exit_2(tmp_path, capsys):
     # a non-integer dimension, a filtrations list, a tau list, a localization
     # of a localized filtration at a variable its ring lacks, a task that is

@@ -104,6 +104,14 @@ def test_combine_examples():
     assert ideal_power(I2((1, 1)), 0).is_unit()
 
 
+def test_maximal_power_rejects_negative_or_non_integer_exponents():
+    # k = -1 used to give (x^-1) in one variable and the zero ideal in two
+    for ctx in (RingContext(1), CTX2, CTX3):
+        for k in (-1, 2.5):
+            with pytest.raises(ValueError):
+                maximal_power(ctx, k)
+
+
 def test_product_contains_generator_sums():
     rng = random.Random(11)
     for _ in range(25):

@@ -1,7 +1,8 @@
 """Property tests: the kernel equals the reference kernel in
 ``ring_reference`` on random ideals, zero and unit ideals included, in one
 to four variables: intersection, containment, saturation with its laws,
-valuation ideals, minimalisation and lengths; the cached slice stack of
+valuation ideals, ideals of several weight cuts (meets of valuation
+ideals), powers of m, minimalisation and lengths; the cached slice stack of
 every result equals the one rebuilt from its generators; sum and
 intersection obey the lattice laws and lengths add along chains; the
 multiplicity of R/I equals a direct count of the Hilbert function; and in
@@ -23,7 +24,6 @@ from epsmult.newton import (
     NewtonPolyhedron,
     _affine_separation,
     _lp_convex_dominated,
-    _power_separation,
     integral_closure,
     np_membership,
     verify_separation_certificate,
@@ -33,9 +33,11 @@ from epsmult.ring import (
     MonomialIdeal,
     RingContext,
     _slices,
+    _weight_ideal,
     ideal_product,
     ideal_sum,
     intersect,
+    maximal_power,
     quotient_length,
     saturate,
 )
@@ -48,6 +50,7 @@ from ring_reference import (
     ref_ideal_multiplicity,
     ref_integral_closure,
     ref_intersect,
+    ref_maximal_power,
     ref_normalized_covolume,
     ref_quotient_length,
     ref_quotient_length_2d,
@@ -161,6 +164,41 @@ def test_valuation_ideal_matches_reference(wn):
     V = valuation_ideal(v, n, ctx)
     assert V == ref_valuation_ideal(v, n, ctx)
     assert_stack_consistent(V)
+
+
+@st.composite
+def weight_cuts(draw):
+    """One to three (weights, level) cuts in one to four variables, the
+    levels smaller in more variables so that the reference intersections
+    stay small."""
+    d = draw(st.sampled_from((2, 1, 3, 4)))
+    w = st.tuples(*[st.integers(0, 4)] * d).filter(any)
+    level = st.integers(-2, {1: 40, 2: 40, 3: 8, 4: 4}[d])
+    return d, draw(st.lists(st.tuples(w, level), min_size=1, max_size=3))
+
+
+@PROPERTY_ANY_DIM
+@given(weight_cuts())
+def test_weight_ideal_matches_intersected_valuation_ideals(dcuts):
+    d, cuts = dcuts
+    ctx = CTXS[d]
+    ref = None
+    for w, n in cuts:
+        V = ref_valuation_ideal(MonomialValuation(w), n, ctx)
+        ref = V if ref is None else ref_intersect(ref, V)
+    X = _weight_ideal(cuts, ctx)
+    assert X == ref
+    assert_stack_consistent(X)
+
+
+def test_maximal_power_matches_reference():
+    for d, k_max in ((1, 12), (2, 12), (3, 8), (4, 6)):
+        ctx = CTXS[d]
+        assert MonomialIdeal.maximal(ctx) == ref_maximal_power(ctx, 1)
+        for k in range(k_max + 1):
+            M = maximal_power(ctx, k)
+            assert M == ref_maximal_power(ctx, k)
+            assert_stack_consistent(M)
 
 
 def _add(*lengths):
@@ -395,10 +433,8 @@ certified = st.one_of(
 @settings(derandomize=True, deadline=None, database=None, max_examples=80)
 @given(certified, st.integers(1, 2))
 def test_separation_certificates_recheck(F, m):
-    separate = (_power_separation if isinstance(F, PowerFiltration)
-                else _affine_separation)
     for a in product(range(5), repeat=F.ctx.dim):
-        cert = separate(F, a, m)
+        cert = _affine_separation(F, a, m)
         if cert is not None:
             assert cert.degree == m and cert.monomial == a
             assert verify_separation_certificate(F, cert, 12), (F.describe(), cert)

@@ -144,3 +144,8 @@ def test_valuation_validation():
     with pytest.raises(ValueError):
         MonomialValuation((-1, 2))
     assert MonomialValuation((1, 0)).center() == (0,)
+    # a level is an integer: 2.5 used to give (x^2.0) in one variable and a
+    # bare TypeError in two
+    for w in ((2,), (1, 1)):
+        with pytest.raises(ValueError):
+            valuation_ideal(MonomialValuation(w), 2.5, RingContext(len(w)))
