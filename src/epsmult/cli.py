@@ -17,16 +17,12 @@ from .fixtures import fixture_ids, format_fixture_table, paper_examples
 from .scenario import ScenarioError, load_scenario, run_scenario
 
 
-def _add_common(p, *, filtration=True, n_max=True, window=False):
-    p.add_argument("scenario", help="scenario JSON file declaring the filtrations")
-    if filtration:
-        p.add_argument("--filtration", required=True, help="filtration name")
-    if n_max:
-        p.add_argument("--n-max", type=int, required=True)
-    if window:
-        p.add_argument("--window", type=int)
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="json")
+def _levels(text):
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"comma separated integers expected, got {text!r}") from None
 
 
 def build_parser():
@@ -35,44 +31,27 @@ def build_parser():
         description=("exact computations with filtrations of monomial ideals: "
                      "saturation-length limits, A(c) checks, spread "
                      "certificates, and Rees closure comparisons"))
-    sub = top.add_subparsers(dest="command", required=True)
+    sub = top.add_subparsers(dest="task", required=True)
 
     p = sub.add_parser("run", help="execute a scenario file's task list")
     p.add_argument("scenario")
 
-    p = sub.add_parser("eval", help="print the ideal at one level")
-    _add_common(p, n_max=False)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("epsilon", help="normalized saturation-length report")
-    _add_common(p, window=True)
-
-    p = sub.add_parser("acheck", help="property A(c) comparison")
-    _add_common(p)
-    p.add_argument("--c", type=int, required=True)
-
-    p = sub.add_parser("spread", help="analytic spread certificates and rank bound")
-    _add_common(p)
-    p.add_argument("--r-max", type=int, default=10)
-
-    p = sub.add_parser("closure-compare", help="compare Rees algebra closures")
-    _add_common(p, filtration=False)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--r-max", type=int, default=4)
-
-    p = sub.add_parser("es", help="face-prime localized multiplicity sum")
-    _add_common(p, window=True)
-
-    p = sub.add_parser("truncate-sweep", help="level-i subfiltration estimates")
-    _add_common(p, window=True)
-    p.add_argument("--levels", required=True,
-                   help="comma separated truncation levels, e.g. 1,2,3,4")
-
-    p = sub.add_parser("diff-check", help="limit additivity across an inclusion")
-    _add_common(p, filtration=False, window=True)
-    p.add_argument("--inner", required=True)
-    p.add_argument("--outer", required=True)
+    # one subcommand per task kind, one flag per task parameter
+    for kind, (help_text, _, params) in scn_mod._TASKS.items():
+        p = sub.add_parser(kind, help=help_text)
+        p.add_argument("scenario", help="scenario JSON file declaring the filtrations")
+        for key, spec in params.items():
+            flag = "--" + key.replace("_", "-")
+            if spec == scn_mod._FILTRATION:
+                p.add_argument(flag, required=True, help="filtration name")
+            elif spec == scn_mod._LEVELS:
+                p.add_argument(flag, required=True, type=_levels,
+                               help="comma separated truncation levels, e.g. 1,2,3,4")
+            else:
+                # an omitted flag is left out: the reader has the default
+                p.add_argument(flag, type=int, required=spec == scn_mod._REQUIRED)
+        p.add_argument("--out", help="output path (default: stdout)")
+        p.add_argument("--format", choices=("csv", "json"), default="json")
 
     p = sub.add_parser("paper-examples", help="run the worked-example corpus")
     p.add_argument("--id", action="append", dest="ids",
@@ -82,22 +61,9 @@ def build_parser():
     return top
 
 
-def _task_from_args(args):
-    task = {"task": args.command}
-    for key in ("filtration", "n", "n_max", "window", "c", "r_max",
-                "left", "right", "inner", "outer"):
-        value = getattr(args, key, None)
-        if value is not None:
-            task[key] = value
-    if getattr(args, "levels", None) is not None:
-        task["levels"] = [int(s) for s in args.levels.split(",")]
-    return task
-
-
 def _write(text, out):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        scn_mod._write(text, out)
     else:
         sys.stdout.write(text)
 
@@ -117,12 +83,12 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     try:
-        if args.command == "run":
+        if args.task == "run":
             written = run_scenario(args.scenario, stdout=sys.stdout)
             for path in written:
                 print(f"wrote {path}")
             return 0
-        if args.command == "paper-examples":
+        if args.task == "paper-examples":
             if args.list:
                 print("\n".join(fixture_ids()))
                 return 0
@@ -136,11 +102,12 @@ def _run(args) -> int:
             if args.out:
                 print(f"wrote {args.out}")
             return 0 if all(r.passed for r in results if not r.surrogate) else 1
+        # a single command is a one-task scenario: the same reader checks it
         scn = load_scenario(args.scenario)
-        task = _task_from_args(args)
-        payload = scn_mod._run_task(scn, task, 0)
-        names = scn_mod._task_names(scn, task)
-        _write(scn_mod.emit(payload, args.format, names=names), args.out)
+        task = {k: v for k, v in vars(args).items()
+                if v is not None and k != "scenario"}
+        render, out = scn_mod._read_task(task, scn.filtrations, "command")
+        _write(render(), out)
         return 0
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)

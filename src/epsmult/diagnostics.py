@@ -220,7 +220,12 @@ def _adaptive_r_bound(F: Filtration, n, r_max):
 def spread_zero_test(F: Filtration, N, r_max):
     """Search, for each n <= N and each minimal generator g of I_n, an
     exponent r with g^r in m * I_(rn); full success certifies zero analytic
-    spread evidence, any failure returns the offending pair."""
+    spread evidence, any failure returns the offending pair.
+
+    Level n tries r = 2..bound(n), where bound(n) is r_max raised to
+    int(2 / defect) + 2 for each irrational multiplier a of a discrete-valued
+    F, defect being a certified lower bound on ceil(n*a) - n*a; a failure
+    reports bound(n) as ``searched_up_to``."""
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
     m = MonomialIdeal.maximal(F.ctx)

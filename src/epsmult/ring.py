@@ -97,8 +97,8 @@ class RingContext:
             else:
                 names = tuple(f"x{i+1}" for i in range(self.dim))
             object.__setattr__(self, "names", names)
-        if len(self.names) != self.dim:
-            raise ValueError("need one name per variable")
+        if len(self.names) != self.dim or not all(isinstance(v, str) for v in self.names):
+            raise ValueError("need one name (a string) per variable")
         if len(set(self.names)) != self.dim:
             raise ValueError("variable names must be distinct")
 
@@ -328,8 +328,8 @@ def ideal_product(I, J):
 
 def ideal_power(I, n):
     """I^n by repeated product; I^0 is the unit ideal by convention."""
-    if n < 0:
-        raise ValueError("negative power of an ideal")
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"I^n needs an integer n >= 0, got {n!r}")
     result = MonomialIdeal.unit(I.ctx)
     for _ in range(n):
         result = ideal_product(result, I)

@@ -2,15 +2,16 @@
 filtrations, and a task list, with deterministic CSV/JSON emission.
 
 No code is embedded in scenarios; every filtration is one of the declared
-spec kinds and every task carries explicit parameters.  Every task runs in
-this process; a ``jobs`` key is accepted on any task for compatibility with
-older scenario files and ignored.  Output bytes are stable across runs:
-exact rationals serialize as "p/q" strings (decimal renderings are separate,
+spec kinds and every task one of the kinds in ``_TASKS``, read and checked
+before any task runs.  Every number is a JSON integer, never a rounded
+float or a parsed string.  Output bytes are stable across runs: exact
+rationals serialize as "p/q" strings (decimal renderings are separate,
 explicitly labelled columns) and all JSON keys are sorted.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass
 
@@ -27,7 +28,6 @@ from .filtration import (
     Filtration,
     PowerFiltration,
     TableFiltration,
-    TableRangeError,
     TemplateFiltration,
 )
 from .newton import rees_closure_compare
@@ -47,6 +47,18 @@ def _require(obj, key, where):
     return obj[key]
 
 
+def _integer(value, where):
+    if type(value) is not int:
+        raise ScenarioError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _integers(values, where):
+    if not isinstance(values, list):
+        raise ScenarioError(f"{where} must be a list of integers, got {values!r}")
+    return [_integer(v, where) for v in values]
+
+
 def _parse_ideal(spec, ctx, where):
     """An ideal is a list of monomial strings or exponent arrays."""
     if not isinstance(spec, list):
@@ -56,7 +68,7 @@ def _parse_ideal(spec, ctx, where):
         if isinstance(g, str):
             gens.append(textio.parse_monomial(g, ctx))
         elif isinstance(g, list):
-            gens.append(tuple(int(c) for c in g))
+            gens.append(tuple(_integers(g, f"{where}: exponent")))
         else:
             raise ScenarioError(f"{where}: bad generator {g!r}")
     return MonomialIdeal(ctx, gens)
@@ -73,9 +85,9 @@ def _build_filtration(name, block, ctx, built):
         if kind == "discrete_valued":
             pairs = []
             for v in _require(block, "valuations", where):
-                weights = tuple(int(c) for c in _require(v, "weights", where))
+                weights = _integers(_require(v, "weights", where), f"{where}: weights")
                 mult = parse_scalar(str(_require(v, "multiplier", where)))
-                pairs.append((MonomialValuation(weights), mult))
+                pairs.append((MonomialValuation(tuple(weights)), mult))
             return DiscreteValuedFiltration(ctx, pairs)
         if kind == "template":
             gens = _require(block, "generators", where)
@@ -83,7 +95,7 @@ def _build_filtration(name, block, ctx, built):
             if tau is not None:
                 if not isinstance(tau, dict):
                     raise ScenarioError(f"{where}: tau must be an object")
-                tau = {int(k): int(v) for k, v in tau.items()}
+                tau = {int(k): _integer(v, f"{where}: tau") for k, v in tau.items()}
             return TemplateFiltration(ctx, [tuple(g) for g in gens], tau=tau)
         if kind == "table":
             ideals = [
@@ -91,29 +103,139 @@ def _build_filtration(name, block, ctx, built):
                 for i, spec in enumerate(_require(block, "ideals", where))
             ]
             return TableFiltration(ctx, ideals)
+        if kind in ("truncation", "localized"):
+            parent = _require(block, "parent", where)
+            if parent not in built:
+                raise ScenarioError(f"{where}: unknown parent {parent!r}")
+            parent = built[parent]
         if kind == "truncation":
-            parent = _require(block, "parent", where)
-            if parent not in built:
-                raise ScenarioError(f"{where}: unknown parent {parent!r}")
-            return built[parent].truncate(int(_require(block, "level", where)))
+            return parent.truncate(
+                _integer(_require(block, "level", where), f"{where}: level"))
         if kind == "localized":
-            parent = _require(block, "parent", where)
-            if parent not in built:
-                raise ScenarioError(f"{where}: unknown parent {parent!r}")
             # the variables are those of the parent's ring, which is
             # smaller than the scenario's if the parent is localized itself
-            names = built[parent].ctx.names
+            names = parent.ctx.names
             coords = []
             for v in _require(block, "variables", where):
                 if v not in names:
                     raise ScenarioError(f"{where}: unknown variable {v!r}")
                 coords.append(names.index(v))
-            return built[parent].localize(coords)
+            return parent.localize(coords)
     except ScenarioError:
         raise
     except (ValueError, TypeError) as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
     raise ScenarioError(f"{where}: unknown filtration type {kind!r}")
+
+
+class _EvalResult:
+    def __init__(self, F, n):
+        self.n = n
+        self.ideal = F.ideal_at(n)
+
+    def to_obj(self, names=None):
+        return {
+            "n": self.n,
+            "generators": [textio.format_monomial(g, names or self.ideal.ctx.names)
+                           for g in self.ideal.gens],
+            "exponents": textio.ideal_to_obj(self.ideal),
+        }
+
+
+class _SpreadResult:
+    def __init__(self, F, N, r_max):
+        self.maximal = spread_max_test(F, N)
+        self.zero = spread_zero_test(F, N, r_max)
+        self.rank_bound = toric_rank_bound(F, N)
+
+    def to_obj(self, names=None):
+        return {
+            "maximal": self.maximal.to_obj(names) if self.maximal else None,
+            "zero": self.zero.to_obj(names) if self.zero else None,
+            "toric_rank_bound": self.rank_bound,
+        }
+
+
+# Task parameter kinds: a declared filtration's name, a list of integer
+# levels, a required integer; any other value is an integer's default.
+_FILTRATION = "filtration"
+_LEVELS = "levels"
+_REQUIRED = "required"
+
+# task kind -> (CLI help, runner taking the parameter values in order,
+# parameters).  A task prints in the ring of its first filtration.  Runners
+# look their function up when they run, so a wrapped one (a tracer's) runs.
+_TASKS = {
+    "eval": ("print the ideal at one level", _EvalResult,
+             {"filtration": _FILTRATION, "n": _REQUIRED}),
+    "epsilon": ("normalized saturation-length report",
+                lambda *a: epsilon_report(*a),
+                {"filtration": _FILTRATION, "n_max": _REQUIRED, "window": None}),
+    "acheck": ("property A(c) comparison", lambda *a: check_Ac(*a),
+               {"filtration": _FILTRATION, "c": _REQUIRED, "n_max": _REQUIRED}),
+    "spread": ("analytic spread certificates and rank bound", _SpreadResult,
+               {"filtration": _FILTRATION, "n_max": _REQUIRED, "r_max": 10}),
+    "closure-compare": ("compare Rees algebra closures",
+                        lambda *a: rees_closure_compare(*a),
+                        {"left": _FILTRATION, "right": _FILTRATION,
+                         "n_max": _REQUIRED, "r_max": 4}),
+    "es": ("face-prime localized multiplicity sum", lambda *a: e_s_localized(*a),
+           {"filtration": _FILTRATION, "n_max": _REQUIRED, "window": None}),
+    "truncate-sweep": ("level-i subfiltration estimates",
+                       lambda *a: truncation_sweep(*a),
+                       {"filtration": _FILTRATION, "levels": _LEVELS,
+                        "n_max": _REQUIRED, "window": None}),
+    "diff-check": ("limit additivity across an inclusion",
+                   lambda *a: epsilon_difference_check(*a),
+                   {"inner": _FILTRATION, "outer": _FILTRATION,
+                    "n_max": _REQUIRED, "window": None}),
+}
+
+
+def _read_task(task, filtrations, label):
+    """Check one task object against its kind's row of ``_TASKS``; returns
+    a function that runs the task and emits its report, and its ``out``."""
+    if not isinstance(task, dict):
+        raise ScenarioError(f"{label}: task must be an object")
+    where = f"{label} ({task.get('task', '?')})"
+    kind = _require(task, "task", where)
+    if not isinstance(kind, str) or kind not in _TASKS:
+        raise ScenarioError(f"{where}: unknown task kind {kind!r}")
+    _, runner, params = _TASKS[kind]
+    unknown = sorted(set(task) - set(params) - {"task", "out", "format", "jobs"})
+    if unknown:
+        raise ScenarioError(f"{where}: unknown keys {unknown} for a {kind} task")
+    # ``jobs`` (from older files) is ignored, but must still be an integer
+    _integer(task.get("jobs", 1), f"{where}: jobs")
+    out, fmt = task.get("out"), task.get("format", "json")
+    if out is not None and not isinstance(out, str):
+        raise ScenarioError(f"{where}: out must be a string path")
+    if fmt not in ("csv", "json"):
+        raise ScenarioError(f"{where}: unknown output format {fmt!r}")
+    args, names = [], None
+    for key, spec in params.items():
+        if spec == _FILTRATION:
+            name = _require(task, key, where)
+            if not isinstance(name, str) or name not in filtrations:
+                raise ScenarioError(f"{where}: unknown filtration {name!r}")
+            value = filtrations[name]
+            names = names or value.ctx.names
+        elif spec == _LEVELS:
+            value = _integers(_require(task, key, where), f"{where}: {key}")
+        else:
+            value = _require(task, key, where) if spec == _REQUIRED else task.get(key, spec)
+            if value is not None or spec is not None:
+                _integer(value, f"{where}: {key}")
+        args.append(value)
+
+    def render():
+        try:
+            payload = runner(*args)
+        except (ValueError, TypeError, ArithmeticError, RuntimeError) as exc:
+            raise ScenarioError(f"{where}: {exc}") from exc
+        return emit(payload, fmt, names=names)
+
+    return render, out
 
 
 @dataclass
@@ -125,22 +247,27 @@ class Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    import json
-
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """Read a scenario file: the ring, every filtration and every task, so
+    that a malformed scenario fails before any task runs."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"scenario {path}: invalid JSON ({exc})") from exc
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"scenario {path}: invalid JSON ({exc})") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"scenario {path}: cannot read ({exc})") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be an object")
     ring = _require(doc, "ring", "scenario")
     filtrations = _require(doc, "filtrations", "scenario")
     if not isinstance(ring, dict) or not isinstance(filtrations, dict):
         raise ScenarioError("ring and filtrations must be objects")
-    dim = _require(ring, "dimension", "ring block")
+    dim = _integer(_require(ring, "dimension", "ring block"), "ring block: dimension")
+    names = ring.get("names", [])
+    if not isinstance(names, list):
+        raise ScenarioError(f"ring block: names must be a list, got {names!r}")
     try:
-        ctx = RingContext(int(dim), tuple(ring.get("names", ())))
+        ctx = RingContext(dim, tuple(names))
     except (ValueError, TypeError) as exc:
         raise ScenarioError(f"ring block: {exc}") from exc
     built: dict[str, Filtration] = {}
@@ -149,11 +276,7 @@ def load_scenario(path) -> Scenario:
     tasks = _require(doc, "tasks", "scenario")
     if not isinstance(tasks, list):
         raise ScenarioError("tasks must be a list")
-    for index, task in enumerate(tasks):
-        if not isinstance(task, dict):
-            raise ScenarioError(f"task {index+1}: task must be an object")
-        if task.get("out") is not None and not isinstance(task["out"], str):
-            raise ScenarioError(f"task {index+1}: out must be a string path")
+    tasks = [_read_task(task, built, f"task {i+1}") for i, task in enumerate(tasks)]
     return Scenario(ctx=ctx, filtrations=built, tasks=tasks,
                     base_dir=os.path.dirname(os.path.abspath(path)))
 
@@ -184,102 +307,15 @@ def _flatten(obj, prefix=""):
     return out
 
 
-def _resolve_filtration(scn, task, key, where):
-    name = _require(task, key, where)
-    if name not in scn.filtrations:
-        raise ScenarioError(f"{where}: unknown filtration {name!r}")
-    return scn.filtrations[name]
-
-
-class _EvalResult:
-    def __init__(self, n, ideal):
-        self.n = n
-        self.ideal = ideal
-
-    def to_obj(self, names=None):
-        return {
-            "n": self.n,
-            "generators": [textio.format_monomial(g, names or self.ideal.ctx.names)
-                           for g in self.ideal.gens],
-            "exponents": textio.ideal_to_obj(self.ideal),
-        }
-
-
-class _SpreadResult:
-    def __init__(self, maximal, zero, rank_bound):
-        self.maximal = maximal
-        self.zero = zero
-        self.rank_bound = rank_bound
-
-    def to_obj(self, names=None):
-        return {
-            "maximal": self.maximal.to_obj(names) if self.maximal else None,
-            "zero": self.zero.to_obj(names) if self.zero else None,
-            "toric_rank_bound": self.rank_bound,
-        }
-
-
-# the key naming the filtration whose ring a task's output is written in
-_NAMES_FROM = {"closure-compare": "left", "diff-check": "inner"}
-
-
-def _task_names(scn: Scenario, task):
-    """Variable names for a task that ran: those of the ring its filtration
-    lives in, so a localized filtration prints in its own variables."""
-    key = _NAMES_FROM.get(task["task"], "filtration")
-    return scn.filtrations[task[key]].ctx.names
-
-
-def _run_task(scn: Scenario, task, index):
-    where = f"task {index+1} ({task.get('task', '?')})"
-    kind = _require(task, "task", where)
+def _write(text, path):
+    """Write ``text`` to ``path``, making its directory, and return ``path``."""
     try:
-        # a ``jobs`` key is accepted on every task and ignored (all levels
-        # run in this process), but it must still be an integer
-        int(task.get("jobs", 1))
-        window = task.get("window")
-        window = int(window) if window is not None else None
-        if kind in ("eval", "epsilon", "acheck", "spread", "es", "truncate-sweep"):
-            F = _resolve_filtration(scn, task, "filtration", where)
-        if kind == "eval":
-            return _EvalResult(int(_require(task, "n", where)),
-                               F.ideal_at(int(_require(task, "n", where))))
-        if kind == "epsilon":
-            return epsilon_report(F, int(_require(task, "n_max", where)),
-                                  window=window)
-        if kind == "acheck":
-            return check_Ac(F, int(_require(task, "c", where)),
-                            int(_require(task, "n_max", where)))
-        if kind == "spread":
-            N = int(_require(task, "n_max", where))
-            r_max = int(task.get("r_max", 10))
-            return _SpreadResult(spread_max_test(F, N),
-                                 spread_zero_test(F, N, r_max),
-                                 toric_rank_bound(F, N))
-        if kind == "closure-compare":
-            F = _resolve_filtration(scn, task, "left", where)
-            G = _resolve_filtration(scn, task, "right", where)
-            return rees_closure_compare(F, G, int(_require(task, "n_max", where)),
-                                        int(task.get("r_max", 4)))
-        if kind == "es":
-            return e_s_localized(F, N=int(_require(task, "n_max", where)),
-                                 window=window)
-        if kind == "truncate-sweep":
-            levels = [int(i) for i in _require(task, "levels", where)]
-            return truncation_sweep(F, levels, int(_require(task, "n_max", where)),
-                                    window=window)
-        if kind == "diff-check":
-            inner = _resolve_filtration(scn, task, "inner", where)
-            outer = _resolve_filtration(scn, task, "outer", where)
-            return epsilon_difference_check(
-                inner, outer, int(_require(task, "n_max", where)), window=window)
-    except ScenarioError:
-        raise
-    except TableRangeError as exc:
-        raise ScenarioError(f"{where}: table range exceeded ({exc})") from exc
-    except (ValueError, TypeError, ArithmeticError, RuntimeError) as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
-    raise ScenarioError(f"{where}: unknown task kind {kind!r}")
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ScenarioError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+    return path
 
 
 def run_scenario(path, stdout=None) -> list:
@@ -288,19 +324,10 @@ def run_scenario(path, stdout=None) -> list:
     Returns the list of written paths."""
     scn = load_scenario(path)
     written = []
-    for index, task in enumerate(scn.tasks):
-        payload = _run_task(scn, task, index)
-        fmt = task.get("format", "json")
-        text = emit(payload, fmt, names=_task_names(scn, task))
-        out = task.get("out")
-        if out is None:
-            if stdout is not None:
-                stdout.write(text)
-            continue
-        if not os.path.isabs(out):
-            out = os.path.join(scn.base_dir, out)
-        os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        written.append(out)
+    for render, out in scn.tasks:
+        text = render()
+        if out is not None:
+            written.append(_write(text, os.path.join(scn.base_dir, out)))
+        elif stdout is not None:
+            stdout.write(text)
     return written

@@ -182,10 +182,10 @@ class MonomialValuation:
     weights: tuple[int, ...]
 
     def __post_init__(self):
-        w = tuple(int(c) for c in self.weights)
+        w = tuple(self.weights)
         object.__setattr__(self, "weights", w)
-        if any(c < 0 for c in w):
-            raise ValueError("weights must be nonnegative")
+        if any(not isinstance(c, int) or c < 0 for c in w):
+            raise ValueError(f"weights must be nonnegative integers, got {w!r}")
         if not any(c > 0 for c in w):
             raise ValueError("at least one weight must be positive")
 

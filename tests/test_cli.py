@@ -228,6 +228,10 @@ def test_malformed_ring_or_filtrations_exit_2(tmp_path, capsys):
         "type": "localized", "parent": "pi_at_x", "variables": ["y"]})
     for key, value, message in (
             ("ring", {"dimension": "two"}, "ring block"),
+            # used to load and then fail with a TypeError while printing
+            ("ring", {"dimension": 2, "names": ["x", 0]}, "need one name"),
+            # used to be read letter by letter as ["x", "y"]
+            ("ring", {"dimension": 2, "names": "xy"}, "names must be a list"),
             ("filtrations", [], "must be objects"),
             ("filtrations", tau_list, "tau must be an object"),
             ("filtrations", nested, "unknown variable 'y'"),
@@ -363,3 +367,109 @@ def test_deterministic_output_across_runs_and_jobs(tmp_path):
     # and a repeat run reproduces the bytes exactly
     run_scenario(p1)
     assert (tmp_path / "a.csv").read_bytes() == first
+
+
+def _mutated(change):
+    """SCENARIO with one eval task, after ``change(doc)`` edits it."""
+    doc = json.loads(json.dumps(SCENARIO))
+    doc["filtrations"]["arr"] = {"type": "power", "base": [[2, 0], [0, 3]]}
+    doc["filtrations"]["tau"] = {"type": "template",
+                                 "generators": [["2", "0"], ["1", "tau(n)"]],
+                                 "tau": {"1": 1}}
+    doc["tasks"] = [{"task": "eval", "filtration": "pi", "n": 1}]
+    change(doc)
+    return doc
+
+
+@pytest.mark.parametrize("change, message", [
+    # each of these used to run, on a number rounded down or a string
+    # read digit by digit
+    (lambda d: d["ring"].update(dimension=2.5), "dimension must be an integer"),
+    (lambda d: d["tasks"][0].update(n=2.7), "n must be an integer"),
+    (lambda d: d["tasks"][0].update(n=True), "n must be an integer"),
+    (lambda d: d["tasks"].__setitem__(0, {"task": "epsilon", "filtration": "pi",
+                                          "n_max": 2.7}), "n_max must be an integer"),
+    (lambda d: d["tasks"].__setitem__(0, {"task": "truncate-sweep", "filtration": "pi",
+                                          "levels": "12", "n_max": 4}),
+     "levels must be a list of integers"),
+    (lambda d: d["tasks"].__setitem__(0, {"task": "truncate-sweep", "filtration": "pi",
+                                          "levels": [1, 2.0], "n_max": 4}),
+     "levels must be an integer"),
+    (lambda d: d["tasks"][0].update(jobs=2.0), "jobs must be an integer"),
+    (lambda d: d["filtrations"]["pi"]["valuations"][0].update(weights=[1.5, 0]),
+     "weights must be an integer"),
+    (lambda d: d["filtrations"]["arr"].update(base=[[2.5, 0]]),
+     "exponent must be an integer"),
+    (lambda d: d["filtrations"]["pi_tr2"].update(level=2.5), "level must be an integer"),
+    (lambda d: d["filtrations"]["tau"].update(tau={"1": 1.5}), "tau must be an integer"),
+], ids=["dimension", "n", "n-bool", "n_max", "levels-string", "levels-entry", "jobs",
+        "weights", "exponent", "level", "tau"])
+def test_scenario_numbers_must_be_json_integers(tmp_path, capsys, change, message):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(_mutated(change)))
+    with pytest.raises(ScenarioError, match=message):
+        load_scenario(str(path))
+    assert main(["run", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_levels_flag_must_be_integers(tmp_path, capsys):
+    # "1,a" used to end in a ValueError traceback
+    path = write_scenario(tmp_path, [])
+    with pytest.raises(SystemExit) as exc:
+        main(["truncate-sweep", path, "--filtration", "pi", "--levels", "1,a",
+              "--n-max", "4"])
+    assert exc.value.code == 2
+    assert "'1,a'" in capsys.readouterr().err
+
+
+def test_unknown_task_key_is_an_error(tmp_path, capsys):
+    # a misspelt or foreign key used to be ignored; out, format and jobs
+    # stay allowed on every task
+    for key in ("n_mx", "window"):
+        path = write_scenario(tmp_path, [
+            {"task": "eval", "filtration": "pi", "n": 1, key: 3}])
+        with pytest.raises(ScenarioError, match=rf"unknown keys \['{key}'\]"):
+            load_scenario(path)
+        assert main(["run", path]) == 2
+        capsys.readouterr()
+    path = write_scenario(tmp_path, [
+        {"task": "eval", "filtration": "pi", "n": 1, "out": "e.json",
+         "format": "csv", "jobs": 2}])
+    assert main(["run", path]) == 0
+
+
+@pytest.mark.parametrize("bad", [
+    {"task": "eval", "filtration": "pi", "n": "2"},
+    {"task": "eval", "filtration": "pi", "n": 2, "format": "xml"},
+    {"task": "eval", "filtration": "nope", "n": 2},
+    {"task": "limit", "filtration": "pi"},
+], ids=["string-n", "format", "filtration", "kind"])
+def test_malformed_task_fails_before_any_task_runs(tmp_path, capsys, bad):
+    path = write_scenario(tmp_path, [
+        {"task": "eval", "filtration": "pi", "n": 1, "out": "first.json"}, bad])
+    with pytest.raises(ScenarioError, match=r"task 2 \("):
+        run_scenario(path)
+    assert main(["run", path]) == 2
+    assert not (tmp_path / "first.json").exists()
+
+
+def test_unreadable_or_unwritable_paths_exit_2(tmp_path, capsys):
+    # each used to end in an OSError or UnicodeDecodeError traceback
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(json.dumps(SCENARIO).encode() + b" \xe9")
+    for path in (tmp_path / "missing.json", tmp_path, latin1):
+        with pytest.raises(ScenarioError, match="cannot read"):
+            load_scenario(str(path))
+        assert main(["run", str(path)]) == 2
+        assert "error: scenario" in capsys.readouterr().err
+    path = write_scenario(tmp_path, [
+        {"task": "eval", "filtration": "pi", "n": 1, "out": ""}])
+    with pytest.raises(ScenarioError, match="cannot write"):
+        run_scenario(path)
+    assert main(["run", path]) == 2
+    assert "cannot write" in capsys.readouterr().err
+    assert main(["eval", path, "--filtration", "pi", "--n", "1",
+                 "--out", str(tmp_path)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+

@@ -323,3 +323,11 @@ def test_degenerate_values_are_canonical():
     assert MonomialIdeal(CTX2, [(0, 0), (2, 1)]).is_unit()
     assert ideal_product(MonomialIdeal.zero(CTX2), I2((1, 0))).is_zero()
     assert intersect(MonomialIdeal.zero(CTX2), I2((1, 0))).is_zero()
+
+
+def test_ideal_power_needs_an_integer_exponent():
+    # 2.5 used to raise a bare TypeError from range(); maximal_power and
+    # valuation_ideal raise ValueError for the same input
+    for n in (2.5, -1, "2"):
+        with pytest.raises(ValueError, match="integer n >= 0"):
+            ideal_power(I2((1, 1)), n)

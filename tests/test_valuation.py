@@ -149,3 +149,10 @@ def test_valuation_validation():
     for w in ((2,), (1, 1)):
         with pytest.raises(ValueError):
             valuation_ideal(MonomialValuation(w), 2.5, RingContext(len(w)))
+
+
+def test_valuation_weights_are_integers():
+    # (1.5, 0) used to become (1, 0) without a word
+    for w in ((1.5, 0), (1, Fraction(1, 2)), ("1", 0)):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            MonomialValuation(w)
