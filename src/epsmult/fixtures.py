@@ -128,7 +128,12 @@ def template_family(expr):
 def staircase_pair():
     """The staircase pair (I, J): I_n = (x)^n and J_n = (x^(n+1), x^n y).
     Both limits are 0 and their localizations at (x) agree, but their Rees
-    algebras have different integral closures."""
+    algebras have different integral closures.  This lies outside the
+    hypothesis of the closure result, which needs filtrations whose
+    closures are fixed by their limit bodies (powers of an ideal, rational
+    discrete-valued filtrations): J_n = {a_1 >= n, a_1 + a_2 >= n + 1} has
+    an offset, so it is neither, and equal bodies ({a_1 >= 1} for both) do
+    not force equal closures."""
     return (PowerFiltration(MonomialIdeal(_PLANE, [(1, 0)])),
             TemplateFiltration(_PLANE, [("n+1", "0"), ("n", "1")]))
 

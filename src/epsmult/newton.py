@@ -3,11 +3,12 @@ comparison of filtration Rees algebra closures.
 
 For a monomial ideal the integral closure consists of the lattice points of
 the Newton polyhedron NP(I) (convex hull of the generator exponents plus the
-nonnegative orthant).  In up to three variables NP(I) is held as its exact
-facets, built once per ideal (a lower hull of the staircase in d=2, gift
-wrapping in d=3), which decide membership and give the integral closure and
-e(I) = d! * covol(NP(I)); in higher dimension membership is an exact
-rational feasibility LP.  Tests check both against that LP and Fourier-Motzkin.
+nonnegative orthant).  In up to three variables one recursive hull, built
+once per ideal, holds NP(I) as its exact facets, which decide membership
+and give the integral closure, and the vertices of its compact facets,
+which give e(I) = d! * covol(NP(I)).  In higher dimension membership is an
+exact rational feasibility LP.  Tests check both against that LP and
+Fourier-Motzkin.
 
 Degreewise closure membership of x^a at degree m over a filtration asks for
 some r with r*a in the Newton polyhedron of I_(rm).  A positive answer is a
@@ -37,7 +38,6 @@ from .ring import (
     _check_exponent,
     _from_points,
     _member,
-    _slices,
     _stack_of,
     _weight_ideal,
 )
@@ -91,7 +91,7 @@ def _lp_convex_dominated(gens, a):
     return True
 
 
-_UNITS = {d: tuple(tuple(int(i == j) for j in range(d)) for i in range(d)) for d in (1, 2, 3)}
+_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def _primitive(vec):
@@ -103,10 +103,12 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _cross(u, v):
-    return (u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
+def _det(rows):
+    """Determinant of a square matrix, by cofactors along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * c * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, c in enumerate(rows[0]))
 
 
 def _half_hull(pts, t=0, s=1):
@@ -135,16 +137,7 @@ def _polygon(points):
     points on a plane w.x = c with w_3 > 0 (so the (x, y) shadow is
     one-to-one)."""
     pts = sorted(points)
-    return _half_hull(pts)[:-1] + _half_hull(pts[::-1])[:-1]
-
-
-def _planar_edges(stair):
-    """(normal, rhs) of the compact edges of a 2-D Newton polygon, read off
-    the lower hull of its staircase."""
-    chain = _lower_chain(stair, 0, 1)
-    for p, q in zip(chain, chain[1:]):
-        w = _primitive((p[1] - q[1], q[0] - p[0]))
-        yield w, w[0] * p[0] + w[1] * p[1]
+    return tuple(_half_hull(pts)[:-1] + _half_hull(pts[::-1])[:-1])
 
 
 def _pivot(gens, a, u, n0, c):
@@ -153,10 +146,11 @@ def _pivot(gens, a, u, n0, c):
     along the edge, the generators and rays lie in the half-plane n0 >= 0,
     and the plane through the one furthest from the facet is the other
     facet on the edge.  Returns its primitive inner normal."""
-    vecs = [tuple(x - y for x, y in zip(g, a)) for g in gens] + list(_UNITS[3])
+    vecs = [tuple(x - y for x, y in zip(g, a)) for g in gens] + list(_UNITS)
 
-    def normal(v):
-        n = _cross(u, v)
+    def normal(v):  # u x v, turned towards c
+        n = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+             u[0] * v[1] - u[1] * v[0])
         return n if _dot(n, c) > 0 else tuple(-x for x in n)
 
     n = normal(next(v for v in vecs if _dot(n0, v) > 0))
@@ -166,73 +160,67 @@ def _pivot(gens, a, u, n0, c):
     return _primitive(n)
 
 
-def _facets(I):
-    """Facets of NP(I) in d <= 3 as sorted pairs (w, rhs), cached on the
-    ideal: primitive integer inner normals w >= 0 with rhs = min over the
-    generators g of w.g.
+def _hull(points):
+    """Facets and compact facets of P = conv(points) + orthant in d <= 3
+    variables (in d=3 the points must be an antichain, such as generators).
 
-    The d unit normals always give facets.  In d=2 the others are the
-    compact edges, from the lower hull of the staircase.  In d=3 a facet
-    with w_k = 0 is a compact edge of the Newton polygon of the generators
-    with coordinate k dropped; the compact facets (w > 0) are found by
-    gift wrapping, starting across the compact edges of the facets above
+    The facets are sorted pairs (w, rhs): primitive integer inner normals
+    w >= 0 with rhs = min over the points of w.p, and P = {x : w.x >= rhs
+    for all of them}.  The compact facets (w > 0) follow in that order as
+    vertex tuples: the lowest point (d=1), an edge (d=2), a polygon,
+    counterclockwise seen from above (d=3).  A facet with w_k = 0 is a
+    facet of the hull of the points with coordinate k dropped.  The compact
+    ones are the lower hull of the staircase in d=2, and in d=3 come from
+    gift wrapping across the compact edges of the facets with a zero weight
     (the facets' adjacency graph is connected, and an edge of a compact
     facet is compact)."""
-    try:
-        return I._facets
-    except AttributeError:
-        pass
-    gens, d = I.gens, I.dim
-    facets = {(e, min(g[i] for g in gens)) for i, e in enumerate(_UNITS[d])}
+    d = len(points[0])
+    if d == 1:
+        low = min(points)
+        return (((1,), low[0]),), ((low,),)
+    facets = set()
+    for k in range(d):
+        sub, _ = _hull([p[:k] + p[k + 1:] for p in points])
+        facets.update((w[:k] + (0,) + w[k:], rhs) for w, rhs in sub)
+    faces = {}
     if d == 2:
-        facets.update(_planar_edges(_slices(I)))
-    if d != 3:
-        I._facets = tuple(sorted(facets))
-        return I._facets
-    edges = []  # (a, b, inner normal, direction into the facet from ab)
-    for k in range(3):
-        t, s = (i for i in range(3) if i != k)
-        low = min(g[k] for g in gens)
-        chain = _lower_chain([g for g in gens if g[k] == low], t, s)
-        edges += [(p, q, _UNITS[3][k], _UNITS[3][s])
-                  for p, q in zip(chain, chain[1:])]
-        for w2, rhs in _planar_edges(_stack_of([(g[t], g[s]) for g in gens], 2)):
-            w = w2[:k] + (0,) + w2[k:]
-            facets.add((w, rhs))
-            chain = _lower_chain([g for g in gens if _dot(w, g) == rhs], t, k)
-            edges += [(p, q, w, _UNITS[3][k]) for p, q in zip(chain, chain[1:])]
-    done = set()
-    while edges:
-        a, b, n0, c = edges.pop()
-        if (a, b) in done:
-            continue
-        done.update(((a, b), (b, a)))
-        w = _pivot(gens, a, tuple(y - x for x, y in zip(a, b)), n0, c)
-        rhs = _dot(w, a)
-        if 0 in w or (w, rhs) in facets:
-            continue  # a facet with a zero weight is listed already
-        facets.add((w, rhs))
-        poly = _polygon([g for g in gens if _dot(w, g) == rhs])
-        for i, p in enumerate(poly):
-            q, r = poly[i - len(poly) + 1], poly[i - len(poly) + 2]
-            edges.append((p, q, w, tuple(y - x for x, y in zip(p, r))))
-    I._facets = tuple(sorted(facets))
-    return I._facets
+        chain = _half_hull(_stack_of(points, 2))  # the staircase's lower hull
+        for p, q in zip(chain, chain[1:]):
+            w = _primitive((p[1] - q[1], q[0] - p[0]))
+            faces[w, _dot(w, p)] = (p, q)
+    else:
+        # a facet's plane is one-to-one on the (t, s) plane, s a zero weight
+        edges = []  # (a, b, inner normal, direction into the facet from ab)
+        for w, rhs in sorted(facets):
+            s = max(i for i in range(3) if w[i] == 0)
+            t = 3 - s - max(i for i in range(3) if w[i])
+            chain = _lower_chain([p for p in points if _dot(w, p) == rhs], t, s)
+            edges += [(p, q, w, _UNITS[s]) for p, q in zip(chain, chain[1:])]
+        done = set()
+        while edges:
+            a, b, n0, c = edges.pop()
+            if (a, b) in done:
+                continue
+            done.update(((a, b), (b, a)))
+            w = _pivot(points, a, tuple(y - x for x, y in zip(a, b)), n0, c)
+            rhs = _dot(w, a)
+            if 0 in w or (w, rhs) in faces:
+                continue  # a facet with a zero weight is listed already
+            faces[w, rhs] = poly = _polygon([p for p in points if _dot(w, p) == rhs])
+            for i, p in enumerate(poly):
+                q, r = poly[i - len(poly) + 1], poly[i - len(poly) + 2]
+                edges.append((p, q, w, tuple(y - x for x, y in zip(p, r))))
+    facets = sorted(facets | faces.keys())
+    return tuple(facets), tuple(faces[f] for f in facets if f in faces)
 
 
-def _normalized_covolume(I):
-    """d! times the volume of the orthant outside NP(I), for an m-primary I
-    in d <= 3: the orthant minus NP(I) is the union of the cones from the
-    origin over the compact facets, so this is the sum of |det| over the
-    edges (d=2) or over a fan triangulation of each compact facet (d=3)."""
-    if I.dim == 1:
-        return I.gens[0][0]
-    if I.dim == 2:
-        chain = _lower_chain(_slices(I), 0, 1)
-        return sum(abs(p[0] * q[1] - p[1] * q[0]) for p, q in zip(chain, chain[1:]))
-    faces = [_polygon([g for g in I.gens if _dot(w, g) == rhs])
-             for w, rhs in _facets(I) if 0 not in w]
-    return sum(abs(_dot(f[0], _cross(p, q))) for f in faces for p, q in zip(f[1:], f[2:]))
+def _hull_of(I):
+    """``_hull`` of a nonzero ideal's generators, cached on the ideal."""
+    try:
+        return I._hull
+    except AttributeError:
+        I._hull = hull = _hull(I.gens)
+        return hull
 
 
 class NewtonPolyhedron:
@@ -251,13 +239,13 @@ class NewtonPolyhedron:
         to {x : w.x >= rhs for all of them}; only in d <= 3."""
         if self.ideal.dim > 3:
             raise ValueError("facets are only computed for d <= 3")
-        return _facets(self.ideal)
+        return _hull_of(self.ideal)[0]
 
     def contains(self, a):
         a = _check_exponent(a, self.ideal.dim)
         if self.ideal.dim > 3:
             return _member(self.ideal.gens, a) or _lp_convex_dominated(self.ideal.gens, a)
-        return all(_dot(w, a) >= rhs for w, rhs in _facets(self.ideal))
+        return all(_dot(w, a) >= rhs for w, rhs in _hull_of(self.ideal)[0])
 
 
 def np_membership(I: MonomialIdeal, a) -> bool:
@@ -276,7 +264,7 @@ def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
     if I.is_unit():
         return I
     if I.dim <= 3:
-        return _weight_ideal(_facets(I), I.ctx)
+        return _weight_ideal(_hull_of(I)[0], I.ctx)
     box = [range(max(g[i] for g in I.gens) + 1) for i in range(I.dim)]
     return _from_points(I.ctx, [p for p in itertools.product(*box)
                                 if np_membership(I, p)])

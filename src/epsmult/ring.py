@@ -88,8 +88,9 @@ class RingContext:
     names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("ring dimension must be at least 1")
+        if not isinstance(self.dim, int) or self.dim < 1:
+            raise ValueError(
+                f"ring dimension must be an integer >= 1, got {self.dim!r}")
         names = self.names
         if not names:
             if self.dim <= len(_DEFAULT_NAMES):
@@ -122,11 +123,6 @@ def _member(gens, a):
     return any(divides(g, a) for g in gens)
 
 
-def _grlex_of_lex(points):
-    # points in lex order go to grlex order by a stable sort on the degree
-    return tuple(sorted(points, key=sum))
-
-
 class MonomialIdeal:
     """A monomial ideal, stored as the canonical antichain of its minimal
     generators.
@@ -135,11 +131,11 @@ class MonomialIdeal:
     ideal; both are explicit canonical values.  Equality and hashing ignore
     variable names, only the dimension and the generators matter.  In two
     or more variables ``_stack`` caches the slice stack along the first
-    variable, and in up to three ``_facets`` the facets of the Newton
-    polyhedron.
+    variable, and in up to three ``_hull`` the Newton polyhedron: its
+    facets and the vertices of its compact facets.
     """
 
-    __slots__ = ("ctx", "gens", "_stack", "_facets")
+    __slots__ = ("ctx", "gens", "_stack", "_hull")
 
     def __init__(self, ctx, gens, _canonical=False):
         self.ctx = ctx
@@ -274,7 +270,8 @@ def _stack_ideal(ctx, stack):
             gens += [(a,) + m for m in s.gens if m not in old]
             old = set(s.gens)
         gens.sort()
-    I = MonomialIdeal(ctx, _grlex_of_lex(gens), _canonical=True)
+    # from lex to grlex order by a stable sort on the degree
+    I = MonomialIdeal(ctx, tuple(sorted(gens, key=sum)), _canonical=True)
     I._stack = stack
     return I
 

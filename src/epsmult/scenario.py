@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
 
 from . import textio
@@ -95,6 +96,10 @@ def _build_filtration(name, block, ctx, built):
             if tau is not None:
                 if not isinstance(tau, dict):
                     raise ScenarioError(f"{where}: tau must be an object")
+                for k in tau:
+                    if not re.fullmatch("[1-9][0-9]*", k):
+                        raise ScenarioError(
+                            f"{where}: tau keys must be positive integers, got {k!r}")
                 tau = {int(k): _integer(v, f"{where}: tau") for k, v in tau.items()}
             return TemplateFiltration(ctx, [tuple(g) for g in gens], tau=tau)
         if kind == "table":

@@ -344,7 +344,7 @@ def ref_halfspace_normals(gens, d):
                     p = _primitive(sw)
                     if p:
                         normals.add(p)
-    else:
+    elif d > 3:
         raise ValueError("halfspace description only computed for d <= 3")
     return tuple(sorted(normals))
 

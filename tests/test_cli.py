@@ -217,16 +217,22 @@ def test_es_window_below_two_exits_2(tmp_path, capsys):
 
 
 def test_malformed_ring_or_filtrations_exit_2(tmp_path, capsys):
-    # a non-integer dimension, a filtrations list, a tau list, a localization
-    # of a localized filtration at a variable its ring lacks, a task that is
-    # not an object and a non-string out path end in ScenarioError while the
-    # scenario loads, not in a ValueError, AttributeError, IndexError or
-    # TypeError traceback
+    # a non-integer dimension, a filtrations list, a tau list or a tau key
+    # that is not a positive decimal, a localization of a localized
+    # filtration at a variable its ring lacks, a task that is not an object
+    # and a non-string out path end in ScenarioError while the scenario
+    # loads, not in a ValueError, AttributeError, IndexError or TypeError
+    # traceback
     tau_list = {"t": {"type": "template", "generators": [["2", "0"], ["1", "tau(n)"]],
                       "tau": [1, 2]}}
     nested = dict(SCENARIO["filtrations"], pi_x_y={
         "type": "localized", "parent": "pi_at_x", "variables": ["y"]})
-    for key, value, message in (
+    # tau keys used to go through int(), which reads "1_0" as 10 and " 2"
+    # as 2 and accepts "-1" and "01"
+    bad_tau_keys = [("filtrations", {"t": dict(tau_list["t"], tau={key: 1})},
+                     "tau keys must be positive integers")
+                    for key in ("1_0", " 2", "-1", "01", "0", "2.0", "")]
+    for key, value, message in bad_tau_keys + [
             ("ring", {"dimension": "two"}, "ring block"),
             # used to load and then fail with a TypeError while printing
             ("ring", {"dimension": 2, "names": ["x", 0]}, "need one name"),
@@ -237,7 +243,7 @@ def test_malformed_ring_or_filtrations_exit_2(tmp_path, capsys):
             ("filtrations", nested, "unknown variable 'y'"),
             ("tasks", [["eval", "pi"]], "task must be an object"),
             ("tasks", [{"task": "eval", "filtration": "pi", "n": 1, "out": 3}],
-             "out must be a string")):
+             "out must be a string")]:
         doc = dict(SCENARIO, **{key: value})
         path = tmp_path / "scn.json"
         path.write_text(json.dumps(doc))

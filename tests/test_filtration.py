@@ -1,6 +1,11 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsmult.filtration import (
+    DiscreteValuedFiltration,
     PowerFiltration,
     TableFiltration,
     TableRangeError,
@@ -20,7 +25,7 @@ from epsmult.ring import (
     ideal_sum,
     maximal_power,
 )
-from epsmult.valuation import ExactScalar
+from epsmult.valuation import ExactScalar, MonomialValuation
 
 CTX2 = RingContext(2)
 
@@ -114,6 +119,36 @@ def test_truncate_dp_matches_enumeration():
         ti = F.truncate(i)
         for n in range(1, 9):
             assert ti.ideal_at(n) == truncation_by_enumeration(F, i, n)
+
+
+@st.composite
+def truncation_cases(draw):
+    """A rational discrete-valued or power filtration in two or three
+    variables, a truncation level and a degree, small enough in three
+    variables for the enumeration of compositions."""
+    d = draw(st.sampled_from((2, 3)))
+    ctx = RingContext(d)
+    small = st.integers(0, 3 if d == 2 else 2)
+    if draw(st.booleans()):
+        weights = st.tuples(*[small] * d).filter(any)
+        mult = st.builds(Fraction, st.integers(1, 6 if d == 2 else 3),
+                         st.integers(1, 3)).map(ExactScalar)
+        pairs = draw(st.lists(st.tuples(weights.map(MonomialValuation), mult),
+                              min_size=1, max_size=3))
+        F = DiscreteValuedFiltration(ctx, pairs)
+    else:
+        gens = st.lists(st.tuples(*[small] * d), min_size=1, max_size=3)
+        base = draw(gens.map(lambda g: MonomialIdeal(ctx, g)).filter(
+            MonomialIdeal.is_proper))
+        F = PowerFiltration(base)
+    return F, draw(st.integers(1, 3)), draw(st.integers(1, 6 if d == 2 else 5))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(truncation_cases())
+def test_truncation_dp_matches_enumeration_property(case):
+    F, i, n = case
+    assert F.truncate(i).ideal_at(n) == truncation_by_enumeration(F, i, n)
 
 
 def test_truncation_chain():

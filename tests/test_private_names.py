@@ -1,0 +1,43 @@
+"""Every module-level private name of ``src/epsmult`` is used somewhere in
+the package outside its own definition, so a refactor cannot leave an
+orphaned helper behind."""
+
+import ast
+from pathlib import Path
+
+import epsmult
+
+PACKAGE = Path(epsmult.__file__).resolve().parent
+
+
+def _defined(node):
+    """Names a module-level statement binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def _used(node):
+    """Names a statement reads or imports by name.  Attributes do not count:
+    a cache slot such as ``MonomialIdeal._hull`` may share a function's
+    name."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            yield n.id
+        elif isinstance(n, ast.ImportFrom):
+            yield from (alias.name for alias in n.names)
+
+
+def test_every_private_module_name_is_used():
+    defined, used = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            own = _defined(node)
+            defined.update((name, path.name) for name in own)
+            used.update(name for name in _used(node) if name not in own)
+    orphans = sorted(f"{module}: {name}" for name, module in defined.items()
+                     if name.startswith("_") and not name.startswith("__")
+                     and name not in used)
+    assert not orphans, orphans

@@ -331,3 +331,12 @@ def test_ideal_power_needs_an_integer_exponent():
     for n in (2.5, -1, "2"):
         with pytest.raises(ValueError, match="integer n >= 0"):
             ideal_power(I2((1, 1)), n)
+
+
+def test_ring_context_needs_an_integer_dimension():
+    # 2.5 used to fail with a bare TypeError while naming the variables,
+    # and 2.0 was accepted as a float dimension
+    for dim in (2.5, 2.0, "2", 0, -1, None):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            RingContext(dim)
+    assert RingContext(3).names == ("x", "y", "z")

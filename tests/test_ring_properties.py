@@ -23,6 +23,7 @@ from epsmult.filtration import PowerFiltration, TemplateFiltration
 from epsmult.newton import (
     NewtonPolyhedron,
     _affine_separation,
+    _hull_of,
     _lp_convex_dominated,
     integral_closure,
     np_membership,
@@ -37,6 +38,7 @@ from epsmult.ring import (
     ideal_product,
     ideal_sum,
     intersect,
+    localize,
     maximal_power,
     quotient_length,
     saturate,
@@ -144,6 +146,25 @@ def test_contains_ideal_matches_reference(pair):
     I, J = pair
     assert I.contains_ideal(J) == ref_contains_ideal(I, J)
     assert I.contains_ideal(intersect(I, J))
+
+
+@st.composite
+def localized_pairs(draw):
+    """Two ideals in two to four variables and a nonempty coordinate subset
+    to localize them at."""
+    d = draw(st.sampled_from((2, 3, 4)))
+    I, J = draw(ideal_pairs(d))
+    return I, J, sorted(draw(st.sets(st.integers(0, d - 1), min_size=1)))
+
+
+@PROPERTY
+@given(localized_pairs())
+def test_localize_commutes_with_meet_sum_and_product(case):
+    I, J, S = case
+    LI, LJ = localize(I, S), localize(J, S)
+    assert localize(intersect(I, J), S) == intersect(LI, LJ)
+    assert localize(ideal_sum(I, J), S) == ideal_sum(LI, LJ)
+    assert localize(ideal_product(I, J), S) == ideal_product(LI, LJ)
 
 
 @st.composite
@@ -368,6 +389,26 @@ def test_stored_normals_are_true_facets(I):
         rays = [e for e, c in zip(units, w) if c == 0]
         spans = [tuple(a - b for a, b in zip(g, face[0])) for g in face[1:]]
         assert _rank(spans + rays) == d - 1, (I.gens, w)
+    # the stored compact facets are the facets with w > 0, one to one and
+    # in order; their vertices are generators on the facet whose hull holds
+    # every other one: the ends of an edge (d=2), or a strictly convex
+    # polygon, counterclockwise seen from above (d=3)
+    stored, faces = _hull_of(I)
+    assert stored == facets
+    compact = [(w, rhs) for w, rhs in facets if 0 not in w]
+    assert len(faces) == len(compact)
+    for (w, rhs), vertices in zip(compact, faces):
+        on = [g for g in I.gens if sum(a * b for a, b in zip(w, g)) == rhs]
+        assert set(vertices) <= set(on) and len(set(vertices)) == len(vertices) >= d
+        if d == 2:
+            p, q = vertices
+            assert all(p[0] <= g[0] <= q[0] for g in on), (I.gens, w)
+            continue
+        for p, q in zip(vertices, vertices[1:] + vertices[:1]):
+            turn = {g: (q[0] - p[0]) * (g[1] - p[1]) - (q[1] - p[1]) * (g[0] - p[0])
+                    for g in on}
+            assert min(turn.values()) >= 0, (I.gens, w, vertices)
+            assert all(turn[g] > 0 for g in vertices if g not in (p, q))
 
 
 @PROPERTY
@@ -408,7 +449,8 @@ def test_ideal_multiplicity_matches_stabilized_difference(I):
 
 
 @PROPERTY
-@given(st.one_of(primary_ideals(CTX2, 9), primary_ideals(CTXS[3], 6)))
+@given(st.one_of(primary_ideals(CTX2, 9), primary_ideals(CTXS[3], 6),
+                 primary_ideals(CTXS[1], 30)))
 def test_ideal_multiplicity_matches_lattice_count(I):
     assert ideal_multiplicity(I) == ref_normalized_covolume(I)
 
