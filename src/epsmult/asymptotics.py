@@ -30,11 +30,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .filtration import Filtration, filtration_dimension
+from .filtration import DiscreteValuedFiltration, Filtration, filtration_dimension
 from .newton import _det, _hull_of
 from .ring import (
     MonomialIdeal,
     _face_primes,
+    _weight_sat_length,
     colength,
     dim_quotient,
     localize,
@@ -234,8 +235,11 @@ def _sequence_report(seq: LengthSequence, window):
 
 
 def _sat_quotient_at(F, n):
-    # the one saturation of the level; quotient_length settles finiteness
-    # without forming it again
+    # a discrete-valued level in two variables is counted from its cuts and
+    # never built; elsewhere the one saturation of the level, and
+    # quotient_length settles finiteness without forming it again
+    if isinstance(F, DiscreteValuedFiltration) and F.ctx.dim == 2:
+        return _weight_sat_length(F._cuts(n))
     I = F.ideal_at(n)
     return quotient_length(saturate(I), I)
 
@@ -264,8 +268,12 @@ def _entries(fn, F, N):
 
 def sat_quotient_sequence(F: Filtration, N, jobs=1) -> LengthSequence:
     """lambda(I_n^sat / I_n) for n = 1..N, with infinite entries recorded as
-    ``None`` rather than raised.  ``jobs`` is accepted for compatibility and
-    ignored: every level is computed in this process."""
+    ``None`` rather than raised.  The levels of a discrete-valued
+    filtration in two variables are counted from their cuts (w_i,
+    ceil(n * a_i)) by floor sums and never built, so they do not enter the
+    filtration's memo table; every other level is built, saturated and
+    measured.  ``jobs`` is accepted for compatibility and ignored: every
+    level is computed in this process."""
     entries = _entries(_sat_quotient_at, F, N)
     return LengthSequence(dim=F.ctx.dim, entries=tuple(entries))
 

@@ -214,9 +214,8 @@ class Filtration:
         self._cache: dict[int, MonomialIdeal] = {}
 
     def ideal_at(self, n) -> MonomialIdeal:
-        if n < 0 or n != int(n):
-            raise ValueError("filtration index must be a nonnegative integer")
-        n = int(n)
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"filtration index must be an integer >= 0, got {n!r}")
         if n == 0:
             return MonomialIdeal.unit(self.ctx)
         cached = self._cache.get(n)
@@ -283,9 +282,12 @@ class DiscreteValuedFiltration(Filtration):
                 raise TypeError("multipliers must be ExactScalar values")
         self.pairs = pairs
 
+    def _cuts(self, n):
+        """The weight cuts (w_i, ceil(n * a_i)) whose meet is I_n."""
+        return [(v.weights, ceil_mul(a, n)) for v, a in self.pairs]
+
     def _compute(self, n):
-        return _weight_ideal([(v.weights, ceil_mul(a, n)) for v, a in self.pairs],
-                             self.ctx)
+        return _weight_ideal(self._cuts(n), self.ctx)
 
     @property
     def is_rational_discrete_valued(self):
@@ -358,11 +360,11 @@ class TruncationFiltration(Filtration):
     via the dynamic program I[i]_n = sum_j ideal_product(I_j, I[i]_{n-j})."""
 
     def __init__(self, parent: Filtration, level):
-        if level < 1:
-            raise ValueError("truncation level must be positive")
+        if not isinstance(level, int) or level < 1:
+            raise ValueError(f"truncation level must be an integer >= 1, got {level!r}")
         super().__init__(parent.ctx)
         self.parent = parent
-        self.level = int(level)
+        self.level = level
 
     def _compute(self, n):
         if n <= self.level:

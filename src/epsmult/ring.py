@@ -31,7 +31,13 @@ Ideals cut out by weight inequalities {x^a : w . a >= n for every cut
 (w, n)} -- valuation ideals, the levels of a discrete-valued filtration
 (their meet), m and its powers, and integral closures from the facets of
 the Newton polyhedron -- are built by one routine, ``_weight_ideal``, which
-writes their slice stack directly from the cuts.
+writes their slice stack directly from the cuts.  In two variables
+``_weight_sat_length`` also measures lambda(sat(I)/I) for such an ideal
+from its cuts alone: sat(I) is the corner set by the cuts with one zero
+weight, and the quotient is the set of lattice points of that quadrant
+under the upper envelope of the other cuts' lines, one floor sum
+(``_floor_sum``) per piece of the envelope.  With k cuts at levels of size
+n that is O(k log n) steps in place of a staircase of O(n) corners.
 
 Only the public constructor validates exponents.  Results of the kernel's
 own operations go through ``_from_points`` (minimalise trusted points),
@@ -47,6 +53,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import itemgetter
 
 __all__ = [
@@ -385,6 +392,71 @@ def _weight_ideal(cuts, ctx):
             stack.append((a, s))
             last = s
     return _stack_ideal(ctx, tuple(stack))
+
+
+def _floor_sum(n, m, a, b):
+    """sum of floor((a*i + b) / m) for i = 0..n-1, for integers n >= 0 and
+    m > 0, in O(log m) steps: the Euclid-like reduction of Graham, Knuth
+    and Patashnik, Concrete Mathematics, section 3.5."""
+    total = 0
+    while True:
+        # split off the whole parts of the slope and the offset (floor
+        # division, so negative ones too), leaving 0 <= a, b < m
+        total += n * (n - 1) // 2 * (a // m) + n * (b // m)
+        a %= m
+        b %= m
+        # count the lattice points under the line by swapping the axes,
+        # which replaces (m, a) by (a, m mod a)
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
+
+
+def _weight_sat_length(cuts):
+    """lambda(sat(I)/I) for I = ``_weight_ideal(cuts, RingContext(2))``,
+    counted from the cuts without building I.
+
+    Saturation commutes with finite meets, leaves a cut with one zero
+    weight unchanged and makes a cut with both weights positive the unit
+    ideal, so sat(I) = (x^A0*y^B0) with A0, B0 the largest ceil(n/w) over
+    the one-weight cuts.  Shifted to that corner, an m-primary cut (w, n)
+    leaves r = n - w.(A0, B0) and cuts out the triangle w.(s, t) < r, whose
+    column at s holds ceil((r - w0*s)/w1) points while that is positive.
+    The quotient is the union of these triangles, so each column holds the
+    ceiling of the upper envelope of their lines, and the count is one floor
+    sum per piece of the envelope.  A cut with n <= 0 always holds.
+    """
+    cuts = [(w, n) for w, n in cuts if n > 0]
+    A0 = max((-(-n // w[0]) for w, n in cuts if not w[1]), default=0)
+    B0 = max((-(-n // w[1]) for w, n in cuts if not w[0]), default=0)
+    # the line t = (r - w0*s)/w1 of every triangle, and t = 0 closing the
+    # envelope; a line is steeper than another iff its w0/w1 is larger
+    lines = [(0, 1, 0)]
+    for (w0, w1), n in cuts:
+        r = n - w0 * A0 - w1 * B0
+        if w0 and w1 and r > 0:
+            lines.append((w0, w1, r))
+    # the leader is a highest line at column s; equal lines give equal
+    # columns, so which of them leads does not change the count
+    w0, w1, r = max(lines, key=lambda l: Fraction(l[2], l[1]))
+    total = s = 0
+    while w0:
+        # the first column at which a less steep line reaches the leader
+        # (s itself for a line equal to it there); the highest line there
+        # takes over
+        steps = []
+        for v0, v1, q in lines:
+            det = w0 * v1 - v0 * w1
+            if det > 0:
+                cross = -((q * w1 - r * v1) // det)
+                steps.append((cross, -Fraction(q - v0 * cross, v1), (v0, v1, q)))
+        cross, _, line = min(steps)
+        # columns s..cross-1 of the leader: ceil((r - w0*i)/w1)
+        total += _floor_sum(cross - s, w1, -w0, r - w0 * s + w1 - 1)
+        (w0, w1, r), s = line, cross
+    return total
 
 
 def intersect(I, J):

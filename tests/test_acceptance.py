@@ -101,7 +101,7 @@ def assert_corpus(corpus, num, ok=True, detail=""):
     assert announce(num, ok and all(r.passed for r in rows), "; ".join(lines))
 
 
-def test_criterion_01_pi_lengths_exact_and_fast(shared):
+def test_criterion_01_pi_lengths_exact_and_fast():
     fresh = pi_plane()
     start = time.monotonic()
     seq = sat_quotient_sequence(fresh, 200)
@@ -113,7 +113,6 @@ def test_criterion_01_pi_lengths_exact_and_fast(shared):
             mismatches.append(n)
     ok = not mismatches and elapsed < 60
     assert announce(1, ok, f"200/200 exact, {elapsed:.2f}s (< 60s)")
-    shared["pi_plane"]._cache.update(fresh._cache)
 
 
 def test_criterion_02_pi_limit_and_localization(corpus):

@@ -151,6 +151,18 @@ def test_truncation_dp_matches_enumeration_property(case):
     assert F.truncate(i).ideal_at(n) == truncation_by_enumeration(F, i, n)
 
 
+@pytest.mark.parametrize("index", [2.5, 2.0, "1", -1, None])
+def test_ideal_at_rejects_non_integer_index(index):
+    with pytest.raises(ValueError):
+        pi_plane().ideal_at(index)
+
+
+@pytest.mark.parametrize("level", [2.5, 2.0, "2", 0, None])
+def test_truncate_rejects_non_integer_level(level):
+    with pytest.raises(ValueError):
+        pi_plane().truncate(level)
+
+
 def test_truncation_chain():
     F = pi_plane()
     levels = [F.truncate(i) for i in (1, 2, 3, 4)]

@@ -2,7 +2,9 @@
 ``ring_reference`` on random ideals, zero and unit ideals included, in one
 to four variables: intersection, containment, saturation with its laws,
 valuation ideals, ideals of several weight cuts (meets of valuation
-ideals), powers of m, minimalisation and lengths; the cached slice stack of
+ideals), powers of m, minimalisation and lengths; the saturation length of
+a two-variable ideal of weight cuts, counted from its cuts by floor sums,
+equals the one of the built ideal; the cached slice stack of
 every result equals the one rebuilt from its generators; sum and
 intersection obey the lattice laws and lengths add along chains; the
 multiplicity of R/I equals a direct count of the Hilbert function; and in
@@ -15,7 +17,7 @@ from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epsmult.asymptotics import ideal_multiplicity, samuel_of_quotient
@@ -33,8 +35,10 @@ from epsmult.ring import (
     IdealDomainError,
     MonomialIdeal,
     RingContext,
+    _floor_sum,
     _slices,
     _weight_ideal,
+    _weight_sat_length,
     ideal_product,
     ideal_sum,
     intersect,
@@ -210,6 +214,31 @@ def test_weight_ideal_matches_intersected_valuation_ideals(dcuts):
     X = _weight_ideal(cuts, ctx)
     assert X == ref
     assert_stack_consistent(X)
+
+
+plane_cuts = st.lists(
+    st.tuples(st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(any),
+              st.integers(-3, 80)),
+    min_size=1, max_size=4)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(plane_cuts)
+@example([((1, 0), 7), ((1, 1), 13)])  # the pi-plane shape
+@example([((1, 2), 10), ((2, 4), 20), ((0, 1), 2)])  # equal lines
+@example([((1, 1), 6), ((2, 1), 9), ((1, 3), 12)])  # crossings at integers
+@example([((3, 0), 5), ((0, 2), 3), ((1, 1), 1)])  # a cut inside the corner
+def test_weight_sat_length_matches_staircase(cuts):
+    # the count from the cuts against building, saturating and measuring
+    I = _weight_ideal(cuts, CTX2)
+    assert _weight_sat_length(cuts) == quotient_length(saturate(I), I)
+
+
+@PROPERTY
+@given(st.integers(0, 40), st.integers(1, 15), st.integers(-40, 40),
+       st.integers(-300, 300))
+def test_floor_sum_matches_direct_sum(n, m, a, b):
+    assert _floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
 
 
 def test_maximal_power_matches_reference():
