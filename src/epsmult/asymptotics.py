@@ -29,6 +29,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from statistics import median
 
 from .filtration import DiscreteValuedFiltration, Filtration, filtration_dimension
 from .newton import _det, _hull_of
@@ -85,29 +86,14 @@ class LengthSequence:
             for n, lam in self.entries)
 
 
-def _median(values):
-    vals = sorted(values)
-    k = len(vals)
-    if k == 0:
-        raise ValueError("median of empty data")
-    if k % 2:
-        return vals[k // 2]
-    return (vals[k // 2 - 1] + vals[k // 2]) / 2
-
-
 def _fit_inverse_n(pairs):
     """Exact least squares of v = eps + c * (1/n) over (n, v) pairs."""
     m = len(pairs)
-    if m == 1:
-        return pairs[0][1], Fraction(0)
     sx = sum(Fraction(1, n) for n, _ in pairs)
     sxx = sum(Fraction(1, n * n) for n, _ in pairs)
     sy = sum(v for _, v in pairs)
     sxy = sum(Fraction(v, n) for n, v in pairs)
-    denom = m * sxx - sx * sx
-    if denom == 0:
-        return pairs[-1][1], Fraction(0)
-    c = Fraction(m * sxy - sx * sy, denom)
+    c = Fraction(m * sxy - sx * sy, m * sxx - sx * sx)
     eps = (sy - c * sx) / m
     return eps, c
 
@@ -193,7 +179,7 @@ def _classify(normalized, window, fit):
     head_vals = [v for _, v in normalized[:window] if v is not None]
     tail_vals = [v for _, v in normalized[-window:]]
     increasing = all(a < b for a, b in zip(tail_vals, tail_vals[1:]))
-    if head_vals and increasing and tail_vals[-1] > DIVERGENCE_FACTOR * _median(head_vals):
+    if head_vals and increasing and tail_vals[-1] > DIVERGENCE_FACTOR * median(head_vals):
         return "diverging", None, None
     eps, _, spread = fit
     mean = sum(tail_vals) / len(tail_vals)

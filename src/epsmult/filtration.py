@@ -12,7 +12,7 @@ I_m * I_n <= I_{m+n}.  Five spec kinds are supported:
 * ``Truncation(parent, i)``  -- the subfiltration generated by degrees <= i
 
 Specs are immutable; ``ideal_at`` is pure given the spec.  Memo tables are
-per-instance dicts with idempotent entries, safe for concurrent readers.
+per-instance dicts with idempotent entries.
 """
 
 from __future__ import annotations
@@ -307,9 +307,7 @@ class TemplateFiltration(Filtration):
         for g in generators:
             if len(g) != ctx.dim:
                 raise ValueError("template generator has wrong arity")
-            gens.append(tuple(
-                e if hasattr(e, "eval") else parse_expression(str(e))
-                for e in g))
+            gens.append(tuple(parse_expression(str(e)) for e in g))
         if not gens:
             raise ValueError("need at least one generator template")
         self.generators = tuple(gens)

@@ -155,7 +155,23 @@ def _template(shared, expr):
 # a fixture runs alone and a full run reuses evaluated levels)
 # ---------------------------------------------------------------------------
 
+# (the first five FixtureResult fields, in field order, and the runner)
+_FIXTURES = []
 
+
+def _fixture(fixture_id, title, provenance, expected, surrogate=False):
+    """Declare a fixture's fixed table fields on its runner, which returns
+    (computed, passed).  Declaration order is table order."""
+    def declare(runner):
+        _FIXTURES.append(
+            ((fixture_id, title, provenance, surrogate, expected), runner))
+        return runner
+    return declare
+
+
+@_fixture("pi-lengths", "plane ceil-pi filtration: exact saturation lengths",
+          "literature",
+          "lambda = D(D+1)/2, D = ceil(2n pi) - ceil(n pi), for n <= 200")
 def fx_pi_lengths(shared):
     F = shared.setdefault("pi_plane", pi_plane())
     pi = ExactScalar(1, "pi")
@@ -166,63 +182,54 @@ def fx_pi_lengths(shared):
         D = ceil_mul(two_pi, n) - ceil_mul(pi, n)
         if lam != D * (D + 1) // 2:
             bad.append(n)
-    return FixtureResult(
-        "pi-lengths", "plane ceil-pi filtration: exact saturation lengths",
-        "literature", False,
-        "lambda = D(D+1)/2, D = ceil(2n pi) - ceil(n pi), for n <= 200",
-        "all 200 match" if not bad else f"mismatch at n={bad[:5]}",
-        not bad)
+    return "all 200 match" if not bad else f"mismatch at n={bad[:5]}", not bad
 
 
-def _converging_to_pi(fid, title, F, power):
+def _converging_to_pi(F, power):
     rep = epsilon_report(F, 500, window=250)
     ok = rep.classification == "converging" and within_rel(
         rep.estimate, ExactScalar(1, "pi"), HALF_PERCENT, power=power)
-    return FixtureResult(
-        fid, title, "literature", False,
-        f"converging within 0.5% of {'pi^2' if power == 2 else 'pi'} at N=500",
-        f"{rep.classification}, estimate {decimal_str(rep.estimate, 6)}",
-        ok)
+    return f"{rep.classification}, estimate {decimal_str(rep.estimate, 6)}", ok
 
 
+@_fixture("pi-epsilon", "plane ceil-pi filtration: normalized limit",
+          "literature", "converging within 0.5% of pi^2 at N=500")
 def fx_pi_epsilon(shared):
-    return _converging_to_pi(
-        "pi-epsilon", "plane ceil-pi filtration: normalized limit",
-        shared.setdefault("pi_plane", pi_plane()), 2)
+    return _converging_to_pi(shared.setdefault("pi_plane", pi_plane()), 2)
 
 
+@_fixture("pi-localized", "plane ceil-pi filtration localized at (x)",
+          "literature", "converging within 0.5% of pi at N=500")
 def fx_pi_localized(shared):
     return _converging_to_pi(
-        "pi-localized", "plane ceil-pi filtration localized at (x)",
         shared.setdefault("pi_plane", pi_plane()).localize([0]), 1)
 
 
+@_fixture("pi-es", "plane ceil-pi filtration: face-prime multiplicity sum",
+          "derived", "within 0.5% of pi at N=500 (single face prime (x))")
 def fx_pi_es(shared):
     F = shared.setdefault("pi_plane", pi_plane())
     rep = e_s_localized(F, N=500)
     ok = within_rel(rep.value, ExactScalar(1, "pi"), HALF_PERCENT)
-    return FixtureResult(
-        "pi-es", "plane ceil-pi filtration: face-prime multiplicity sum",
-        "derived", False,
-        "within 0.5% of pi at N=500 (single face prime (x))",
-        f"value {decimal_str(rep.value, 6)}, primes {[c[0] for c in rep.contributions]}",
-        ok)
+    return f"value {decimal_str(rep.value, 6)}, primes {[c[0] for c in rep.contributions]}", ok
 
 
+@_fixture("pi-truncations", "level-i subfiltrations approach the parent limit",
+          "derived",
+          "fitted-estimate gaps non-increasing over levels 1..4 and strictly smaller at 4")
 def fx_pi_truncations(shared):
     F = shared.setdefault("pi_plane", pi_plane())
     sweep = truncation_sweep(F, [1, 2, 3, 4], 100, window=50)
     gaps = sweep.gaps()
     non_increasing = all(a >= b for a, b in zip(gaps, gaps[1:]))
     progress = gaps[-1] < gaps[0]
-    return FixtureResult(
-        "pi-truncations", "level-i subfiltrations approach the parent limit",
-        "derived", False,
-        "fitted-estimate gaps non-increasing over levels 1..4 and strictly smaller at 4",
-        "gaps " + ", ".join(decimal_str(g, 4) for g in gaps),
-        non_increasing and progress)
+    return ("gaps " + ", ".join(decimal_str(g, 4) for g in gaps),
+            non_increasing and progress)
 
 
+@_fixture("pi-spread-max", "saturation-gap criterion and when it may be asserted",
+          "derived",
+          "irrational spec: criterion holds, assertion withheld; rational analogue (3,6): spread 2")
 def fx_pi_spread_max(shared):
     F = shared.setdefault("pi_plane", pi_plane())
     cert_pi = spread_max_test(F, 5)
@@ -232,91 +239,74 @@ def fx_pi_spread_max(shared):
           and cert_pi.witness_n == 1
           and cert36 is not None and cert36.asserted_spread == 2
           and cert36.representation == "rational-discrete-valued")
-    return FixtureResult(
-        "pi-spread-max", "saturation-gap criterion and when it may be asserted",
-        "derived", False,
-        "irrational spec: criterion holds, assertion withheld; rational analogue (3,6): spread 2",
-        f"pi: n={cert_pi.witness_n if cert_pi else None} asserted={cert_pi.asserted_spread if cert_pi else None}; "
-        f"rational: asserted={cert36.asserted_spread if cert36 else None}",
-        ok)
+    return (f"pi: n={cert_pi.witness_n if cert_pi else None} asserted={cert_pi.asserted_spread if cert_pi else None}; "
+            f"rational: asserted={cert36.asserted_spread if cert36 else None}", ok)
 
 
+@_fixture("ceilpi-epsilon", "line filtration (x^ceil(n pi)): saturation limit",
+          "literature", "converging within 0.5% of pi at N=500")
 def fx_ceilpi_epsilon(shared):
-    return _converging_to_pi(
-        "ceilpi-epsilon", "line filtration (x^ceil(n pi)): saturation limit",
-        shared.setdefault("pi_line", pi_line()), 1)
+    return _converging_to_pi(shared.setdefault("pi_line", pi_line()), 1)
 
 
+@_fixture("ceilpi-ac", "line filtration satisfies A(4) but not A(3)",
+          "literature", "A(4) holds up to 50; A(3) fails with a verifying witness")
 def fx_ceilpi_ac(shared):
     F = shared.setdefault("pi_line", pi_line())
     rep4 = check_Ac(F, 4, 50)
     rep3 = check_Ac(F, 3, 50)
     ok = rep4.holds and not rep3.holds and verify_ac_witness(F, rep3)
-    return FixtureResult(
-        "ceilpi-ac", "line filtration satisfies A(4) but not A(3)",
-        "literature", False,
-        "A(4) holds up to 50; A(3) fails with a verifying witness",
-        f"A(4) holds={rep4.holds}; A(3) holds={rep3.holds} witness n={rep3.witness_n}",
-        ok)
+    return (f"A(4) holds={rep4.holds}; A(3) holds={rep3.holds} witness n={rep3.witness_n}",
+            ok)
 
 
+@_fixture("ceilpi-spread-zero", "line filtration: nilpotency certificates",
+          "literature",
+          "generator certificates for all n <= 20 with adaptive r <= 2000, re-verified")
 def fx_ceilpi_spread_zero(shared):
     F = shared.setdefault("pi_line", pi_line())
     cert = spread_zero_test(F, 20, 10)
     if not isinstance(cert, ZeroSpreadCertificate):
-        return FixtureResult(
-            "ceilpi-spread-zero", "line filtration: nilpotency certificates",
-            "literature", False,
-            "generator certificates for all n <= 20 with adaptive r <= 2000",
-            f"not found at n={cert.n}", False)
+        return f"not found at n={cert.n}", False
     max_r = max(r for _, _, r in cert.entries)
     ok = max_r <= 2000 and verify_zero_certificate(F, cert)
-    return FixtureResult(
-        "ceilpi-spread-zero", "line filtration: nilpotency certificates",
-        "literature", False,
-        "generator certificates for all n <= 20 with adaptive r <= 2000, re-verified",
-        f"all found, max r = {max_r}",
-        ok)
+    return f"all found, max r = {max_r}", ok
 
 
+@_fixture("growth-square-lengths", "quadratic vs linear socle growth",
+          "literature", "normalized values exactly 2 and exactly 2/n for n <= 100")
 def fx_growth_lengths(shared):
     J, I = _template(shared, "n^2"), _template(shared, "n")
     normJ = sat_quotient_sequence(J, 100).normalized()
     normI = sat_quotient_sequence(I, 100).normalized()
     okJ = all(v == 2 for _, v in normJ)
     okI = all(v == Fraction(2, n) for n, v in normI)
-    return FixtureResult(
-        "growth-square-lengths", "quadratic vs linear socle growth",
-        "literature", False,
-        "normalized values exactly 2 and exactly 2/n for n <= 100",
-        f"quadratic family exact-2: {okJ}; linear family exact-2/n: {okI}",
-        okJ and okI)
+    return (f"quadratic family exact-2: {okJ}; linear family exact-2/n: {okI}",
+            okJ and okI)
 
 
+@_fixture("growth-square-diff", "additivity of limits across the inclusion",
+          "literature",
+          "residual of the three-term identity below 1/100 (exactly 0 here)")
 def fx_growth_diff(shared):
     J, I = _template(shared, "n^2"), _template(shared, "n")
     rep = epsilon_difference_check(J, I, 100, window=20)
     ok = rep.residual is not None and abs(rep.residual) < Fraction(1, 100)
-    return FixtureResult(
-        "growth-square-diff", "additivity of limits across the inclusion",
-        "literature", False,
-        "residual of the three-term identity below 1/100 (exactly 0 here)",
-        f"residual = {rep.residual}",
-        ok)
+    return f"residual = {rep.residual}", ok
 
 
+@_fixture("growth-square-closure", "the pair has equal Rees algebra closures",
+          "derived", "equal up to (N=20, r<=4) with every membership at r <= 2")
 def fx_growth_closure(shared):
     J, I = _template(shared, "n^2"), _template(shared, "n")
     verdict = rees_closure_compare(I, J, 20, 4)
     ok = verdict.outcome == "equal-up-to-bound" and verdict.max_r_used <= 2
-    return FixtureResult(
-        "growth-square-closure", "the pair has equal Rees algebra closures",
-        "derived", False,
-        "equal up to (N=20, r<=4) with every membership at r <= 2",
-        f"{verdict.outcome}, max r = {verdict.max_r_used}",
-        ok)
+    return f"{verdict.outcome}, max r = {verdict.max_r_used}", ok
 
 
+@_fixture("ac-grid", "the family (x^2, x y^(an)) satisfies A(c) iff c > a",
+          "literature",
+          "verdict equals (c > a) on all 15 cells, failures carry verified witnesses")
 def fx_ac_grid(shared):
     cells = []
     all_ok = True
@@ -324,57 +314,45 @@ def fx_ac_grid(shared):
         K = _template(shared, f"{a}*n")
         for c in range(1, 6):
             rep = check_Ac(K, c, 50)
-            expected = c > a
-            ok = rep.holds == expected
-            if not rep.holds:
-                ok = ok and verify_ac_witness(K, rep)
-            all_ok = all_ok and ok
+            all_ok = (all_ok and rep.holds == (c > a)
+                      and (rep.holds or verify_ac_witness(K, rep)))
             cells.append(f"a={a},c={c}:{'H' if rep.holds else 'F'}")
-    return FixtureResult(
-        "ac-grid", "the family (x^2, x y^(an)) satisfies A(c) iff c > a",
-        "literature", False,
-        "verdict equals (c > a) on all 15 cells, failures carry verified witnesses",
-        " ".join(cells),
-        all_ok)
+    return " ".join(cells), all_ok
 
 
+@_fixture("ac-ascent", "A(1) holds below but not above an inclusion",
+          "literature",
+          "powers of x*m^2 fail A(1) at n=1; powers of x^3 hold A(1) to 50")
 def fx_ac_ascent(shared):
     J, I = shared.setdefault("ascent", ascent_pair())
     repJ = check_Ac(J, 1, 10)
     repI = check_Ac(I, 1, 50)
     ok = (not repJ.holds and repJ.witness_n == 1 and verify_ac_witness(J, repJ)
           and repI.holds)
-    return FixtureResult(
-        "ac-ascent", "A(1) holds below but not above an inclusion",
-        "literature", False,
-        "powers of x*m^2 fail A(1) at n=1; powers of x^3 hold A(1) to 50",
-        f"outer witness n={repJ.witness_n}; inner holds={repI.holds}",
-        ok)
+    return f"outer witness n={repJ.witness_n}; inner holds={repI.holds}", ok
 
 
+@_fixture("tau-cubic", "cubic exponent growth diverges",
+          "literature", "classified diverging by N=60")
 def fx_tau_cubic(shared):
     rep = epsilon_report(_template(shared, "n^3"), 60, window=10)
-    return FixtureResult(
-        "tau-cubic", "cubic exponent growth diverges",
-        "literature", False,
-        "classified diverging by N=60",
-        rep.classification,
-        rep.classification == "diverging")
+    return rep.classification, rep.classification == "diverging"
 
 
+@_fixture("tau-ac-bound", "under A(c) the normalized sequence is O(c/n)",
+          "literature",
+          "A(3) holds for a=2 and normalized values are <= 6/n for n <= 50")
 def fx_tau_ac_bound(shared):
     K = _template(shared, "2*n")
     rep = check_Ac(K, 3, 50)
     norm = sat_quotient_sequence(K, 50).normalized()
     bounded = all(v <= Fraction(2 * 3, n) for n, v in norm)
-    return FixtureResult(
-        "tau-ac-bound", "under A(c) the normalized sequence is O(c/n)",
-        "literature", False,
-        "A(3) holds for a=2 and normalized values are <= 6/n for n <= 50",
-        f"A(3) holds={rep.holds}; bounded={bounded}",
-        rep.holds and bounded)
+    return f"A(3) holds={rep.holds}; bounded={bounded}", rep.holds and bounded
 
 
+@_fixture("staircase-lengths", "principal family vs its thickened subfamily",
+          "literature",
+          "saturation length exactly 1 for n <= 100; both limits < 10^-3; localizations at (x) identical")
 def fx_staircase_lengths(shared):
     I, J = shared.setdefault("staircase", staircase_pair())
     seqJ = sat_quotient_sequence(J, 100)
@@ -386,14 +364,13 @@ def fx_staircase_lengths(shared):
     loc_ok = all(
         I.localize([0]).ideal_at(n) == J.localize([0]).ideal_at(n)
         for n in range(1, 51))
-    return FixtureResult(
-        "staircase-lengths", "principal family vs its thickened subfamily",
-        "literature", False,
-        "saturation length exactly 1 for n <= 100; both limits < 10^-3; localizations at (x) identical",
-        f"lengths-1: {lengths_ok}; estimates small: {small}; localized equal: {loc_ok}",
-        lengths_ok and small and loc_ok)
+    return (f"lengths-1: {lengths_ok}; estimates small: {small}; localized equal: {loc_ok}",
+            lengths_ok and small and loc_ok)
 
 
+@_fixture("staircase-closure", "the pair has different Rees algebra closures",
+          "literature",
+          "separation at degree 1, monomial x, weight (1,1), certificate re-verified for r <= 100")
 def fx_staircase_closure(shared):
     I, J = shared.setdefault("staircase", staircase_pair())
     verdict = rees_closure_compare(I, J, 10, 6)
@@ -401,14 +378,13 @@ def fx_staircase_closure(shared):
           and verdict.monomial == (1, 0)
           and getattr(verdict.certificate, "weight", None) == (1, 1)
           and verify_separation_certificate(J, verdict.certificate, 100))
-    return FixtureResult(
-        "staircase-closure", "the pair has different Rees algebra closures",
-        "literature", False,
-        "separation at degree 1, monomial x, weight (1,1), certificate re-verified for r <= 100",
-        f"{verdict.outcome} at degree {verdict.degree}, monomial exp {verdict.monomial}",
-        ok)
+    return (f"{verdict.outcome} at degree {verdict.degree}, monomial exp {verdict.monomial}",
+            ok)
 
 
+@_fixture("es-line", "face-prime sum for powers of a coordinate line",
+          "derived",
+          "localized sum exactly 1; quotient multiplicities of (x^n) equal n for n <= 20")
 def fx_es_line(shared):
     P, _ = shared.setdefault("staircase", staircase_pair())
     rep = e_s_localized(P, N=40)
@@ -416,84 +392,47 @@ def fx_es_line(shared):
         samuel_of_quotient(MonomialIdeal(_PLANE, [(n, 0)])) == n
         for n in range(1, 21))
     ok = rep.value == 1 and rep.exact and ratios_ok
-    return FixtureResult(
-        "es-line", "face-prime sum for powers of a coordinate line",
-        "derived", False,
-        "localized sum exactly 1; quotient multiplicities of (x^n) equal n for n <= 20",
-        f"value={rep.value} exact={rep.exact}; ratios hold: {ratios_ok}",
-        ok)
+    return f"value={rep.value} exact={rep.exact}; ratios hold: {ratios_ok}", ok
 
 
+@_fixture("sigma-oscillation", "surrogate oscillating family has no limit",
+          "literature",
+          "oscillating; limsup estimate 1 = 2 * (limsup sigma(n)/n) for the surrogate "
+          "(the source text records 1/2 for its own exponent function; open question, reported only)",
+          surrogate=True)
 def fx_sigma_oscillation(shared):
     rep = epsilon_report(_template(shared, "n*sigma(n)"), 1024, window=256)
     ok = rep.classification == "oscillating" and rep.estimate == 1
-    return FixtureResult(
-        "sigma-oscillation", "surrogate oscillating family has no limit",
-        "literature", True,
-        "oscillating; limsup estimate 1 = 2 * (limsup sigma(n)/n) for the surrogate "
-        "(the source text records 1/2 for its own exponent function; open question, reported only)",
-        f"{rep.classification}, limsup estimate {rep.estimate}",
-        ok)
+    return f"{rep.classification}, limsup estimate {rep.estimate}", ok
 
 
+@_fixture("sigma-ac", "surrogate oscillating family fails every A(c)",
+          "literature", "A(c) fails within n <= 64 for c = 1..4, witnesses verified",
+          surrogate=True)
 def fx_sigma_ac(shared):
     H = _template(shared, "n*sigma(n)")
     failures = {c: check_Ac(H, c, 64) for c in (1, 2, 3, 4)}
     ok = all(not rep.holds and verify_ac_witness(H, rep)
              for rep in failures.values())
-    return FixtureResult(
-        "sigma-ac", "surrogate oscillating family fails every A(c)",
-        "literature", True,
-        "A(c) fails within n <= 64 for c = 1..4, witnesses verified",
-        "; ".join(f"c={c}: n={rep.witness_n}" for c, rep in failures.items()),
-        ok)
+    return "; ".join(f"c={c}: n={rep.witness_n}" for c, rep in failures.items()), ok
 
 
+@_fixture("sigma-closure", "surrogate family shares its closure with the linear family",
+          "literature", "equal up to (N=12, r<=4) with memberships at r <= 2",
+          surrogate=True)
 def fx_sigma_closure(shared):
     verdict = rees_closure_compare(
         _template(shared, "n*sigma(n)"), _template(shared, "n"), 12, 4)
     ok = verdict.outcome == "equal-up-to-bound" and verdict.max_r_used <= 2
-    return FixtureResult(
-        "sigma-closure", "surrogate family shares its closure with the linear family",
-        "literature", True,
-        "equal up to (N=12, r<=4) with memberships at r <= 2",
-        f"{verdict.outcome}, max r = {verdict.max_r_used}",
-        ok)
-
-
-# (id, runner); ids match the FixtureResult ids, which a test asserts
-_REGISTRY = [
-    ("pi-lengths", fx_pi_lengths),
-    ("pi-epsilon", fx_pi_epsilon),
-    ("pi-localized", fx_pi_localized),
-    ("pi-es", fx_pi_es),
-    ("pi-truncations", fx_pi_truncations),
-    ("pi-spread-max", fx_pi_spread_max),
-    ("ceilpi-epsilon", fx_ceilpi_epsilon),
-    ("ceilpi-ac", fx_ceilpi_ac),
-    ("ceilpi-spread-zero", fx_ceilpi_spread_zero),
-    ("growth-square-lengths", fx_growth_lengths),
-    ("growth-square-diff", fx_growth_diff),
-    ("growth-square-closure", fx_growth_closure),
-    ("ac-grid", fx_ac_grid),
-    ("ac-ascent", fx_ac_ascent),
-    ("tau-cubic", fx_tau_cubic),
-    ("tau-ac-bound", fx_tau_ac_bound),
-    ("staircase-lengths", fx_staircase_lengths),
-    ("staircase-closure", fx_staircase_closure),
-    ("es-line", fx_es_line),
-    ("sigma-oscillation", fx_sigma_oscillation),
-    ("sigma-ac", fx_sigma_ac),
-    ("sigma-closure", fx_sigma_closure),
-]
+    return f"{verdict.outcome}, max r = {verdict.max_r_used}", ok
 
 
 def fixture_ids():
-    return [fid for fid, _ in _REGISTRY]
+    return [decl[0] for decl, _ in _FIXTURES]
 
 
 def paper_examples(ids=None):
-    """Run the fixture corpus (optionally a subset by id) in registry order.
+    """Run the fixture corpus (optionally a subset by id) in declaration order.
 
     Fixtures share evaluated filtrations through a common cache keyed by
     family, so a full run reuses the expensive sequences, and a fixture run
@@ -503,7 +442,8 @@ def paper_examples(ids=None):
     if missing:
         raise ValueError(f"unknown fixture ids: {sorted(missing)}")
     shared: dict = {}
-    return [fn(shared) for fid, fn in _REGISTRY if not ids or fid in ids]
+    return [FixtureResult(*decl, *run(shared)) for decl, run in _FIXTURES
+            if not ids or decl[0] in ids]
 
 
 def format_fixture_table(results):

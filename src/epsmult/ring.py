@@ -45,8 +45,7 @@ own operations go through ``_from_points`` (minimalise trusted points),
 which end in the canonical constructor path.
 
 All values are immutable (the stack cache is filled at most once, and with
-the same value by any writer) and every operation is pure; the module is
-safe to share between concurrent workers without synchronization.
+the same value by any writer) and every operation is pure.
 """
 
 from __future__ import annotations

@@ -21,11 +21,8 @@ __all__ = [
     "monomial_obj",
     "parse_monomial",
     "format_generators",
-    "parse_generators",
     "ideal_to_obj",
-    "ideal_from_obj",
     "fraction_str",
-    "parse_fraction",
     "decimal_str",
     "length_str",
     "dump_json",
@@ -70,24 +67,8 @@ def format_generators(I: MonomialIdeal):
     return "[" + ", ".join(format_monomial(g, I.ctx.names) for g in I.gens) + "]"
 
 
-def parse_generators(text, ctx: RingContext):
-    """Parse ``[x^2, x*y^3]`` into a canonical monomial ideal."""
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ValueError(f"generator list must be bracketed: {text!r}")
-    inner = text[1:-1].strip()
-    if not inner:
-        return MonomialIdeal.zero(ctx)
-    gens = [parse_monomial(part, ctx) for part in inner.split(",")]
-    return MonomialIdeal(ctx, gens)
-
-
 def ideal_to_obj(I: MonomialIdeal):
     return [list(g) for g in I.gens]
-
-
-def ideal_from_obj(obj, ctx: RingContext):
-    return MonomialIdeal(ctx, [tuple(int(c) for c in g) for g in obj])
 
 
 def fraction_str(q):
@@ -95,10 +76,6 @@ def fraction_str(q):
         return ""
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def parse_fraction(text):
-    return Fraction(text)
 
 
 def decimal_str(q, places=12):

@@ -56,8 +56,7 @@ _PI_CACHE: dict[int, tuple[Fraction, Fraction]] = {}
 def _pi_brackets(digits):
     """Certified lo < pi < hi with hi - lo < 10^-digits (Machin's formula).
 
-    Results are cached per precision level; entries are idempotent, so the
-    cache is safe for concurrent readers.
+    Results are cached per precision level; entries are idempotent.
     """
     cached = _PI_CACHE.get(digits)
     if cached is not None:

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -345,12 +346,18 @@ def test_cli_paper_examples_unknown_id(capsys):
 
 
 def test_fixture_ids_consistent():
+    # each id is written once in fixtures.py, in its declaration, and a
+    # subset runs in declaration order whatever order it is asked in
+    from epsmult import fixtures
     from epsmult.fixtures import fixture_ids, paper_examples
 
-    results = paper_examples(["pi-spread-max", "tau-ac-bound", "es-line"])
+    results = paper_examples(["es-line", "pi-spread-max", "tau-ac-bound"])
     assert [r.fixture_id for r in results] == [
         "pi-spread-max", "tau-ac-bound", "es-line"]
     assert len(set(fixture_ids())) == len(fixture_ids())
+    tree = ast.parse(Path(fixtures.__file__).read_text())
+    literals = [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)]
+    assert all(literals.count(fid) == 1 for fid in fixture_ids())
 
 
 def test_cli_paper_examples_list(capsys):

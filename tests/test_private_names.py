@@ -41,3 +41,30 @@ def test_every_private_module_name_is_used():
                      if name.startswith("_") and not name.startswith("__")
                      and name not in used)
     assert not orphans, orphans
+
+
+def _imported(tree):
+    """(name, line) for every name an import binds, ``from __future__``
+    excepted."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_every_import_is_used():
+    """Each module reads every name it imports; ``__init__.py`` only
+    re-exports, so it is not scanned."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        unused += [f"{path.name}:{line}: {name}"
+                   for name, line in _imported(tree) if name not in read]
+    assert not unused, unused
