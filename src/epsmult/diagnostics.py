@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .filtration import DiscreteValuedFiltration, Filtration
+from .filtration import DiscreteValuedFiltration, Filtration, PowerFiltration
 from .ring import (
     MonomialIdeal,
     ideal_product,
@@ -131,9 +131,10 @@ def spread_max_test(F: Filtration, N):
     for n in range(1, N + 1):
         In = F.ideal_at(n)
         if saturate(In) != In:
-            if F.is_power:
+            if isinstance(F, PowerFiltration):
                 rep = "ideal-power"
-            elif F.is_rational_discrete_valued:
+            elif (isinstance(F, DiscreteValuedFiltration)
+                  and F.is_rational_discrete_valued):
                 rep = "rational-discrete-valued"
             else:
                 rep = "uncertified"

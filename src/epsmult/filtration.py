@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 from .ring import (
     MonomialIdeal,
@@ -30,7 +31,7 @@ from .ring import (
     ideal_sum,
     localize,
 )
-from .valuation import ExactScalar, ceil_mul
+from .valuation import ExactScalar, ceil_mul, parse_scalar
 
 __all__ = [
     "Filtration",
@@ -79,125 +80,51 @@ def sigma_surrogate(n):
 
 
 @dataclass(frozen=True)
-class AffineExpr:
-    """a*n + b with nonnegative integers a, b."""
+class Coordinate:
+    """One parsed template coordinate: its text, its value as a function of
+    n, and its exact affine form (a, b) with value a*n + b, or None where the
+    value is not affine in n."""
 
-    a: int
-    b: int
-
-    def eval(self, n, tau=None):
-        return self.a * n + self.b
-
-    def affine_form(self):
-        return (self.a, self.b)
-
-    def __str__(self):
-        if self.a == 0:
-            return str(self.b)
-        head = "n" if self.a == 1 else f"{self.a}*n"
-        return head if self.b == 0 else f"{head}+{self.b}"
+    text: str
+    eval: Callable[[int], int]
+    form: tuple[int, int] | None
 
 
-@dataclass(frozen=True)
-class PowerExpr:
-    """n^k for k in {2, 3}."""
-
-    k: int
-
-    def eval(self, n, tau=None):
-        return n**self.k
-
-    def affine_form(self):
-        return None
-
-    def __str__(self):
-        return f"n^{self.k}"
+_AFFINE_RE = re.compile(r"(\d+)|(?:(\d+)\*)?n(?:\+(\d+))?")
 
 
-@dataclass(frozen=True)
-class CeilExpr:
-    """ceil(scalar * n) for a positive exact scalar."""
-
-    scalar: ExactScalar
-
-    def eval(self, n, tau=None):
-        if n == 0:
-            return 0
-        return ceil_mul(self.scalar, n)
-
-    def affine_form(self):
-        # exact only when the multiplier is a positive integer
-        if self.scalar.is_rational and self.scalar.coeff.denominator == 1:
-            return (int(self.scalar.coeff), 0)
-        return None
-
-    def __str__(self):
-        return f"ceil({self.scalar}*n)"
-
-
-@dataclass(frozen=True)
-class TauExpr:
-    """Lookup in the filtration's tau table."""
-
-    def eval(self, n, tau=None):
-        if tau is None:
-            raise ValueError("tau(n) used without a tau table")
-        if n not in tau:
-            raise TableRangeError(f"tau table has no entry for n={n}")
-        return tau[n]
-
-    def affine_form(self):
-        return None
-
-    def __str__(self):
-        return "tau(n)"
-
-
-@dataclass(frozen=True)
-class SigmaExpr:
-    """sigma(n) or n*sigma(n) with the surrogate sigma."""
-
-    times_n: bool
-
-    def eval(self, n, tau=None):
-        s = sigma_surrogate(n)
-        return n * s if self.times_n else s
-
-    def affine_form(self):
-        return None
-
-    def __str__(self):
-        return "n*sigma(n)" if self.times_n else "sigma(n)"
-
-
-_EXPR_PATTERNS = [
-    (re.compile(r"^(\d+)$"), lambda m: AffineExpr(0, int(m.group(1)))),
-    (re.compile(r"^n$"), lambda m: AffineExpr(1, 0)),
-    (re.compile(r"^(\d+)\*n$"), lambda m: AffineExpr(int(m.group(1)), 0)),
-    (re.compile(r"^n\+(\d+)$"), lambda m: AffineExpr(1, int(m.group(1)))),
-    (re.compile(r"^(\d+)\*n\+(\d+)$"),
-     lambda m: AffineExpr(int(m.group(1)), int(m.group(2)))),
-    (re.compile(r"^n\^([23])$"), lambda m: PowerExpr(int(m.group(1)))),
-    (re.compile(r"^ceil\((.+)\*n\)$"), None),  # handled below
-    (re.compile(r"^sigma\(n\)$"), lambda m: SigmaExpr(False)),
-    (re.compile(r"^n\*sigma\(n\)$"), lambda m: SigmaExpr(True)),
-    (re.compile(r"^tau\(n\)$"), lambda m: TauExpr()),
-]
-
-
-def parse_expression(text):
+def parse_expression(text, tau=None):
     """Parse one coordinate expression of the deliberately small grammar:
     constants, n, a*n+b, n^2, n^3, ceil(scalar*n), sigma(n), n*sigma(n),
-    tau(n)."""
-    from .valuation import parse_scalar
-
+    tau(n).  ``tau(n)`` reads the table ``tau`` (n -> value), which must be
+    given; a level missing from it raises :class:`TableRangeError`."""
     s = text.replace(" ", "")
-    for pattern, build in _EXPR_PATTERNS:
-        m = pattern.match(s)
-        if m:
-            if build is None:
-                return CeilExpr(parse_scalar(m.group(1)))
-            return build(m)
+    if m := _AFFINE_RE.fullmatch(s):
+        const, a, b = m.groups()
+        a, b = (0, int(const)) if const is not None else (int(a or 1), int(b or 0))
+        return Coordinate(s, lambda n: a * n + b, (a, b))
+    if m := re.fullmatch(r"n\^([23])", s):
+        k = int(m.group(1))
+        return Coordinate(s, lambda n: n**k, None)
+    if m := re.fullmatch(r"ceil\((.+)\*n\)", s):
+        c = parse_scalar(m.group(1))
+        # exact only when the multiplier is a positive integer
+        form = (int(c.coeff), 0) if c.is_rational and c.coeff.denominator == 1 else None
+        return Coordinate(s, lambda n: ceil_mul(c, n), form)
+    if s == "sigma(n)":
+        return Coordinate(s, sigma_surrogate, None)
+    if s == "n*sigma(n)":
+        return Coordinate(s, lambda n: n * sigma_surrogate(n), None)
+    if s == "tau(n)":
+        if tau is None:
+            raise ValueError("tau(n) used without a tau table")
+
+        def lookup(n):
+            if n not in tau:
+                raise TableRangeError(f"tau table has no entry for n={n}")
+            return tau[n]
+
+        return Coordinate(s, lookup, None)
     raise ValueError(f"expression {text!r} is outside the template grammar")
 
 
@@ -214,7 +141,7 @@ class Filtration:
         self._cache: dict[int, MonomialIdeal] = {}
 
     def ideal_at(self, n) -> MonomialIdeal:
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError(f"filtration index must be an integer >= 0, got {n!r}")
         if n == 0:
             return MonomialIdeal.unit(self.ctx)
@@ -233,14 +160,6 @@ class Filtration:
     def truncate(self, level) -> "TruncationFiltration":
         return TruncationFiltration(self, level)
 
-    @property
-    def is_rational_discrete_valued(self):
-        return False
-
-    @property
-    def is_power(self):
-        return False
-
     def describe(self):
         return type(self).__name__
 
@@ -258,10 +177,6 @@ class PowerFiltration(Filtration):
         if n == 1:
             return self.base
         return ideal_product(self.ideal_at(n - 1), self.base)
-
-    @property
-    def is_power(self):
-        return True
 
     def describe(self):
         return f"powers of {self.base!r}"
@@ -303,32 +218,27 @@ class TemplateFiltration(Filtration):
 
     def __init__(self, ctx, generators, tau=None):
         super().__init__(ctx)
+        tau = None if tau is None else dict(tau)
         gens = []
         for g in generators:
             if len(g) != ctx.dim:
                 raise ValueError("template generator has wrong arity")
-            gens.append(tuple(parse_expression(str(e)) for e in g))
+            gens.append(tuple(parse_expression(str(e), tau) for e in g))
         if not gens:
             raise ValueError("need at least one generator template")
         self.generators = tuple(gens)
-        self.tau = dict(tau) if tau else None
 
     def _compute(self, n):
-        pts = [
-            tuple(coord.eval(n, self.tau) for coord in g)
-            for g in self.generators
-        ]
+        pts = [tuple(coord.eval(n) for coord in g) for g in self.generators]
         return MonomialIdeal(self.ctx, pts)
 
     def generator_affine_forms(self):
         """Per-generator tuples of (a, b) coordinate forms, or None entries
         where a coordinate is not affine in n."""
-        return tuple(
-            tuple(coord.affine_form() for coord in g)
-            for g in self.generators)
+        return tuple(tuple(coord.form for coord in g) for g in self.generators)
 
     def describe(self):
-        gens = ["(" + ", ".join(str(c) for c in g) + ")" for g in self.generators]
+        gens = ["(" + ", ".join(c.text for c in g) + ")" for g in self.generators]
         return "template: " + ", ".join(gens)
 
 
@@ -358,7 +268,7 @@ class TruncationFiltration(Filtration):
     via the dynamic program I[i]_n = sum_j ideal_product(I_j, I[i]_{n-j})."""
 
     def __init__(self, parent: Filtration, level):
-        if not isinstance(level, int) or level < 1:
+        if type(level) is not int or level < 1:
             raise ValueError(f"truncation level must be an integer >= 1, got {level!r}")
         super().__init__(parent.ctx)
         self.parent = parent

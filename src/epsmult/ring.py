@@ -94,7 +94,7 @@ class RingContext:
     names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if type(self.dim) is not int or self.dim < 1:
             raise ValueError(
                 f"ring dimension must be an integer >= 1, got {self.dim!r}")
         names = self.names
@@ -119,8 +119,8 @@ def _check_exponent(e, dim):
     if len(e) != dim:
         raise DimensionMismatchError(
             f"exponent {e} has length {len(e)}, expected {dim}")
-    if any(c < 0 for c in e):
-        raise ValueError(f"exponent {e} has a negative entry")
+    if any(type(c) is not int or c < 0 for c in e):
+        raise ValueError(f"exponent {e} must have nonnegative integer entries")
     return tuple(e)
 
 
@@ -331,7 +331,7 @@ def ideal_product(I, J):
 
 def ideal_power(I, n):
     """I^n by repeated product; I^0 is the unit ideal by convention."""
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise ValueError(f"I^n needs an integer n >= 0, got {n!r}")
     result = MonomialIdeal.unit(I.ctx)
     for _ in range(n):
@@ -341,7 +341,7 @@ def ideal_power(I, n):
 
 def maximal_power(ctx, k):
     """m^k = {x^a : a_1 + ... + a_d >= k} for an integer k >= 0."""
-    if not isinstance(k, int) or k < 0:
+    if type(k) is not int or k < 0:
         raise ValueError(f"m^k needs an integer k >= 0, got {k!r}")
     return _weight_ideal((((1,) * ctx.dim, k),), ctx)
 

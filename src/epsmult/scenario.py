@@ -60,6 +60,12 @@ def _integers(values, where):
     return [_integer(v, where) for v in values]
 
 
+def _known_keys(obj, allowed, where, what):
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ScenarioError(f"{where}: unknown keys {unknown} for {what}")
+
+
 def _parse_ideal(spec, ctx, where):
     """An ideal is a list of monomial strings or exponent arrays."""
     if not isinstance(spec, list):
@@ -75,17 +81,34 @@ def _parse_ideal(spec, ctx, where):
     return MonomialIdeal(ctx, gens)
 
 
+# filtration type -> the keys its block takes besides "type"
+_FILTRATION_KEYS = {
+    "power": ("base",),
+    "discrete_valued": ("valuations",),
+    "template": ("generators", "tau"),
+    "table": ("ideals",),
+    "truncation": ("parent", "level"),
+    "localized": ("parent", "variables"),
+}
+
+
 def _build_filtration(name, block, ctx, built):
     where = f"filtration {name!r}"
     if not isinstance(block, dict):
         raise ScenarioError(f"{where}: block must be an object")
     kind = _require(block, "type", where)
+    if not isinstance(kind, str) or kind not in _FILTRATION_KEYS:
+        raise ScenarioError(f"{where}: unknown filtration type {kind!r}")
+    _known_keys(block, ("type",) + _FILTRATION_KEYS[kind], where, f"a {kind} filtration")
     try:
         if kind == "power":
             return PowerFiltration(_parse_ideal(_require(block, "base", where), ctx, where))
         if kind == "discrete_valued":
             pairs = []
             for v in _require(block, "valuations", where):
+                if not isinstance(v, dict):
+                    raise ScenarioError(f"{where}: valuation must be an object")
+                _known_keys(v, ("weights", "multiplier"), where, "a valuation")
                 weights = _integers(_require(v, "weights", where), f"{where}: weights")
                 mult = parse_scalar(str(_require(v, "multiplier", where)))
                 pairs.append((MonomialValuation(tuple(weights)), mult))
@@ -116,21 +139,19 @@ def _build_filtration(name, block, ctx, built):
         if kind == "truncation":
             return parent.truncate(
                 _integer(_require(block, "level", where), f"{where}: level"))
-        if kind == "localized":
-            # the variables are those of the parent's ring, which is
-            # smaller than the scenario's if the parent is localized itself
-            names = parent.ctx.names
-            coords = []
-            for v in _require(block, "variables", where):
-                if v not in names:
-                    raise ScenarioError(f"{where}: unknown variable {v!r}")
-                coords.append(names.index(v))
-            return parent.localize(coords)
+        # localized: the variables are those of the parent's ring, which is
+        # smaller than the scenario's if the parent is localized itself
+        names = parent.ctx.names
+        coords = []
+        for v in _require(block, "variables", where):
+            if v not in names:
+                raise ScenarioError(f"{where}: unknown variable {v!r}")
+            coords.append(names.index(v))
+        return parent.localize(coords)
     except ScenarioError:
         raise
     except (ValueError, TypeError) as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
-    raise ScenarioError(f"{where}: unknown filtration type {kind!r}")
 
 
 class _EvalResult:
@@ -207,9 +228,7 @@ def _read_task(task, filtrations, label):
     if not isinstance(kind, str) or kind not in _TASKS:
         raise ScenarioError(f"{where}: unknown task kind {kind!r}")
     _, runner, params = _TASKS[kind]
-    unknown = sorted(set(task) - set(params) - {"task", "out", "format", "jobs"})
-    if unknown:
-        raise ScenarioError(f"{where}: unknown keys {unknown} for a {kind} task")
+    _known_keys(task, (*params, "task", "out", "format", "jobs"), where, f"a {kind} task")
     # ``jobs`` (from older files) is ignored, but must still be an integer
     _integer(task.get("jobs", 1), f"{where}: jobs")
     out, fmt = task.get("out"), task.get("format", "json")
@@ -263,10 +282,12 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"scenario {path}: cannot read ({exc})") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be an object")
+    _known_keys(doc, ("ring", "filtrations", "tasks"), "scenario", "the document")
     ring = _require(doc, "ring", "scenario")
     filtrations = _require(doc, "filtrations", "scenario")
     if not isinstance(ring, dict) or not isinstance(filtrations, dict):
         raise ScenarioError("ring and filtrations must be objects")
+    _known_keys(ring, ("dimension", "names"), "ring block", "the ring")
     dim = _integer(_require(ring, "dimension", "ring block"), "ring block: dimension")
     names = ring.get("names", [])
     if not isinstance(names, list):

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ring import MonomialIdeal, RingContext, _weight_ideal
+from .textio import fraction_str
 
 __all__ = [
     "ExactScalar",
@@ -109,9 +110,7 @@ class ExactScalar:
 
     def __str__(self):
         if self.is_rational:
-            from .textio import fraction_str
             return fraction_str(self.coeff)
-        from .textio import fraction_str
         return self.constant if self.coeff == 1 else f"{fraction_str(self.coeff)}*{self.constant}"
 
 
@@ -183,7 +182,7 @@ class MonomialValuation:
     def __post_init__(self):
         w = tuple(self.weights)
         object.__setattr__(self, "weights", w)
-        if any(not isinstance(c, int) or c < 0 for c in w):
+        if any(type(c) is not int or c < 0 for c in w):
             raise ValueError(f"weights must be nonnegative integers, got {w!r}")
         if not any(c > 0 for c in w):
             raise ValueError("at least one weight must be positive")
@@ -206,7 +205,7 @@ def valuation_ideal(v: MonomialValuation, n, ctx: RingContext):
     coordinates."""
     if ctx.dim != v.dim:
         raise ValueError("valuation and ring dimension differ")
-    if not isinstance(n, int):
+    if type(n) is not int:
         raise ValueError(f"valuation ideal levels are integers, got {n!r}")
     return _weight_ideal(((v.weights, n),), ctx)
 

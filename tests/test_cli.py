@@ -452,6 +452,45 @@ def test_unknown_task_key_is_an_error(tmp_path, capsys):
     assert main(["run", path]) == 0
 
 
+@pytest.mark.parametrize("change, where", [
+    (lambda d: d.update(taks=[]), "scenario"),
+    # a misspelt "names" used to be ignored, so x, y named the variables
+    (lambda d: d["ring"].update(nmes=["u", "v"]), "ring block"),
+    (lambda d: d["filtrations"]["line"].update(tau={}), "filtration 'line'"),
+    (lambda d: d["filtrations"]["stair"].update(level=2), "filtration 'stair'"),
+    (lambda d: d["filtrations"]["pi_tr2"].update(variables=["x"]),
+     "filtration 'pi_tr2'"),
+    (lambda d: d["filtrations"]["pi"]["valuations"][1].update(weight=[1, 1]),
+     "filtration 'pi'"),
+], ids=["document", "ring", "power", "template", "truncation", "valuation"])
+def test_unknown_block_key_is_an_error(tmp_path, capsys, change, where):
+    # every block rejects a key its kind does not take, as task blocks do
+    doc = json.loads(json.dumps(SCENARIO))
+    change(doc)
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioError, match=rf"^{where}: unknown keys \['"):
+        load_scenario(str(path))
+    assert main(["run", str(path)]) == 2
+    assert "unknown keys" in capsys.readouterr().err
+
+
+def test_tau_template_without_table_fails_before_any_task_runs(tmp_path, capsys):
+    # used to load, write task 1's output and only then exit 2 while
+    # evaluating the template
+    doc = dict(SCENARIO, filtrations=dict(SCENARIO["filtrations"], t={
+        "type": "template", "generators": [["2", "0"], ["1", "tau(n)"]]}))
+    doc["tasks"] = [{"task": "eval", "filtration": "pi", "n": 1, "out": "first.json"},
+                    {"task": "eval", "filtration": "t", "n": 1, "out": "second.json"}]
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioError, match="filtration 't': tau.n. used without a tau"):
+        load_scenario(str(path))
+    assert main(["run", str(path)]) == 2
+    assert "without a tau table" in capsys.readouterr().err
+    assert not (tmp_path / "first.json").exists()
+
+
 @pytest.mark.parametrize("bad", [
     {"task": "eval", "filtration": "pi", "n": "2"},
     {"task": "eval", "filtration": "pi", "n": 2, "format": "xml"},

@@ -151,13 +151,13 @@ def test_truncation_dp_matches_enumeration_property(case):
     assert F.truncate(i).ideal_at(n) == truncation_by_enumeration(F, i, n)
 
 
-@pytest.mark.parametrize("index", [2.5, 2.0, "1", -1, None])
+@pytest.mark.parametrize("index", [2.5, 2.0, "1", -1, None, True])
 def test_ideal_at_rejects_non_integer_index(index):
     with pytest.raises(ValueError):
         pi_plane().ideal_at(index)
 
 
-@pytest.mark.parametrize("level", [2.5, 2.0, "2", 0, None])
+@pytest.mark.parametrize("level", [2.5, 2.0, "2", 0, None, True])
 def test_truncate_rejects_non_integer_level(level):
     with pytest.raises(ValueError):
         pi_plane().truncate(level)
@@ -253,6 +253,13 @@ def test_template_tau_table():
     assert T.ideal_at(2).gens == ((2, 0), (1, 5))
     with pytest.raises(TableRangeError):
         T.ideal_at(3)
+    # without a table the template used to build and fail only when
+    # evaluated; an empty table is a table, so its levels are out of range
+    with pytest.raises(ValueError, match="without a tau table"):
+        TemplateFiltration(CTX2, [("2", "0"), ("1", "tau(n)")])
+    T = TemplateFiltration(CTX2, [("2", "0"), ("1", "tau(n)")], tau={})
+    with pytest.raises(TableRangeError):
+        T.ideal_at(1)
 
 
 def test_affine_forms():
@@ -262,3 +269,11 @@ def test_affine_forms():
     forms = S.generator_affine_forms()
     assert forms[0] == ((0, 2), (0, 0))
     assert forms[1][1] is None
+    # a form certifies an affine separation, so it must be exact: ceil(k*n)
+    # has one only for a positive integer k
+    expected = {"ceil(3*n)": (3, 0), "ceil(3/2*n)": None, "ceil(pi*n)": None,
+                "n^3": None, "sigma(n)": None, "n*sigma(n)": None,
+                "tau(n)": None, "5": (0, 5), "2*n+3": (2, 3)}
+    for text, form in expected.items():
+        U = TemplateFiltration(CTX2, [(text, "0")], tau={1: 1})
+        assert U.generator_affine_forms() == ((form, (0, 0)),), text

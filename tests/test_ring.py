@@ -107,7 +107,7 @@ def test_combine_examples():
 def test_maximal_power_rejects_negative_or_non_integer_exponents():
     # k = -1 used to give (x^-1) in one variable and the zero ideal in two
     for ctx in (RingContext(1), CTX2, CTX3):
-        for k in (-1, 2.5):
+        for k in (-1, 2.5, True):
             with pytest.raises(ValueError):
                 maximal_power(ctx, k)
 
@@ -328,15 +328,25 @@ def test_degenerate_values_are_canonical():
 def test_ideal_power_needs_an_integer_exponent():
     # 2.5 used to raise a bare TypeError from range(); maximal_power and
     # valuation_ideal raise ValueError for the same input
-    for n in (2.5, -1, "2"):
+    for n in (2.5, -1, "2", True):
         with pytest.raises(ValueError, match="integer n >= 0"):
             ideal_power(I2((1, 1)), n)
+
+
+def test_exponents_are_exact_integers():
+    # (1.5, 0) used to give an ideal of colength 3.0, True stood for 1, and
+    # contains answered False for (0.5, 3)
+    for gens in ([(1.5, 0), (0, 2)], [(True, 0)], [("1", 0)]):
+        with pytest.raises(ValueError, match="integer entries"):
+            MonomialIdeal(CTX2, gens)
+    with pytest.raises(ValueError, match="integer entries"):
+        I2((1, 0)).contains((0.5, 3))
 
 
 def test_ring_context_needs_an_integer_dimension():
     # 2.5 used to fail with a bare TypeError while naming the variables,
     # and 2.0 was accepted as a float dimension
-    for dim in (2.5, 2.0, "2", 0, -1, None):
+    for dim in (2.5, 2.0, "2", 0, -1, None, True):
         with pytest.raises(ValueError, match="integer >= 1"):
             RingContext(dim)
     assert RingContext(3).names == ("x", "y", "z")

@@ -145,14 +145,15 @@ def test_valuation_validation():
         MonomialValuation((-1, 2))
     assert MonomialValuation((1, 0)).center() == (0,)
     # a level is an integer: 2.5 used to give (x^2.0) in one variable and a
-    # bare TypeError in two
+    # bare TypeError in two, and True was read as 1
     for w in ((2,), (1, 1)):
-        with pytest.raises(ValueError):
-            valuation_ideal(MonomialValuation(w), 2.5, RingContext(len(w)))
+        for n in (2.5, True):
+            with pytest.raises(ValueError):
+                valuation_ideal(MonomialValuation(w), n, RingContext(len(w)))
 
 
 def test_valuation_weights_are_integers():
-    # (1.5, 0) used to become (1, 0) without a word
-    for w in ((1.5, 0), (1, Fraction(1, 2)), ("1", 0)):
+    # (1.5, 0) used to become (1, 0) without a word, and True was kept
+    for w in ((1.5, 0), (1, Fraction(1, 2)), ("1", 0), (True, 0)):
         with pytest.raises(ValueError, match="nonnegative integers"):
             MonomialValuation(w)
