@@ -87,24 +87,39 @@ class LengthSequence:
 
 
 def _fit_inverse_n(pairs):
-    """Exact least squares of v = eps + c * (1/n) over (n, v) pairs."""
+    """Exact least squares of v = eps + c * (1/n) over (n, v) pairs.
+
+    The sums run over two common denominators, N = lcm of the n and B = lcm
+    of the denominators of the v, so each is one integer:
+    X = sum N/n, XX = sum (N/n)^2, Y = sum B*v and XY = sum (N/n)*(B*v).
+    Then c = N*(m*XY - X*Y) / (B*(m*XX - X^2)) and
+    eps = (Y*XX - X*XY) / (B*(m*XX - X^2)), and only these two are
+    rationals."""
     m = len(pairs)
-    sx = sum(Fraction(1, n) for n, _ in pairs)
-    sxx = sum(Fraction(1, n * n) for n, _ in pairs)
-    sy = sum(v for _, v in pairs)
-    sxy = sum(Fraction(v, n) for n, v in pairs)
-    c = Fraction(m * sxy - sx * sy, m * sxx - sx * sx)
-    eps = (sy - c * sx) / m
-    return eps, c
+    N = math.lcm(*(n for n, _ in pairs))
+    B = math.lcm(*(v.denominator for _, v in pairs))
+    xs = [N // n for n, _ in pairs]
+    ys = [v.numerator * (B // v.denominator) for _, v in pairs]
+    X, Y = sum(xs), sum(ys)
+    XX = sum(x * x for x in xs)
+    XY = sum(x * y for x, y in zip(xs, ys))
+    den = B * (m * XX - X * X)
+    return Fraction(Y * XX - X * XY, den), Fraction(N * (m * XY - X * Y), den)
 
 
 def _window_fit(tail):
     """Fit v = eps + c/n over a trailing window of finite (n, v) pairs;
     return (eps, c, spread), where spread is the range of the corrected
-    values v - c/n (zero exactly when the window matches the model)."""
+    values v - c/n (zero exactly when the window matches the model).  The
+    corrected values are compared as numerators over the one denominator
+    B*N*c.denominator, with N and B as in the fit."""
     eps, c = _fit_inverse_n(tail)
-    corrected = [v - c * Fraction(1, n) for n, v in tail]
-    return eps, c, max(corrected) - min(corrected)
+    N = math.lcm(*(n for n, _ in tail))
+    B = math.lcm(*(v.denominator for _, v in tail))
+    p, q = c.numerator * B, N * c.denominator
+    corrected = [v.numerator * (B // v.denominator) * q - p * (N // n)
+                 for n, v in tail]
+    return eps, c, Fraction(max(corrected) - min(corrected), B * q)
 
 
 @dataclass(frozen=True)
@@ -167,7 +182,11 @@ def _secants(normalized, window):
             out.append(None)
             continue
         n0, v0 = normalized[j]
-        out.append(Fraction(n * v - n0 * v0, n - n0))
+        # (n*v - n0*v0) / (n - n0) over the common denominator of v and v0
+        L = math.lcm(v.denominator, v0.denominator)
+        out.append(Fraction(n * v.numerator * (L // v.denominator)
+                            - n0 * v0.numerator * (L // v0.denominator),
+                            (n - n0) * L))
     return tuple(out)
 
 

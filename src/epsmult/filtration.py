@@ -219,6 +219,9 @@ class TemplateFiltration(Filtration):
     def __init__(self, ctx, generators, tau=None):
         super().__init__(ctx)
         tau = None if tau is None else dict(tau)
+        for n, v in (tau or {}).items():
+            if type(v) is not int or v < 0:
+                raise ValueError(f"tau values are integers >= 0, got tau({n}) = {v!r}")
         gens = []
         for g in generators:
             if len(g) != ctx.dim:

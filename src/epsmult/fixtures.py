@@ -102,7 +102,10 @@ def pi_plane():
 
 def pi_line():
     """The line filtration I_n = (x^ceil(n pi)) in one variable: limit pi,
-    A(4) but not A(3), and zero-spread certificates."""
+    A(4) but not A(3), and zero-spread certificates.  Its multiplier pi is
+    irrational, so it is not Q-divisorial and lies outside the positivity
+    theorem (epsilon > 0 iff the analytic spread is d), which the paper
+    proves for Q-divisorial filtrations."""
     return DiscreteValuedFiltration(RingContext(1), [
         (MonomialValuation((1,)), ExactScalar(1, "pi")),
     ])

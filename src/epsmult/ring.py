@@ -51,8 +51,8 @@ the same value by any writer) and every operation is pure.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import itemgetter
 
 __all__ = [
@@ -437,9 +437,12 @@ def _weight_sat_length(cuts):
         r = n - w0 * A0 - w1 * B0
         if w0 and w1 and r > 0:
             lines.append((w0, w1, r))
-    # the leader is a highest line at column s; equal lines give equal
-    # columns, so which of them leads does not change the count
-    w0, w1, r = max(lines, key=lambda l: Fraction(l[2], l[1]))
+    # heights t = h/w1 compare as integers h*(L//w1) over the common
+    # denominator L of the lines' w1; the leader is a highest line at column
+    # s, and equal lines give equal columns, so which of them leads does
+    # not change the count
+    L = math.lcm(*(l[1] for l in lines))
+    w0, w1, r = max(lines, key=lambda l: l[2] * (L // l[1]))
     total = s = 0
     while w0:
         # the first column at which a less steep line reaches the leader
@@ -450,7 +453,7 @@ def _weight_sat_length(cuts):
             det = w0 * v1 - v0 * w1
             if det > 0:
                 cross = -((q * w1 - r * v1) // det)
-                steps.append((cross, -Fraction(q - v0 * cross, v1), (v0, v1, q)))
+                steps.append((cross, (v0 * cross - q) * (L // v1), (v0, v1, q)))
         cross, _, line = min(steps)
         # columns s..cross-1 of the leader: ceil((r - w0*i)/w1)
         total += _floor_sum(cross - s, w1, -w0, r - w0 * s + w1 - 1)

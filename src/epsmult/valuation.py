@@ -134,17 +134,21 @@ def ceil_mul(a: ExactScalar, n, max_digits=300):
 
     For interval constants the bracket is refined until both endpoints have
     the same round-up, which also certifies n*a is not an integer; if the
-    budget runs out a :class:`CertificationError` is raised.
+    budget runs out a :class:`CertificationError` is raised.  With a = p/q
+    times the constant, the round-up of the endpoint n*p*lo/q is one
+    integer floor division of n*p*lo.numerator by q*lo.denominator, so no
+    rational is formed or normalised.
     """
     if n <= 0:
         raise ValueError("n must be a positive integer")
     if a.is_rational:
         return math.ceil(a.coeff * n)
+    pn, q = a.coeff.numerator * n, a.coeff.denominator
     digits = 16
     while digits <= max_digits:
-        lo, hi = a.brackets(digits)
-        clo = math.ceil(lo * n)
-        chi = math.ceil(hi * n)
+        lo, hi = _CONSTANTS[a.constant](digits)
+        clo = -(-pn * lo.numerator // (q * lo.denominator))
+        chi = -(-pn * hi.numerator // (q * hi.denominator))
         if clo == chi:
             return clo
         digits *= 2
@@ -154,16 +158,19 @@ def ceil_mul(a: ExactScalar, n, max_digits=300):
 
 def ceil_defect_lower_bound(a: ExactScalar, n, max_digits=300):
     """Certified positive rational lower bound of ceil(n*a) - n*a for an
-    irrational scalar (used to size nilpotency searches)."""
+    irrational scalar (used to size nilpotency searches): c - n*p*hi/q over
+    the denominator q*hi.denominator, for a = p/q times the constant."""
     if a.is_rational:
         raise ValueError("defect bound is for irrational scalars")
     c = ceil_mul(a, n, max_digits)
+    pn, q = a.coeff.numerator * n, a.coeff.denominator
     digits = 16
     while digits <= max_digits:
-        _, hi = a.brackets(digits)
-        bound = c - hi * n
+        _, hi = _CONSTANTS[a.constant](digits)
+        den = q * hi.denominator
+        bound = c * den - pn * hi.numerator
         if bound > 0:
-            return bound
+            return Fraction(bound, den)
         digits *= 2
     raise CertificationError(
         f"could not certify the ceiling defect at n={n} within {max_digits} digits")

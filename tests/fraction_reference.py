@@ -1,0 +1,107 @@
+"""Fraction-arithmetic references: the exact-rational versions of certified
+ceilings, the d=2 saturation-length envelope and the window fit that the
+integer paths of ``epsmult.valuation``, ``epsmult.ring`` and
+``epsmult.asymptotics`` replaced, kept as test oracles.
+
+Each one forms and normalises a ``Fraction`` per term, as the library did
+before its sums moved to common denominators; the values are the same exact
+rationals, so the fast paths must agree with these exactly, errors included.
+"""
+
+import math
+from fractions import Fraction
+
+from epsmult.ring import _floor_sum
+from epsmult.valuation import CertificationError
+
+
+def ref_ceil_mul(a, n, max_digits=300):
+    """ceil(n*a) from the scaled Fraction brackets of ``a``."""
+    if n <= 0:
+        raise ValueError("n must be a positive integer")
+    if a.is_rational:
+        return math.ceil(a.coeff * n)
+    digits = 16
+    while digits <= max_digits:
+        lo, hi = a.brackets(digits)
+        clo = math.ceil(lo * n)
+        chi = math.ceil(hi * n)
+        if clo == chi:
+            return clo
+        digits *= 2
+    raise CertificationError(
+        f"could not certify ceil({n} * {a}) within {max_digits} digits")
+
+
+def ref_ceil_defect_lower_bound(a, n, max_digits=300):
+    """ceil(n*a) - n*hi for the first bracket hi that makes it positive."""
+    if a.is_rational:
+        raise ValueError("defect bound is for irrational scalars")
+    c = ref_ceil_mul(a, n, max_digits)
+    digits = 16
+    while digits <= max_digits:
+        _, hi = a.brackets(digits)
+        bound = c - hi * n
+        if bound > 0:
+            return bound
+        digits *= 2
+    raise CertificationError(
+        f"could not certify the ceiling defect at n={n} within {max_digits} digits")
+
+
+def ref_weight_sat_length(cuts):
+    """lambda(sat(I)/I) for the d=2 weight cuts, choosing the envelope's
+    leading line and each takeover by ``Fraction`` heights."""
+    cuts = [(w, n) for w, n in cuts if n > 0]
+    A0 = max((-(-n // w[0]) for w, n in cuts if not w[1]), default=0)
+    B0 = max((-(-n // w[1]) for w, n in cuts if not w[0]), default=0)
+    lines = [(0, 1, 0)]
+    for (w0, w1), n in cuts:
+        r = n - w0 * A0 - w1 * B0
+        if w0 and w1 and r > 0:
+            lines.append((w0, w1, r))
+    w0, w1, r = max(lines, key=lambda l: Fraction(l[2], l[1]))
+    total = s = 0
+    while w0:
+        steps = []
+        for v0, v1, q in lines:
+            det = w0 * v1 - v0 * w1
+            if det > 0:
+                cross = -((q * w1 - r * v1) // det)
+                steps.append((cross, -Fraction(q - v0 * cross, v1), (v0, v1, q)))
+        cross, _, line = min(steps)
+        total += _floor_sum(cross - s, w1, -w0, r - w0 * s + w1 - 1)
+        (w0, w1, r), s = line, cross
+    return total
+
+
+def ref_fit_inverse_n(pairs):
+    """Least squares of v = eps + c/n, one Fraction per term."""
+    m = len(pairs)
+    sx = sum(Fraction(1, n) for n, _ in pairs)
+    sxx = sum(Fraction(1, n * n) for n, _ in pairs)
+    sy = sum(v for _, v in pairs)
+    sxy = sum(Fraction(v, n) for n, v in pairs)
+    c = Fraction(m * sxy - sx * sy, m * sxx - sx * sx)
+    eps = (sy - c * sx) / m
+    return eps, c
+
+
+def ref_window_fit(tail):
+    """(eps, c, range of v - c/n) over a finite window."""
+    eps, c = ref_fit_inverse_n(tail)
+    corrected = [v - c * Fraction(1, n) for n, v in tail]
+    return eps, c, max(corrected) - min(corrected)
+
+
+def ref_secants(normalized, window):
+    """(n*v - n0*v0) / (n - n0) against the entry ``window`` places back."""
+    out = []
+    for i, (n, v) in enumerate(normalized):
+        j = i - window
+        if j < 0 or v is None or normalized[j][1] is None:
+            out.append(None)
+            continue
+        n0, v0 = normalized[j]
+        out.append(Fraction(n * v - n0 * v0, n - n0))
+    return tuple(out)

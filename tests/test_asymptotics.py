@@ -2,12 +2,16 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from epsmult.asymptotics import (
     LengthSequence,
     LocalizedSequenceError,
     _fit_inverse_n,
+    _secants,
     _sequence_report,
+    _window_fit,
     e_s_localized,
     epsilon_difference_check,
     epsilon_report,
@@ -30,6 +34,7 @@ from epsmult.ring import (
     maximal_power,
 )
 from epsmult.valuation import ExactScalar, ceil_mul
+from fraction_reference import ref_fit_inverse_n, ref_secants, ref_window_fit
 
 CTX2 = RingContext(2)
 PI = ExactScalar(1, "pi")
@@ -133,6 +138,35 @@ def test_fit_inverse_n_exact():
     pairs = [(n, Fraction(5) + Fraction(3, n)) for n in range(7, 30)]
     eps, c = _fit_inverse_n(pairs)
     assert eps == 5 and c == 3
+
+
+@st.composite
+def length_sequences(draw):
+    """(sequence, window): d = 1..3, a window of 2..30, at least twice as
+    many entries, lengths up to 10^6 and a few infinite entries anywhere."""
+    d = draw(st.integers(1, 3))
+    window = draw(st.integers(2, 30))
+    N = draw(st.integers(2 * window, 2 * window + 12))
+    lams = draw(st.lists(st.integers(0, 10**6), min_size=N, max_size=N))
+    for i in draw(st.sets(st.integers(0, N - 1), max_size=3)):
+        lams[i] = None
+    return _seq(d, lams), window
+
+
+@settings(max_examples=100)
+@given(length_sequences())
+@example((_seq(2, [3 * n * n + 7 * n for n in range(1, 41)]), 10))
+@example((_seq(1, [None] + list(range(1, 8))), 2))
+def test_window_sums_match_fraction_reference(case):
+    seq, window = case
+    norm = seq.normalized()
+    assert _secants(norm, window) == ref_secants(norm, window)
+    # every finite window of consecutive entries, not only the trailing one
+    for i in range(len(norm) - window + 1):
+        tail = norm[i:i + window]
+        if all(v is not None for _, v in tail):
+            assert _fit_inverse_n(tail) == ref_fit_inverse_n(tail)
+            assert _window_fit(tail) == ref_window_fit(tail)
 
 
 def test_window_validation():

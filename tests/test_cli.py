@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -475,20 +476,36 @@ def test_unknown_block_key_is_an_error(tmp_path, capsys, change, where):
     assert "unknown keys" in capsys.readouterr().err
 
 
-def test_tau_template_without_table_fails_before_any_task_runs(tmp_path, capsys):
-    # used to load, write task 1's output and only then exit 2 while
-    # evaluating the template
-    doc = dict(SCENARIO, filtrations=dict(SCENARIO["filtrations"], t={
-        "type": "template", "generators": [["2", "0"], ["1", "tau(n)"]]}))
+def _template_fails_before_any_task_runs(tmp_path, capsys, template, message):
+    """A scenario whose task 1 evaluates ``pi`` and task 2 the template ``t``
+    fails to load with ``message`` and exits 2 before task 1 writes."""
+    doc = dict(SCENARIO, filtrations=dict(SCENARIO["filtrations"], t=template))
     doc["tasks"] = [{"task": "eval", "filtration": "pi", "n": 1, "out": "first.json"},
                     {"task": "eval", "filtration": "t", "n": 1, "out": "second.json"}]
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ScenarioError, match="filtration 't': tau.n. used without a tau"):
+    with pytest.raises(ScenarioError, match=message):
         load_scenario(str(path))
     assert main(["run", str(path)]) == 2
-    assert "without a tau table" in capsys.readouterr().err
+    assert re.search(message, capsys.readouterr().err)
     assert not (tmp_path / "first.json").exists()
+
+
+def test_tau_template_without_table_fails_before_any_task_runs(tmp_path, capsys):
+    # used to load, write task 1's output and only then exit 2 while
+    # evaluating the template
+    _template_fails_before_any_task_runs(tmp_path, capsys, {
+        "type": "template", "generators": [["2", "0"], ["1", "tau(n)"]]},
+        "filtration 't': tau.n. used without a tau")
+
+
+def test_negative_tau_value_fails_before_any_task_runs(tmp_path, capsys):
+    # used to load, write task 1's output and only then exit 2 when the
+    # level with the negative exponent was built
+    _template_fails_before_any_task_runs(tmp_path, capsys, {
+        "type": "template", "generators": [["2", "0"], ["1", "tau(n)"]],
+        "tau": {"1": -1}},
+        r"filtration 't': tau values are integers >= 0, got tau\(1\) = -1")
 
 
 @pytest.mark.parametrize("bad", [

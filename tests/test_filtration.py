@@ -144,7 +144,7 @@ def truncation_cases(draw):
     return F, draw(st.integers(1, 3)), draw(st.integers(1, 6 if d == 2 else 5))
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@settings(max_examples=60)
 @given(truncation_cases())
 def test_truncation_dp_matches_enumeration_property(case):
     F, i, n = case
@@ -260,6 +260,12 @@ def test_template_tau_table():
     T = TemplateFiltration(CTX2, [("2", "0"), ("1", "tau(n)")], tau={})
     with pytest.raises(TableRangeError):
         T.ideal_at(1)
+    # a table value is an exponent, checked when the template is built
+    for bad in (-1, True, 1.0, "2", None):
+        with pytest.raises(ValueError, match="tau values are integers >= 0"):
+            TemplateFiltration(CTX2, [("2", "0"), ("1", "tau(n)")], tau={1: 1, 2: bad})
+    assert TemplateFiltration(CTX2, [("2", "0"), ("1", "tau(n)")],
+                              tau={1: 0}).ideal_at(1).gens == ((1, 0),)
 
 
 def test_affine_forms():

@@ -48,6 +48,7 @@ from epsmult.ring import (
     saturate,
 )
 from epsmult.valuation import MonomialValuation, valuation_ideal
+from fraction_reference import ref_weight_sat_length
 from ring_reference import (
     oracle_np_member,
     ref_contains_ideal,
@@ -70,9 +71,8 @@ from ring_reference import (
 CTXS = {d: RingContext(d) for d in (1, 2, 3, 4)}
 CTX2 = CTXS[2]
 
-# deterministic examples, so that every run checks the same ideals
-PROPERTY = settings(derandomize=True, deadline=None, database=None,
-                    max_examples=150)
+# the shared profile (tests/conftest.py) makes every run check the same ideals
+PROPERTY = settings(max_examples=150)
 # the tests that draw from four dimensions draw twice as many examples
 PROPERTY_ANY_DIM = settings(PROPERTY, max_examples=300)
 
@@ -232,6 +232,33 @@ def test_weight_sat_length_matches_staircase(cuts):
     # the count from the cuts against building, saturating and measuring
     I = _weight_ideal(cuts, CTX2)
     assert _weight_sat_length(cuts) == quotient_length(saturate(I), I)
+
+
+@st.composite
+def tied_plane_cuts(draw):
+    """d=2 cuts whose m-primary lines all pass through one lattice point of
+    the quadrant above the corner, so several lines tie at a crossing, and
+    sometimes one more cut anywhere."""
+    A0, B0 = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    cuts = [((1, 0), A0), ((0, 1), B0)]
+    s, t = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    for w0, w1 in draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                                min_size=2, max_size=4)):
+        cuts.append(((w0, w1), w0 * (s + A0) + w1 * (t + B0)))
+    return cuts + draw(st.lists(plane_cuts.map(lambda c: c[0]), max_size=1))
+
+
+@settings(max_examples=300)
+@given(st.one_of(tied_plane_cuts(), plane_cuts))
+@example([((1, 1), 6), ((2, 1), 9), ((1, 3), 12)])  # crossings at integers
+@example([((1, 1), 4), ((2, 1), 6), ((1, 2), 6), ((3, 1), 8)])  # all meet at (2, 2)
+@example([((0, 1), 1), ((1, 2), 8), ((2, 3), 13), ((3, 1), 9)])  # at (2, 2) over the corner
+def test_weight_sat_length_matches_fraction_reference(cuts):
+    # the integer envelope choice against the Fraction-keyed one, and both
+    # against the staircase
+    I = _weight_ideal(cuts, CTX2)
+    assert _weight_sat_length(cuts) == ref_weight_sat_length(cuts) == quotient_length(
+        saturate(I), I)
 
 
 @PROPERTY
@@ -454,7 +481,7 @@ def test_facets_cut_out_reference_polyhedron(I):
             sum(a * b for a, b in zip(w, p)) >= rhs for w, rhs in reference), p
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@settings(max_examples=80)
 @given(polyhedra)
 def test_integral_closure_matches_box_enumeration(I):
     assert integral_closure(I) == ref_integral_closure(I)
@@ -471,7 +498,7 @@ def primary_ideals(ctx, max_exp):
         lambda t: MonomialIdeal(ctx, t[0] + t[1]))
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@settings(max_examples=60)
 @given(st.one_of(primary_ideals(CTX2, 6), primary_ideals(CTXS[3], 3)))
 def test_ideal_multiplicity_matches_stabilized_difference(I):
     assert ideal_multiplicity(I) == ref_ideal_multiplicity(I)
@@ -501,7 +528,7 @@ certified = st.one_of(
         PowerFiltration))
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@settings(max_examples=80)
 @given(certified, st.integers(1, 2))
 def test_separation_certificates_recheck(F, m):
     for a in product(range(5), repeat=F.ctx.dim):

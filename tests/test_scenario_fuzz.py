@@ -87,7 +87,7 @@ def test_base_scenario_runs(tmp_path):
     assert out.getvalue()
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=150,
+@settings(max_examples=150,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(path=st.sampled_from(PATHS),
        action=st.sampled_from(["set", "delete", "add"]), value=VALUES)

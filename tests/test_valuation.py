@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from epsmult.ring import MonomialIdeal, RingContext, ideal_product
 from epsmult.valuation import (
@@ -14,6 +16,7 @@ from epsmult.valuation import (
     valuation_ideal,
     valuation_of_ideal,
 )
+from fraction_reference import ref_ceil_defect_lower_bound, ref_ceil_mul
 
 CTX2 = RingContext(2)
 
@@ -87,6 +90,46 @@ def test_ceil_defect_lower_bound():
         lo, hi = pi.brackets(60)
         c = ceil_mul(pi, n)
         assert d <= c - n * lo
+
+
+def _outcome(f, *args):
+    """f's value, or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except (ArithmeticError, ValueError) as err:
+        return type(err), str(err)
+
+
+# denominators of continued-fraction convergents of pi: k*pi lies within
+# about 1/k' of an integer, k' the next denominator.  From 4738167652 on
+# that is closer than k times the width of the 16-digit bracket, so
+# ceil(k*pi) needs 32 digits.
+PI_CONVERGENT_DENOMINATORS = (1, 7, 106, 113, 33102, 33215, 66317, 99532,
+                              265381, 364913, 1360120, 1725033, 25510582,
+                              52746197, 78256779, 131002976, 340262731,
+                              811528438)
+NEAR_INTEGER_MULTIPLES = (4738167652, 6701487259, 567663097408, 1142027682075)
+
+
+@settings(max_examples=400)
+@given(st.one_of(st.integers(1, 40), st.sampled_from(NEAR_INTEGER_MULTIPLES)),
+       st.integers(1, 40),
+       st.one_of(st.integers(1, 10**9),
+                 st.sampled_from(PI_CONVERGENT_DENOMINATORS)),
+       st.sampled_from((1, 15, 16, 20, 31, 32, 64, 100, 300)))
+@example(1, 1, 113, 1)
+@example(4738167652, 1, 1, 16)  # the 16-digit bracket straddles an integer
+@example(4738167652, 3, 1, 32)
+@example(3, 2, 99532, 300)
+def test_ceil_mul_matches_fraction_reference(p, q, k, max_digits):
+    # at n = q*k, n*a is p*k*pi: a convergent's near-integer when p or k is
+    # one of the denominators above
+    a = ExactScalar(Fraction(p, q), "pi")
+    for n in {k, min(q * k, 10**9)}:
+        assert _outcome(ceil_mul, a, n, max_digits) == _outcome(
+            ref_ceil_mul, a, n, max_digits)
+        assert _outcome(ceil_defect_lower_bound, a, n, max_digits) == _outcome(
+            ref_ceil_defect_lower_bound, a, n, max_digits)
 
 
 def test_valuation_ideal_examples():
