@@ -139,8 +139,8 @@ def ceil_mul(a: ExactScalar, n, max_digits=300):
     integer floor division of n*p*lo.numerator by q*lo.denominator, so no
     rational is formed or normalised.
     """
-    if n <= 0:
-        raise ValueError("n must be a positive integer")
+    if type(n) is not int or n <= 0:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
     if a.is_rational:
         return math.ceil(a.coeff * n)
     pn, q = a.coeff.numerator * n, a.coeff.denominator

@@ -44,6 +44,17 @@ def test_ceil_mul_rational_closed_form():
     assert ceil_mul(parse_scalar("2"), 5) == 10
 
 
+def test_ceil_mul_needs_a_positive_integer():
+    # a float or bool n used to be multiplied through, so 2.5 gave 8
+    for a in (parse_scalar("pi"), parse_scalar("3/2")):
+        for n in (2.5, 3.0, True, 0, -1, "2"):
+            with pytest.raises(ValueError, match="n must be a positive integer"):
+                ceil_mul(a, n)
+            if not a.is_rational:
+                with pytest.raises(ValueError, match="n must be a positive integer"):
+                    ceil_defect_lower_bound(a, n)
+
+
 def test_ceil_mul_pi_against_mpmath_oracle():
     # independent certified oracle: 50-digit interval from mpmath
     import mpmath
