@@ -248,22 +248,24 @@ def tied_plane_cuts(draw):
     return cuts + draw(st.lists(plane_cuts.map(lambda c: c[0]), max_size=1))
 
 
-# m-primary lines only, whose different w1 give heights with different
-# fractional parts
-primary_plane_cuts = st.lists(
-    st.tuples(st.tuples(st.integers(1, 6), st.integers(1, 6)), st.integers(1, 60)),
-    min_size=2, max_size=4)
+# one steep m-primary line and two or three less steep ones with w1 >= 2:
+# lines with different w1 often first reach the steep leader at the same
+# column at different heights, and only the higher may take over
+steep_plane_cuts = st.tuples(
+    st.tuples(st.tuples(st.integers(3, 6), st.just(1)), st.integers(5, 40)),
+    st.lists(st.tuples(st.tuples(st.integers(1, 5), st.integers(2, 6)),
+                       st.integers(5, 60)), min_size=2, max_size=3),
+).map(lambda t: [t[0]] + t[1])
 
 
 @settings(max_examples=600)
-@given(st.one_of(tied_plane_cuts(), primary_plane_cuts, plane_cuts))
+@given(st.one_of(tied_plane_cuts(), steep_plane_cuts, plane_cuts))
 @example([((1, 1), 6), ((2, 1), 9), ((1, 3), 12)])  # crossings at integers
-# two lines with different w1 first reach the leader at the same column,
-# and the higher of them there must take over (heights 12 and 10, 10 and 7)
+# two such lines (heights 12 and 10, 10 and 7)
 @example([((6, 1), 22), ((5, 4), 58), ((1, 5), 52)])
 @example([((6, 1), 24), ((1, 6), 45), ((1, 2), 23)])
 @example([((1, 1), 4), ((2, 1), 6), ((1, 2), 6), ((3, 1), 8)])  # all meet at (2, 2)
-@example([((0, 1), 1), ((1, 2), 8), ((2, 3), 13), ((3, 1), 9)])  # at (2, 2) over the corner
+@example([((0, 1), 1), ((1, 2), 8), ((2, 3), 13), ((3, 1), 9)])  # (2, 2) above the corner
 def test_weight_sat_length_matches_fraction_reference(cuts):
     # the integer envelope choice against the Fraction-keyed one, and both
     # against the staircase
