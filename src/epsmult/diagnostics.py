@@ -21,7 +21,6 @@ degree), which forces the fiber cone to be zero dimensional.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .filtration import DiscreteValuedFiltration, Filtration, PowerFiltration
 from .ring import (
@@ -261,25 +260,26 @@ def verify_zero_certificate(F: Filtration, cert: ZeroSpreadCertificate) -> bool:
 
 
 def _rational_rank(rows):
-    """Exact rank of an integer matrix by fraction-free style elimination."""
-    mat = [[Fraction(c) for c in row] for row in rows]
-    rank = 0
+    """Exact rank of an integer matrix by Bareiss elimination: each entry
+    stays an integer (a minor of the input), and the loop stops once the
+    rank reaches the row or the column count."""
+    mat = [list(row) for row in rows]
     cols = len(mat[0]) if mat else 0
-    row = 0
+    rank, prev = 0, 1
     for col in range(cols):
-        pivot = next((r for r in range(row, len(mat)) if mat[r][col] != 0), None)
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if pivot is None:
             continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        pv = mat[row][col]
-        for r in range(row + 1, len(mat)):
-            if mat[r][col] != 0:
-                factor = mat[r][col] / pv
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
-        row += 1
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
         rank += 1
-        if row == len(mat):
+        if rank == len(mat) or rank == cols:
             break
+        top = mat[rank - 1]
+        pv = top[col]
+        for r in range(rank, len(mat)):
+            f = mat[r][col]
+            mat[r] = [(pv * x - f * y) // prev for x, y in zip(mat[r], top)]
+        prev = pv
     return rank
 
 

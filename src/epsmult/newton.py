@@ -322,11 +322,16 @@ class ClosureMembership:
 
 
 def _weight_candidates(F: Filtration, m):
+    """The nonzero 0/1 weights, then the facet normals of NP(I_m) in d <= 3.
+    For a power filtration NP(I_m) = m * NP(base) has the base's normals in
+    the same order, so I_m is not built."""
     d = F.ctx.dim
     cands = [bits for bits in itertools.product((0, 1), repeat=d) if any(bits)]
-    Im = F.ideal_at(m)
-    if not Im.is_zero() and d <= 3:
-        for w, _ in NewtonPolyhedron(Im).facets():
+    if d > 3:
+        return cands
+    Im = F.base if isinstance(F, PowerFiltration) else F.ideal_at(m)
+    if not Im.is_zero():
+        for w, _ in _hull_of(Im)[0]:
             if w not in cands:
                 cands.append(w)
     return cands
@@ -337,11 +342,11 @@ def _affine_separation(F: TemplateFiltration | PowerFiltration, a, m):
     whose values on the generators of I_(rm) are affine in r.  A template
     generator coordinate f_a*n + f_b is m*f_a*r + f_b there.  Weight values
     are additive on products of monomial ideals, so for an ideal-power
-    filtration nu_w(I_(rm)) = r * nu_w(I_m) exactly: the forms are the
-    generators g of I_m with slope w.g and intercept 0, and a weight with
-    w.a < nu_w(I_m) excludes every r."""
+    filtration nu_w(I_(rm)) = r*m * nu_w(base) exactly: the forms are the
+    generators g of the base with slope m*(w.g) and intercept 0, and a
+    weight with w.a < m * nu_w(base) excludes every r."""
     if isinstance(F, PowerFiltration):
-        forms = [[(c, 0) for c in g] for g in F.ideal_at(m).gens]
+        forms = [[(m * c, 0) for c in g] for g in F.base.gens]
     else:
         forms = F.generator_affine_forms()
         if any(f is None for g in forms for f in g):
@@ -364,7 +369,13 @@ def _affine_separation(F: TemplateFiltration | PowerFiltration, a, m):
 def filtration_integral_member(F: Filtration, a, m, r_max) -> ClosureMembership:
     """Does x^a lie in the degree-m piece of the integral closure of the
     Rees algebra of F?  Yes(r) is witnessed by r*a in NP(I_(rm)); No carries
-    a certificate excluding every r; otherwise Unknown."""
+    a certificate excluding every r; otherwise Unknown.
+
+    Over the powers of an ideal I in d <= 3 variables one polyhedron
+    decides every r: NP(I^(rm)) = rm * NP(I), so for r >= 1, r*a lies in
+    it exactly when w.a >= m*rhs for every facet (w, rhs) of NP(I).  The
+    answer is then Yes(1) or, as no larger r can do better, a separation
+    attempt; neither builds I^(rm)."""
     if m < 1:
         raise ValueError("degree must be positive")
     a = tuple(a)
@@ -374,12 +385,16 @@ def filtration_integral_member(F: Filtration, a, m, r_max) -> ClosureMembership:
         return ClosureMembership(
             status="no",
             certificate=ContainmentCertificate(degree=m, monomial=a))
-    for r in range(1, r_max + 1):
-        Irm = F.ideal_at(r * m)
-        if Irm.is_zero():
-            continue
-        if np_membership(Irm, tuple(r * c for c in a)):
-            return ClosureMembership(status="yes", r=r)
+    if isinstance(F, PowerFiltration) and F.ctx.dim <= 3 and r_max >= 1:
+        if all(_dot(w, a) >= m * rhs for w, rhs in _hull_of(F.base)[0]):
+            return ClosureMembership(status="yes", r=1)
+    else:
+        for r in range(1, r_max + 1):
+            Irm = F.ideal_at(r * m)
+            if Irm.is_zero():
+                continue
+            if np_membership(Irm, tuple(r * c for c in a)):
+                return ClosureMembership(status="yes", r=r)
     if isinstance(F, (TemplateFiltration, PowerFiltration)):
         cert = _affine_separation(F, a, m)
         if cert is not None:

@@ -1,7 +1,8 @@
 """Fraction-arithmetic references: the exact-rational versions of certified
-ceilings, the d=2 saturation-length envelope and the window fit that the
-integer paths of ``epsmult.valuation``, ``epsmult.ring`` and
-``epsmult.asymptotics`` replaced, kept as test oracles.
+ceilings, the d=2 saturation-length envelope, the window fit and the toric
+lattice rank that the integer paths of ``epsmult.valuation``,
+``epsmult.ring``, ``epsmult.asymptotics`` and ``epsmult.diagnostics``
+replaced, kept as test oracles.
 
 Each one forms and normalises a ``Fraction`` per term, as the library did
 before its sums moved to common denominators; the values are the same exact
@@ -105,3 +106,26 @@ def ref_secants(normalized, window):
         n0, v0 = normalized[j]
         out.append(Fraction(n * v - n0 * v0, n - n0))
     return tuple(out)
+
+
+def ref_rational_rank(rows):
+    """Rank of an integer matrix by Gaussian elimination over ``Fraction``."""
+    mat = [[Fraction(c) for c in row] for row in rows]
+    rank = 0
+    cols = len(mat[0]) if mat else 0
+    row = 0
+    for col in range(cols):
+        pivot = next((r for r in range(row, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[row], mat[pivot] = mat[pivot], mat[row]
+        pv = mat[row][col]
+        for r in range(row + 1, len(mat)):
+            if mat[r][col] != 0:
+                factor = mat[r][col] / pv
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
+        row += 1
+        rank += 1
+        if row == len(mat):
+            break
+    return rank

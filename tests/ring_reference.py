@@ -1,6 +1,7 @@
 """Reference monomial-ideal kernel: the plain algorithms that the slice
-stacks of ``epsmult.ring`` and ``epsmult.valuation`` and the exact facets of
-``epsmult.newton`` replaced, kept as test oracles, and brute-force counts.
+stacks of ``epsmult.ring`` and ``epsmult.valuation``, the exact facets of
+``epsmult.newton`` and its closure membership over powers read off the
+base's facets replaced, kept as test oracles, and brute-force counts.
 
 Every result here is built from candidate generator lists by validating each
 point and minimalising with pairwise divisibility, so nothing shares the
@@ -9,9 +10,22 @@ stack merges or recursive slices of the fast kernel beyond the
 """
 
 import itertools
+from fractions import Fraction
 from math import gcd
 
-from epsmult.newton import _lp_convex_dominated
+from epsmult.filtration import (
+    DiscreteValuedFiltration,
+    PowerFiltration,
+    TemplateFiltration,
+)
+from epsmult.newton import (
+    ClosureMembership,
+    ContainmentCertificate,
+    NewtonPolyhedron,
+    SeparationCertificate,
+    _lp_convex_dominated,
+    np_membership,
+)
 from epsmult.ring import (
     IdealDomainError,
     MonomialIdeal,
@@ -422,3 +436,67 @@ def oracle_np_member(gens, a):
                 new.append((coeffs, m_n * rp + m_p * rn))
         ineqs = new
     return all(rhs >= 0 for _, rhs in ineqs)
+
+
+def _ref_weight_candidates(F, m):
+    """The nonzero 0/1 weights, then the facet normals of NP(I_m) built from
+    I_m itself in d <= 3."""
+    d = F.ctx.dim
+    cands = [bits for bits in itertools.product((0, 1), repeat=d) if any(bits)]
+    Im = F.ideal_at(m)
+    if not Im.is_zero() and d <= 3:
+        for w, _ in NewtonPolyhedron(Im).facets():
+            if w not in cands:
+                cands.append(w)
+    return cands
+
+
+def _ref_affine_separation(F, a, m):
+    """A weight certificate from the affine generator forms of I_(rm); for
+    an ideal power they are the generators g of I_m with slope w.g and
+    intercept 0."""
+    if isinstance(F, PowerFiltration):
+        forms = [[(c, 0) for c in g] for g in F.ideal_at(m).gens]
+    else:
+        forms = F.generator_affine_forms()
+        if any(f is None for g in forms for f in g):
+            return None
+        forms = [[(m * fa, fb) for fa, fb in g] for g in forms]
+    for w in _ref_weight_candidates(F, m):
+        wa = sum(wc * ac for wc, ac in zip(w, a))
+        per_gen = [(Fraction(sum(wc * fa for wc, (fa, _) in zip(w, gform))),
+                    Fraction(sum(wc * fb for wc, (_, fb) in zip(w, gform))))
+                   for gform in forms]
+        if all(wa < s or (wa == s and c > 0) for s, c in per_gen):
+            slope = min(s for s, _ in per_gen)
+            intercept = min(c for s, c in per_gen if s == slope)
+            return SeparationCertificate(
+                degree=m, monomial=tuple(a), weight=tuple(w),
+                slope=slope, intercept=intercept)
+    return None
+
+
+def ref_filtration_integral_member(F, a, m, r_max):
+    """Degree-m closure membership by trying r = 1..r_max on the Newton
+    polyhedron of I_(rm) itself, then a separation certificate; powers get
+    no shortcut."""
+    if m < 1:
+        raise ValueError("degree must be positive")
+    a = tuple(a)
+    if isinstance(F, DiscreteValuedFiltration) and F.is_rational_discrete_valued:
+        if F.ideal_at(m).contains(a):
+            return ClosureMembership(status="yes", r=1)
+        return ClosureMembership(
+            status="no",
+            certificate=ContainmentCertificate(degree=m, monomial=a))
+    for r in range(1, r_max + 1):
+        Irm = F.ideal_at(r * m)
+        if Irm.is_zero():
+            continue
+        if np_membership(Irm, tuple(r * c for c in a)):
+            return ClosureMembership(status="yes", r=r)
+    if isinstance(F, (TemplateFiltration, PowerFiltration)):
+        cert = _ref_affine_separation(F, a, m)
+        if cert is not None:
+            return ClosureMembership(status="no", certificate=cert)
+    return ClosureMembership(status="unknown")

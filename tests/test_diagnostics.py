@@ -1,7 +1,11 @@
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from epsmult.diagnostics import (
     MaxSpreadCertificate,
     ZeroSpreadCertificate,
     ZeroSpreadNotFound,
+    _rational_rank,
     check_Ac,
     spread_max_test,
     spread_zero_test,
@@ -23,6 +27,7 @@ from epsmult.ring import (
     saturate,
 )
 from epsmult.valuation import ExactScalar, MonomialValuation
+from fraction_reference import ref_rational_rank
 
 CTX2 = RingContext(2)
 
@@ -187,6 +192,30 @@ def test_toric_rank_examples():
     assert toric_rank_bound(PowerFiltration(MonomialIdeal(CTX2, [(1, 0)])), 4) == 1
     J = TemplateFiltration(CTX2, [("n+1", "0"), ("n", "1")])
     assert toric_rank_bound(J, 5) == 2  # raw rank 3 clamps to dim
+
+
+@st.composite
+def integer_matrices(draw):
+    """Up to nine rows of up to five columns, often more rows than columns,
+    with negative entries, some large, and whole rows and columns of zeros."""
+    cols = draw(st.integers(0, 5))
+    entry = st.one_of(st.integers(-6, 6), st.just(0),
+                      st.integers(-10**12, 10**12))
+    rows = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         max_size=9))
+    zero_cols = draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=2))
+    zero_rows = draw(st.sets(st.integers(0, 8), max_size=3))
+    return [[0 if i in zero_rows or j in zero_cols else c
+             for j, c in enumerate(row)] for i, row in enumerate(rows)]
+
+
+@settings(max_examples=300)
+@given(integer_matrices())
+@example([[0, 0], [2, -4], [-1, 2], [0, 0], [3, 5]])
+@example([[1, 2, 3], [2, 4, 6], [0, 0, 1], [1, 0, 0], [5, 5, 5]])
+@example([[0, 3, 0], [0, -6, 0]])
+def test_integer_rank_matches_fraction_rank(rows):
+    assert _rational_rank(rows) == ref_rational_rank(rows), rows
 
 
 def test_toric_rank_upper_bounds_spread():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from epsmult import newton
 from epsmult.filtration import (
     DiscreteValuedFiltration,
     PowerFiltration,
@@ -20,7 +21,7 @@ from epsmult.newton import (
 )
 from epsmult.ring import MonomialIdeal, RingContext, maximal_power
 from epsmult.valuation import ExactScalar, MonomialValuation
-from ring_reference import oracle_np_member
+from ring_reference import oracle_np_member, ref_filtration_integral_member
 
 CTX2 = RingContext(2)
 CTX3 = RingContext(3)
@@ -202,6 +203,48 @@ def test_compare_separating_pair():
     assert verdict.monomial == (1, 0)
     assert verdict.direction == "left-into-right"
     assert verify_separation_certificate(J, verdict.certificate, 100)
+
+
+def _verdict_objs(F, G, N, r_max, monkeypatch):
+    """The verdict of F against G, and the one of the r-by-r reference
+    membership without the power shortcut."""
+    fast = rees_closure_compare(F, G, N, r_max).to_obj()
+    with monkeypatch.context() as patch:
+        patch.setattr(newton, "filtration_integral_member",
+                      ref_filtration_integral_member)
+        ref = rees_closure_compare(F, G, N, r_max).to_obj()
+    return fast, ref
+
+
+def test_power_verdicts_match_r_loop_reference(monkeypatch):
+    # the separating pair both ways, powers against powers (the certificates
+    # then come from the base's facets, or from 0/1 weights in d = 4), and
+    # random bases in d = 2 and 3
+    I = PowerFiltration(MonomialIdeal(CTX2, [(1, 0)]))
+    J = TemplateFiltration(CTX2, [("n+1", "0"), ("n", "1")])
+    P = PowerFiltration(MonomialIdeal(CTX2, [(2, 0), (0, 1)]))
+    Q = PowerFiltration(MonomialIdeal(CTX2, [(1, 0), (0, 1)]))
+    ctx4 = RingContext(4)
+    Q4 = PowerFiltration(maximal_power(ctx4, 1))
+    P4 = PowerFiltration(MonomialIdeal(ctx4, [tuple(2 * (i == j) for j in range(4))
+                                              for i in range(4)]))
+    pairs = [(I, J, 10, 6), (J, I, 10, 6), (Q, P, 4, 3), (P, Q, 4, 3),
+             (Q4, P4, 2, 2), (P4, Q4, 2, 2)]
+    assert rees_closure_compare(Q, P, 4, 3).to_obj()["certificate"] == {
+        "kind": "affine-weight", "degree": 1, "monomial": [1, 0],
+        "weight": [1, 2], "slope": "2", "intercept": "0"}
+    rng = random.Random(7)
+    for _ in range(8):
+        base, a = random_instance(rng, rng.choice((2, 3)))
+        F = PowerFiltration(base)
+        closed = PowerFiltration(integral_closure(base))
+        if any(a):  # one more generator, often below the base's polyhedron
+            G = PowerFiltration(MonomialIdeal(base.ctx, base.gens + (a,)))
+            pairs += [(F, G, 3, rng.randint(0, 3)), (G, F, 3, rng.randint(0, 3))]
+        pairs += [(F, closed, 3, rng.randint(0, 3)), (closed, F, 3, rng.randint(0, 3))]
+    for F, G, N, r_max in pairs:
+        fast, ref = _verdict_objs(F, G, N, r_max, monkeypatch)
+        assert fast == ref, (F.describe(), G.describe(), N, r_max)
 
 
 def test_compare_equal_pairs():

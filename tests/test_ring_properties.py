@@ -10,9 +10,10 @@ intersection obey the lattice laws and lengths add along chains; the
 multiplicity of R/I equals a direct count of the Hilbert function; and in
 two and three variables the exact facets of the Newton polyhedron agree
 with the LP, Fourier-Motzkin and candidate-normal references, give the
-integral closure and e(I), and back every separation certificate."""
+integral closure and e(I), scale with the powers of the ideal, decide
+closure membership over powers as the r-by-r search does, and back every
+separation certificate."""
 
-from fractions import Fraction
 from itertools import product
 from math import gcd
 
@@ -27,6 +28,7 @@ from epsmult.newton import (
     _affine_separation,
     _hull_of,
     _lp_convex_dominated,
+    filtration_integral_member,
     integral_closure,
     np_membership,
     verify_separation_certificate,
@@ -39,6 +41,7 @@ from epsmult.ring import (
     _slices,
     _weight_ideal,
     _weight_sat_length,
+    ideal_power,
     ideal_product,
     ideal_sum,
     intersect,
@@ -48,10 +51,11 @@ from epsmult.ring import (
     saturate,
 )
 from epsmult.valuation import MonomialValuation, valuation_ideal
-from fraction_reference import ref_weight_sat_length
+from fraction_reference import ref_rational_rank, ref_weight_sat_length
 from ring_reference import (
     oracle_np_member,
     ref_contains_ideal,
+    ref_filtration_integral_member,
     ref_halfspaces,
     ref_ideal,
     ref_ideal_multiplicity,
@@ -413,22 +417,6 @@ def nonzero_ideals(ctx, max_exp, max_gens=6):
 polyhedra = st.one_of(nonzero_ideals(CTX2, 9), nonzero_ideals(CTXS[3], 6))
 
 
-def _rank(vectors):
-    rows = [[Fraction(c) for c in v] for v in vectors]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((r for r in rows[rank:] if r[col]), None)
-        if pivot is None:
-            continue
-        rows.remove(pivot)
-        rows.insert(rank, pivot)
-        for r in rows[rank + 1:]:
-            f = r[col] / pivot[col]
-            r[:] = [x - f * y for x, y in zip(r, pivot)]
-        rank += 1
-    return rank
-
-
 @PROPERTY
 @given(polyhedra, st.lists(st.tuples(*[st.integers(0, 11)] * 3), min_size=1,
                            max_size=6))
@@ -457,7 +445,7 @@ def test_stored_normals_are_true_facets(I):
         face = [g for g in I.gens if sum(a * b for a, b in zip(w, g)) == rhs]
         rays = [e for e, c in zip(units, w) if c == 0]
         spans = [tuple(a - b for a, b in zip(g, face[0])) for g in face[1:]]
-        assert _rank(spans + rays) == d - 1, (I.gens, w)
+        assert ref_rational_rank(spans + rays) == d - 1, (I.gens, w)
     # the stored compact facets are the facets with w > 0, one to one and
     # in order; their vertices are generators on the facet whose hull holds
     # every other one: the ends of an edge (d=2), or a strictly convex
@@ -549,3 +537,37 @@ def test_separation_certificates_recheck(F, m):
         if cert is not None:
             assert cert.degree == m and cert.monomial == a
             assert verify_separation_certificate(F, cert, 12), (F.describe(), cert)
+
+
+@settings(max_examples=60)
+@given(st.one_of(nonzero_ideals(CTX2, 6, 4), nonzero_ideals(CTXS[3], 3, 3)),
+       st.integers(1, 4))
+def test_power_facets_scale_the_base_facets(I, k):
+    # NP(I^k) = k * NP(I): the same normals, in the same order, rhs times k
+    assert _hull_of(ideal_power(I, k))[0] == tuple(
+        (w, k * rhs) for w, rhs in _hull_of(I)[0])
+
+
+@st.composite
+def power_memberships(draw):
+    """A power filtration in two or three variables, a degree m <= 3, an
+    r_max in 0..3 and a few exponents with entries up to 6*m."""
+    base = draw(st.one_of(nonzero_ideals(CTX2, 5, 3), nonzero_ideals(CTXS[3], 3, 3))
+                .filter(MonomialIdeal.is_proper))
+    m = draw(st.integers(1, 3))
+    coord = st.integers(0, 6 * m)
+    points = draw(st.lists(st.tuples(*[coord] * base.dim), min_size=1, max_size=4))
+    return PowerFiltration(base), m, draw(st.integers(0, 3)), points
+
+
+@settings(max_examples=100)
+@given(power_memberships())
+def test_power_membership_matches_r_loop(case):
+    F, m, r_max, points = case
+    for a in points:
+        res = filtration_integral_member(F, a, m, r_max)
+        ref = ref_filtration_integral_member(F, a, m, r_max)
+        assert res == ref, (F.describe(), a, m, r_max)
+        if res.certificate is not None:
+            assert res.certificate.to_obj() == ref.certificate.to_obj()
+        assert r_max or res.status != "yes"
