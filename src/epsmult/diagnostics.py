@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from .filtration import DiscreteValuedFiltration, Filtration, PowerFiltration
 from .ring import (
     MonomialIdeal,
+    divides,
     ideal_product,
     intersect,
     maximal_power,
@@ -71,6 +72,8 @@ def check_Ac(F: Filtration, c, N) -> AcReport:
     ideals for every n <= N; the first mismatch yields a witness generator."""
     if c < 1:
         raise ValueError("c must be a positive integer")
+    if N < 1:
+        raise ValueError("N must be at least 1")
     ctx = F.ctx
     for n in range(1, N + 1):
         In = F.ideal_at(n)
@@ -126,6 +129,8 @@ def spread_max_test(F: Filtration, N):
     representations (ideal powers, rational discrete-valued) the certificate
     asserts that the analytic spread equals the ring dimension; otherwise it
     only reports that the criterion holds."""
+    if N < 1:
+        raise ValueError("N must be at least 1")
     d = F.ctx.dim
     for n in range(1, N + 1):
         In = F.ideal_at(n)
@@ -225,20 +230,23 @@ def spread_zero_test(F: Filtration, N, r_max):
     Level n tries r = 2..bound(n), where bound(n) is r_max raised to
     int(2 / defect) + 2 for each irrational multiplier a of a discrete-valued
     F, defect being a certified lower bound on ceil(n*a) - n*a; a failure
-    reports bound(n) as ``searched_up_to``."""
+    reports bound(n) as ``searched_up_to``.
+
+    m * I_(rn) is never built, by the proper-divisor rule: x^b lies in it
+    exactly when some minimal generator h of I_(rn) divides x^b with
+    h != b (then b_i > h_i for some i, and x_i * x^h divides x^b)."""
+    if N < 1:
+        raise ValueError("N must be at least 1")
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
-    m = MonomialIdeal.maximal(F.ctx)
     entries = []
     for n in range(1, N + 1):
         bound = _adaptive_r_bound(F, n, r_max)
-        targets = {}  # r -> m * I_(rn), shared by the generators of I_n
         for g in F.ideal_at(n).gens:
             found = None
             for r in range(2, bound + 1):
-                if r not in targets:
-                    targets[r] = ideal_product(m, F.ideal_at(r * n))
-                if targets[r].contains(tuple(r * e for e in g)):
+                rg = tuple(r * e for e in g)
+                if any(h != rg and divides(h, rg) for h in F.ideal_at(r * n).gens):
                     found = r
                     break
             if found is None:
@@ -248,7 +256,9 @@ def spread_zero_test(F: Filtration, N, r_max):
 
 
 def verify_zero_certificate(F: Filtration, cert: ZeroSpreadCertificate) -> bool:
-    """Re-check every generator certificate by direct containment."""
+    """Re-check every generator certificate by direct containment in
+    m * I_(rn), built with ``ideal_product``: an independent check of the
+    proper-divisor rule that ``spread_zero_test`` decides by."""
     m = MonomialIdeal.maximal(F.ctx)
     targets = {}  # r*n -> m * I_(rn)
     for n, g, r in cert.entries:
@@ -288,6 +298,8 @@ def toric_rank_bound(F: Filtration, N) -> int:
     I_n for n <= N, clamped to the ring dimension.  This is an upper bound
     for the analytic spread (the fiber cone is a quotient of the toric
     algebra on these exponents), never an exact value."""
+    if N < 1:
+        raise ValueError("N must be at least 1")
     rows = []
     for n in range(1, N + 1):
         for g in F.ideal_at(n).gens:

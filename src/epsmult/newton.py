@@ -378,6 +378,8 @@ def filtration_integral_member(F: Filtration, a, m, r_max) -> ClosureMembership:
     attempt; neither builds I^(rm)."""
     if m < 1:
         raise ValueError("degree must be positive")
+    if r_max < 0:
+        raise ValueError("r_max must be nonnegative")
     a = tuple(a)
     if isinstance(F, DiscreteValuedFiltration) and F.is_rational_discrete_valued:
         if F.ideal_at(m).contains(a):
@@ -455,16 +457,45 @@ class ClosureVerdict:
         return obj
 
 
+def _powers_inside(left: Filtration, right: Filtration, r_max):
+    """Every generator of left_n is in the degree-n closure of right with
+    r = 1, for every n, by the base-facet rule: both are powers in d <= 3,
+    r_max >= 1, and w.h >= rhs for every generator h of left's base and
+    every facet (w, rhs) of NP(right's base).  A generator of left_n is a
+    sum of n such h, so it lies in n * NP(right's base) = NP(right_n)."""
+    if not (isinstance(left, PowerFiltration) and isinstance(right, PowerFiltration)
+            and left.ctx.dim <= 3 and r_max >= 1):
+        return False
+    facets = _hull_of(right.base)[0]
+    return all(_dot(w, h) >= rhs for h in left.base.gens for w, rhs in facets)
+
+
 def rees_closure_compare(F: Filtration, G: Filtration, N, r_max) -> ClosureVerdict:
     """Test every minimal generator of F_n for degree-n closure membership
     over G and vice versa, for n <= N.  Any proven exclusion settles the
     comparison; full success bounds equality up to (N, r_max); unresolved
-    pairs make the verdict inconclusive."""
+    pairs make the verdict inconclusive.
+
+    A direction between two powers in d <= 3 with r_max >= 1 is first
+    decided from the bases by the base-facet rule: if every generator of
+    the left base lies in NP(right base), every membership in it is Yes
+    with r = 1 and left_n is never built.  Otherwise its generators are
+    tested one by one, which settles powers at n = 1, where F_1 is the
+    base."""
+    if N < 1:
+        raise ValueError("N must be at least 1")
+    if r_max < 0:
+        raise ValueError("r_max must be nonnegative")
+    directions = [(left, right, side, _powers_inside(left, right, r_max))
+                  for left, right, side in ((F, G, "left-into-right"),
+                                            (G, F, "right-into-left"))]
     unresolved = []
     max_r = 0
     for n in range(1, N + 1):
-        for left, right, side in ((F, G, "left-into-right"),
-                                  (G, F, "right-into-left")):
+        for left, right, side, inside in directions:
+            if inside:
+                max_r = max(max_r, 1)
+                continue
             for g in left.ideal_at(n).gens:
                 res = filtration_integral_member(right, g, n, r_max)
                 if res.status == "no":

@@ -1,7 +1,8 @@
 """Reference monomial-ideal kernel: the plain algorithms that the slice
 stacks of ``epsmult.ring`` and ``epsmult.valuation``, the exact facets of
-``epsmult.newton`` and its closure membership over powers read off the
-base's facets replaced, kept as test oracles, and brute-force counts.
+``epsmult.newton``, its closure membership and closure comparison over
+powers read off the bases' facets, and the zero-spread search by proper
+divisors replaced, kept as test oracles, and brute-force counts.
 
 Every result here is built from candidate generator lists by validating each
 point and minimalising with pairwise divisibility, so nothing shares the
@@ -18,8 +19,14 @@ from epsmult.filtration import (
     PowerFiltration,
     TemplateFiltration,
 )
+from epsmult.diagnostics import (
+    ZeroSpreadCertificate,
+    ZeroSpreadNotFound,
+    _adaptive_r_bound,
+)
 from epsmult.newton import (
     ClosureMembership,
+    ClosureVerdict,
     ContainmentCertificate,
     NewtonPolyhedron,
     SeparationCertificate,
@@ -33,6 +40,7 @@ from epsmult.ring import (
     colength,
     divides,
     ideal_power,
+    ideal_product,
 )
 
 
@@ -500,3 +508,52 @@ def ref_filtration_integral_member(F, a, m, r_max):
         if cert is not None:
             return ClosureMembership(status="no", certificate=cert)
     return ClosureMembership(status="unknown")
+
+
+def ref_rees_closure_compare(F, G, N, r_max):
+    """Closure comparison by testing every minimal generator of F_n over G
+    and of G_n over F, for n = 1..N, with the r-by-r reference membership;
+    powers are built level by level."""
+    unresolved = []
+    max_r = 0
+    for n in range(1, N + 1):
+        for left, right, side in ((F, G, "left-into-right"),
+                                  (G, F, "right-into-left")):
+            for g in left.ideal_at(n).gens:
+                res = ref_filtration_integral_member(right, g, n, r_max)
+                if res.status == "no":
+                    return ClosureVerdict(
+                        outcome="proven-different", bound=N, r_max=r_max,
+                        max_r_used=max_r, degree=n, monomial=g,
+                        direction=side, certificate=res.certificate)
+                if res.status == "unknown":
+                    unresolved.append((n, g, side))
+                else:
+                    max_r = max(max_r, res.r)
+    if unresolved:
+        return ClosureVerdict(outcome="inconclusive", bound=N, r_max=r_max,
+                              max_r_used=max_r, unresolved=tuple(unresolved))
+    return ClosureVerdict(outcome="equal-up-to-bound", bound=N, r_max=r_max,
+                          max_r_used=max_r)
+
+
+def ref_spread_zero_test(F, N, r_max):
+    """Zero-spread search by containment of g^r in m * I_(rn), the product
+    built with ``ideal_product`` once per level n and exponent r tried."""
+    m = MonomialIdeal.maximal(F.ctx)
+    entries = []
+    for n in range(1, N + 1):
+        bound = _adaptive_r_bound(F, n, r_max)
+        targets = {}  # r -> m * I_(rn), shared by the generators of I_n
+        for g in F.ideal_at(n).gens:
+            found = None
+            for r in range(2, bound + 1):
+                if r not in targets:
+                    targets[r] = ideal_product(m, F.ideal_at(r * n))
+                if targets[r].contains(tuple(r * e for e in g)):
+                    found = r
+                    break
+            if found is None:
+                return ZeroSpreadNotFound(n=n, generator=g, searched_up_to=bound)
+            entries.append((n, g, found))
+    return ZeroSpreadCertificate(bound=N, r_max=r_max, entries=tuple(entries))

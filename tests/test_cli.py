@@ -218,6 +218,22 @@ def test_es_window_below_two_exits_2(tmp_path, capsys):
         assert "window must be at least 2" in capsys.readouterr().err
 
 
+def test_empty_bound_exits_2(tmp_path, capsys):
+    # N = 0 used to report equality, A(c) and zero-spread evidence over no
+    # degree at all
+    space = str(Path(__file__).resolve().parents[1] / "demos" / "scenario_space.json")
+    assert main(["closure-compare", space, "--left", "power", "--right", "hull",
+                 "--n-max", "0"]) == 2
+    assert "N must be at least 1" in capsys.readouterr().err
+    for task in ({"task": "acheck", "filtration": "lin", "c": 2, "n_max": 0},
+                 {"task": "spread", "filtration": "lin", "n_max": 0},
+                 {"task": "closure-compare", "left": "lin", "right": "stair",
+                  "n_max": -1}):
+        path = write_scenario(tmp_path, [task])
+        assert main(["run", path]) == 2
+        assert "N must be at least 1" in capsys.readouterr().err
+
+
 def test_malformed_ring_or_filtrations_exit_2(tmp_path, capsys):
     # a non-integer dimension, a filtrations list, a tau list or a tau key
     # that is not a positive decimal, a localization of a localized

@@ -1,3 +1,6 @@
+from fractions import Fraction
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +31,7 @@ from epsmult.ring import (
 )
 from epsmult.valuation import ExactScalar, MonomialValuation
 from fraction_reference import ref_rational_rank
+from ring_reference import ref_spread_zero_test
 
 CTX2 = RingContext(2)
 
@@ -161,6 +165,53 @@ def test_spread_zero_not_found_for_maximal_powers():
     res = spread_zero_test(P, 5, 6)
     assert isinstance(res, ZeroSpreadNotFound)
     assert res.n == 1
+
+
+@st.composite
+def spread_filtrations(draw):
+    """Affine templates, discrete-valued filtrations with rational or
+    pi-multiple multipliers (the pi ones raise the search bound), and
+    powers (which rarely have zero-spread evidence) in one to three
+    variables."""
+    d = draw(st.integers(1, 3))
+    ctx = RingContext(d)
+    small = st.integers(0, 2)
+    kind = draw(st.sampled_from(("template", "rational", "pi", "power")))
+    if kind == "template":
+        coord = st.tuples(small, small).map(lambda ab: f"{ab[0]}*n+{ab[1]}")
+        gens = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=3))
+        return TemplateFiltration(ctx, gens)
+    if kind == "power":
+        gens = st.lists(st.tuples(*[st.integers(0, 3)] * d), min_size=1, max_size=3)
+        return PowerFiltration(draw(gens.map(lambda g: MonomialIdeal(ctx, g)).filter(
+            MonomialIdeal.is_proper)))
+    constant = "pi" if kind == "pi" else None
+    weights = st.tuples(*[small] * d).filter(any).map(MonomialValuation)
+    mult = st.builds(lambda p, q: ExactScalar(Fraction(p, q), constant),
+                     st.integers(1, 3), st.integers(1, 2))
+    return DiscreteValuedFiltration(
+        ctx, draw(st.lists(st.tuples(weights, mult), min_size=1, max_size=2)))
+
+
+@settings(max_examples=150)
+@given(spread_filtrations(), st.integers(1, 3), st.integers(2, 5))
+@example(TemplateFiltration(CTX2, [("2", "0"), ("1", "2*n")]), 3, 4)
+@example(PowerFiltration(MonomialIdeal.maximal(CTX2)), 2, 3)
+@example(pi_line(), 3, 2)
+def test_spread_zero_matches_product_reference(F, N, r_max):
+    fast = spread_zero_test(F, N, r_max)
+    assert fast == ref_spread_zero_test(F, N, r_max), F.describe()
+    if isinstance(fast, ZeroSpreadCertificate):
+        assert verify_zero_certificate(F, fast)
+
+
+@pytest.mark.parametrize("N", [0, -2])
+def test_diagnostics_reject_an_empty_bound(N):
+    T = family_K(1)
+    for call in (lambda: check_Ac(T, 2, N), lambda: spread_max_test(T, N),
+                 lambda: spread_zero_test(T, N, 6), lambda: toric_rank_bound(T, N)):
+        with pytest.raises(ValueError, match="N must be at least 1"):
+            call()
 
 
 def test_spread_tests_consistent_on_certified_specs():

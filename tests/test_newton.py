@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from epsmult import newton
 from epsmult.filtration import (
     DiscreteValuedFiltration,
     PowerFiltration,
@@ -21,7 +23,7 @@ from epsmult.newton import (
 )
 from epsmult.ring import MonomialIdeal, RingContext, maximal_power
 from epsmult.valuation import ExactScalar, MonomialValuation
-from ring_reference import oracle_np_member, ref_filtration_integral_member
+from ring_reference import oracle_np_member, ref_rees_closure_compare
 
 CTX2 = RingContext(2)
 CTX3 = RingContext(3)
@@ -205,18 +207,7 @@ def test_compare_separating_pair():
     assert verify_separation_certificate(J, verdict.certificate, 100)
 
 
-def _verdict_objs(F, G, N, r_max, monkeypatch):
-    """The verdict of F against G, and the one of the r-by-r reference
-    membership without the power shortcut."""
-    fast = rees_closure_compare(F, G, N, r_max).to_obj()
-    with monkeypatch.context() as patch:
-        patch.setattr(newton, "filtration_integral_member",
-                      ref_filtration_integral_member)
-        ref = rees_closure_compare(F, G, N, r_max).to_obj()
-    return fast, ref
-
-
-def test_power_verdicts_match_r_loop_reference(monkeypatch):
+def test_power_verdicts_match_r_loop_reference():
     # the separating pair both ways, powers against powers (the certificates
     # then come from the base's facets, or from 0/1 weights in d = 4), and
     # random bases in d = 2 and 3
@@ -243,8 +234,103 @@ def test_power_verdicts_match_r_loop_reference(monkeypatch):
             pairs += [(F, G, 3, rng.randint(0, 3)), (G, F, 3, rng.randint(0, 3))]
         pairs += [(F, closed, 3, rng.randint(0, 3)), (closed, F, 3, rng.randint(0, 3))]
     for F, G, N, r_max in pairs:
-        fast, ref = _verdict_objs(F, G, N, r_max, monkeypatch)
+        fast = rees_closure_compare(F, G, N, r_max).to_obj()
+        ref = ref_rees_closure_compare(F, G, N, r_max).to_obj()
         assert fast == ref, (F.describe(), G.describe(), N, r_max)
+
+
+def _bases(d):
+    """Proper nonzero monomial ideals in d variables, exponents up to 3."""
+    ctx = CTX2 if d == 2 else CTX3
+    gens = st.lists(st.tuples(*[st.integers(0, 3)] * d), min_size=1, max_size=4)
+    return gens.map(lambda g: MonomialIdeal(ctx, g)).filter(MonomialIdeal.is_proper)
+
+
+@st.composite
+def power_pairs(draw):
+    """Powers of a base against powers of a second base whose Newton
+    polyhedron is the same (the closure, or the base with a point of its
+    polyhedron added), strictly larger (a point outside added), or drawn
+    on its own (most often incomparable)."""
+    d = draw(st.sampled_from((2, 3)))
+    base = draw(_bases(d))
+    kind = draw(st.sampled_from(("closure", "inside", "outside", "other")))
+    if kind == "closure":
+        other = integral_closure(base)
+    elif kind == "other":
+        other = draw(_bases(d))
+    else:
+        points = st.tuples(*[st.integers(0, 4)] * d).filter(any)
+        inside = NewtonPolyhedron(base).contains
+        a = draw(points.filter(inside if kind == "inside"
+                               else lambda p: not inside(p)))
+        other = MonomialIdeal(base.ctx, base.gens + (a,))
+    F, G = PowerFiltration(base), PowerFiltration(other)
+    return (F, G) if draw(st.booleans()) else (G, F)
+
+
+@st.composite
+def mixed_pairs(draw):
+    """Powers against an affine template, a rational discrete-valued
+    filtration or a truncation, where the comparison of bases does not
+    apply."""
+    d = draw(st.sampled_from((2, 3)))
+    ctx = CTX2 if d == 2 else CTX3
+    P = PowerFiltration(draw(_bases(d)))
+    small = st.integers(0, 2)
+    kind = draw(st.sampled_from(("template", "discrete", "truncation")))
+    if kind == "template":
+        coord = st.tuples(small, small).map(lambda ab: f"{ab[0]}*n+{ab[1]}")
+        gens = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=3))
+        other = TemplateFiltration(ctx, gens)
+    else:
+        weights = st.tuples(*[small] * d).filter(any).map(MonomialValuation)
+        mult = st.builds(Fraction, st.integers(1, 4), st.integers(1, 2)).map(ExactScalar)
+        other = DiscreteValuedFiltration(
+            ctx, draw(st.lists(st.tuples(weights, mult), min_size=1, max_size=2)))
+        if kind == "truncation":
+            other = draw(st.sampled_from((other, P))).truncate(draw(st.integers(1, 2)))
+    return (P, other) if draw(st.booleans()) else (other, P)
+
+
+@settings(max_examples=200)
+@given(st.one_of(power_pairs(), mixed_pairs()), st.integers(1, 4), st.integers(0, 3))
+def test_closure_compare_matches_per_generator_reference(pair, N, r_max):
+    F, G = pair
+    fast = rees_closure_compare(F, G, N, r_max).to_obj()
+    ref = ref_rees_closure_compare(F, G, N, r_max).to_obj()
+    assert fast == ref, (F.describe(), G.describe(), N, r_max)
+
+
+def test_compare_of_powers_builds_no_power():
+    # equal polyhedra: both directions follow from the bases' facets; the
+    # base with a point outside added: its direction fails at n = 1, where
+    # the level is the base itself
+    base = MonomialIdeal(CTX3, [(2, 0, 0), (0, 3, 0), (0, 0, 4)])
+    P, Q = PowerFiltration(base), PowerFiltration(integral_closure(base))
+    verdict = rees_closure_compare(P, Q, 6, 3)
+    assert (verdict.outcome, verdict.max_r_used) == ("equal-up-to-bound", 1)
+    R = PowerFiltration(MonomialIdeal(CTX3, base.gens + ((1, 1, 0),)))
+    verdict = rees_closure_compare(P, R, 6, 3)
+    assert (verdict.outcome, verdict.degree, verdict.direction) == (
+        "proven-different", 1, "right-into-left")
+    assert verdict.max_r_used == 1
+    assert P._cache == Q._cache == {} and list(R._cache) == [1]
+
+
+@pytest.mark.parametrize("N", [0, -1])
+def test_compare_rejects_an_empty_bound(N):
+    P = PowerFiltration(MonomialIdeal(CTX2, [(1, 0), (0, 1)]))
+    with pytest.raises(ValueError, match="N must be at least 1"):
+        rees_closure_compare(P, P, N, 2)
+
+
+def test_negative_r_max_is_rejected():
+    P = PowerFiltration(MonomialIdeal(CTX2, [(1, 0), (0, 1)]))
+    with pytest.raises(ValueError, match="r_max"):
+        rees_closure_compare(P, P, 2, -1)
+    with pytest.raises(ValueError, match="r_max"):
+        filtration_integral_member(P, (1, 1), 1, -1)
 
 
 def test_compare_equal_pairs():
