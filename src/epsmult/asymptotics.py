@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from statistics import median
 
+from ._record import Record
 from .filtration import DiscreteValuedFiltration, Filtration, filtration_dimension
 from .newton import _det, _hull_of
 from .ring import (
@@ -71,8 +70,7 @@ class LocalizedSequenceError(RuntimeError):
     """A localized colength sequence is infinite or fails to classify."""
 
 
-@dataclass(frozen=True)
-class LengthSequence:
+class LengthSequence(Record):
     """Entries (n, length) with ``None`` recording an infinite length, and
     exact normalized values d! * length / n^dim for the finite ones."""
 
@@ -122,8 +120,7 @@ def _window_fit(tail):
     return eps, c, Fraction(max(corrected) - min(corrected), B * q)
 
 
-@dataclass(frozen=True)
-class EpsilonReport:
+class EpsilonReport(Record):
     sequence: LengthSequence
     window: int
     running_sup: tuple
@@ -190,6 +187,14 @@ def _secants(normalized, window):
     return tuple(out)
 
 
+def _median(values):
+    """The median of a nonempty list, as ``statistics.median`` defines it:
+    the middle value, or the mean of the two middle values."""
+    s = sorted(values)
+    k = len(s) // 2
+    return s[k] if len(s) % 2 else (s[k - 1] + s[k]) / 2
+
+
 def _classify(normalized, window, fit):
     """Apply the documented classification rules to (n, value) pairs, given
     the trailing-window fit (None when the window has an infinite entry)."""
@@ -198,7 +203,7 @@ def _classify(normalized, window, fit):
     head_vals = [v for _, v in normalized[:window] if v is not None]
     tail_vals = [v for _, v in normalized[-window:]]
     increasing = all(a < b for a, b in zip(tail_vals, tail_vals[1:]))
-    if head_vals and increasing and tail_vals[-1] > DIVERGENCE_FACTOR * median(head_vals):
+    if head_vals and increasing and tail_vals[-1] > DIVERGENCE_FACTOR * _median(head_vals):
         return "diverging", None, None
     eps, _, spread = fit
     mean = sum(tail_vals) / len(tail_vals)
@@ -335,8 +340,7 @@ def ideal_multiplicity(I: MonomialIdeal) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ESLocalizedReport:
+class ESLocalizedReport(Record):
     value: Fraction
     exact: bool
     s: int
@@ -410,8 +414,7 @@ def e_s_localized(F: Filtration, N=200, window=None, s=None) -> ESLocalizedRepor
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DifferenceReport:
+class DifferenceReport(Record):
     """Estimates for an inclusion of filtrations inner <= outer: the two
     saturation-quotient limits, the normalized gap limit
     d! * lambda(outer_n / inner_n) / n^d, and the residual
@@ -457,8 +460,7 @@ def epsilon_difference_check(inner_f: Filtration, outer_f: Filtration, N,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TruncationSweep:
+class TruncationSweep(Record):
     """Fitted estimates for the level-i subfiltrations against the parent.
 
     Gaps are compared with the trailing-window least-squares estimates

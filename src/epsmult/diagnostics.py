@@ -20,8 +20,7 @@ degree), which forces the fiber cone to be zero dimensional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .filtration import DiscreteValuedFiltration, Filtration, PowerFiltration
 from .ring import (
     MonomialIdeal,
@@ -48,8 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AcReport:
+class AcReport(Record):
     """Outcome of the A(c) comparison up to the bound N."""
 
     c: int
@@ -100,8 +98,7 @@ def verify_ac_witness(F: Filtration, report: AcReport) -> bool:
             and not In.contains(w))
 
 
-@dataclass(frozen=True)
-class MaxSpreadCertificate:
+class MaxSpreadCertificate(Record):
     """Witness that I_n differs from its saturation, plus what may be
     concluded from it for this representation."""
 
@@ -155,8 +152,7 @@ def spread_max_test(F: Filtration, N):
     return None
 
 
-@dataclass(frozen=True)
-class ZeroSpreadCertificate:
+class ZeroSpreadCertificate(Record):
     """Per-generator nilpotency data: for each n <= bound and each minimal
     generator g of I_n, an r with g^r in m * I_(rn).
 
@@ -191,8 +187,7 @@ class ZeroSpreadCertificate:
         }
 
 
-@dataclass(frozen=True)
-class ZeroSpreadNotFound:
+class ZeroSpreadNotFound(Record):
     """The first (n, generator) for which no exponent r <= bound worked."""
 
     n: int

@@ -18,9 +18,8 @@ per-instance dicts with idempotent entries.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable
 
+from ._record import Record
 from .ring import (
     MonomialIdeal,
     RingContext,
@@ -79,14 +78,13 @@ def sigma_surrogate(n):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Coordinate:
+class Coordinate(Record):
     """One parsed template coordinate: its text, its value as a function of
     n, and its exact affine form (a, b) with value a*n + b, or None where the
     value is not affine in n."""
 
     text: str
-    eval: Callable[[int], int]
+    eval: object  # int -> int
     form: tuple[int, int] | None
 
 
@@ -312,8 +310,7 @@ class LocalizedFiltration(Filtration):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """First pair with I_m * I_n not contained in I_{m+n}."""
 
     m: int

@@ -17,9 +17,9 @@ open question about its limsup constant is reported, not resolved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .asymptotics import (
     e_s_localized,
     epsilon_difference_check,
@@ -64,8 +64,7 @@ HALF_PERCENT = Fraction(1, 200)
 _PLANE = RingContext(2)
 
 
-@dataclass(frozen=True)
-class FixtureResult:
+class FixtureResult(Record):
     fixture_id: str
     title: str
     provenance: str  # "literature" | "derived" | "trivial"

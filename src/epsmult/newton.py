@@ -23,10 +23,10 @@ Unknown rather than guessed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from ._record import Record
 from .filtration import (
     DiscreteValuedFiltration,
     Filtration,
@@ -34,6 +34,7 @@ from .filtration import (
     TemplateFiltration,
 )
 from .ring import (
+    DimensionMismatchError,
     MonomialIdeal,
     _check_exponent,
     _from_points,
@@ -275,8 +276,7 @@ def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeparationCertificate:
+class SeparationCertificate(Record):
     """A weight w >= 0 excluding x^a from the degree-m closure for every r:
     nu_w(I_(rm)) >= slope*r + intercept while w.(r*a) = r*(w.a), and either
     w.a < slope, or w.a = slope with intercept > 0."""
@@ -298,8 +298,7 @@ class SeparationCertificate:
         }
 
 
-@dataclass(frozen=True)
-class ContainmentCertificate:
+class ContainmentCertificate(Record):
     """For a rational discrete-valued spec the Rees algebra is integrally
     closed, so degree-m closure membership is plain containment in I_m."""
 
@@ -314,8 +313,7 @@ class ContainmentCertificate:
         }
 
 
-@dataclass(frozen=True)
-class ClosureMembership:
+class ClosureMembership(Record):
     status: str  # "yes" | "no" | "unknown"
     r: int | None = None
     certificate: object | None = None
@@ -375,12 +373,13 @@ def filtration_integral_member(F: Filtration, a, m, r_max) -> ClosureMembership:
     decides every r: NP(I^(rm)) = rm * NP(I), so for r >= 1, r*a lies in
     it exactly when w.a >= m*rhs for every facet (w, rhs) of NP(I).  The
     answer is then Yes(1) or, as no larger r can do better, a separation
-    attempt; neither builds I^(rm)."""
+    attempt; neither builds I^(rm).  A monomial with other than d entries
+    raises DimensionMismatchError."""
     if m < 1:
         raise ValueError("degree must be positive")
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
-    a = tuple(a)
+    a = _check_exponent(a, F.ctx.dim)
     if isinstance(F, DiscreteValuedFiltration) and F.is_rational_discrete_valued:
         if F.ideal_at(m).contains(a):
             return ClosureMembership(status="yes", r=1)
@@ -421,8 +420,7 @@ def verify_separation_certificate(F: Filtration, cert: SeparationCertificate,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClosureVerdict:
+class ClosureVerdict(Record):
     """Outcome of comparing the integral closures of two filtration Rees
     algebras degree by degree up to a bound."""
 
@@ -481,11 +479,15 @@ def rees_closure_compare(F: Filtration, G: Filtration, N, r_max) -> ClosureVerdi
     the left base lies in NP(right base), every membership in it is Yes
     with r = 1 and left_n is never built.  Otherwise its generators are
     tested one by one, which settles powers at n = 1, where F_1 is the
-    base."""
+    base.  Filtrations over rings of different dimension raise
+    DimensionMismatchError."""
     if N < 1:
         raise ValueError("N must be at least 1")
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
+    if F.ctx.dim != G.ctx.dim:
+        raise DimensionMismatchError(
+            f"filtrations live in dimension {F.ctx.dim} and {G.ctx.dim}")
     directions = [(left, right, side, _powers_inside(left, right, r_max))
                   for left, right, side in ((F, G, "left-into-right"),
                                             (G, F, "right-into-left"))]

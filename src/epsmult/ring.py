@@ -52,8 +52,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from operator import itemgetter
+
+from ._record import Record
 
 __all__ = [
     "RingContext",
@@ -86,8 +87,7 @@ class IdealDomainError(ValueError):
 _DEFAULT_NAMES = ("x", "y", "z", "w")
 
 
-@dataclass(frozen=True)
-class RingContext:
+class RingContext(Record):
     """Ambient ring data: dimension and variable names (names are I/O only)."""
 
     dim: int
@@ -108,6 +108,17 @@ class RingContext:
             raise ValueError("need one name (a string) per variable")
         if len(set(self.names)) != self.dim:
             raise ValueError("variable names must be distinct")
+
+
+_RINGS = {}  # d -> RingContext(d): the rings of the kernel's slices
+
+
+def _ring(d):
+    """RingContext(d), built once per dimension."""
+    ctx = _RINGS.get(d)
+    if ctx is None:
+        ctx = _RINGS[d] = RingContext(d)
+    return ctx
 
 
 def divides(g, a):
@@ -246,7 +257,7 @@ def _stack_of(points, d):
     and keep the column if the slice grew.  In two variables the join keeps
     the least exponent."""
     flat = d == 2
-    sub = None if flat else RingContext(d - 1)
+    sub = None if flat else _ring(d - 1)
     stack = []
     last = None
     for a, column in itertools.groupby(sorted(points), itemgetter(0)):
@@ -366,7 +377,7 @@ def _weight_ideal(cuts, ctx):
         q = max(-(-n // w[0]) for w, n in cuts)
         return MonomialIdeal(ctx, ((q,),), _canonical=True)
     flat = ctx.dim == 2
-    sub = None if flat else RingContext(ctx.dim - 1)
+    sub = None if flat else _ring(ctx.dim - 1)
     start = top = 0
     live = []
     for w, n in cuts:

@@ -14,9 +14,9 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass
 
 from . import textio
+from ._record import Record
 from .asymptotics import (
     e_s_localized,
     epsilon_difference_check,
@@ -262,8 +262,7 @@ def _read_task(task, filtrations, label):
     return render, out
 
 
-@dataclass
-class Scenario:
+class Scenario(Record):
     ctx: RingContext
     filtrations: dict
     tasks: list

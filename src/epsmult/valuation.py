@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .ring import MonomialIdeal, RingContext, _weight_ideal
 from .textio import fraction_str
 
@@ -82,8 +82,7 @@ def _pi_brackets(digits):
 _CONSTANTS = {"pi": _pi_brackets}
 
 
-@dataclass(frozen=True)
-class ExactScalar:
+class ExactScalar(Record):
     """A positive multiplier: ``coeff`` times an optional named constant."""
 
     coeff: Fraction
@@ -176,8 +175,7 @@ def ceil_defect_lower_bound(a: ExactScalar, n, max_digits=300):
         f"could not certify the ceiling defect at n={n} within {max_digits} digits")
 
 
-@dataclass(frozen=True)
-class MonomialValuation:
+class MonomialValuation(Record):
     """Weight-vector valuation: v(x^a) = weights . a.
 
     Zero weights are allowed so valuations centered at non-maximal monomial

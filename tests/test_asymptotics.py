@@ -1,4 +1,5 @@
 import math
+import statistics
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from epsmult.asymptotics import (
     LengthSequence,
     LocalizedSequenceError,
     _fit_inverse_n,
+    _median,
     _secants,
     _sequence_report,
     _window_fit,
@@ -167,6 +169,17 @@ def test_window_sums_match_fraction_reference(case):
         if all(v is not None for _, v in tail):
             assert _fit_inverse_n(tail) == ref_fit_inverse_n(tail)
             assert _window_fit(tail) == ref_window_fit(tail)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.fractions(), min_size=1, max_size=12))
+@example([Fraction(1, 3), Fraction(2, 3)])
+@example([Fraction(5), Fraction(1, 2), Fraction(5)])
+def test_median_matches_statistics(values):
+    """The classifier's exact median is ``statistics.median``, for odd and
+    even lengths, equal entries and any order."""
+    assert _median(values) == statistics.median(values)
+    assert _median(values[::-1]) == statistics.median(values)
 
 
 def test_window_validation():

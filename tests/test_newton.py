@@ -21,7 +21,12 @@ from epsmult.newton import (
     rees_closure_compare,
     verify_separation_certificate,
 )
-from epsmult.ring import MonomialIdeal, RingContext, maximal_power
+from epsmult.ring import (
+    DimensionMismatchError,
+    MonomialIdeal,
+    RingContext,
+    maximal_power,
+)
 from epsmult.valuation import ExactScalar, MonomialValuation
 from ring_reference import oracle_np_member, ref_rees_closure_compare
 
@@ -331,6 +336,26 @@ def test_negative_r_max_is_rejected():
         rees_closure_compare(P, P, 2, -1)
     with pytest.raises(ValueError, match="r_max"):
         filtration_integral_member(P, (1, 1), 1, -1)
+
+
+def test_compare_rejects_rings_of_different_dimension():
+    """Powers of (x, y) and of (x, y, z) live in different rings, so there is
+    nothing to compare (a 2-entry certificate for a 3-entry monomial was the
+    answer before)."""
+    P2 = PowerFiltration(MonomialIdeal(CTX2, [(1, 0), (0, 1)]))
+    P3 = PowerFiltration(MonomialIdeal(CTX3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    for left, right in ((P2, P3), (P3, P2)):
+        with pytest.raises(DimensionMismatchError, match="dimension"):
+            rees_closure_compare(left, right, 2, 2)
+
+
+@pytest.mark.parametrize("a", [(1,), (1, 1, 1), ()])
+def test_member_rejects_a_monomial_of_another_dimension(a):
+    T = TemplateFiltration(CTX2, [("2", "0"), ("1", "n")])
+    R = DiscreteValuedFiltration(CTX2, [(MonomialValuation((1, 1)), ExactScalar(1))])
+    for F in (PowerFiltration(MonomialIdeal(CTX2, [(1, 0), (0, 1)])), T, R):
+        with pytest.raises(DimensionMismatchError):
+            filtration_integral_member(F, a, 1, 2)
 
 
 def test_compare_equal_pairs():

@@ -1,0 +1,153 @@
+"""The package's value records against frozen dataclasses, their oracle.
+
+Every record class is a ``Record`` subclass.  For each, a frozen dataclass
+with the same fields, defaults and ``__post_init__`` is built with
+``dataclasses.make_dataclass``, and both must agree on construction,
+``repr``, equality, hashing, defaults and the errors they raise.  The last
+tests keep ``import epsmult`` free of the modules the records replaced.
+"""
+
+import ast
+import dataclasses
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import epsmult
+from epsmult._record import Record
+
+PACKAGE = Path(epsmult.__file__).resolve().parent
+
+
+def _record_classes():
+    """Every record class of the package, by name."""
+    found, todo = {}, [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            if cls.__module__.startswith("epsmult."):
+                found[cls.__name__] = cls
+                todo.append(cls)
+    return [found[name] for name in sorted(found)]
+
+
+RECORDS = _record_classes()
+
+# two different argument tuples for the records whose __post_init__ checks
+# its fields; every other record takes any values
+VALID = {
+    "RingContext": [(2, ("u", "v")), (3, ())],
+    "ExactScalar": [(Fraction(3, 2), "pi"), (Fraction(2),)],
+    "MonomialValuation": [((1, 0, 2),), ((0, 1),)],
+}
+
+
+def _samples(cls):
+    """Two argument tuples, for all fields, that give unequal records."""
+    if cls.__name__ in VALID:
+        return VALID[cls.__name__]
+    return [tuple(f"{side}{i}" for i in range(len(cls._fields)))
+            for side in "ab"]
+
+
+def _required(cls):
+    """Arguments for the fields without a default only."""
+    args = _samples(cls)[0]
+    return args[:len(cls._fields) - len(cls._defaults)]
+
+
+def _twin(cls):
+    """A frozen dataclass with the fields, defaults and ``__post_init__`` of
+    ``cls``."""
+    spec = [(f, object, dataclasses.field(default=cls._defaults[f]))
+            if f in cls._defaults else (f, object) for f in cls._fields]
+    return dataclasses.make_dataclass(
+        cls.__name__, spec, frozen=True,
+        namespace={"__post_init__": cls.__post_init__})
+
+
+def _fields(obj):
+    return [getattr(obj, f.name) for f in dataclasses.fields(obj)] \
+        if dataclasses.is_dataclass(obj) else [getattr(obj, f) for f in obj._fields]
+
+
+def test_every_record_class_is_found():
+    assert len(RECORDS) == 20
+    assert {cls.__module__ for cls in RECORDS} == {
+        f"epsmult.{m}" for m in ("ring", "valuation", "filtration", "asymptotics",
+                                 "diagnostics", "newton", "fixtures", "scenario")}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_behaves_like_a_frozen_dataclass(cls):
+    twin = _twin(cls)
+    first, second = _samples(cls)
+    rec, dc = cls(*first), twin(*first)
+    # construction, positional or by keyword, and repr
+    assert _fields(rec) == _fields(dc)
+    assert repr(rec) == repr(dc)
+    by_name = dict(zip(cls._fields, first))
+    assert cls(**by_name) == rec and twin(**by_name) == dc
+    # equality and hashing within a class
+    for make in (cls, twin):
+        a, b, c = make(*first), make(*first), make(*second)
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert a != c and not a == c
+    assert hash(rec) == hash(dc)
+    # records of two classes never compare equal, even with equal fields
+    Sub = type("Sub", (cls,), {})
+    SubTwin = type("SubTwin", (twin,), {})
+    assert rec != Sub(*first) and dc != SubTwin(*first)
+    assert (rec == dc) is (dc == rec) is False
+    # defaults
+    assert _fields(cls(*_required(cls))) == _fields(twin(*_required(cls)))
+    # bad arguments
+    bad_calls = [
+        ((*first, "extra"), {}),
+        (first, {"no_such_field": 1}),
+        (first, {cls._fields[0]: first[0]}),
+    ]
+    if len(_required(cls)):
+        bad_calls.append(((), {}))
+    for args, kwargs in bad_calls:
+        for make in (cls, twin):
+            with pytest.raises(TypeError):
+                make(*args, **kwargs)
+    # immutability
+    for obj in (rec, dc):
+        for name in (cls._fields[0], "no_such_field"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(obj, cls._fields[0])
+    assert _fields(rec) == _fields(dc)
+
+
+def test_import_loads_none_of_the_replaced_modules():
+    """``import epsmult`` in a bare interpreter (no site packages) loads no
+    dataclass machinery and none of the one-use standard modules."""
+    code = ("import sys, epsmult; print(sorted({'dataclasses', 'inspect', "
+            "'statistics', 'typing'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_no_generated_code_in_the_package():
+    """No module imports ``dataclasses`` or calls ``exec`` or ``eval``."""
+    offending = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            # a read, so the field ``Coordinate.eval`` does not count
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                    and node.id in ("exec", "eval")):
+                offending.append(f"{path.name}:{node.lineno}: {node.id}")
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            offending += [f"{path.name}:{node.lineno}: import {n}"
+                          for n in names if n == "dataclasses"]
+    assert not offending, offending
