@@ -152,6 +152,15 @@ class Filtration:
     def _compute(self, n) -> MonomialIdeal:
         raise NotImplementedError
 
+    def _fill_below(self, n):
+        """Memoise levels up to n - 2 upward from the highest one held, so
+        that a cold level far up is a loop, not a chain of nested calls."""
+        k = n - 2
+        while k > 1 and k not in self._cache:
+            k -= 1
+        for m in range(k + 1, n - 1):
+            self.ideal_at(m)
+
     def localize(self, coords) -> "LocalizedFiltration":
         return LocalizedFiltration(self, coords)
 
@@ -174,6 +183,7 @@ class PowerFiltration(Filtration):
     def _compute(self, n):
         if n == 1:
             return self.base
+        self._fill_below(n)
         return ideal_product(self.ideal_at(n - 1), self.base)
 
     def describe(self):
@@ -278,6 +288,7 @@ class TruncationFiltration(Filtration):
     def _compute(self, n):
         if n <= self.level:
             return self.parent.ideal_at(n)
+        self._fill_below(n)
         result = None
         for j in range(1, min(self.level, n) + 1):
             term = ideal_product(self.parent.ideal_at(j), self.ideal_at(n - j))

@@ -2,30 +2,29 @@
 maximal monomial ideal.
 
 A monomial x^a is identified with its exponent vector ``a`` (a tuple of
-nonnegative Python ints, so exponents may grow without bound), an ideal with
-the divisibility antichain of its minimal generators in a fixed canonical
-order (graded lexicographic).
+nonnegative Python ints, so exponents may grow without bound).  In one
+variable an ideal is held as its generator.  In d >= 2 variables its value
+is its stack of slices along the first variable: the pairs (a, S_a), by
+increasing a, at which the slice S_a = {monomials m in the other d-1
+variables : x^a*m in I} grows, so S_a is constant between two entries and
+beyond the last.  In two variables a slice is the principal ideal (y^q),
+held as the exponent q: the stack is the staircase of corners, with
+strictly decreasing q.  In more variables a slice is a (d-1)-variable ideal
+with its own stack.  Canonical stacks are equal exactly when the ideals
+are.  The minimal generators, in graded lexicographic order, are listed
+from the stack on first read (and the stack from the generators, for an
+ideal given by them), so ``repr``, hashing and everything serialised are
+the same in every dimension.
 
-In d >= 2 variables an ideal I is also a stack of slices along the first
-variable: the pairs (a, S_a), by increasing a, at which the slice
-S_a = {monomials m in the other d-1 variables : x^a*m in I} grows.  S_a is
-generated by the projections of the generators with first coordinate at
-most a, so it is constant between two entries and beyond the last.  In two
-variables a slice is the principal ideal (y^q), held as the exponent q:
-the stack is the staircase of corners, with strictly decreasing q.  In more
-variables a slice is a (d-1)-variable ideal with its own stack.
-
-Every kernel operation is written once over stacks.  ``_profile_steps``
-merges two stacks into the runs on which both slices are constant, and each
-operation recurses on the slices down to the two-variable closed forms:
-intersection meets slices, containment compares them, the length of a
-finite quotient sums the slice lengths times the run widths, saturation is
-sat(I)_a = S_top meet sat(S_a), and minimalisation joins each column of
-points to the slice below.  Only one variable keeps small closed forms of
-its own.  The stack is kept beside the generators (built with the ideal, or
-once on first use); the generators themselves stay in grlex order, so
-equality, hashing, ``repr`` and everything serialised are the same in every
-dimension.
+Every kernel operation is written once over stacks and recurses on the
+slices down to the two-variable closed forms.  ``_profile_steps`` merges
+two stacks into the runs on which both slices are constant: intersection
+meets slices, containment compares them, and the length of a finite
+quotient sums the slice lengths times the run widths.  Saturation is
+sat(I)_a = S_top meet sat(S_a).  ``_grow`` joins slices placed at first
+coordinates into a stack: a sum places the entries of both stacks, a
+product each slice product S_a*T_b at a + b (two-variable slices add
+exponents), and minimalisation each column of points.
 
 Ideals cut out by weight inequalities {x^a : w . a >= n for every cut
 (w, n)} -- valuation ideals, the levels of a discrete-valued filtration
@@ -41,11 +40,11 @@ n that is O(k log n) steps in place of a staircase of O(n) corners.
 
 Only the public constructor validates exponents.  Results of the kernel's
 own operations go through ``_from_points`` (minimalise trusted points),
-``_stack_ideal`` (a known stack) or ``_weight_ideal`` (weight cuts), all of
-which end in the canonical constructor path.
+``_stack_ideal`` (a known stack) or ``_weight_ideal`` (weight cuts).
 
-All values are immutable (the stack cache is filled at most once, and with
-the same value by any writer) and every operation is pure.
+All values are immutable (the generator list and the stack are each built
+at most once, with the same value by any writer) and every operation is
+pure.
 """
 
 from __future__ import annotations
@@ -135,34 +134,33 @@ def _check_exponent(e, dim):
     return tuple(e)
 
 
+def _format_monomial(exp, names):
+    """``x^2*y`` text of a monomial, ``1`` for the trivial one."""
+    factors = [n if e == 1 else f"{n}^{e}" for n, e in zip(names, exp) if e > 0]
+    return "*".join(factors) if factors else "1"
+
+
 def _member(gens, a):
     """Some generator divides the (already valid) exponent ``a``."""
     return any(divides(g, a) for g in gens)
 
 
 class MonomialIdeal:
-    """A monomial ideal, stored as the canonical antichain of its minimal
-    generators.
+    """A monomial ideal: its minimal generators ``gens`` in grlex order
+    (``()`` for the zero ideal) and, in two or more variables, its slice
+    stack.  ``_gens`` and ``_stack`` hold ``None`` until built; equality,
+    ``is_zero`` and ``is_unit`` read the stack while the list is unbuilt.
+    Equality and hashing ignore variable names.  In up to three variables
+    ``_hull`` caches the Newton polyhedron: its facets and the vertices of
+    its compact facets."""
 
-    ``gens == ()`` is the zero ideal and ``gens == ((0,...,0),)`` the unit
-    ideal; both are explicit canonical values.  Equality and hashing ignore
-    variable names, only the dimension and the generators matter.  In two
-    or more variables ``_stack`` caches the slice stack along the first
-    variable, and in up to three ``_hull`` the Newton polyhedron: its
-    facets and the vertices of its compact facets.
-    """
-
-    __slots__ = ("ctx", "gens", "_stack", "_hull")
+    __slots__ = ("ctx", "dim", "_gens", "_stack", "_hull")
 
     def __init__(self, ctx, gens, _canonical=False):
-        self.ctx = ctx
-        if _canonical:
-            self.gens = gens
-        else:
+        self.ctx, self.dim, self._gens, self._stack = ctx, ctx.dim, gens, None
+        if not _canonical:
             I = _from_points(ctx, [_check_exponent(g, ctx.dim) for g in gens])
-            self.gens = I.gens
-            if ctx.dim > 1:
-                self._stack = I._stack
+            self._gens, self._stack = I._gens, I._stack
 
     # -- constructors -------------------------------------------------
 
@@ -181,14 +179,22 @@ class MonomialIdeal:
     # -- basic structure ----------------------------------------------
 
     @property
-    def dim(self):
-        return self.ctx.dim
+    def gens(self):
+        gens = self._gens
+        if gens is None:
+            gens = self._gens = _stack_gens(self.dim, self._stack)
+        return gens
 
     def is_zero(self):
-        return not self.gens
+        gens = self._gens
+        return not (self._stack if gens is None else gens)
 
     def is_unit(self):
-        return bool(self.gens) and sum(self.gens[0]) == 0
+        gens, stack = self._gens, self._stack
+        if gens is None:  # only the unit ideal's stack starts (0, unit slice)
+            return bool(stack) and stack[0][0] == 0 and (
+                stack[0][1] == 0 if self.dim == 2 else stack[0][1].is_unit())
+        return bool(gens) and sum(gens[0]) == 0
 
     def is_proper(self):
         return not self.is_zero() and not self.is_unit()
@@ -200,23 +206,18 @@ class MonomialIdeal:
     def __eq__(self, other):
         if not isinstance(other, MonomialIdeal):
             return NotImplemented
-        return self.dim == other.dim and self.gens == other.gens
+        if self.dim != other.dim:
+            return False
+        if self._gens is None or other._gens is None:
+            return _slices(self) == _slices(other)
+        return self._gens == other._gens
 
     def __hash__(self):
         return hash((self.dim, self.gens))
 
     def __repr__(self):
-        if self.is_zero():
-            return "MonomialIdeal(0)"
-        names = self.ctx.names
-        parts = []
-        for g in self.gens:
-            factors = [
-                n if e == 1 else f"{n}^{e}"
-                for n, e in zip(names, g) if e > 0
-            ]
-            parts.append("*".join(factors) if factors else "1")
-        return f"MonomialIdeal({', '.join(parts)})"
+        gens = ", ".join(_format_monomial(g, self.ctx.names) for g in self.gens)
+        return f"MonomialIdeal({gens or 0})"
 
     def contains(self, a):
         """Membership of the monomial x^a: some generator divides a."""
@@ -252,54 +253,58 @@ def _from_points(ctx, points):
 
 def _stack_of(points, d):
     """The slice stack of the ideal generated by ``points`` in d >= 2
-    variables: walk the points in lex order, one column of equal first
-    coordinate at a time, join the column's projections to the slice below
-    and keep the column if the slice grew.  In two variables the join keeps
-    the least exponent."""
-    flat = d == 2
-    sub = None if flat else _ring(d - 1)
+    variables: each column of points of equal first coordinate a, projected
+    (in two variables, its least exponent), joins the slices from a on."""
+    if d == 2:
+        return _grow(sorted(points), True)
+    sub = _ring(d - 1)
+    return _grow([(a, _from_points(sub, [p[1:] for p in column]))
+                  for a, column in itertools.groupby(sorted(points), itemgetter(0))],
+                 False)
+
+
+def _grow(entries, flat):
+    """The slice stack whose slice at c is the sum of the slices of the
+    entries (a, S) with a <= c, from entries by increasing a.  The sum of
+    two-variable slices (y^q) is the one of smaller exponent."""
     stack = []
-    last = None
-    for a, column in itertools.groupby(sorted(points), itemgetter(0)):
-        if flat:
-            s = next(column)[1]
-            if last is not None and s >= last:
-                continue
-        else:
-            s = _from_points(sub, [p[1:] for p in column]
-                             + list(last.gens if last is not None else ()))
+    for a, s in entries:
+        if stack:
+            last = stack[-1][1]
+            s = (s if s < last else last) if flat else _join(last, s)
             if s == last:
                 continue
+            if stack[-1][0] == a:
+                stack.pop()
         stack.append((a, s))
-        last = s
     return tuple(stack)
 
 
 def _stack_ideal(ctx, stack):
-    """Trusted path: the ideal whose slice stack is ``stack``.  A generator
-    x^a*m is a generator m of the slice at a that the slice below lacks."""
-    if ctx.dim == 2:
-        gens = stack
-    else:
-        gens = []
-        old = set()
-        for a, s in stack:
-            gens += [(a,) + m for m in s.gens if m not in old]
-            old = set(s.gens)
-        gens.sort()
-    # from lex to grlex order by a stable sort on the degree
-    I = MonomialIdeal(ctx, tuple(sorted(gens, key=sum)), _canonical=True)
-    I._stack = stack
+    """Trusted path: the ideal whose slice stack is ``stack``."""
+    I = MonomialIdeal.__new__(MonomialIdeal)
+    I.ctx, I.dim, I._gens, I._stack = ctx, ctx.dim, None, stack
     return I
+
+
+def _stack_gens(d, stack):
+    """The generators of the ideal with slice stack ``stack``, in grlex
+    order: x^a*m for the generators m of S_a that the slice below lacks."""
+    if d == 2:  # from lex to grlex order by a stable sort on the degree
+        return tuple(sorted(stack, key=sum))
+    gens, below = [], ()
+    for a, s in stack:
+        gens += [(a,) + m for m in s.gens if m not in below]
+        below = set(s.gens)
+    return tuple(sorted(gens, key=lambda g: (sum(g), g)))
 
 
 def _slices(I):
     """The slice stack of an ideal in d >= 2 variables, cached on it."""
-    try:
-        return I._stack
-    except AttributeError:
-        I._stack = stack = _stack_of(I.gens, I.dim)
-        return stack
+    stack = I._stack
+    if stack is None:
+        stack = I._stack = _stack_of(I._gens, I.dim)
+    return stack
 
 
 def _profile_steps(A, B):
@@ -325,19 +330,35 @@ def _profile_steps(A, B):
 
 
 def ideal_sum(I, J):
+    """I + J: in d >= 2 variables the slice at c is the sum of the two
+    slices at c, so the entries of both stacks are joined by increasing a."""
     _compatible(I, J)
-    return _from_points(I.ctx, I.gens + J.gens)
+    if I.dim == 1:
+        return _from_points(I.ctx, I.gens + J.gens)
+    return _join(I, J)
+
+
+def _join(I, J):
+    return _stack_ideal(I.ctx, _grow(
+        sorted(_slices(I) + _slices(J), key=itemgetter(0)), I.dim == 2))
 
 
 def ideal_product(I, J):
+    """I * J: in d >= 2 variables the slice at c is the sum of the slice
+    products S_a * T_b over a + b <= c, so the products of stack entries
+    are placed at a + b and joined, by increasing c, to the slice below.
+    Slices multiply one variable down; two-variable slices add exponents."""
     _compatible(I, J)
-    if I.is_zero() or J.is_zero():
-        return MonomialIdeal.zero(I.ctx)
-    pts = [
-        tuple(a + b for a, b in zip(g, h))
-        for g in I.gens for h in J.gens
-    ]
-    return _from_points(I.ctx, pts)
+    if I.dim == 1:
+        return _from_points(I.ctx, [(g[0] + h[0],) for g in I.gens for h in J.gens])
+    return _product(I, J)
+
+
+def _product(I, J):
+    flat = I.dim == 2
+    return _stack_ideal(I.ctx, _grow(sorted(
+        [(a + b, s + t if flat else _product(s, t))
+         for a, s in _slices(I) for b, t in _slices(J)], key=itemgetter(0)), flat))
 
 
 def ideal_power(I, n):

@@ -15,6 +15,7 @@ import re
 from fractions import Fraction
 
 from .ring import MonomialIdeal, RingContext
+from .ring import _format_monomial as format_monomial
 
 __all__ = [
     "format_monomial",
@@ -30,11 +31,6 @@ __all__ = [
 ]
 
 _FACTOR_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?$")
-
-
-def format_monomial(exp, names):
-    factors = [n if e == 1 else f"{n}^{e}" for n, e in zip(names, exp) if e > 0]
-    return "*".join(factors) if factors else "1"
 
 
 def monomial_obj(exp, names=None):

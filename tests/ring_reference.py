@@ -1,5 +1,6 @@
 """Reference monomial-ideal kernel: the plain algorithms that the slice
-stacks of ``epsmult.ring`` and ``epsmult.valuation``, the exact facets of
+stacks of ``epsmult.ring`` (products and sums included) and
+``epsmult.valuation``, the exact facets of
 ``epsmult.newton``, its closure membership and closure comparison over
 powers read off the bases' facets, and the zero-spread search by proper
 divisors replaced, kept as test oracles, and brute-force counts.
@@ -56,6 +57,17 @@ def ref_ideal(ctx, points):
     gens = [p for p in pts if not any(q != p and divides(q, p) for q in pts)]
     return MonomialIdeal(ctx, tuple(sorted(gens, key=lambda e: (sum(e), e))),
                          _canonical=True)
+
+
+def ref_ideal_product(I, J):
+    """Pairwise sums of generators, then minimalisation."""
+    return ref_ideal(I.ctx, [tuple(a + b for a, b in zip(g, h))
+                             for g in I.gens for h in J.gens])
+
+
+def ref_ideal_sum(I, J):
+    """The union of the generators, minimalised."""
+    return ref_ideal(I.ctx, I.gens + J.gens)
 
 
 def ref_slice_stack(I):

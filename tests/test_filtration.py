@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,23 @@ def test_truncate_dp_matches_enumeration():
         ti = F.truncate(i)
         for n in range(1, 9):
             assert ti.ideal_at(n) == truncation_by_enumeration(F, i, n)
+
+
+def test_cold_level_far_up_equals_the_warm_fill():
+    # a cold ideal_at(n) used to fill the memo by one nested call per level
+    # and raised RecursionError from about n = 700; it must give the value
+    # filled warm from n = 1, for powers and for truncations alike
+    n = 1500
+    assert n > sys.getrecursionlimit()
+    base = MonomialIdeal(CTX2, [(1, 2)])
+    for make in (lambda: PowerFiltration(base),
+                 lambda: PowerFiltration(base).truncate(1)):
+        warm = make()
+        for k in range(1, n + 1):
+            warm.ideal_at(k)
+        cold = make()
+        assert cold.ideal_at(n) == warm.ideal_at(n) == MonomialIdeal(CTX2, [(n, 2 * n)])
+        assert cold.ideal_at(n - 1) == warm.ideal_at(n - 1)
 
 
 @st.composite

@@ -7,6 +7,7 @@ from epsmult.ring import (
     IdealDomainError,
     MonomialIdeal,
     RingContext,
+    _weight_ideal,
     colength,
     colon,
     dim_quotient,
@@ -19,7 +20,7 @@ from epsmult.ring import (
     quotient_length,
     saturate,
 )
-from ring_reference import brute_quotient_length, saturate_by_colon
+from ring_reference import brute_quotient_length, ref_ideal, saturate_by_colon
 
 CTX2 = RingContext(2)
 CTX3 = RingContext(3)
@@ -350,3 +351,74 @@ def test_ring_context_needs_an_integer_dimension():
         with pytest.raises(ValueError, match="integer >= 1"):
             RingContext(dim)
     assert RingContext(3).names == ("x", "y", "z")
+
+
+# ---------------------------------------------------------------------------
+# generator lists built on first read
+# ---------------------------------------------------------------------------
+
+
+def kernel_builders():
+    """(name, build) for every kernel builder in two to four variables;
+    each ``build()`` returns a fresh ideal that holds only its stack.  The
+    inputs are proper, so that no builder hands back an argument."""
+    rng = random.Random(21)
+    cases = []
+    for ctx in (CTX2, CTX3, CTX4):
+        d = ctx.dim
+        A = ideal_sum(random_ideal(rng, ctx, max_exp=3), maximal_power(ctx, 4))
+        B = random_ideal(rng, ctx, max_exp=3)
+        e1 = (1,) + (0,) * (d - 1)
+        cases += [
+            (f"product d={d}", lambda A=A, B=B: ideal_product(A, B)),
+            (f"sum d={d}", lambda A=A, B=B: ideal_sum(A, B)),
+            (f"intersect d={d}", lambda A=A, B=B: intersect(A, B)),
+            (f"saturate d={d}", lambda B=B: saturate(B)),
+            (f"colon d={d}", lambda A=A, B=B: colon(A, B)),
+            (f"weight d={d}", lambda ctx=ctx, e1=e1: _weight_ideal(
+                [(e1, 2), ((1,) * len(e1), 5)], ctx)),
+            (f"localize d={d}", lambda A=A, d=d: localize(A, range(1, d))
+             if d > 2 else localize(A, (0, 1))),
+            (f"zero d={d}", lambda A=A, ctx=ctx: ideal_product(
+                A, MonomialIdeal.zero(ctx))),
+        ]
+    # the unit ideal from the kernel: its stack is ((0, unit slice),)
+    cases.append(("unit d=3", lambda: saturate(maximal_power(CTX3, 2))))
+    return cases
+
+
+@pytest.mark.parametrize("build", [pytest.param(build, id=name)
+                                   for name, build in kernel_builders()])
+def test_unbuilt_generator_lists_agree_with_public_twins(build):
+    X = build()
+    twin = MonomialIdeal(X.ctx, X.gens)  # the public constructor
+    ref = ref_ideal(X.ctx, X.gens)  # generators only, no stack yet
+    for read_first in (False, True):
+        X = build()
+        assert X._gens is None
+        if read_first:
+            assert X.gens == ref.gens
+        for Y in (twin, ref):
+            assert X == Y and Y == X and not X != Y
+        assert X.is_zero() == ref.is_zero()
+        assert X.is_unit() == ref.is_unit()
+        # equality and the two checks read the stack, not a list
+        assert (X._gens is None) == (not read_first)
+        assert hash(X) == hash(twin) == hash(ref)
+        assert repr(X) == repr(twin) == repr(ref)
+
+
+def test_kernel_unit_ideal_is_its_stack():
+    U = saturate(maximal_power(CTX3, 2))
+    assert U._stack == ((0, MonomialIdeal.unit(CTX2)),)
+    assert U._gens is None and U.is_unit() and not U.is_zero()
+    assert U == MonomialIdeal.unit(CTX3) and U.gens == ((0, 0, 0),)
+
+
+def test_saturation_length_leaves_the_generator_list_unbuilt():
+    # (x^4) meet m^9 in three variables: x^a*y^b*z^c with a >= 4 and
+    # a + b + c < 9 lies in the saturation (x^4) but not in I, C(7, 3) of
+    # them; measuring the quotient reads stacks only
+    I = _weight_ideal([((1, 0, 0), 4), ((1, 1, 1), 9)], CTX3)
+    assert quotient_length(saturate(I), I) == 35
+    assert I._gens is None

@@ -1,11 +1,11 @@
 """Property tests: the kernel equals the reference kernel in
 ``ring_reference`` on random ideals, zero and unit ideals included, in one
-to four variables: intersection, containment, saturation with its laws,
-valuation ideals, ideals of several weight cuts (meets of valuation
-ideals), powers of m, minimalisation and lengths; the saturation length of
-a two-variable ideal of weight cuts, counted from its cuts by floor sums,
-equals the one of the built ideal; the cached slice stack of
-every result equals the one rebuilt from its generators; sum and
+to four variables: intersection, products and sums, containment,
+saturation with its laws, valuation ideals, ideals of several weight cuts
+(meets of valuation ideals), powers of m, minimalisation and lengths; the
+saturation length of a two-variable ideal of weight cuts, counted from its
+cuts by floor sums, equals the one of the built ideal; the cached slice
+stack of every result equals the one rebuilt from its generators; sum and
 intersection obey the lattice laws and lengths add along chains; the
 multiplicity of R/I equals a direct count of the Hilbert function; and in
 two and three variables the exact facets of the Newton polyhedron agree
@@ -59,6 +59,8 @@ from ring_reference import (
     ref_halfspaces,
     ref_ideal,
     ref_ideal_multiplicity,
+    ref_ideal_product,
+    ref_ideal_sum,
     ref_integral_closure,
     ref_intersect,
     ref_maximal_power,
@@ -135,6 +137,22 @@ def test_intersect_matches_reference(pair):
     assert X == ref_intersect(I, J)
     assert X == intersect(J, I)
     assert_stack_consistent(X)
+
+
+@PROPERTY_ANY_DIM
+@given(any_dim_pairs)
+@example((MonomialIdeal.zero(CTXS[3]), MonomialIdeal.unit(CTXS[3])))
+@example((MonomialIdeal.unit(CTXS[4]), MonomialIdeal(CTXS[4], [(1, 0, 2, 0), (0, 3, 0, 1)])))
+def test_product_and_sum_match_reference(pair):
+    # the stack products and sums against pairwise sums and the union of
+    # the generators, in both argument orders
+    I, J = pair
+    for A, B in ((I, J), (J, I)):
+        P, S = ideal_product(A, B), ideal_sum(A, B)
+        assert P.gens == ref_ideal_product(A, B).gens
+        assert S.gens == ref_ideal_sum(A, B).gens
+        assert_stack_consistent(P)
+        assert_stack_consistent(S)
 
 
 @PROPERTY_ANY_DIM
