@@ -32,7 +32,6 @@ from .diagnostics import (
 from .filtration import (
     DiscreteValuedFiltration,
     Filtration,
-    LocalizedFiltration,
     PowerFiltration,
     TableFiltration,
     TableRangeError,

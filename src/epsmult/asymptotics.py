@@ -389,24 +389,16 @@ def e_s_localized(F: Filtration, N=200, window=None, s=None) -> ESLocalizedRepor
     if N < 2 * window:
         raise ValueError("need N >= 2*window")
     contributions = []
-    total = Fraction(0)
-    all_exact = True
     for S in _face_primes(F.ideal_at(1), codim):
+        L = F.localize(S)
         # the localized ring has dimension codim, so this is the normalized
         # colength (d-s)! * colength_p(I_n R_p) / n^(d-s)
-        norm = samuel_sequence(F.localize(S), N).normalized()
-        eps, _, spread = _window_fit(norm[-window:])
-        exact = spread == 0
-        names = tuple(F.ctx.names[i] for i in S)
-        contributions.append((names, eps, exact))
-        total += eps
-        all_exact = all_exact and exact
+        eps, _, spread = _window_fit(samuel_sequence(L, N).normalized()[-window:])
+        contributions.append((L.ctx.names, eps, spread == 0))
     return ESLocalizedReport(
-        value=total,
-        exact=all_exact,
-        s=s,
-        contributions=tuple(contributions),
-    )
+        value=sum((eps for _, eps, _ in contributions), Fraction(0)),
+        exact=all(exact for _, _, exact in contributions), s=s,
+        contributions=tuple(contributions))
 
 
 # ---------------------------------------------------------------------------

@@ -134,14 +134,11 @@ def spread_max_test(F: Filtration, N):
         if saturate(In) != In:
             if isinstance(F, PowerFiltration):
                 rep = "ideal-power"
-            elif (isinstance(F, DiscreteValuedFiltration)
-                  and F.is_rational_discrete_valued):
+            elif isinstance(F, DiscreteValuedFiltration) and F.is_rational_discrete_valued:
                 rep = "rational-discrete-valued"
             else:
-                rep = "uncertified"
-            if rep == "uncertified":
                 return MaxSpreadCertificate(
-                    witness_n=n, representation=rep, asserted_spread=None,
+                    witness_n=n, representation="uncertified", asserted_spread=None,
                     note=("criterion holds; maximal-spread conclusion "
                           "inapplicable (not certified rational "
                           "discrete-valued)"))

@@ -11,8 +11,9 @@ I_m * I_n <= I_{m+n}.  Five spec kinds are supported:
 * ``Table(ideals)``          -- explicit ideals for n <= N, error beyond
 * ``Truncation(parent, i)``  -- the subfiltration generated by degrees <= i
 
-Specs are immutable; ``ideal_at`` is pure given the spec.  Memo tables are
-per-instance dicts with idempotent entries.
+Specs are immutable; ``ideal_at`` is pure given the spec, and
+``F.localize(S)`` is a spec of the same kind in the variables S.  Memo
+tables are per-instance dicts with idempotent entries.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .ring import (
     ideal_sum,
     localize,
 )
-from .valuation import ExactScalar, ceil_mul, parse_scalar
+from .valuation import ExactScalar, MonomialValuation, ceil_mul, parse_scalar
 
 __all__ = [
     "Filtration",
@@ -39,7 +40,6 @@ __all__ = [
     "TemplateFiltration",
     "TableFiltration",
     "TruncationFiltration",
-    "LocalizedFiltration",
     "TableRangeError",
     "Witness",
     "sigma_surrogate",
@@ -161,8 +161,10 @@ class Filtration:
         for m in range(k + 1, n - 1):
             self.ideal_at(m)
 
-    def localize(self, coords) -> "LocalizedFiltration":
-        return LocalizedFiltration(self, coords)
+    def localize(self, coords) -> "Filtration":
+        """n -> localize(I_n, coords) as a spec of this kind in the variables
+        ``coords`` (each kind's ``_localized``), or the unit filtration."""
+        return self._localized(*_localized_ring(self.ctx, coords))
 
     def truncate(self, level) -> "TruncationFiltration":
         return TruncationFiltration(self, level)
@@ -185,6 +187,10 @@ class PowerFiltration(Filtration):
             return self.base
         self._fill_below(n)
         return ideal_product(self.ideal_at(n - 1), self.base)
+
+    def _localized(self, coords, sub):
+        base = localize(self.base, coords)
+        return _unit(sub) if base.is_unit() else PowerFiltration(base)
 
     def describe(self):
         return f"powers of {self.base!r}"
@@ -212,6 +218,13 @@ class DiscreteValuedFiltration(Filtration):
     def _compute(self, n):
         return _weight_ideal(self._cuts(n), self.ctx)
 
+    def _localized(self, coords, sub):
+        # a cut centered outside S holds for a power of a unit there; the
+        # others keep their multipliers, with the weights of S
+        pairs = [(MonomialValuation(tuple(v.weights[i] for i in coords)), a)
+                 for v, a in self.pairs if set(v.center()) <= set(coords)]
+        return DiscreteValuedFiltration(sub, pairs) if pairs else _unit(sub)
+
     @property
     def is_rational_discrete_valued(self):
         return all(a.is_rational for _, a in self.pairs)
@@ -238,10 +251,20 @@ class TemplateFiltration(Filtration):
         if not gens:
             raise ValueError("need at least one generator template")
         self.generators = tuple(gens)
+        # the table, if a coordinate reads it: its range is that of the spec
+        self._tau = tau if any(c.text == "tau(n)" for g in gens for c in g) else None
 
     def _compute(self, n):
+        if self._tau is not None and n not in self._tau:
+            raise TableRangeError(f"tau table has no entry for n={n}")
         pts = [tuple(coord.eval(n) for coord in g) for g in self.generators]
         return MonomialIdeal(self.ctx, pts)
+
+    def _localized(self, coords, sub):
+        loc = TemplateFiltration(
+            sub, [[g[i].text for i in coords] for g in self.generators], self._tau)
+        loc._tau = self._tau  # past the table, even with tau(n) dropped
+        return loc
 
     def generator_affine_forms(self):
         """Per-generator tuples of (a, b) coordinate forms, or None entries
@@ -270,6 +293,9 @@ class TableFiltration(Filtration):
                 f"table filtration only stores n <= {len(self.ideals)}, got {n}")
         return self.ideals[n - 1]
 
+    def _localized(self, coords, sub):
+        return TableFiltration(sub, [localize(I, coords) for I in self.ideals])
+
     def describe(self):
         return f"table of {len(self.ideals)} ideals"
 
@@ -295,25 +321,16 @@ class TruncationFiltration(Filtration):
             result = term if result is None else ideal_sum(result, term)
         return result
 
+    def _localized(self, coords, sub):
+        return self.parent._localized(coords, sub).truncate(self.level)
+
     def describe(self):
         return f"truncation at level {self.level} of [{self.parent.describe()}]"
 
 
-class LocalizedFiltration(Filtration):
-    """n -> localize(parent I_n, S): coordinates outside S become units."""
-
-    def __init__(self, parent: Filtration, coords):
-        coords, sub = _localized_ring(parent.ctx, coords)
-        super().__init__(sub)
-        self.parent = parent
-        self.coords = coords
-
-    def _compute(self, n):
-        return localize(self.parent.ideal_at(n), self.coords)
-
-    def describe(self):
-        names = ",".join(self.ctx.names)
-        return f"[{self.parent.describe()}] localized at ({names})"
+def _unit(ctx):
+    """The unit filtration: the template of the one generator 1."""
+    return TemplateFiltration(ctx, [("0",) * ctx.dim])
 
 
 # ---------------------------------------------------------------------------

@@ -363,9 +363,8 @@ def fx_staircase_lengths(shared):
     repJ = epsilon_report(J, 200, window=50)
     small = (repI.estimate is not None and abs(repI.estimate) < Fraction(1, 1000)
              and repJ.estimate is not None and abs(repJ.estimate) < Fraction(1, 1000))
-    loc_ok = all(
-        I.localize([0]).ideal_at(n) == J.localize([0]).ideal_at(n)
-        for n in range(1, 51))
+    LI, LJ = I.localize([0]), J.localize([0])
+    loc_ok = all(LI.ideal_at(n) == LJ.ideal_at(n) for n in range(1, 51))
     return (f"lengths-1: {lengths_ok}; estimates small: {small}; localized equal: {loc_ok}",
             lengths_ok and small and loc_ok)
 

@@ -566,29 +566,27 @@ def saturate(I):
 
 
 def _length(J, I):
-    """Length of J/I for I <= J in d >= 2 variables; ``None`` if infinite.
+    """Length of J/I in d >= 2 variables, ``None`` if infinite; raises
+    ``IdealDomainError`` unless I <= J.
 
     lambda(J/I) is the sum over a of lambda(J_a/I_a).  Both slices are
     constant on each run of the merged stacks (below the first entry of J
     both are zero), so each run adds its width times one slice length, that
     of two-variable slices (y^q) being the difference of the exponents;
     beyond the last entry the slices stay fixed, and the quotient is finite
-    only if they are equal there.
+    only if they are equal there.  Each slice of I must lie in that of J,
+    which the walk checks on past a run that made the length infinite.
     """
     flat = J.dim == 2
     total = start = diff = 0
     for a, sj, si in _profile_steps(J, I):
-        total += (a - start) * diff
-        if sj is None:
-            diff = 0
-        elif si is None:
-            return None
-        elif flat:
-            diff = si - sj
+        total = None if total is None or diff is None else total + (a - start) * diff
+        if si is None:
+            diff = 0 if sj is None else None
+        elif sj is None or (flat and sj > si):
+            raise IdealDomainError("quotient_length requires I contained in J")
         else:
-            diff = _length(sj, si)
-            if diff is None:
-                return None
+            diff = si - sj if flat else _length(sj, si)
         start = a
     return total if diff == 0 else None
 
@@ -603,16 +601,16 @@ def quotient_length(J, I):
     is infinite iff a slice quotient is, or the top slices differ.
     """
     _compatible(J, I)
+    if J.dim > 1:
+        # the slices recurse through the private helper, so that a trace
+        # wrapped around this function sees one call per quotient
+        return _length(J, I)
     if not J.contains_ideal(I):
         raise IdealDomainError("quotient_length requires I contained in J")
     if I == J:
         return 0
-    if J.dim == 1:
-        # (x^a) / (x^b) has length b - a, and (x^a) / 0 is infinite
-        return I.gens[0][0] - J.gens[0][0] if I.gens else None
-    # the slices recurse through the private helper, so that a trace
-    # wrapped around this function sees one call per quotient
-    return _length(J, I)
+    # (x^a) / (x^b) has length b - a, and (x^a) / 0 is infinite
+    return I.gens[0][0] - J.gens[0][0] if I.gens else None
 
 
 def colength(I):

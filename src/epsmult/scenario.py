@@ -142,12 +142,10 @@ def _build_filtration(name, block, ctx, built):
         # localized: the variables are those of the parent's ring, which is
         # smaller than the scenario's if the parent is localized itself
         names = parent.ctx.names
-        coords = []
-        for v in _require(block, "variables", where):
+        for v in (variables := _require(block, "variables", where)):
             if v not in names:
                 raise ScenarioError(f"{where}: unknown variable {v!r}")
-            coords.append(names.index(v))
-        return parent.localize(coords)
+        return parent.localize([names.index(v) for v in variables])
     except ScenarioError:
         raise
     except (ValueError, TypeError) as exc:

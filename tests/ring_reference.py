@@ -2,8 +2,9 @@
 stacks of ``epsmult.ring`` (products and sums included) and
 ``epsmult.valuation``, the exact facets of
 ``epsmult.newton``, its closure membership and closure comparison over
-powers read off the bases' facets, and the zero-spread search by proper
-divisors replaced, kept as test oracles, and brute-force counts.
+powers read off the bases' facets, the zero-spread search by proper
+divisors and the localization of filtration specs replaced, kept as test
+oracles, and brute-force counts.
 
 Every result here is built from candidate generator lists by validating each
 point and minimalising with pairwise divisibility, so nothing shares the
@@ -17,6 +18,7 @@ from math import gcd
 
 from epsmult.filtration import (
     DiscreteValuedFiltration,
+    Filtration,
     PowerFiltration,
     TemplateFiltration,
 )
@@ -38,10 +40,12 @@ from epsmult.ring import (
     IdealDomainError,
     MonomialIdeal,
     RingContext,
+    _localized_ring,
     colength,
     divides,
     ideal_power,
     ideal_product,
+    localize,
 )
 
 
@@ -569,3 +573,20 @@ def ref_spread_zero_test(F, N, r_max):
                 return ZeroSpreadNotFound(n=n, generator=g, searched_up_to=bound)
             entries.append((n, g, found))
     return ZeroSpreadCertificate(bound=N, r_max=r_max, entries=tuple(entries))
+
+
+class LocalizedFiltration(Filtration):
+    """n -> localize(parent I_n, S): every level of the parent is built in
+    all its variables and then projected, whatever the parent's kind."""
+
+    def __init__(self, parent, coords):
+        coords, sub = _localized_ring(parent.ctx, coords)
+        super().__init__(sub)
+        self.parent = parent
+        self.coords = coords
+
+    def _compute(self, n):
+        return localize(self.parent.ideal_at(n), self.coords)
+
+    def _localized(self, coords, sub):
+        return LocalizedFiltration(self, coords)

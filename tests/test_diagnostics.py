@@ -21,7 +21,7 @@ from epsmult.filtration import (
     PowerFiltration,
     TemplateFiltration,
 )
-from epsmult.fixtures import pi_line
+from epsmult.fixtures import pi_line, pi_plane
 from epsmult.ring import (
     MonomialIdeal,
     RingContext,
@@ -31,7 +31,7 @@ from epsmult.ring import (
 )
 from epsmult.valuation import ExactScalar, MonomialValuation
 from fraction_reference import ref_rational_rank
-from ring_reference import ref_spread_zero_test
+from ring_reference import LocalizedFiltration, ref_spread_zero_test
 
 CTX2 = RingContext(2)
 
@@ -132,6 +132,29 @@ def test_spread_max_withheld_for_irrational():
     assert cert.asserted_spread is None
     assert cert.representation == "uncertified"
     assert "withheld" in cert.note or "inapplicable" in cert.note
+
+
+def test_spread_labels_of_localized_filtrations():
+    # the seed-0 scenario-certs "dv", (x)^ceil(4n/3) meet m^ceil(7n/3), at
+    # (x) is now the rational discrete-valued (x^ceil(4n/3)) in one
+    # variable, so its witness asserts spread 1, where the projected levels
+    # reported only the criterion, at the same n
+    F = DiscreteValuedFiltration(RingContext(3), [
+        (MonomialValuation((1, 0, 0)), ExactScalar(Fraction(4, 3))),
+        (MonomialValuation((1, 1, 1)), ExactScalar(Fraction(7, 3)))])
+    new, old = (spread_max_test(G, 10) for G in (F.localize([0]),
+                                                  LocalizedFiltration(F, [0])))
+    assert (new.witness_n, new.representation, new.asserted_spread) == (
+        1, "rational-discrete-valued", 1)
+    assert (old.witness_n, old.representation, old.asserted_spread) == (
+        1, "uncertified", None)
+    # pi_plane at (x) is pi_line, so the zero-spread search now raises its
+    # bound by the ceiling defect, as on pi_line, and certifies where the
+    # projected levels ran out of r at n = 7
+    cert = spread_zero_test(pi_plane().localize([0]), 10, 10)
+    assert cert == spread_zero_test(pi_line(), 10, 10)
+    assert spread_zero_test(LocalizedFiltration(pi_plane(), [0]), 10, 10) == (
+        ZeroSpreadNotFound(n=7, generator=(22,), searched_up_to=10))
 
 
 def test_spread_max_not_found():

@@ -1,8 +1,9 @@
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epsmult.filtration import (
@@ -11,6 +12,7 @@ from epsmult.filtration import (
     TableFiltration,
     TableRangeError,
     TemplateFiltration,
+    TruncationFiltration,
     Witness,
     filtration_dimension,
     parse_expression,
@@ -26,7 +28,8 @@ from epsmult.ring import (
     ideal_sum,
     maximal_power,
 )
-from epsmult.valuation import ExactScalar, MonomialValuation
+from epsmult.valuation import ExactScalar, MonomialValuation, parse_scalar
+from ring_reference import LocalizedFiltration
 
 CTX2 = RingContext(2)
 
@@ -214,6 +217,147 @@ def test_localize_filtration_examples():
     J = TemplateFiltration(CTX2, [("n+1", "0"), ("n", "1")])
     for n in range(1, 10):
         assert J.localize([0]).ideal_at(n).gens == ((n,),)
+
+
+def _levels(F, n_max):
+    """I_1..I_(n_max), each an ideal or the type of the exception raised."""
+    out = []
+    for n in range(1, n_max + 1):
+        try:
+            out.append(F.ideal_at(n))
+        except Exception as exc:  # compared by type with the oracle's
+            out.append(type(exc))
+    return out
+
+
+def assert_same_levels(L, oracle, n_max=8):
+    assert L.ctx == oracle.ctx
+    for n, (got, want) in enumerate(zip(_levels(L, n_max), _levels(oracle, n_max)), 1):
+        if isinstance(want, type):
+            assert got is want, (L.describe(), n, got, want)
+        else:
+            assert got == want and want == got, (L.describe(), n)
+            assert got.gens == want.gens, (L.describe(), n)
+
+
+def is_unit_filtration(F):
+    return isinstance(F, TemplateFiltration) and all(
+        c.text == "0" for g in F.generators for c in g)
+
+
+def test_localize_keeps_the_kind():
+    F = pi_plane()
+    assert type(F.localize([0])) is DiscreteValuedFiltration
+    assert type(F.truncate(2).localize([0])) is TruncationFiltration
+    P = PowerFiltration(MonomialIdeal(CTX2, [(2, 0), (1, 1)]))
+    assert P.localize([0]).base == MonomialIdeal(RingContext(1, ("x",)), [(1,)])
+    T = TableFiltration(CTX2, [MonomialIdeal(CTX2, [(1, 2)])])
+    assert T.localize([1]).ideals == (MonomialIdeal(RingContext(1, ("y",)), [(2,)]),)
+
+
+def test_localize_with_no_cut_left_is_the_unit_filtration():
+    # every cut of pi_plane has a positive x weight, so at (y) each one holds
+    # for a power of the unit x: every level is unit, as the projected
+    # levels are, and I_1 is not proper, so the dimension is still an error
+    F = pi_plane()
+    L = F.localize([1])
+    assert is_unit_filtration(L)
+    assert_same_levels(L, LocalizedFiltration(F, [1]))
+    assert all(L.ideal_at(n).is_unit() for n in range(1, 9))
+    for G in (L, LocalizedFiltration(F, [1])):
+        with pytest.raises(ValueError):
+            filtration_dimension(G)
+
+
+def test_localize_power_with_a_unit_base():
+    P = PowerFiltration(MonomialIdeal(CTX2, [(1, 0)]))
+    L = P.localize([1])
+    assert is_unit_filtration(L)
+    assert_same_levels(L, LocalizedFiltration(P, [1]))
+
+
+def test_localized_table_past_its_range():
+    T = TableFiltration(CTX2, [MonomialIdeal(CTX2, [(1, 1)]),
+                               MonomialIdeal(CTX2, [(2, 3)])])
+    L = T.localize([1])
+    assert L.ideal_at(2).gens == ((3,),)
+    with pytest.raises(TableRangeError):
+        L.ideal_at(3)
+    assert_same_levels(L, LocalizedFiltration(T, [1]))
+
+
+def test_localized_tau_template_past_its_table():
+    # the scenario fuzz template "ta": at (y) the tau(n) coordinate goes, and
+    # every level is unit, but a level past the table is still an error
+    ta = TemplateFiltration(CTX2, [("tau(n)", "0"), ("0", "1")],
+                            tau={1: 1, 2: 3, 3: 4})
+    L = ta.localize([1])
+    assert L.ideal_at(3).is_unit()
+    with pytest.raises(TableRangeError):
+        L.ideal_at(4)
+    assert_same_levels(L, LocalizedFiltration(ta, [1]))
+    # a table with a gap, at both variables, nested and truncated
+    gap = TemplateFiltration(CTX2, [("tau(n)", "n"), ("1", "2")], tau={1: 2, 3: 0})
+    for S in ([0], [1]):
+        assert_same_levels(gap.localize(S), LocalizedFiltration(gap, S))
+        assert_same_levels(gap.truncate(2).localize(S),
+                           LocalizedFiltration(gap.truncate(2), S))
+
+
+MULTIPLIERS = ("1/2", "2/3", "1", "3/2", "1/3*pi", "1/4*pi")
+TEMPLATE_COORDS = ("0", "1", "2", "n", "2*n+1", "n^2", "ceil(3/2*n)", "sigma(n)",
+                   "tau(n)")
+TAU = {1: 1, 2: 3, 3: 0, 5: 2}
+
+
+@st.composite
+def spec_filtrations(draw):
+    """A filtration of one of the five kinds in two to four variables, its
+    exponents and multipliers small enough that the projected levels up to
+    n = 8 stay cheap in four variables."""
+    d = draw(st.sampled_from((2, 3, 4)))
+    ctx = RingContext(d)
+    small = st.integers(0, {2: 3, 3: 2, 4: 1}[d])
+    ideal = st.lists(st.tuples(*[small] * d), max_size=3).map(
+        lambda g: MonomialIdeal(ctx, g))
+    kind = draw(st.sampled_from(("power", "discrete_valued", "template", "table",
+                                 "truncation")))
+    truncated = kind == "truncation"
+    if truncated:
+        kind = draw(st.sampled_from(("power", "discrete_valued", "template", "table")))
+    if kind == "power":
+        F = PowerFiltration(draw(ideal.filter(MonomialIdeal.is_proper)))
+    elif kind == "discrete_valued":
+        # half the weights zero, so that some cuts survive localization
+        weights = st.tuples(*[st.sampled_from((0, 0, 1, 2))] * d).filter(any)
+        scalar = st.sampled_from(MULTIPLIERS).map(parse_scalar)
+        F = DiscreteValuedFiltration(ctx, draw(st.lists(
+            st.tuples(weights.map(MonomialValuation), scalar), min_size=1, max_size=3)))
+    elif kind == "template":
+        gen = st.tuples(*[st.sampled_from(TEMPLATE_COORDS)] * d)
+        F = TemplateFiltration(ctx, draw(st.lists(gen, min_size=1, max_size=3)), TAU)
+    else:
+        F = TableFiltration(ctx, draw(st.lists(ideal, min_size=1, max_size=4)))
+    return F.truncate(draw(st.integers(1, 3))) if truncated else F
+
+
+@settings(max_examples=150)
+@given(spec_filtrations(), st.sets(st.integers(0, 2), min_size=1), st.integers(1, 3))
+@example(PowerFiltration(MonomialIdeal(CTX2, [(2, 1), (0, 3)])), {0}, 2)
+def test_localize_matches_projected_levels(F, inner, level):
+    # at every proper nonempty S the localized spec has the levels of the
+    # projected parent (equal both ways, the same generators, the same
+    # exception type), and so do its localization at the coordinates
+    # ``inner`` that S has (else at its last) and its truncation
+    d = F.ctx.dim
+    for size in range(1, d):
+        for S in combinations(range(d), size):
+            L, oracle = F.localize(S), LocalizedFiltration(F, S)
+            assert type(L) is type(F) or is_unit_filtration(L), (F.describe(), S)
+            assert_same_levels(L, oracle)
+            T = [i for i in inner if i < size] or [size - 1]
+            assert_same_levels(L.localize(T), oracle.localize(T))
+            assert_same_levels(L.truncate(level), oracle.truncate(level))
 
 
 def test_filtration_dimension():

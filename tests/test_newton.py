@@ -28,7 +28,12 @@ from epsmult.ring import (
     maximal_power,
 )
 from epsmult.valuation import ExactScalar, MonomialValuation
-from ring_reference import oracle_np_member, ref_rees_closure_compare
+from ring_reference import (
+    LocalizedFiltration,
+    oracle_np_member,
+    ref_filtration_integral_member,
+    ref_rees_closure_compare,
+)
 
 CTX2 = RingContext(2)
 CTX3 = RingContext(3)
@@ -305,6 +310,55 @@ def test_closure_compare_matches_per_generator_reference(pair, N, r_max):
     fast = rees_closure_compare(F, G, N, r_max).to_obj()
     ref = ref_rees_closure_compare(F, G, N, r_max).to_obj()
     assert fast == ref, (F.describe(), G.describe(), N, r_max)
+
+
+def _certified_parents(d):
+    """Powers and rational discrete-valued filtrations in d variables, half
+    the weights zero so that some cuts survive a localization."""
+    ctx = RingContext(d)
+    small = st.integers(0, 3 if d < 4 else 2)
+    base = st.lists(st.tuples(*[small] * d), min_size=1, max_size=3).map(
+        lambda g: MonomialIdeal(ctx, g)).filter(MonomialIdeal.is_proper)
+    weights = st.tuples(*[st.sampled_from((0, 0, 1, 2))] * d).filter(any)
+    mult = st.builds(Fraction, st.integers(1, 4), st.integers(1, 2)).map(ExactScalar)
+    cuts = st.lists(st.tuples(weights.map(MonomialValuation), mult), min_size=1, max_size=2)
+    return st.one_of(base.map(PowerFiltration),
+                     cuts.map(lambda p: DiscreteValuedFiltration(ctx, p)))
+
+
+@st.composite
+def localized_certified(draw):
+    """Two certified parents in two to four variables, a proper nonempty
+    subset S to localize both at, a degree, an r_max and a few exponents
+    in the variables of S."""
+    d = draw(st.sampled_from((2, 3, 4)))
+    S = sorted(draw(st.sets(st.integers(0, d - 1), min_size=1, max_size=d - 1)))
+    F, G = draw(_certified_parents(d)), draw(_certified_parents(d))
+    m = draw(st.integers(1, 2))
+    points = st.lists(st.tuples(*[st.integers(0, 4 * m)] * len(S)), min_size=1, max_size=4)
+    return F, G, S, m, draw(st.integers(0, 2)), draw(points)
+
+
+@settings(max_examples=100)
+@given(localized_certified())
+def test_localized_closure_answers_never_contradict_the_oracle(case):
+    # a localized power or rational discrete-valued filtration now takes its
+    # kind's path; the projected levels (the oracle) decide only "yes", and
+    # no "no" may meet one, whose certificate must hold on those levels
+    F, G, S, m, r_max, points = case
+    L, oracle = F.localize(S), LocalizedFiltration(F, S)
+    for a in points:
+        fast = filtration_integral_member(L, a, m, r_max)
+        ref = ref_filtration_integral_member(oracle, a, m, r_max)
+        assert {fast.status, ref.status} != {"yes", "no"}, (L.describe(), a, m, r_max)
+        if isinstance(fast.certificate, SeparationCertificate):
+            assert verify_separation_certificate(oracle, fast.certificate, 6)
+        if isinstance(fast.certificate, ContainmentCertificate):
+            assert not oracle.ideal_at(m).contains(a)
+    fast = rees_closure_compare(L, G.localize(S), 3, r_max).outcome
+    ref = ref_rees_closure_compare(oracle, LocalizedFiltration(G, S), 3, r_max).outcome
+    assert {fast, ref} != {"proven-different", "equal-up-to-bound"}, (
+        L.describe(), G.describe(), S, r_max)
 
 
 def test_compare_of_powers_builds_no_power():

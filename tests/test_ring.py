@@ -191,6 +191,22 @@ def test_quotient_length_examples():
         quotient_length(I2((2, 0)), I2((1, 0)))  # not I <= J
 
 
+def test_quotient_length_rejects_i_outside_j_past_an_infinite_slice():
+    # the slice at x^0 makes J/I infinite (J has y^2 there, I nothing), and
+    # only the slice at x^1, where I has 1 and J still y^2, shows I not <= J;
+    # the length walk checks containment, so it must not stop at infinity
+    with pytest.raises(IdealDomainError):
+        quotient_length(I2((0, 2)), I2((1, 0)))
+    # the same one variable down, and inside a slice of a slice
+    with pytest.raises(IdealDomainError):
+        quotient_length(MonomialIdeal(CTX3, [(0, 0, 2)]), MonomialIdeal(CTX3, [(1, 0, 0)]))
+    with pytest.raises(IdealDomainError):
+        quotient_length(MonomialIdeal(CTX3, [(0, 0, 2)]),
+                        MonomialIdeal(CTX3, [(0, 1, 0), (1, 0, 3)]))
+    # contained, infinite: None, as before
+    assert quotient_length(I2((0, 2)), I2((1, 2))) is None
+
+
 def test_colength_examples():
     assert colength(maximal_power(CTX2, 2)) == 3
     assert colength(I2((2, 0), (1, 1), (0, 3))) == 4
