@@ -39,7 +39,7 @@ from .ring import (
     _check_exponent,
     _from_points,
     _member,
-    _stack_of,
+    _minimal,
     _weight_ideal,
 )
 from .textio import fraction_str, monomial_obj
@@ -185,7 +185,7 @@ def _hull(points):
         facets.update((w[:k] + (0,) + w[k:], rhs) for w, rhs in sub)
     faces = {}
     if d == 2:
-        chain = _half_hull(_stack_of(points, 2))  # the staircase's lower hull
+        chain = _half_hull(_minimal(2, points))  # the staircase's lower hull
         for p, q in zip(chain, chain[1:]):
             w = _primitive((p[1] - q[1], q[0] - p[0]))
             faces[w, _dot(w, p)] = (p, q)

@@ -2,48 +2,34 @@
 maximal monomial ideal.
 
 A monomial x^a is identified with its exponent vector ``a`` (a tuple of
-nonnegative Python ints, so exponents may grow without bound).  In one
-variable an ideal is held as its generator.  In d >= 2 variables its value
-is its stack of slices along the first variable: the pairs (a, S_a), by
-increasing a, at which the slice S_a = {monomials m in the other d-1
-variables : x^a*m in I} grows, so S_a is constant between two entries and
-beyond the last.  In two variables a slice is the principal ideal (y^q),
-held as the exponent q: the stack is the staircase of corners, with
-strictly decreasing q.  In more variables a slice is a (d-1)-variable ideal
-with its own stack.  Canonical stacks are equal exactly when the ideals
-are.  The minimal generators, in graded lexicographic order, are listed
-from the stack on first read (and the stack from the generators, for an
-ideal given by them), so ``repr``, hashing and everything serialised are
-the same in every dimension.
+nonnegative Python ints, so exponents may grow without bound).  Each ideal
+has one value, made of plain nested tuples.  The zero ideal is ``None``.
+In one variable the value of (x^q) is q.  In d >= 2 variables it is the
+stack of slices along the first variable: the pairs (a, v), by increasing
+a, at which the slice S_a = {monomials m in the other d-1 variables :
+x^a*m in I} grows, v being the value of S_a; S_a is constant between two
+entries and beyond the last.  In two variables the stack is the staircase
+of corners (a, q), with strictly decreasing q; the unit ideal in three
+variables is ((0, ((0, 0),)),).  Values are equal exactly when the ideals
+are.  ``MonomialIdeal`` wraps a value at the top level only, and lists its
+minimal generators, in graded lexicographic order, on first read.
 
-Every kernel operation is written once over stacks and recurses on the
-slices down to the two-variable closed forms.  ``_profile_steps`` merges
-two stacks into the runs on which both slices are constant: intersection
-meets slices, containment compares them, and the length of a finite
-quotient sums the slice lengths times the run widths.  Saturation is
-sat(I)_a = S_top meet sat(S_a).  ``_grow`` joins slices placed at first
-coordinates into a stack: a sum places the entries of both stacks, a
-product each slice product S_a*T_b at a + b (two-variable slices add
-exponents), and minimalisation each column of points.
+Each kernel operation is one private function over values, recursing on
+the slices down to a one-variable base case; hot loops take the
+two-variable step inline.  ``_steps`` merges two stacks into the runs on
+which both slices are constant, for ``_meet``, ``_contains`` and
+``_length``.  ``_grow`` joins slices placed at first coordinates into a
+stack, for a sum (``_add``), a product (``_mul``: S_a*T_b at a + b) and
+minimalisation (``_minimal``).  ``_sat`` uses sat(I)_a = S_top meet
+sat(S_a), and ``_weight`` writes the value of an ideal cut out by weight
+inequalities (valuation ideals, their meets, powers of m and integral
+closures) from the cuts; in two variables ``_weight_sat_length`` measures
+lambda(sat(I)/I) for such an ideal from the cuts alone, by floor sums.
+The public functions check the rings, handle the zero ideal and wrap the
+value.  Only the public constructor validates exponents.
 
-Ideals cut out by weight inequalities {x^a : w . a >= n for every cut
-(w, n)} -- valuation ideals, the levels of a discrete-valued filtration
-(their meet), m and its powers, and integral closures from the facets of
-the Newton polyhedron -- are built by one routine, ``_weight_ideal``, which
-writes their slice stack directly from the cuts.  In two variables
-``_weight_sat_length`` also measures lambda(sat(I)/I) for such an ideal
-from its cuts alone: sat(I) is the corner set by the cuts with one zero
-weight, and the quotient is the set of lattice points of that quadrant
-under the upper envelope of the other cuts' lines, one floor sum
-(``_floor_sum``) per piece of the envelope.  With k cuts at levels of size
-n that is O(k log n) steps in place of a staircase of O(n) corners.
-
-Only the public constructor validates exponents.  Results of the kernel's
-own operations go through ``_from_points`` (minimalise trusted points),
-``_stack_ideal`` (a known stack) or ``_weight_ideal`` (weight cuts).
-
-All values are immutable (the generator list and the stack are each built
-at most once, with the same value by any writer) and every operation is
+All values are immutable (the generator list and the value are each built
+at most once, with the same result by any writer) and every operation is
 pure.
 """
 
@@ -109,17 +95,6 @@ class RingContext(Record):
             raise ValueError("variable names must be distinct")
 
 
-_RINGS = {}  # d -> RingContext(d): the rings of the kernel's slices
-
-
-def _ring(d):
-    """RingContext(d), built once per dimension."""
-    ctx = _RINGS.get(d)
-    if ctx is None:
-        ctx = _RINGS[d] = RingContext(d)
-    return ctx
-
-
 def divides(g, a):
     """Componentwise g <= a, i.e. x^g divides x^a."""
     return all(gi <= ai for gi, ai in zip(g, a))
@@ -146,55 +121,46 @@ def _member(gens, a):
 
 
 class MonomialIdeal:
-    """A monomial ideal: its minimal generators ``gens`` in grlex order
-    (``()`` for the zero ideal) and, in two or more variables, its slice
-    stack.  ``_gens`` and ``_stack`` hold ``None`` until built; equality,
-    ``is_zero`` and ``is_unit`` read the stack while the list is unbuilt.
-    Equality and hashing ignore variable names.  In up to three variables
-    ``_hull`` caches the Newton polyhedron: its facets and the vertices of
-    its compact facets."""
+    """A monomial ideal: its value ``_stack`` and its minimal generators
+    ``gens`` in grlex order (``()`` for the zero ideal), each built on first
+    read (``_UNBUILT`` and ``None`` until then).  Equality, hashing,
+    ``is_zero`` and ``is_unit`` read the value and ignore variable names.
+    In up to three variables ``_hull`` caches the Newton polyhedron."""
 
     __slots__ = ("ctx", "dim", "_gens", "_stack", "_hull")
 
     def __init__(self, ctx, gens, _canonical=False):
-        self.ctx, self.dim, self._gens, self._stack = ctx, ctx.dim, gens, None
+        self.ctx, self.dim, self._gens, self._stack = ctx, ctx.dim, gens, _UNBUILT
         if not _canonical:
-            I = _from_points(ctx, [_check_exponent(g, ctx.dim) for g in gens])
-            self._gens, self._stack = I._gens, I._stack
-
-    # -- constructors -------------------------------------------------
+            self._gens = None
+            self._stack = _minimal(ctx.dim, [_check_exponent(g, ctx.dim) for g in gens])
 
     @classmethod
     def zero(cls, ctx):
-        return cls(ctx, (), _canonical=True)
+        return _ideal(ctx, None)
 
     @classmethod
     def unit(cls, ctx):
-        return cls(ctx, ((0,) * ctx.dim,), _canonical=True)
+        return _from_points(ctx, [(0,) * ctx.dim])
 
     @classmethod
     def maximal(cls, ctx):
         return _weight_ideal((((1,) * ctx.dim, 1),), ctx)
 
-    # -- basic structure ----------------------------------------------
-
     @property
     def gens(self):
         gens = self._gens
         if gens is None:
-            gens = self._gens = _stack_gens(self.dim, self._stack)
+            value = self._stack
+            gens = self._gens = () if value is None else tuple(
+                sorted(_points(self.dim, value), key=sum))
         return gens
 
     def is_zero(self):
-        gens = self._gens
-        return not (self._stack if gens is None else gens)
+        return _value(self) is None
 
     def is_unit(self):
-        gens, stack = self._gens, self._stack
-        if gens is None:  # only the unit ideal's stack starts (0, unit slice)
-            return bool(stack) and stack[0][0] == 0 and (
-                stack[0][1] == 0 if self.dim == 2 else stack[0][1].is_unit())
-        return bool(gens) and sum(gens[0]) == 0
+        return _value(self) == _minimal(self.dim, [(0,) * self.dim])
 
     def is_proper(self):
         return not self.is_zero() and not self.is_unit()
@@ -206,14 +172,10 @@ class MonomialIdeal:
     def __eq__(self, other):
         if not isinstance(other, MonomialIdeal):
             return NotImplemented
-        if self.dim != other.dim:
-            return False
-        if self._gens is None or other._gens is None:
-            return _slices(self) == _slices(other)
-        return self._gens == other._gens
+        return self.dim == other.dim and _value(self) == _value(other)
 
     def __hash__(self):
-        return hash((self.dim, self.gens))
+        return hash((self.dim, _value(self)))
 
     def __repr__(self):
         gens = ", ".join(_format_monomial(g, self.ctx.names) for g in self.gens)
@@ -224,16 +186,28 @@ class MonomialIdeal:
         return _member(self.gens, _check_exponent(a, self.dim))
 
     def contains_ideal(self, other):
-        """Ideal containment other <= self: in two or more variables every
-        slice of other lies in the slice of self (for two-variable slices
-        (y^q), the exponent of self is at most that of other)."""
+        """Ideal containment other <= self."""
         _compatible(self, other)
-        if self.dim == 1:
-            return all(_member(self.gens, g) for g in other.gens)
-        flat = self.dim == 2
-        return all(so is None or (ss is not None and (
-            ss <= so if flat else ss.contains_ideal(so)))
-            for _, ss, so in _profile_steps(self, other))
+        u, v = _value(self), _value(other)
+        return v is None or (u is not None and _contains(self.dim, u, v))
+
+
+_UNBUILT = object()  # the value of an ideal given by its generators, unread
+
+
+def _value(I):
+    """The value of an ideal, built from its generators on first read."""
+    value = I._stack
+    if value is _UNBUILT:
+        value = I._stack = _minimal(I.dim, I._gens)
+    return value
+
+
+def _ideal(ctx, value):
+    """Trusted path: the ideal with value ``value``."""
+    I = MonomialIdeal.__new__(MonomialIdeal)
+    I.ctx, I.dim, I._gens, I._stack = ctx, ctx.dim, None, value
+    return I
 
 
 def _compatible(I, J):
@@ -245,33 +219,32 @@ def _compatible(I, J):
 def _from_points(ctx, points):
     """Trusted internal path: the ideal generated by exponent tuples the
     kernel built itself, minimalised without re-validation."""
-    if ctx.dim == 1:
-        return MonomialIdeal(ctx, (min(points),) if points else (),
-                             _canonical=True)
-    return _stack_ideal(ctx, _stack_of(points, ctx.dim))
+    return _ideal(ctx, _minimal(ctx.dim, points))
 
 
-def _stack_of(points, d):
-    """The slice stack of the ideal generated by ``points`` in d >= 2
-    variables: each column of points of equal first coordinate a, projected
-    (in two variables, its least exponent), joins the slices from a on."""
+def _minimal(d, points):
+    """The value of the ideal generated by a list of ``points``: each
+    column of points of equal first coordinate a, projected, joins the
+    slices from a on."""
+    if not points:
+        return None
+    if d == 1:
+        return min(points)[0]
     if d == 2:
-        return _grow(sorted(points), True)
-    sub = _ring(d - 1)
-    return _grow([(a, _from_points(sub, [p[1:] for p in column]))
-                  for a, column in itertools.groupby(sorted(points), itemgetter(0))],
-                 False)
+        return _grow(2, sorted(points))
+    return _grow(d, [(a, _minimal(d - 1, [p[1:] for p in column]))
+                     for a, column in itertools.groupby(sorted(points), itemgetter(0))])
 
 
-def _grow(entries, flat):
-    """The slice stack whose slice at c is the sum of the slices of the
-    entries (a, S) with a <= c, from entries by increasing a.  The sum of
-    two-variable slices (y^q) is the one of smaller exponent."""
+def _grow(d, entries):
+    """The stack in d >= 2 variables whose slice at c is the sum of the
+    slices of the entries (a, v) with a <= c, from entries by increasing a.
+    The sum of one-variable slices (y^q) is the one of smaller exponent."""
     stack = []
     for a, s in entries:
         if stack:
             last = stack[-1][1]
-            s = (s if s < last else last) if flat else _join(last, s)
+            s = (s if s < last else last) if d == 2 else _add(d - 1, last, s)
             if s == last:
                 continue
             if stack[-1][0] == a:
@@ -280,85 +253,189 @@ def _grow(entries, flat):
     return tuple(stack)
 
 
-def _stack_ideal(ctx, stack):
-    """Trusted path: the ideal whose slice stack is ``stack``."""
-    I = MonomialIdeal.__new__(MonomialIdeal)
-    I.ctx, I.dim, I._gens, I._stack = ctx, ctx.dim, None, stack
-    return I
-
-
-def _stack_gens(d, stack):
-    """The generators of the ideal with slice stack ``stack``, in grlex
-    order: x^a*m for the generators m of S_a that the slice below lacks."""
-    if d == 2:  # from lex to grlex order by a stable sort on the degree
-        return tuple(sorted(stack, key=sum))
+def _points(d, value):
+    """The minimal generators of a nonzero value in lexicographic order:
+    x^a*m for the generators m of S_a that the slice below lacks."""
+    if d == 1:
+        return [(value,)]
+    if d == 2:
+        return list(value)
     gens, below = [], ()
-    for a, s in stack:
-        gens += [(a,) + m for m in s.gens if m not in below]
-        below = set(s.gens)
-    return tuple(sorted(gens, key=lambda g: (sum(g), g)))
+    for a, s in value:
+        slice_gens = _points(d - 1, s)
+        gens += [(a,) + m for m in slice_gens if m not in below]
+        below = set(slice_gens)
+    return gens
 
 
-def _slices(I):
-    """The slice stack of an ideal in d >= 2 variables, cached on it."""
-    stack = I._stack
-    if stack is None:
-        stack = I._stack = _stack_of(I._gens, I.dim)
-    return stack
-
-
-def _profile_steps(A, B):
-    """Merge the slice stacks of two ideals in d >= 2 variables: yield
-    (a, sa, sb) at every first coordinate a of an entry of either, with the
-    slices of A and B there (``None`` while a slice is zero).  Both slices
-    are constant from one yielded a to the next, and beyond the last."""
-    sa, sb = _slices(A), _slices(B)
-    na, nb = len(sa), len(sb)
+def _steps(u, v):
+    """Merge two stacks: yield (a, su, sv) at every first coordinate a of
+    an entry of either, with the slice values of u and v there (``None``
+    while a slice is zero).  Both slices are constant from one yielded a to
+    the next, and beyond the last."""
+    nu, nv = len(u), len(v)
     i = j = 0
-    qa = qb = None
-    while i < na or j < nb:
-        if j == nb or (i < na and sa[i][0] <= sb[j][0]):
-            a, qa = sa[i]
+    su = sv = None
+    while i < nu or j < nv:
+        if j == nv or (i < nu and u[i][0] <= v[j][0]):
+            a, su = u[i]
             i += 1
-            if j < nb and sb[j][0] == a:
-                qb = sb[j][1]
+            if j < nv and v[j][0] == a:
+                sv = v[j][1]
                 j += 1
         else:
-            a, qb = sb[j]
+            a, sv = v[j]
             j += 1
-        yield a, qa, qb
+        yield a, su, sv
+
+
+def _add(d, u, v):
+    """I + J for nonzero values: the entries of both stacks, joined."""
+    if d == 1:
+        return u if u < v else v
+    return _grow(d, sorted(u + v, key=itemgetter(0)))
+
+
+def _mul(d, u, v):
+    """I * J for nonzero values: the slice products S_a * T_b placed at
+    a + b and joined, by increasing a + b, to the slices below."""
+    if d == 1:
+        return u + v
+    flat = d == 2
+    return _grow(d, sorted([(a + b, s + t if flat else _mul(d - 1, s, t))
+                            for a, s in u for b, t in v], key=itemgetter(0)))
+
+
+def _meet(d, u, v):
+    """I meet J for nonzero values: the meet of the two slices on each run
+    of the merged stacks."""
+    if d == 1:
+        return u if u > v else v
+    flat = d == 2
+    out = []
+    last = None
+    for a, su, sv in _steps(u, v):
+        if su is None or sv is None:
+            continue
+        s = (su if su > sv else sv) if flat else _meet(d - 1, su, sv)
+        if s != last:
+            out.append((a, s))
+            last = s
+    return tuple(out)
+
+
+def _contains(d, u, v):
+    """J <= I for nonzero values u of I and v of J: slice by slice."""
+    if d == 1:
+        return u <= v
+    return all(sv is None or (su is not None and _contains(d - 1, su, sv))
+               for _, su, sv in _steps(u, v))
+
+
+def _sat(d, value):
+    """sat(I) for a nonzero value.  I : x^infinity has every slice equal to
+    the top slice S_top of I, and saturating by the other variables acts
+    on each slice alone, so sat(I)_a = S_top meet sat(S_a).  A one-variable
+    ideal saturates to the unit ideal, so in two variables sat(I) is the
+    single corner x^(min a)*y^(min q)."""
+    if d == 1:
+        return 0
+    top = value[-1][1]
+    if d == 2:
+        return ((value[0][0], top),)
+    out = []
+    last = None
+    for a, s in value:
+        t = _meet(d - 1, top, _sat(d - 1, s))
+        if t != last:
+            out.append((a, t))
+            last = t
+    return tuple(out)
+
+
+def _length(d, j, i):
+    """Length of J/I for nonzero values j of J and i of I, ``None`` if
+    infinite; raises ``IdealDomainError`` unless I <= J.
+
+    lambda(J/I) is the sum over a of lambda(J_a/I_a).  Both slices are
+    constant on each run of the merged stacks (below the first entry of J
+    both are zero), so each run adds its width times one slice length;
+    beyond the last entry the slices stay fixed, and the quotient is finite
+    only if they are equal there.  Each slice of I must lie in that of J,
+    which the walk checks on past a run that made the length infinite.
+    """
+    if d == 1:
+        if i < j:
+            raise IdealDomainError("quotient_length requires I contained in J")
+        return i - j
+    flat = d == 2
+    total = start = diff = 0
+    for a, sj, si in _steps(j, i):
+        total = None if total is None or diff is None else total + (a - start) * diff
+        if si is None:
+            diff = 0 if sj is None else None
+        elif sj is None or (flat and sj > si):
+            raise IdealDomainError("quotient_length requires I contained in J")
+        else:
+            diff = si - sj if flat else _length(d - 1, sj, si)
+        start = a
+    return total if diff == 0 else None
+
+
+def _weight(d, cuts):
+    """The value of {x^a : w . a >= n for every cut (w, n)}.  A cut with
+    n <= 0 always holds.  In one variable the ideal is (x^q) with q the
+    largest ceil(n/w[0]).  In d >= 2 variables the slice at first
+    exponent a has the cuts (w[1:], n - w[0]*a) one variable down.
+    The slices are zero below the least a meeting every cut whose other
+    weights are zero (those cuts then drop out) and constant from the
+    largest ceil(n/w[0]) on.  In two variables the slice (y^q) has q the
+    largest ceil(r/w[1]) over the cuts with r = n - w[0]*a > 0.
+    """
+    cuts = [(w, n) for w, n in cuts if n > 0]
+    if not cuts:
+        return _minimal(d, [(0,) * d])
+    if d == 1:
+        return max(-(-n // w[0]) for w, n in cuts)
+    flat = d == 2
+    start = top = 0
+    live = []
+    for w, n in cuts:
+        bound = -(-n // w[0]) if w[0] else 0
+        top = max(top, bound)
+        if any(w[1:]):
+            live.append((w[0], w[1] if flat else w[1:], n))
+        else:
+            start = max(start, bound)
+    stack = []
+    last = None
+    for a in range(start, top + 1):
+        if flat:
+            s = 0
+            for w0, w1, n in live:
+                r = n - w0 * a
+                if r > s * w1:  # ceil(r / w1) > s
+                    s = -(-r // w1)
+        else:
+            s = _weight(d - 1, [(w, n - w0 * a) for w0, w, n in live])
+        if s != last:
+            stack.append((a, s))
+            last = s
+    return tuple(stack)
 
 
 def ideal_sum(I, J):
-    """I + J: in d >= 2 variables the slice at c is the sum of the two
-    slices at c, so the entries of both stacks are joined by increasing a."""
+    """I + J."""
     _compatible(I, J)
-    if I.dim == 1:
-        return _from_points(I.ctx, I.gens + J.gens)
-    return _join(I, J)
-
-
-def _join(I, J):
-    return _stack_ideal(I.ctx, _grow(
-        sorted(_slices(I) + _slices(J), key=itemgetter(0)), I.dim == 2))
+    u, v = _value(I), _value(J)
+    return _ideal(I.ctx, v if u is None else u if v is None else _add(I.dim, u, v))
 
 
 def ideal_product(I, J):
-    """I * J: in d >= 2 variables the slice at c is the sum of the slice
-    products S_a * T_b over a + b <= c, so the products of stack entries
-    are placed at a + b and joined, by increasing c, to the slice below.
-    Slices multiply one variable down; two-variable slices add exponents."""
+    """I * J."""
     _compatible(I, J)
-    if I.dim == 1:
-        return _from_points(I.ctx, [(g[0] + h[0],) for g in I.gens for h in J.gens])
-    return _product(I, J)
-
-
-def _product(I, J):
-    flat = I.dim == 2
-    return _stack_ideal(I.ctx, _grow(sorted(
-        [(a + b, s + t if flat else _product(s, t))
-         for a, s in _slices(I) for b, t in _slices(J)], key=itemgetter(0)), flat))
+    u, v = _value(I), _value(J)
+    return _ideal(I.ctx, None if u is None or v is None else _mul(I.dim, u, v))
 
 
 def ideal_power(I, n):
@@ -381,48 +458,8 @@ def maximal_power(ctx, k):
 def _weight_ideal(cuts, ctx):
     """{x^a : w . a >= n for every cut (w, n)}, for nonzero nonnegative
     integer weights and integer levels: valuation ideals, their meets,
-    powers of m and integral closures, built as a slice stack.
-
-    A cut with n <= 0 always holds.  In d >= 2 variables the slice at
-    first exponent a has the cuts (w[1:], n - w[0]*a) one variable down.
-    The slices are zero below the least a meeting every cut whose other
-    weights are zero (those cuts then drop out) and constant from the
-    largest ceil(n/w[0]) on.  In two variables the slice (y^q) has q the
-    largest ceil(r/w[1]) over the cuts with r = n - w[0]*a > 0, and in one
-    variable the ideal is (x^q) with q the largest ceil(n/w[0]).
-    """
-    cuts = [(w, n) for w, n in cuts if n > 0]
-    if not cuts:
-        return MonomialIdeal.unit(ctx)
-    if ctx.dim == 1:
-        q = max(-(-n // w[0]) for w, n in cuts)
-        return MonomialIdeal(ctx, ((q,),), _canonical=True)
-    flat = ctx.dim == 2
-    sub = None if flat else _ring(ctx.dim - 1)
-    start = top = 0
-    live = []
-    for w, n in cuts:
-        bound = -(-n // w[0]) if w[0] else 0
-        top = max(top, bound)
-        if any(w[1:]):
-            live.append((w[0], w[1] if flat else w[1:], n))
-        else:
-            start = max(start, bound)
-    stack = []
-    last = None
-    for a in range(start, top + 1):
-        if flat:
-            s = 0
-            for w0, w1, n in live:
-                r = n - w0 * a
-                if r > s * w1:  # ceil(r / w1) > s
-                    s = -(-r // w1)
-        else:
-            s = _weight_ideal([(w, n - w0 * a) for w0, w, n in live], sub)
-        if s != last:
-            stack.append((a, s))
-            last = s
-    return _stack_ideal(ctx, tuple(stack))
+    powers of m and integral closures, built by ``_weight``."""
+    return _ideal(ctx, _weight(ctx.dim, cuts))
 
 
 def _floor_sum(n, m, a, b):
@@ -494,29 +531,10 @@ def _weight_sat_length(cuts):
 
 
 def intersect(I, J):
-    """I meet J, slice by slice: on each run of the merged stacks the slice
-    is the intersection of the two slices (of two-variable slices (y^q),
-    the larger exponent)."""
+    """I meet J."""
     _compatible(I, J)
-    if I.is_zero() or J.is_zero():
-        return MonomialIdeal.zero(I.ctx)
-    if I.is_unit():
-        return J
-    if J.is_unit():
-        return I
-    if I.dim == 1:
-        return I if I.gens[0] >= J.gens[0] else J
-    flat = I.dim == 2
-    out = []
-    last = None
-    for a, si, sj in _profile_steps(I, J):
-        if si is None or sj is None:
-            continue
-        s = (si if si > sj else sj) if flat else intersect(si, sj)
-        if s != last:
-            out.append((a, s))
-            last = s
-    return _stack_ideal(I.ctx, tuple(out))
+    u, v = _value(I), _value(J)
+    return _ideal(I.ctx, None if u is None or v is None else _meet(I.dim, u, v))
 
 
 def colon(I, J):
@@ -526,91 +544,32 @@ def colon(I, J):
         raise IdealDomainError("colon by the zero ideal")
     if I.is_zero():
         return I
-    result = None
+    value = None
     for h in J.gens:
-        pts = [
-            tuple(max(a - b, 0) for a, b in zip(g, h))
-            for g in I.gens
-        ]
-        part = _from_points(I.ctx, pts)
-        result = part if result is None else intersect(result, part)
-    return result
+        part = _minimal(I.dim, [tuple(max(a - b, 0) for a, b in zip(g, h))
+                                for g in I.gens])
+        value = part if value is None else _meet(I.dim, value, part)
+    return _ideal(I.ctx, value)
 
 
 def saturate(I):
-    """I : m^infinity, slice by slice.
-
-    I : x^infinity has every slice equal to the top slice S_top of I, and
-    saturating by the other variables acts on each slice alone, so
-    sat(I)_a = S_top meet sat(S_a).  A two-variable slice (y^q) saturates
-    to the unit ideal, so there sat(I) is the single generator
-    x^(min a)*y^(min q).  The ring tests keep the intersection over
-    variables of I : x_i^infinity and the iteration I <- I : m to a fixed
-    point as independent oracles.
-    """
-    if I.is_zero() or I.is_unit():
-        return I
-    if I.dim == 1:
-        return MonomialIdeal.unit(I.ctx)
-    flat = I.dim == 2
-    stack = _slices(I)
-    top = stack[-1][1]
-    out = []
-    last = None
-    for a, s in stack[:1] if flat else stack:
-        t = top if flat else intersect(top, saturate(s))
-        if t != last:
-            out.append((a, t))
-            last = t
-    return _stack_ideal(I.ctx, tuple(out))
-
-
-def _length(J, I):
-    """Length of J/I in d >= 2 variables, ``None`` if infinite; raises
-    ``IdealDomainError`` unless I <= J.
-
-    lambda(J/I) is the sum over a of lambda(J_a/I_a).  Both slices are
-    constant on each run of the merged stacks (below the first entry of J
-    both are zero), so each run adds its width times one slice length, that
-    of two-variable slices (y^q) being the difference of the exponents;
-    beyond the last entry the slices stay fixed, and the quotient is finite
-    only if they are equal there.  Each slice of I must lie in that of J,
-    which the walk checks on past a run that made the length infinite.
-    """
-    flat = J.dim == 2
-    total = start = diff = 0
-    for a, sj, si in _profile_steps(J, I):
-        total = None if total is None or diff is None else total + (a - start) * diff
-        if si is None:
-            diff = 0 if sj is None else None
-        elif sj is None or (flat and sj > si):
-            raise IdealDomainError("quotient_length requires I contained in J")
-        else:
-            diff = si - sj if flat else _length(sj, si)
-        start = a
-    return total if diff == 0 else None
+    """I : m^infinity, built slice by slice by ``_sat``.  The ring tests
+    keep the intersection over variables of I : x_i^infinity and the
+    iteration I <- I : m to a fixed point as independent oracles."""
+    value = _value(I)
+    return I if value is None else _ideal(I.ctx, _sat(I.dim, value))
 
 
 def quotient_length(J, I):
-    """Length of J/I for monomial ideals I <= J; ``None`` means infinite.
-
-    In one variable the length is a difference of exponents.  In more, the
-    quotient is cut along the first variable into slice quotients, constant
-    on the runs of the merged slice stacks, and the slice lengths are
-    summed recursively down to two-variable staircase counts; the quotient
-    is infinite iff a slice quotient is, or the top slices differ.
-    """
+    """Length of J/I for monomial ideals I <= J, summed slice by slice by
+    ``_length``; ``None`` means infinite."""
     _compatible(J, I)
-    if J.dim > 1:
-        # the slices recurse through the private helper, so that a trace
-        # wrapped around this function sees one call per quotient
-        return _length(J, I)
-    if not J.contains_ideal(I):
+    j, i = _value(J), _value(I)
+    if i is None:
+        return 0 if j is None else None
+    if j is None:
         raise IdealDomainError("quotient_length requires I contained in J")
-    if I == J:
-        return 0
-    # (x^a) / (x^b) has length b - a, and (x^a) / 0 is infinite
-    return I.gens[0][0] - J.gens[0][0] if I.gens else None
+    return _length(J.dim, j, i)
 
 
 def colength(I):

@@ -115,6 +115,8 @@ def _build_filtration(name, block, ctx, built):
             return DiscreteValuedFiltration(ctx, pairs)
         if kind == "template":
             gens = _require(block, "generators", where)
+            if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
+                raise ScenarioError(f"{where}: generators must be a list of lists, got {gens!r}")
             tau = block.get("tau")
             if tau is not None:
                 if not isinstance(tau, dict):
@@ -124,7 +126,7 @@ def _build_filtration(name, block, ctx, built):
                         raise ScenarioError(
                             f"{where}: tau keys must be positive integers, got {k!r}")
                 tau = {int(k): _integer(v, f"{where}: tau") for k, v in tau.items()}
-            return TemplateFiltration(ctx, [tuple(g) for g in gens], tau=tau)
+            return TemplateFiltration(ctx, gens, tau=tau)
         if kind == "table":
             ideals = [
                 _parse_ideal(spec, ctx, f"{where} entry {i+1}")
@@ -142,7 +144,11 @@ def _build_filtration(name, block, ctx, built):
         # localized: the variables are those of the parent's ring, which is
         # smaller than the scenario's if the parent is localized itself
         names = parent.ctx.names
-        for v in (variables := _require(block, "variables", where)):
+        variables = _require(block, "variables", where)
+        if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+            raise ScenarioError(
+                f"{where}: variables must be a list of strings, got {variables!r}")
+        for v in variables:
             if v not in names:
                 raise ScenarioError(f"{where}: unknown variable {v!r}")
         return parent.localize([names.index(v) for v in variables])

@@ -89,6 +89,8 @@ class ExactScalar(Record):
     constant: str | None = None
 
     def __post_init__(self):
+        if isinstance(self.coeff, (float, bool)):  # 0.1 is not 1/10
+            raise TypeError(f"a multiplier needs an exact coefficient, got {self.coeff!r}")
         object.__setattr__(self, "coeff", Fraction(self.coeff))
         if self.coeff <= 0:
             raise ValueError("multipliers must be positive")

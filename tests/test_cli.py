@@ -237,7 +237,8 @@ def test_empty_bound_exits_2(tmp_path, capsys):
 def test_malformed_ring_or_filtrations_exit_2(tmp_path, capsys):
     # a non-integer dimension, a filtrations list, a tau list or a tau key
     # that is not a positive decimal, a localization of a localized
-    # filtration at a variable its ring lacks, a task that is not an object
+    # filtration at a variable its ring lacks, variables or template rows
+    # given as strings, a task that is not an object
     # and a non-string out path end in ScenarioError while the scenario
     # loads, not in a ValueError, AttributeError, IndexError or TypeError
     # traceback
@@ -259,6 +260,12 @@ def test_malformed_ring_or_filtrations_exit_2(tmp_path, capsys):
             ("filtrations", [], "must be objects"),
             ("filtrations", tau_list, "tau must be an object"),
             ("filtrations", nested, "unknown variable 'y'"),
+            # used to be read as ["x"] and a row "20" as ("2", "0")
+            ("filtrations", dict(SCENARIO["filtrations"], pi_x={
+                "type": "localized", "parent": "pi", "variables": "x"}),
+             "variables must be a list of strings"),
+            ("filtrations", {"t": {"type": "template", "generators": ["20", ["1", "n"]]}},
+             "generators must be a list of lists"),
             ("tasks", [["eval", "pi"]], "task must be an object"),
             ("tasks", [{"task": "eval", "filtration": "pi", "n": 1, "out": 3}],
              "out must be a string")]:

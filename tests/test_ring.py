@@ -376,7 +376,7 @@ def test_ring_context_needs_an_integer_dimension():
 
 def kernel_builders():
     """(name, build) for every kernel builder in two to four variables;
-    each ``build()`` returns a fresh ideal that holds only its stack.  The
+    each ``build()`` returns a fresh ideal that holds only its value.  The
     inputs are proper, so that no builder hands back an argument."""
     rng = random.Random(21)
     cases = []
@@ -398,7 +398,7 @@ def kernel_builders():
             (f"zero d={d}", lambda A=A, ctx=ctx: ideal_product(
                 A, MonomialIdeal.zero(ctx))),
         ]
-    # the unit ideal from the kernel: its stack is ((0, unit slice),)
+    # the unit ideal from the kernel: its value is ((0, ((0, 0),)),)
     cases.append(("unit d=3", lambda: saturate(maximal_power(CTX3, 2))))
     return cases
 
@@ -408,7 +408,7 @@ def kernel_builders():
 def test_unbuilt_generator_lists_agree_with_public_twins(build):
     X = build()
     twin = MonomialIdeal(X.ctx, X.gens)  # the public constructor
-    ref = ref_ideal(X.ctx, X.gens)  # generators only, no stack yet
+    ref = ref_ideal(X.ctx, X.gens)  # generators only, no value yet
     for read_first in (False, True):
         X = build()
         assert X._gens is None
@@ -418,7 +418,7 @@ def test_unbuilt_generator_lists_agree_with_public_twins(build):
             assert X == Y and Y == X and not X != Y
         assert X.is_zero() == ref.is_zero()
         assert X.is_unit() == ref.is_unit()
-        # equality and the two checks read the stack, not a list
+        # equality and the two checks read the value, not a list
         assert (X._gens is None) == (not read_first)
         assert hash(X) == hash(twin) == hash(ref)
         assert repr(X) == repr(twin) == repr(ref)
@@ -426,7 +426,7 @@ def test_unbuilt_generator_lists_agree_with_public_twins(build):
 
 def test_kernel_unit_ideal_is_its_stack():
     U = saturate(maximal_power(CTX3, 2))
-    assert U._stack == ((0, MonomialIdeal.unit(CTX2)),)
+    assert U._stack == ((0, ((0, 0),)),)
     assert U._gens is None and U.is_unit() and not U.is_zero()
     assert U == MonomialIdeal.unit(CTX3) and U.gens == ((0, 0, 0),)
 
@@ -434,7 +434,7 @@ def test_kernel_unit_ideal_is_its_stack():
 def test_saturation_length_leaves_the_generator_list_unbuilt():
     # (x^4) meet m^9 in three variables: x^a*y^b*z^c with a >= 4 and
     # a + b + c < 9 lies in the saturation (x^4) but not in I, C(7, 3) of
-    # them; measuring the quotient reads stacks only
+    # them; measuring the quotient reads values only
     I = _weight_ideal([((1, 0, 0), 4), ((1, 1, 1), 9)], CTX3)
     assert quotient_length(saturate(I), I) == 35
     assert I._gens is None

@@ -4,8 +4,8 @@ to four variables: intersection, products and sums, containment,
 saturation with its laws, valuation ideals, ideals of several weight cuts
 (meets of valuation ideals), powers of m, minimalisation and lengths; the
 saturation length of a two-variable ideal of weight cuts, counted from its
-cuts by floor sums, equals the one of the built ideal; the cached slice
-stack of every result equals the one rebuilt from its generators; sum and
+cuts by floor sums, equals the one of the built ideal; the stored value
+of every result equals the one rebuilt from its generators; sum and
 intersection obey the lattice laws and lengths add along chains; the
 multiplicity of R/I equals a direct count of the Hilbert function; and in
 two and three variables the exact facets of the Newton polyhedron agree
@@ -38,7 +38,6 @@ from epsmult.ring import (
     MonomialIdeal,
     RingContext,
     _floor_sum,
-    _slices,
     _weight_ideal,
     _weight_sat_length,
     ideal_power,
@@ -91,14 +90,58 @@ ideals = st.one_of(
 )
 
 
+def ref_value(I):
+    """The value of I rebuilt from its generators by ``ref_slice_stack``:
+    ``None`` for the zero ideal, the exponent in one variable, the stack of
+    rebuilt slice values in more."""
+    if not I.gens:
+        return None
+    if I.dim == 1:
+        return I.gens[0][0]
+    stack = ref_slice_stack(I)
+    return stack if I.dim == 2 else tuple((a, ref_value(s)) for a, s in stack)
+
+
+def value_corners(d, v):
+    """Points that generate the ideal of a nonzero value: x^a*m for each
+    entry a and each corner m of its slice."""
+    if d == 1:
+        return [(v,)]
+    return [(a,) + m for a, s in v for m in value_corners(d - 1, s)]
+
+
+def value_member(d, v, p):
+    """x^p lies in the ideal of the nonzero value v."""
+    if d == 1:
+        return p[0] >= v
+    below = [s for a, s in v if a <= p[0]]
+    return bool(below) and value_member(d - 1, below[-1], p[1:])
+
+
+def assert_value_shape(d, v):
+    # leaves are ints and every other node a tuple, so no ideal object sits
+    # inside a value; first coordinates strictly increase and each slice
+    # strictly contains the one before
+    if d == 1:
+        assert type(v) is int and v >= 0
+        return
+    assert type(v) is tuple and v
+    for k, entry in enumerate(v):
+        assert type(entry) is tuple and len(entry) == 2
+        assert type(entry[0]) is int and entry[0] >= 0
+        assert_value_shape(d - 1, entry[1])
+        if k:
+            (a, below), (b, s) = v[k - 1], entry
+            assert a < b and below != s
+            assert all(value_member(d - 1, s, m) for m in value_corners(d - 1, below))
+
+
 def assert_stack_consistent(I):
-    # the cached slice stack is the one rebuilt from the generators, and
-    # so are the stacks of its slices
-    if I.dim > 1:
-        assert _slices(I) == ref_slice_stack(I)
-    if I.dim > 2:
-        for _, s in _slices(I):
-            assert_stack_consistent(s)
+    # the stored value is the one rebuilt from the generators, in every
+    # dimension and for the zero ideal, and has the shape of a value
+    assert I._stack == ref_value(I)
+    if I._stack is not None:
+        assert_value_shape(I.dim, I._stack)
 
 
 def ideals_of(dim):

@@ -33,6 +33,18 @@ def test_parse_scalar_literals():
         ExactScalar(Fraction(-1))
 
 
+def test_exact_scalar_rejects_float_and_bool_coefficients():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, whose ceiling
+    # times 10 is 2, not 1; a bool is not a multiplier either
+    for coeff in (0.1, 2.0, True):
+        with pytest.raises(TypeError):
+            ExactScalar(coeff)
+        with pytest.raises(TypeError):
+            ExactScalar(coeff, "pi")
+    assert ExactScalar(2) == ExactScalar(Fraction(2)) == ExactScalar("2")
+    assert ceil_mul(ExactScalar("1/10"), 10) == 1
+
+
 def test_ceil_mul_rational_closed_form():
     rng = random.Random(3)
     for _ in range(200):
