@@ -33,6 +33,7 @@ from ._record import Record
 from .filtration import DiscreteValuedFiltration, Filtration, filtration_dimension
 from .newton import _det, _hull_of
 from .ring import (
+    IdealDomainError,
     MonomialIdeal,
     _face_primes,
     _weight_sat_length,
@@ -261,9 +262,10 @@ def _colength_at(F, n):
 def _gap_at(inner_f, outer_f, n):
     Jn = inner_f.ideal_at(n)
     In = outer_f.ideal_at(n)
-    if not In.contains_ideal(Jn):
-        raise ValueError(f"containment inner <= outer fails at n={n}")
-    lam = quotient_length(In, Jn)
+    try:
+        lam = quotient_length(In, Jn)
+    except IdealDomainError:
+        raise ValueError(f"containment inner <= outer fails at n={n}") from None
     if lam is None:
         raise ValueError(f"lambda(outer_n/inner_n) is infinite at n={n}")
     return lam

@@ -148,13 +148,9 @@ def ascent_pair():
             PowerFiltration(MonomialIdeal(_PLANE, [(3, 0)])))
 
 
-def _template(shared, expr):
-    return shared.setdefault(("template", expr), template_family(expr))
-
-
 # ---------------------------------------------------------------------------
-# fixtures (each runner takes its filtrations from ``shared`` by family, so
-# a fixture runs alone and a full run reuses evaluated levels)
+# fixtures (each runner builds the filtration families it reads, so a
+# fixture run alone gives the same row as in a full run)
 # ---------------------------------------------------------------------------
 
 # (the first five FixtureResult fields, in field order, and the runner)
@@ -174,8 +170,8 @@ def _fixture(fixture_id, title, provenance, expected, surrogate=False):
 @_fixture("pi-lengths", "plane ceil-pi filtration: exact saturation lengths",
           "literature",
           "lambda = D(D+1)/2, D = ceil(2n pi) - ceil(n pi), for n <= 200")
-def fx_pi_lengths(shared):
-    F = shared.setdefault("pi_plane", pi_plane())
+def fx_pi_lengths():
+    F = pi_plane()
     pi = ExactScalar(1, "pi")
     two_pi = ExactScalar(2, "pi")
     seq = sat_quotient_sequence(F, 200)
@@ -196,22 +192,20 @@ def _converging_to_pi(F, power):
 
 @_fixture("pi-epsilon", "plane ceil-pi filtration: normalized limit",
           "literature", "converging within 0.5% of pi^2 at N=500")
-def fx_pi_epsilon(shared):
-    return _converging_to_pi(shared.setdefault("pi_plane", pi_plane()), 2)
+def fx_pi_epsilon():
+    return _converging_to_pi(pi_plane(), 2)
 
 
 @_fixture("pi-localized", "plane ceil-pi filtration localized at (x)",
           "literature", "converging within 0.5% of pi at N=500")
-def fx_pi_localized(shared):
-    return _converging_to_pi(
-        shared.setdefault("pi_plane", pi_plane()).localize([0]), 1)
+def fx_pi_localized():
+    return _converging_to_pi(pi_plane().localize([0]), 1)
 
 
 @_fixture("pi-es", "plane ceil-pi filtration: face-prime multiplicity sum",
           "derived", "within 0.5% of pi at N=500 (single face prime (x))")
-def fx_pi_es(shared):
-    F = shared.setdefault("pi_plane", pi_plane())
-    rep = e_s_localized(F, N=500)
+def fx_pi_es():
+    rep = e_s_localized(pi_plane(), N=500)
     ok = within_rel(rep.value, ExactScalar(1, "pi"), HALF_PERCENT)
     return f"value {decimal_str(rep.value, 6)}, primes {[c[0] for c in rep.contributions]}", ok
 
@@ -219,9 +213,8 @@ def fx_pi_es(shared):
 @_fixture("pi-truncations", "level-i subfiltrations approach the parent limit",
           "derived",
           "fitted-estimate gaps non-increasing over levels 1..4 and strictly smaller at 4")
-def fx_pi_truncations(shared):
-    F = shared.setdefault("pi_plane", pi_plane())
-    sweep = truncation_sweep(F, [1, 2, 3, 4], 100, window=50)
+def fx_pi_truncations():
+    sweep = truncation_sweep(pi_plane(), [1, 2, 3, 4], 100, window=50)
     gaps = sweep.gaps()
     non_increasing = all(a >= b for a, b in zip(gaps, gaps[1:]))
     progress = gaps[-1] < gaps[0]
@@ -232,11 +225,10 @@ def fx_pi_truncations(shared):
 @_fixture("pi-spread-max", "saturation-gap criterion and when it may be asserted",
           "derived",
           "irrational spec: criterion holds, assertion withheld; rational analogue (3,6): spread 2")
-def fx_pi_spread_max(shared):
-    F = shared.setdefault("pi_plane", pi_plane())
+def fx_pi_spread_max():
+    F = pi_plane()
     cert_pi = spread_max_test(F, 5)
-    cert36 = spread_max_test(
-        shared.setdefault("rational_plane", rational_plane()), 5)
+    cert36 = spread_max_test(rational_plane(), 5)
     ok = (cert_pi is not None and cert_pi.asserted_spread is None
           and cert_pi.witness_n == 1
           and cert36 is not None and cert36.asserted_spread == 2
@@ -247,14 +239,14 @@ def fx_pi_spread_max(shared):
 
 @_fixture("ceilpi-epsilon", "line filtration (x^ceil(n pi)): saturation limit",
           "literature", "converging within 0.5% of pi at N=500")
-def fx_ceilpi_epsilon(shared):
-    return _converging_to_pi(shared.setdefault("pi_line", pi_line()), 1)
+def fx_ceilpi_epsilon():
+    return _converging_to_pi(pi_line(), 1)
 
 
 @_fixture("ceilpi-ac", "line filtration satisfies A(4) but not A(3)",
           "literature", "A(4) holds up to 50; A(3) fails with a verifying witness")
-def fx_ceilpi_ac(shared):
-    F = shared.setdefault("pi_line", pi_line())
+def fx_ceilpi_ac():
+    F = pi_line()
     rep4 = check_Ac(F, 4, 50)
     rep3 = check_Ac(F, 3, 50)
     ok = rep4.holds and not rep3.holds and verify_ac_witness(F, rep3)
@@ -265,8 +257,8 @@ def fx_ceilpi_ac(shared):
 @_fixture("ceilpi-spread-zero", "line filtration: nilpotency certificates",
           "literature",
           "generator certificates for all n <= 20 with adaptive r <= 2000, re-verified")
-def fx_ceilpi_spread_zero(shared):
-    F = shared.setdefault("pi_line", pi_line())
+def fx_ceilpi_spread_zero():
+    F = pi_line()
     cert = spread_zero_test(F, 20, 10)
     if not isinstance(cert, ZeroSpreadCertificate):
         return f"not found at n={cert.n}", False
@@ -277,8 +269,8 @@ def fx_ceilpi_spread_zero(shared):
 
 @_fixture("growth-square-lengths", "quadratic vs linear socle growth",
           "literature", "normalized values exactly 2 and exactly 2/n for n <= 100")
-def fx_growth_lengths(shared):
-    J, I = _template(shared, "n^2"), _template(shared, "n")
+def fx_growth_lengths():
+    J, I = template_family("n^2"), template_family("n")
     normJ = sat_quotient_sequence(J, 100).normalized()
     normI = sat_quotient_sequence(I, 100).normalized()
     okJ = all(v == 2 for _, v in normJ)
@@ -290,8 +282,8 @@ def fx_growth_lengths(shared):
 @_fixture("growth-square-diff", "additivity of limits across the inclusion",
           "literature",
           "residual of the three-term identity below 1/100 (exactly 0 here)")
-def fx_growth_diff(shared):
-    J, I = _template(shared, "n^2"), _template(shared, "n")
+def fx_growth_diff():
+    J, I = template_family("n^2"), template_family("n")
     rep = epsilon_difference_check(J, I, 100, window=20)
     ok = rep.residual is not None and abs(rep.residual) < Fraction(1, 100)
     return f"residual = {rep.residual}", ok
@@ -299,8 +291,8 @@ def fx_growth_diff(shared):
 
 @_fixture("growth-square-closure", "the pair has equal Rees algebra closures",
           "derived", "equal up to (N=20, r<=4) with every membership at r <= 2")
-def fx_growth_closure(shared):
-    J, I = _template(shared, "n^2"), _template(shared, "n")
+def fx_growth_closure():
+    J, I = template_family("n^2"), template_family("n")
     verdict = rees_closure_compare(I, J, 20, 4)
     ok = verdict.outcome == "equal-up-to-bound" and verdict.max_r_used <= 2
     return f"{verdict.outcome}, max r = {verdict.max_r_used}", ok
@@ -309,11 +301,11 @@ def fx_growth_closure(shared):
 @_fixture("ac-grid", "the family (x^2, x y^(an)) satisfies A(c) iff c > a",
           "literature",
           "verdict equals (c > a) on all 15 cells, failures carry verified witnesses")
-def fx_ac_grid(shared):
+def fx_ac_grid():
     cells = []
     all_ok = True
     for a in (1, 2, 3):
-        K = _template(shared, f"{a}*n")
+        K = template_family(f"{a}*n")
         for c in range(1, 6):
             rep = check_Ac(K, c, 50)
             all_ok = (all_ok and rep.holds == (c > a)
@@ -325,8 +317,8 @@ def fx_ac_grid(shared):
 @_fixture("ac-ascent", "A(1) holds below but not above an inclusion",
           "literature",
           "powers of x*m^2 fail A(1) at n=1; powers of x^3 hold A(1) to 50")
-def fx_ac_ascent(shared):
-    J, I = shared.setdefault("ascent", ascent_pair())
+def fx_ac_ascent():
+    J, I = ascent_pair()
     repJ = check_Ac(J, 1, 10)
     repI = check_Ac(I, 1, 50)
     ok = (not repJ.holds and repJ.witness_n == 1 and verify_ac_witness(J, repJ)
@@ -336,16 +328,16 @@ def fx_ac_ascent(shared):
 
 @_fixture("tau-cubic", "cubic exponent growth diverges",
           "literature", "classified diverging by N=60")
-def fx_tau_cubic(shared):
-    rep = epsilon_report(_template(shared, "n^3"), 60, window=10)
+def fx_tau_cubic():
+    rep = epsilon_report(template_family("n^3"), 60, window=10)
     return rep.classification, rep.classification == "diverging"
 
 
 @_fixture("tau-ac-bound", "under A(c) the normalized sequence is O(c/n)",
           "literature",
           "A(3) holds for a=2 and normalized values are <= 6/n for n <= 50")
-def fx_tau_ac_bound(shared):
-    K = _template(shared, "2*n")
+def fx_tau_ac_bound():
+    K = template_family("2*n")
     rep = check_Ac(K, 3, 50)
     norm = sat_quotient_sequence(K, 50).normalized()
     bounded = all(v <= Fraction(2 * 3, n) for n, v in norm)
@@ -355,8 +347,8 @@ def fx_tau_ac_bound(shared):
 @_fixture("staircase-lengths", "principal family vs its thickened subfamily",
           "literature",
           "saturation length exactly 1 for n <= 100; both limits < 10^-3; localizations at (x) identical")
-def fx_staircase_lengths(shared):
-    I, J = shared.setdefault("staircase", staircase_pair())
+def fx_staircase_lengths():
+    I, J = staircase_pair()
     seqJ = sat_quotient_sequence(J, 100)
     lengths_ok = all(lam == 1 for _, lam in seqJ.entries)
     repI = epsilon_report(I, 200, window=50)
@@ -372,8 +364,8 @@ def fx_staircase_lengths(shared):
 @_fixture("staircase-closure", "the pair has different Rees algebra closures",
           "literature",
           "separation at degree 1, monomial x, weight (1,1), certificate re-verified for r <= 100")
-def fx_staircase_closure(shared):
-    I, J = shared.setdefault("staircase", staircase_pair())
+def fx_staircase_closure():
+    I, J = staircase_pair()
     verdict = rees_closure_compare(I, J, 10, 6)
     ok = (verdict.outcome == "proven-different" and verdict.degree == 1
           and verdict.monomial == (1, 0)
@@ -386,8 +378,8 @@ def fx_staircase_closure(shared):
 @_fixture("es-line", "face-prime sum for powers of a coordinate line",
           "derived",
           "localized sum exactly 1; quotient multiplicities of (x^n) equal n for n <= 20")
-def fx_es_line(shared):
-    P, _ = shared.setdefault("staircase", staircase_pair())
+def fx_es_line():
+    P, _ = staircase_pair()
     rep = e_s_localized(P, N=40)
     ratios_ok = all(
         samuel_of_quotient(MonomialIdeal(_PLANE, [(n, 0)])) == n
@@ -401,8 +393,8 @@ def fx_es_line(shared):
           "oscillating; limsup estimate 1 = 2 * (limsup sigma(n)/n) for the surrogate "
           "(the source text records 1/2 for its own exponent function; open question, reported only)",
           surrogate=True)
-def fx_sigma_oscillation(shared):
-    rep = epsilon_report(_template(shared, "n*sigma(n)"), 1024, window=256)
+def fx_sigma_oscillation():
+    rep = epsilon_report(template_family("n*sigma(n)"), 1024, window=256)
     ok = rep.classification == "oscillating" and rep.estimate == 1
     return f"{rep.classification}, limsup estimate {rep.estimate}", ok
 
@@ -410,8 +402,8 @@ def fx_sigma_oscillation(shared):
 @_fixture("sigma-ac", "surrogate oscillating family fails every A(c)",
           "literature", "A(c) fails within n <= 64 for c = 1..4, witnesses verified",
           surrogate=True)
-def fx_sigma_ac(shared):
-    H = _template(shared, "n*sigma(n)")
+def fx_sigma_ac():
+    H = template_family("n*sigma(n)")
     failures = {c: check_Ac(H, c, 64) for c in (1, 2, 3, 4)}
     ok = all(not rep.holds and verify_ac_witness(H, rep)
              for rep in failures.values())
@@ -421,9 +413,9 @@ def fx_sigma_ac(shared):
 @_fixture("sigma-closure", "surrogate family shares its closure with the linear family",
           "literature", "equal up to (N=12, r<=4) with memberships at r <= 2",
           surrogate=True)
-def fx_sigma_closure(shared):
+def fx_sigma_closure():
     verdict = rees_closure_compare(
-        _template(shared, "n*sigma(n)"), _template(shared, "n"), 12, 4)
+        template_family("n*sigma(n)"), template_family("n"), 12, 4)
     ok = verdict.outcome == "equal-up-to-bound" and verdict.max_r_used <= 2
     return f"{verdict.outcome}, max r = {verdict.max_r_used}", ok
 
@@ -433,17 +425,12 @@ def fixture_ids():
 
 
 def paper_examples(ids=None):
-    """Run the fixture corpus (optionally a subset by id) in declaration order.
-
-    Fixtures share evaluated filtrations through a common cache keyed by
-    family, so a full run reuses the expensive sequences, and a fixture run
-    alone builds what it needs and gives the same row.
-    """
+    """Run the fixture corpus (optionally a subset by id) in declaration
+    order; each fixture builds the filtrations it reads."""
     missing = set(ids or ()) - set(fixture_ids())
     if missing:
         raise ValueError(f"unknown fixture ids: {sorted(missing)}")
-    shared: dict = {}
-    return [FixtureResult(*decl, *run(shared)) for decl, run in _FIXTURES
+    return [FixtureResult(*decl, *run()) for decl, run in _FIXTURES
             if not ids or decl[0] in ids]
 
 

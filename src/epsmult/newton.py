@@ -37,7 +37,7 @@ from .ring import (
     DimensionMismatchError,
     MonomialIdeal,
     _check_exponent,
-    _from_points,
+    _ideal,
     _member,
     _minimal,
     _weight_ideal,
@@ -267,8 +267,8 @@ def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
     if I.dim <= 3:
         return _weight_ideal(_hull_of(I)[0], I.ctx)
     box = [range(max(g[i] for g in I.gens) + 1) for i in range(I.dim)]
-    return _from_points(I.ctx, [p for p in itertools.product(*box)
-                                if np_membership(I, p)])
+    return _ideal(I.ctx, _minimal(I.dim, [p for p in itertools.product(*box)
+                                          if np_membership(I, p)]))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,10 @@ entries and beyond the last.  In two variables the stack is the staircase
 of corners (a, q), with strictly decreasing q; the unit ideal in three
 variables is ((0, ((0, 0),)),).  Values are equal exactly when the ideals
 are.  ``MonomialIdeal`` wraps a value at the top level only, and lists its
-minimal generators, in graded lexicographic order, on first read.
+minimal generators, in graded lexicographic order, on first read.  There
+are two ways in: the public constructor validates exponents and
+minimalises them into a value, and the trusted ``_ideal`` wraps a value
+the kernel built itself.
 
 Each kernel operation is one private function over values, recursing on
 the slices down to a one-variable base case; hot loops take the
@@ -26,11 +29,10 @@ inequalities (valuation ideals, their meets, powers of m and integral
 closures) from the cuts; in two variables ``_weight_sat_length`` measures
 lambda(sat(I)/I) for such an ideal from the cuts alone, by floor sums.
 The public functions check the rings, handle the zero ideal and wrap the
-value.  Only the public constructor validates exponents.
+value.
 
-All values are immutable (the generator list and the value are each built
-at most once, with the same result by any writer) and every operation is
-pure.
+All values are immutable (the generator list is built at most once, with
+the same result by any writer) and every operation is pure.
 """
 
 from __future__ import annotations
@@ -121,19 +123,18 @@ def _member(gens, a):
 
 
 class MonomialIdeal:
-    """A monomial ideal: its value ``_stack`` and its minimal generators
-    ``gens`` in grlex order (``()`` for the zero ideal), each built on first
-    read (``_UNBUILT`` and ``None`` until then).  Equality, hashing,
-    ``is_zero`` and ``is_unit`` read the value and ignore variable names.
-    In up to three variables ``_hull`` caches the Newton polyhedron."""
+    """A monomial ideal: its value ``_stack``, set at construction, and its
+    minimal generators ``gens`` in grlex order (``()`` for the zero ideal),
+    built from the value on first read (``None`` until then).  Equality,
+    hashing, ``is_zero`` and ``is_unit`` read the value and ignore variable
+    names.  In up to three variables ``_hull`` caches the Newton
+    polyhedron."""
 
     __slots__ = ("ctx", "dim", "_gens", "_stack", "_hull")
 
-    def __init__(self, ctx, gens, _canonical=False):
-        self.ctx, self.dim, self._gens, self._stack = ctx, ctx.dim, gens, _UNBUILT
-        if not _canonical:
-            self._gens = None
-            self._stack = _minimal(ctx.dim, [_check_exponent(g, ctx.dim) for g in gens])
+    def __init__(self, ctx, gens):
+        self.ctx, self.dim, self._gens = ctx, ctx.dim, None
+        self._stack = _minimal(ctx.dim, [_check_exponent(g, ctx.dim) for g in gens])
 
     @classmethod
     def zero(cls, ctx):
@@ -141,7 +142,7 @@ class MonomialIdeal:
 
     @classmethod
     def unit(cls, ctx):
-        return _from_points(ctx, [(0,) * ctx.dim])
+        return _ideal(ctx, _unit(ctx.dim))
 
     @classmethod
     def maximal(cls, ctx):
@@ -157,10 +158,10 @@ class MonomialIdeal:
         return gens
 
     def is_zero(self):
-        return _value(self) is None
+        return self._stack is None
 
     def is_unit(self):
-        return _value(self) == _minimal(self.dim, [(0,) * self.dim])
+        return self._stack == _unit(self.dim)
 
     def is_proper(self):
         return not self.is_zero() and not self.is_unit()
@@ -172,10 +173,10 @@ class MonomialIdeal:
     def __eq__(self, other):
         if not isinstance(other, MonomialIdeal):
             return NotImplemented
-        return self.dim == other.dim and _value(self) == _value(other)
+        return self.dim == other.dim and self._stack == other._stack
 
     def __hash__(self):
-        return hash((self.dim, _value(self)))
+        return hash((self.dim, self._stack))
 
     def __repr__(self):
         gens = ", ".join(_format_monomial(g, self.ctx.names) for g in self.gens)
@@ -188,19 +189,8 @@ class MonomialIdeal:
     def contains_ideal(self, other):
         """Ideal containment other <= self."""
         _compatible(self, other)
-        u, v = _value(self), _value(other)
+        u, v = self._stack, other._stack
         return v is None or (u is not None and _contains(self.dim, u, v))
-
-
-_UNBUILT = object()  # the value of an ideal given by its generators, unread
-
-
-def _value(I):
-    """The value of an ideal, built from its generators on first read."""
-    value = I._stack
-    if value is _UNBUILT:
-        value = I._stack = _minimal(I.dim, I._gens)
-    return value
 
 
 def _ideal(ctx, value):
@@ -210,16 +200,16 @@ def _ideal(ctx, value):
     return I
 
 
+def _unit(d):
+    """The value of the unit ideal in d variables: 0 in one variable, the
+    stack ((0, unit one variable down),) above."""
+    return 0 if d == 1 else ((0, _unit(d - 1)),)
+
+
 def _compatible(I, J):
     if I.dim != J.dim:
         raise DimensionMismatchError(
             f"ideals live in dimension {I.dim} and {J.dim}")
-
-
-def _from_points(ctx, points):
-    """Trusted internal path: the ideal generated by exponent tuples the
-    kernel built itself, minimalised without re-validation."""
-    return _ideal(ctx, _minimal(ctx.dim, points))
 
 
 def _minimal(d, points):
@@ -394,7 +384,7 @@ def _weight(d, cuts):
     """
     cuts = [(w, n) for w, n in cuts if n > 0]
     if not cuts:
-        return _minimal(d, [(0,) * d])
+        return _unit(d)
     if d == 1:
         return max(-(-n // w[0]) for w, n in cuts)
     flat = d == 2
@@ -427,14 +417,14 @@ def _weight(d, cuts):
 def ideal_sum(I, J):
     """I + J."""
     _compatible(I, J)
-    u, v = _value(I), _value(J)
+    u, v = I._stack, J._stack
     return _ideal(I.ctx, v if u is None else u if v is None else _add(I.dim, u, v))
 
 
 def ideal_product(I, J):
     """I * J."""
     _compatible(I, J)
-    u, v = _value(I), _value(J)
+    u, v = I._stack, J._stack
     return _ideal(I.ctx, None if u is None or v is None else _mul(I.dim, u, v))
 
 
@@ -533,7 +523,7 @@ def _weight_sat_length(cuts):
 def intersect(I, J):
     """I meet J."""
     _compatible(I, J)
-    u, v = _value(I), _value(J)
+    u, v = I._stack, J._stack
     return _ideal(I.ctx, None if u is None or v is None else _meet(I.dim, u, v))
 
 
@@ -556,7 +546,7 @@ def saturate(I):
     """I : m^infinity, built slice by slice by ``_sat``.  The ring tests
     keep the intersection over variables of I : x_i^infinity and the
     iteration I <- I : m to a fixed point as independent oracles."""
-    value = _value(I)
+    value = I._stack
     return I if value is None else _ideal(I.ctx, _sat(I.dim, value))
 
 
@@ -564,7 +554,7 @@ def quotient_length(J, I):
     """Length of J/I for monomial ideals I <= J, summed slice by slice by
     ``_length``; ``None`` means infinite."""
     _compatible(J, I)
-    j, i = _value(J), _value(I)
+    j, i = J._stack, I._stack
     if i is None:
         return 0 if j is None else None
     if j is None:
@@ -594,8 +584,8 @@ def localize(I, coords):
     """Delete the coordinates outside ``coords`` (those variables become
     units) and minimalize in the smaller ring."""
     coords, sub = _localized_ring(I.ctx, coords)
-    pts = [tuple(g[i] for i in coords) for g in I.gens]
-    return _from_points(sub, pts)
+    return _ideal(sub, _minimal(sub.dim, [tuple(g[i] for i in coords)
+                                         for g in I.gens]))
 
 
 def _face_primes(I, size):

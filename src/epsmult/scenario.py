@@ -279,7 +279,7 @@ def load_scenario(path) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise ScenarioError(f"scenario {path}: invalid JSON ({exc})") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"scenario {path}: cannot read ({exc})") from exc

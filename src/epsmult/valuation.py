@@ -116,11 +116,12 @@ class ExactScalar(Record):
 
 
 _SCALAR_RE = re.compile(
-    r"^\s*(?:(?P<coeff>\d+(?:/\d+)?)\s*(?:\*\s*(?P<const>[A-Za-z]+))?|(?P<lone>[A-Za-z]+))\s*$")
+    r"^\s*(?:(?P<coeff>\d+(?:/0*[1-9]\d*)?)\s*(?:\*\s*(?P<const>[A-Za-z]+))?|(?P<lone>[A-Za-z]+))\s*$")
 
 
 def parse_scalar(text):
-    """Scalar literals: ``"3/2"``, ``"2"``, ``"pi"``, ``"2*pi"``."""
+    """Scalar literals: ``"3/2"``, ``"2"``, ``"pi"``, ``"2*pi"``; a zero
+    denominator is a bad literal."""
     m = _SCALAR_RE.match(text)
     if not m:
         raise ValueError(f"bad scalar literal {text!r}")

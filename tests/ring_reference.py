@@ -51,7 +51,9 @@ from epsmult.ring import (
 
 def ref_ideal(ctx, points):
     """The validating constructor: check every exponent, keep the
-    divisibility-minimal points, order them grlex."""
+    divisibility-minimal points, order them grlex.  The ideal's value comes
+    from the public constructor; its generator list is this one, so
+    ``.gens`` of an oracle ideal never reads the kernel's listing."""
     pts = set()
     for p in points:
         p = tuple(p)
@@ -59,8 +61,9 @@ def ref_ideal(ctx, points):
             raise ValueError(f"bad exponent {p}")
         pts.add(p)
     gens = [p for p in pts if not any(q != p and divides(q, p) for q in pts)]
-    return MonomialIdeal(ctx, tuple(sorted(gens, key=lambda e: (sum(e), e))),
-                         _canonical=True)
+    I = MonomialIdeal(ctx, gens)
+    I._gens = tuple(sorted(gens, key=lambda e: (sum(e), e)))
+    return I
 
 
 def ref_ideal_product(I, J):

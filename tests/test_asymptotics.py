@@ -329,12 +329,16 @@ def test_difference_check_identical():
 def test_difference_check_violations():
     small = TemplateFiltration(CTX2, [("2", "0"), ("1", "n^2")])
     big = TemplateFiltration(CTX2, [("2", "0"), ("1", "n")])
-    with pytest.raises(ValueError, match="containment"):
+    with pytest.raises(ValueError,
+                       match=r"^containment inner <= outer fails at n=2$"):
         epsilon_difference_check(big, small, 10, window=3)
     P = PowerFiltration(MonomialIdeal(CTX2, [(2, 0)]))
     Q = PowerFiltration(MonomialIdeal(CTX2, [(1, 0)]))
     with pytest.raises(ValueError, match="infinite"):
         epsilon_difference_check(P, Q, 10, window=3)
+    with pytest.raises(ValueError,
+                       match=r"^containment inner <= outer fails at n=1$"):
+        epsilon_difference_check(Q, P, 10, window=3)
 
 
 def test_truncation_sweep_structure():

@@ -127,6 +127,17 @@ def test_pi_scenario_csv_matches_closed_form(tmp_path):
         assert int(length) == D * (D + 1) // 2
 
 
+def test_deeply_nested_scenario_exits_2(tmp_path, capsys):
+    # json.load raises RecursionError on deep nesting, which used to escape
+    # as a traceback (exit 1)
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    with pytest.raises(ScenarioError, match="invalid JSON"):
+        load_scenario(str(path))
+    assert main(["run", str(path)]) == 2
+    assert "invalid JSON" in capsys.readouterr().err
+
+
 def test_scenario_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -238,7 +249,8 @@ def test_malformed_ring_or_filtrations_exit_2(tmp_path, capsys):
     # a non-integer dimension, a filtrations list, a tau list or a tau key
     # that is not a positive decimal, a localization of a localized
     # filtration at a variable its ring lacks, variables or template rows
-    # given as strings, a task that is not an object
+    # given as strings, a zero denominator in a multiplier or a template
+    # row, a task that is not an object
     # and a non-string out path end in ScenarioError while the scenario
     # loads, not in a ValueError, AttributeError, IndexError or TypeError
     # traceback
@@ -266,6 +278,13 @@ def test_malformed_ring_or_filtrations_exit_2(tmp_path, capsys):
              "variables must be a list of strings"),
             ("filtrations", {"t": {"type": "template", "generators": ["20", ["1", "n"]]}},
              "generators must be a list of lists"),
+            # a zero denominator used to end in a ZeroDivisionError traceback
+            ("filtrations", {"v": {"type": "discrete_valued", "valuations": [
+                {"weights": [1, 1], "multiplier": "1/0"}]}},
+             "bad scalar literal '1/0'"),
+            ("filtrations", {"t": {"type": "template",
+                                   "generators": [["2", "0"], ["1", "ceil(1/0*n)"]]}},
+             "bad scalar literal '1/0'"),
             ("tasks", [["eval", "pi"]], "task must be an object"),
             ("tasks", [{"task": "eval", "filtration": "pi", "n": 1, "out": 3}],
              "out must be a string")]:
@@ -351,8 +370,9 @@ def _fixture_block(lines, fid):
 
 
 def test_cli_paper_examples_dependency_seeding(capsys):
-    # every fixture builds the filtration families it reads itself, so each
-    # one run alone gives its row of the full table
+    # every fixture builds the filtration families it reads itself and no
+    # cache is shared between fixtures, so each one run alone gives its row
+    # of the full table
     from epsmult.fixtures import fixture_ids
 
     golden = GOLDEN_TABLE.read_text().splitlines()

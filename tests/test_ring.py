@@ -408,7 +408,7 @@ def kernel_builders():
 def test_unbuilt_generator_lists_agree_with_public_twins(build):
     X = build()
     twin = MonomialIdeal(X.ctx, X.gens)  # the public constructor
-    ref = ref_ideal(X.ctx, X.gens)  # generators only, no value yet
+    ref = ref_ideal(X.ctx, X.gens)  # the oracle's own generator list
     for read_first in (False, True):
         X = build()
         assert X._gens is None

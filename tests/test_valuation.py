@@ -29,6 +29,11 @@ def test_parse_scalar_literals():
     assert s.coeff == 2 and s.constant == "pi"
     with pytest.raises(ValueError):
         parse_scalar("e^2")
+    # a zero denominator used to raise ZeroDivisionError from Fraction
+    for text in ("1/0", "3/0*pi", "2/00"):
+        with pytest.raises(ValueError, match="bad scalar literal"):
+            parse_scalar(text)
+    assert parse_scalar("3/02").coeff == Fraction(3, 2)
     with pytest.raises(ValueError):
         ExactScalar(Fraction(-1))
 
