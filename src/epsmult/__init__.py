@@ -41,10 +41,8 @@ from .filtration import (
     sigma_surrogate,
     validate_filtration,
 )
-from .fixtures import FixtureResult, paper_examples
 from .newton import (
     ClosureVerdict,
-    NewtonPolyhedron,
     filtration_integral_member,
     integral_closure,
     np_membership,

@@ -7,7 +7,6 @@ never assert anything beyond the computed window.
 
 Classification rules (all comparisons are exact rational):
 
-* infinite entries inside the trailing window  ->  diverging
 * trailing-window values strictly increasing and the last one exceeding
   10x the median of the first window             ->  diverging
 * else fit v = eps + c/n by least squares over the trailing window; if the
@@ -26,6 +25,7 @@ as a diagnostic column.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -43,7 +43,7 @@ from .ring import (
     quotient_length,
     saturate,
 )
-from .textio import decimal_str, fraction_str, length_str
+from .textio import decimal_str, fraction_str
 
 __all__ = [
     "LengthSequence",
@@ -68,21 +68,22 @@ DIVERGENCE_FACTOR = 10
 
 
 class LocalizedSequenceError(RuntimeError):
-    """A localized colength sequence is infinite or fails to classify."""
+    """A level of a colength sequence is not primary to the maximal ideal."""
 
 
 class LengthSequence(Record):
-    """Entries (n, length) with ``None`` recording an infinite length, and
-    exact normalized values d! * length / n^dim for the finite ones."""
+    """Entries (n, length) with an integer length, and exact normalized
+    values d! * length / n^dim.  Every length is finite: the saturation
+    quotient sat(I)/I is H^0_m(R/I), which has finite length, and colength
+    and gap sequences reject a level whose quotient is infinite."""
 
     dim: int
     entries: tuple
 
     def normalized(self):
         fact = math.factorial(self.dim)
-        return tuple(
-            (n, None if lam is None else Fraction(fact * lam, n**self.dim))
-            for n, lam in self.entries)
+        return tuple((n, Fraction(fact * lam, n**self.dim))
+                     for n, lam in self.entries)
 
 
 def _fit_inverse_n(pairs):
@@ -107,7 +108,7 @@ def _fit_inverse_n(pairs):
 
 
 def _window_fit(tail):
-    """Fit v = eps + c/n over a trailing window of finite (n, v) pairs;
+    """Fit v = eps + c/n over a trailing window of (n, v) pairs;
     return (eps, c, spread), where spread is the range of the corrected
     values v - c/n (zero exactly when the window matches the model).  The
     corrected values are compared as numerators over the one denominator
@@ -129,9 +130,9 @@ class EpsilonReport(Record):
     classification: str  # "converging" | "oscillating" | "diverging"
     estimate: Fraction | None
     residual: Fraction | None
-    # least-squares extrapolation over the trailing window, available whenever
-    # that window is finite; equals ``estimate`` for converging sequences and
-    # is the point estimate sweeps should compare
+    # least-squares extrapolation over the trailing window; equals
+    # ``estimate`` for converging sequences and is the point estimate sweeps
+    # should compare
     fitted: Fraction | None = None
 
     # the per-n columns of rows(), in CSV order
@@ -142,7 +143,7 @@ class EpsilonReport(Record):
         norm = self.sequence.normalized()
         return [
             dict(zip(self.COLUMNS, (
-                n, length_str(lam), fraction_str(v), decimal_str(v),
+                n, str(lam), fraction_str(v), decimal_str(v),
                 fraction_str(sup), fraction_str(sec))))
             for (n, lam), (_, v), sup, sec in zip(
                 self.sequence.entries, norm, self.running_sup, self.secant)
@@ -163,20 +164,14 @@ class EpsilonReport(Record):
 
 
 def _running_sup(normalized):
-    sup = None
-    out = []
-    for _, v in normalized:
-        if v is not None and (sup is None or v > sup):
-            sup = v
-        out.append(sup)
-    return tuple(out)
+    return tuple(itertools.accumulate((v for _, v in normalized), max))
 
 
 def _secants(normalized, window):
     out = []
     for i, (n, v) in enumerate(normalized):
         j = i - window
-        if j < 0 or v is None or normalized[j][1] is None:
+        if j < 0:
             out.append(None)
             continue
         n0, v0 = normalized[j]
@@ -198,21 +193,18 @@ def _median(values):
 
 def _classify(normalized, window, fit):
     """Apply the documented classification rules to (n, value) pairs, given
-    the trailing-window fit (None when the window has an infinite entry)."""
-    if fit is None:
-        return "diverging", None, None
-    head_vals = [v for _, v in normalized[:window] if v is not None]
+    the trailing-window fit."""
+    head_vals = [v for _, v in normalized[:window]]
     tail_vals = [v for _, v in normalized[-window:]]
     increasing = all(a < b for a, b in zip(tail_vals, tail_vals[1:]))
-    if head_vals and increasing and tail_vals[-1] > DIVERGENCE_FACTOR * _median(head_vals):
+    if increasing and tail_vals[-1] > DIVERGENCE_FACTOR * _median(head_vals):
         return "diverging", None, None
     eps, _, spread = fit
     mean = sum(tail_vals) / len(tail_vals)
     tol = max(ABS_TOL, REL_TOL * abs(mean))
     if spread < tol:
         return "converging", eps, spread
-    sup = max((v for _, v in normalized if v is not None), default=None)
-    return "oscillating", sup, None
+    return "oscillating", max(v for _, v in normalized), None
 
 
 def _sequence_report(seq: LengthSequence, window):
@@ -223,8 +215,7 @@ def _sequence_report(seq: LengthSequence, window):
     if len(seq.entries) < 2 * window:
         raise ValueError("need at least 2*window entries")
     norm = seq.normalized()
-    tail = norm[-window:]
-    fit = _window_fit(tail) if all(v is not None for _, v in tail) else None
+    fit = _window_fit(norm[-window:])
     classification, estimate, residual = _classify(norm, window, fit)
     return EpsilonReport(
         sequence=seq,
@@ -234,7 +225,7 @@ def _sequence_report(seq: LengthSequence, window):
         classification=classification,
         estimate=estimate,
         residual=residual,
-        fitted=fit[0] if fit else None,
+        fitted=fit[0],
     )
 
 
@@ -242,13 +233,13 @@ def _sequence_report(seq: LengthSequence, window):
 # sequence computation
 # ---------------------------------------------------------------------------
 
-# per-n functions fn(F, n) -> length or None
+# per-n functions fn(F, n) -> length (None for an infinite colength)
 
 
 def _sat_quotient_at(F, n):
     # a discrete-valued level in two variables is counted from its cuts and
-    # never built; elsewhere the one saturation of the level, and
-    # quotient_length settles finiteness without forming it again
+    # never built; elsewhere the one saturation of the level, measured
+    # against the level by quotient_length
     if isinstance(F, DiscreteValuedFiltration) and F.ctx.dim == 2:
         return _weight_sat_length(F._cuts(n))
     I = F.ideal_at(n)
@@ -279,8 +270,7 @@ def _entries(fn, F, N):
 
 
 def sat_quotient_sequence(F: Filtration, N, jobs=1) -> LengthSequence:
-    """lambda(I_n^sat / I_n) for n = 1..N, with infinite entries recorded as
-    ``None`` rather than raised.  The levels of a discrete-valued
+    """lambda(I_n^sat / I_n) for n = 1..N.  The levels of a discrete-valued
     filtration in two variables are counted from their cuts (w_i,
     ceil(n * a_i)) by floor sums and never built, so they do not enter the
     filtration's memo table; every other level is built, saturated and
@@ -490,14 +480,9 @@ def truncation_sweep(F: Filtration, levels, N, window=None) -> TruncationSweep:
     """Estimate the saturation-quotient limit of each level-i truncation of F
     and report the absolute gaps from the parent's estimate."""
     parent = epsilon_report(F, N, window)
-    if parent.fitted is None:
-        raise LocalizedSequenceError("parent sequence has infinite window entries")
     rows = []
     for i in levels:
         rep = epsilon_report(F.truncate(i), N, window)
-        if rep.fitted is None:
-            raise LocalizedSequenceError(
-                f"truncation level {i} has infinite window entries")
         rows.append((i, rep.fitted, abs(rep.fitted - parent.fitted)))
     return TruncationSweep(N=N, window=parent.window,
                            parent_estimate=parent.fitted, levels=tuple(rows))

@@ -107,10 +107,6 @@ class MaxSpreadCertificate(Record):
     asserted_spread: int | None
     note: str
 
-    @property
-    def criterion_holds(self):
-        return True
-
     def to_obj(self, names=None):
         return {
             "kind": "maximal",

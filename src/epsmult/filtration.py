@@ -169,9 +169,6 @@ class Filtration:
     def truncate(self, level) -> "TruncationFiltration":
         return TruncationFiltration(self, level)
 
-    def describe(self):
-        return type(self).__name__
-
 
 class PowerFiltration(Filtration):
     """I_n = base^n, computed incrementally."""
@@ -191,9 +188,6 @@ class PowerFiltration(Filtration):
     def _localized(self, coords, sub):
         base = localize(self.base, coords)
         return _unit(sub) if base.is_unit() else PowerFiltration(base)
-
-    def describe(self):
-        return f"powers of {self.base!r}"
 
 
 class DiscreteValuedFiltration(Filtration):
@@ -228,10 +222,6 @@ class DiscreteValuedFiltration(Filtration):
     @property
     def is_rational_discrete_valued(self):
         return all(a.is_rational for _, a in self.pairs)
-
-    def describe(self):
-        parts = [f"w={list(v.weights)} a={a}" for v, a in self.pairs]
-        return "discrete valued: " + " and ".join(parts)
 
 
 class TemplateFiltration(Filtration):
@@ -271,10 +261,6 @@ class TemplateFiltration(Filtration):
         where a coordinate is not affine in n."""
         return tuple(tuple(coord.form for coord in g) for g in self.generators)
 
-    def describe(self):
-        gens = ["(" + ", ".join(c.text for c in g) + ")" for g in self.generators]
-        return "template: " + ", ".join(gens)
-
 
 class TableFiltration(Filtration):
     """Explicit ideals for n = 1..N; evaluation beyond N is an error."""
@@ -295,9 +281,6 @@ class TableFiltration(Filtration):
 
     def _localized(self, coords, sub):
         return TableFiltration(sub, [localize(I, coords) for I in self.ideals])
-
-    def describe(self):
-        return f"table of {len(self.ideals)} ideals"
 
 
 class TruncationFiltration(Filtration):
@@ -323,9 +306,6 @@ class TruncationFiltration(Filtration):
 
     def _localized(self, coords, sub):
         return self.parent._localized(coords, sub).truncate(self.level)
-
-    def describe(self):
-        return f"truncation at level {self.level} of [{self.parent.describe()}]"
 
 
 def _unit(ctx):

@@ -46,7 +46,6 @@ from .textio import fraction_str, monomial_obj
 from .valuation import MonomialValuation, valuation_of_ideal
 
 __all__ = [
-    "NewtonPolyhedron",
     "np_membership",
     "integral_closure",
     "ClosureMembership",
@@ -224,35 +223,16 @@ def _hull_of(I):
         return hull
 
 
-class NewtonPolyhedron:
-    """Convex hull of the generator exponents plus the nonnegative orthant.
-
-    In d <= 3 it is cut out by its exact facets; in higher dimension
-    membership is the exact LP."""
-
-    def __init__(self, I: MonomialIdeal):
-        if I.is_zero():
-            raise ValueError("the zero ideal has no Newton polyhedron")
-        self.ideal = I
-
-    def facets(self):
-        """Pairs (w, rhs), one per facet, sorted, with the polyhedron equal
-        to {x : w.x >= rhs for all of them}; only in d <= 3."""
-        if self.ideal.dim > 3:
-            raise ValueError("facets are only computed for d <= 3")
-        return _hull_of(self.ideal)[0]
-
-    def contains(self, a):
-        a = _check_exponent(a, self.ideal.dim)
-        if self.ideal.dim > 3:
-            return _member(self.ideal.gens, a) or _lp_convex_dominated(self.ideal.gens, a)
-        return all(_dot(w, a) >= rhs for w, rhs in _hull_of(self.ideal)[0])
-
-
 def np_membership(I: MonomialIdeal, a) -> bool:
     """x^a lies in the Newton polyhedron of I (equivalently, in the integral
-    closure of I for monomial ideals)."""
-    return NewtonPolyhedron(I).contains(a)
+    closure of I for monomial ideals): in d <= 3 by its exact facets, in
+    higher dimension by the exact LP."""
+    if I.is_zero():
+        raise ValueError("the zero ideal has no Newton polyhedron")
+    a = _check_exponent(a, I.dim)
+    if I.dim > 3:
+        return _member(I.gens, a) or _lp_convex_dominated(I.gens, a)
+    return all(_dot(w, a) >= rhs for w, rhs in _hull_of(I)[0])
 
 
 def integral_closure(I: MonomialIdeal) -> MonomialIdeal:

@@ -166,10 +166,6 @@ class MonomialIdeal:
     def is_proper(self):
         return not self.is_zero() and not self.is_unit()
 
-    def max_degree(self):
-        """Largest total degree among the minimal generators (0 if none)."""
-        return max((sum(g) for g in self.gens), default=0)
-
     def __eq__(self, other):
         if not isinstance(other, MonomialIdeal):
             return NotImplemented
@@ -603,7 +599,7 @@ def dim_quotient(I):
     the least number of variables meeting the support of every generator."""
     if not I.is_proper():
         raise IdealDomainError("dimension of R/I needs a proper nonzero ideal")
-    for size in range(1, I.dim + 1):
+    for size in range(1, I.dim):
         if next(_face_primes(I, size), None) is not None:
             return I.dim - size
-    raise RuntimeError("no variable cover found")  # unreachable for proper ideals
+    return 0  # all d variables meet every generator of a proper ideal

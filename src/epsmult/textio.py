@@ -25,7 +25,6 @@ __all__ = [
     "ideal_to_obj",
     "fraction_str",
     "decimal_str",
-    "length_str",
     "dump_json",
     "rows_to_csv",
 ]
@@ -84,10 +83,6 @@ def decimal_str(q, places=12):
     scaled = (q.numerator * 10**places + q.denominator // 2) // q.denominator
     digits = str(scaled).rjust(places + 1, "0")
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
-
-
-def length_str(value):
-    return "infinite" if value is None else str(value)
 
 
 def dump_json(obj):

@@ -31,8 +31,8 @@ from epsmult.newton import (
     ClosureMembership,
     ClosureVerdict,
     ContainmentCertificate,
-    NewtonPolyhedron,
     SeparationCertificate,
+    _hull_of,
     _lp_convex_dominated,
     np_membership,
 )
@@ -262,7 +262,7 @@ def ref_quotient_length(J, I):
     while not ref_contains_ideal(cur, J):
         cur = ref_colon(cur, m)
         k += 1
-    return _count_region(J, I, k + J.max_degree())
+    return _count_region(J, I, k + max((sum(g) for g in J.gens), default=0))
 
 
 def _monomials_of_degree(d, k):
@@ -324,7 +324,7 @@ def ref_ideal_multiplicity(I, k_max=None):
     k -> colength(I^k), taken once it holds constant over three consecutive
     k (a stopping rule, not a proof; the exact value is d! * covol(NP(I)))."""
     if k_max is None:
-        k_max = 8 * max(2, I.max_degree())
+        k_max = 8 * max(2, max((sum(g) for g in I.gens), default=0))
     values = []
     for k in range(1, k_max + 1):
         values.append(colength(ideal_power(I, k)))
@@ -472,7 +472,7 @@ def _ref_weight_candidates(F, m):
     cands = [bits for bits in itertools.product((0, 1), repeat=d) if any(bits)]
     Im = F.ideal_at(m)
     if not Im.is_zero() and d <= 3:
-        for w, _ in NewtonPolyhedron(Im).facets():
+        for w, _ in _hull_of(Im)[0]:
             if w not in cands:
                 cands.append(w)
     return cands
@@ -593,3 +593,12 @@ class LocalizedFiltration(Filtration):
 
     def _localized(self, coords, sub):
         return LocalizedFiltration(self, coords)
+
+
+def spec(F):
+    """A filtration for test messages: its kind and its public fields, with
+    a parent filtration (of a truncation or a localization) given the same
+    way."""
+    return type(F).__name__, {
+        k: spec(v) if isinstance(v, Filtration) else v
+        for k, v in vars(F).items() if not k.startswith("_")}

@@ -70,22 +70,29 @@ def test_sat_quotient_sequence_examples():
     assert [lam for _, lam in seqP.entries] == [n * (n + 1) // 2 for n in range(1, 11)]
 
 
-def test_infinite_entries_recorded_not_fatal():
-    # powers of (x) have saturation equal to themselves => lengths 0; build a
-    # filtration with infinite saturation quotients instead: powers of (x)
-    # have length 0, so use a table with I_n = (x^n) inside dimension 2 and
-    # sat quotient zero; infinite entries need sat(I_n) != I_n with infinite
-    # quotient, impossible; instead check colength sequence error handling.
+def test_samuel_sequence_rejects_levels_not_m_primary():
+    # (x)^n has infinite colength in k[x, y]; its saturation quotient is
+    # finite (zero), as every sat(I)/I = H^0_m(R/I) is
     P = PowerFiltration(MonomialIdeal(CTX2, [(1, 0)]))
-    with pytest.raises(LocalizedSequenceError):
+    with pytest.raises(LocalizedSequenceError, match="I_1 is not primary"):
         samuel_sequence(P, 5)
+    assert sat_quotient_sequence(P, 5).entries == tuple((n, 0) for n in range(1, 6))
 
 
 def test_running_sup_monotone():
     F = pi_plane()
     rep = epsilon_report(F, 30, window=5)
-    sups = [s for s in rep.running_sup if s is not None]
+    sups = rep.running_sup
     assert all(a <= b for a, b in zip(sups, sups[1:]))
+    assert sups == tuple(max(v for _, v in rep.sequence.normalized()[:k])
+                         for k in range(1, 31))
+
+
+def test_default_window():
+    # max(2, min(50, N // 5))
+    F = pi_plane()
+    assert epsilon_report(F, 100).window == 20
+    assert epsilon_report(F, 12).window == 2
 
 
 # ---------------------------------------------------------------------------
@@ -145,30 +152,29 @@ def test_fit_inverse_n_exact():
 @st.composite
 def length_sequences(draw):
     """(sequence, window): d = 1..3, a window of 2..30, at least twice as
-    many entries, lengths up to 10^6 and a few infinite entries anywhere."""
+    many entries, lengths up to 10^6 and a few zero entries anywhere."""
     d = draw(st.integers(1, 3))
     window = draw(st.integers(2, 30))
     N = draw(st.integers(2 * window, 2 * window + 12))
     lams = draw(st.lists(st.integers(0, 10**6), min_size=N, max_size=N))
     for i in draw(st.sets(st.integers(0, N - 1), max_size=3)):
-        lams[i] = None
+        lams[i] = 0
     return _seq(d, lams), window
 
 
 @settings(max_examples=100)
 @given(length_sequences())
 @example((_seq(2, [3 * n * n + 7 * n for n in range(1, 41)]), 10))
-@example((_seq(1, [None] + list(range(1, 8))), 2))
+@example((_seq(1, [0] + list(range(1, 8))), 2))
 def test_window_sums_match_fraction_reference(case):
     seq, window = case
     norm = seq.normalized()
     assert _secants(norm, window) == ref_secants(norm, window)
-    # every finite window of consecutive entries, not only the trailing one
+    # every window of consecutive entries, not only the trailing one
     for i in range(len(norm) - window + 1):
         tail = norm[i:i + window]
-        if all(v is not None for _, v in tail):
-            assert _fit_inverse_n(tail) == ref_fit_inverse_n(tail)
-            assert _window_fit(tail) == ref_window_fit(tail)
+        assert _fit_inverse_n(tail) == ref_fit_inverse_n(tail)
+        assert _window_fit(tail) == ref_window_fit(tail)
 
 
 # fractions drawn as numerator and denominator: st.fractions() spent most

@@ -187,6 +187,20 @@ def test_cli_single_commands(tmp_path, capsys):
     assert "x^4*y^3" in capsys.readouterr().out
 
 
+def test_cli_spread_reports_where_the_zero_search_ends(tmp_path, capsys):
+    # no power y^r with r <= 2 lies in m * m^r: the search ends at the
+    # first generator of m
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({
+        "ring": {"dimension": 2, "names": ["x", "y"]},
+        "filtrations": {"m": {"type": "power", "base": ["x", "y"]}},
+        "tasks": []}))
+    assert main(["spread", str(path), "--filtration", "m", "--n-max", "3",
+                 "--r-max", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["zero"] == {
+        "kind": "not-found", "n": 1, "generator": "y", "searched_up_to": 2}
+
+
 def test_cli_rejects_jobs_on_every_command(tmp_path, capsys):
     # every sequence runs in this process, so no command takes --jobs
     path = write_scenario(tmp_path, [])

@@ -31,7 +31,7 @@ from epsmult.ring import (
 )
 from epsmult.valuation import ExactScalar, MonomialValuation
 from fraction_reference import ref_rational_rank
-from ring_reference import LocalizedFiltration, ref_spread_zero_test
+from ring_reference import LocalizedFiltration, ref_spread_zero_test, spec
 
 CTX2 = RingContext(2)
 
@@ -172,6 +172,17 @@ def test_spread_zero_tau_family():
     assert amp[1] == 2 * 2 + 1  # two generators, max r 2
 
 
+def test_zero_certificate_with_a_lowered_exponent_fails():
+    # r = 1 asks for a minimal generator g of I_n inside m * I_n
+    T = TemplateFiltration(CTX2, [("2", "0"), ("1", "2*n")])
+    cert = spread_zero_test(T, 3, 4)
+    n, g, _ = cert.entries[-1]
+    lowered = ZeroSpreadCertificate(bound=cert.bound, r_max=cert.r_max,
+                                    entries=cert.entries[:-1] + ((n, g, 1),))
+    assert verify_zero_certificate(T, cert)
+    assert not verify_zero_certificate(T, lowered)
+
+
 def test_spread_zero_adaptive_ceil():
     line = pi_line()
     cert = spread_zero_test(line, 20, 10)
@@ -223,7 +234,7 @@ def spread_filtrations(draw):
 @example(pi_line(), 3, 2)
 def test_spread_zero_matches_product_reference(F, N, r_max):
     fast = spread_zero_test(F, N, r_max)
-    assert fast == ref_spread_zero_test(F, N, r_max), F.describe()
+    assert fast == ref_spread_zero_test(F, N, r_max), spec(F)
     if isinstance(fast, ZeroSpreadCertificate):
         assert verify_zero_certificate(F, fast)
 
@@ -235,6 +246,18 @@ def test_diagnostics_reject_an_empty_bound(N):
                  lambda: spread_zero_test(T, N, 6), lambda: toric_rank_bound(T, N)):
         with pytest.raises(ValueError, match="N must be at least 1"):
             call()
+
+
+def test_diagnostics_reject_bad_parameters():
+    T = family_K(1)
+    with pytest.raises(ValueError, match="c must be a positive integer"):
+        check_Ac(T, 0, 5)
+    holds = check_Ac(T, 2, 5)
+    assert holds.holds
+    with pytest.raises(ValueError, match="report has no witness"):
+        verify_ac_witness(T, holds)
+    with pytest.raises(ValueError, match="r_max must be at least 2"):
+        spread_zero_test(T, 5, 1)
 
 
 def test_spread_tests_consistent_on_certified_specs():
@@ -253,7 +276,7 @@ def test_spread_tests_consistent_on_certified_specs():
         both = (isinstance(max_cert, MaxSpreadCertificate)
                 and max_cert.asserted_spread is not None
                 and isinstance(zero_cert, ZeroSpreadCertificate))
-        assert not both, F.describe()
+        assert not both, spec(F)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from epsmult.asymptotics import sat_quotient_sequence
 from epsmult.filtration import (
     DiscreteValuedFiltration,
     PowerFiltration,
@@ -29,7 +30,7 @@ from epsmult.ring import (
     maximal_power,
 )
 from epsmult.valuation import ExactScalar, MonomialValuation, parse_scalar
-from ring_reference import LocalizedFiltration
+from ring_reference import LocalizedFiltration, spec
 
 CTX2 = RingContext(2)
 
@@ -72,7 +73,7 @@ def test_builtin_specs_satisfy_axiom():
         TemplateFiltration(CTX2, [("n+1", "0"), ("n", "1")]),
     ]
     for F in specs:
-        assert validate_filtration(F, 25) is None, F.describe()
+        assert validate_filtration(F, 25) is None, spec(F)
 
 
 def test_table_range_error():
@@ -234,10 +235,10 @@ def assert_same_levels(L, oracle, n_max=8):
     assert L.ctx == oracle.ctx
     for n, (got, want) in enumerate(zip(_levels(L, n_max), _levels(oracle, n_max)), 1):
         if isinstance(want, type):
-            assert got is want, (L.describe(), n, got, want)
+            assert got is want, (spec(L), n, got, want)
         else:
-            assert got == want and want == got, (L.describe(), n)
-            assert got.gens == want.gens, (L.describe(), n)
+            assert got == want and want == got, (spec(L), n)
+            assert got.gens == want.gens, (spec(L), n)
 
 
 def is_unit_filtration(F):
@@ -353,11 +354,33 @@ def test_localize_matches_projected_levels(F, inner, level):
     for size in range(1, d):
         for S in combinations(range(d), size):
             L, oracle = F.localize(S), LocalizedFiltration(F, S)
-            assert type(L) is type(F) or is_unit_filtration(L), (F.describe(), S)
+            assert type(L) is type(F) or is_unit_filtration(L), (spec(F), S)
             assert_same_levels(L, oracle)
             T = [i for i in inner if i < size] or [size - 1]
             assert_same_levels(L.localize(T), oracle.localize(T))
             assert_same_levels(L.truncate(level), oracle.truncate(level))
+
+
+@settings(max_examples=150)
+@given(spec_filtrations(), st.sets(st.integers(0, 3)))
+@example(PowerFiltration(MonomialIdeal(CTX2, [(1, 0)])), set())
+def test_saturation_lengths_are_finite_integers(F, coords):
+    # sat(I_n)/I_n = H^0_m(R/I_n) has finite length at every level of every
+    # kind, localized (at the drawn coordinates that F has) or not, so every
+    # entry of the sequence is an integer >= 0; the levels end where a table
+    # or a tau template does
+    coords = [i for i in coords if i < F.ctx.dim]
+    G = F.localize(coords) if coords else F
+    N = 0
+    for n in range(1, 6):
+        try:
+            G.ideal_at(n)
+        except TableRangeError:
+            break
+        N = n
+    entries = sat_quotient_sequence(G, N).entries
+    assert [n for n, _ in entries] == list(range(1, N + 1))
+    assert all(type(lam) is int and lam >= 0 for _, lam in entries), (spec(G), entries)
 
 
 def test_filtration_dimension():

@@ -141,6 +141,16 @@ def test_colon_examples():
         colon(I, MonomialIdeal.zero(CTX2))
 
 
+@pytest.mark.parametrize("op", [ideal_sum, ideal_product, intersect, colon,
+                                quotient_length, MonomialIdeal.contains_ideal],
+                         ids=lambda op: op.__name__)
+def test_binary_operations_reject_ideals_of_different_rings(op):
+    I, J = I2((2, 0), (1, 1)), MonomialIdeal(CTX3, [(1, 0, 0), (0, 2, 1)])
+    for left, right in ((I, J), (J, I)):
+        with pytest.raises(DimensionMismatchError, match=r"dimension \d and \d"):
+            op(left, right)
+
+
 # ---------------------------------------------------------------------------
 # saturation
 # ---------------------------------------------------------------------------

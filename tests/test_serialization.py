@@ -10,7 +10,6 @@ from epsmult.textio import (
     format_monomial,
     fraction_str,
     ideal_to_obj,
-    length_str,
     parse_monomial,
     rows_to_csv,
 )
@@ -57,8 +56,6 @@ def test_fraction_strings():
     assert decimal_str(Fraction(1, 3), 6) == "0.333333"
     assert decimal_str(Fraction(-1, 2), 4) == "-0.5000"
     assert decimal_str(Fraction(2), 3) == "2.000"
-    assert length_str(None) == "infinite"
-    assert length_str(17) == "17"
 
 
 def test_dump_json_deterministic():
