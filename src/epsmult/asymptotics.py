@@ -31,7 +31,6 @@ from fractions import Fraction
 
 from ._record import Record
 from .filtration import DiscreteValuedFiltration, Filtration, filtration_dimension
-from .newton import _det, _hull_of
 from .ring import (
     IdealDomainError,
     MonomialIdeal,
@@ -133,7 +132,7 @@ class EpsilonReport(Record):
     # least-squares extrapolation over the trailing window; equals
     # ``estimate`` for converging sequences and is the point estimate sweeps
     # should compare
-    fitted: Fraction | None = None
+    fitted: Fraction
 
     # the per-n columns of rows(), in CSV order
     COLUMNS = ("n", "length", "normalized", "normalized_decimal",
@@ -157,8 +156,8 @@ class EpsilonReport(Record):
             "estimate": fraction_str(self.estimate) if self.estimate is not None else None,
             "estimate_decimal": decimal_str(self.estimate) if self.estimate is not None else None,
             "residual": fraction_str(self.residual) if self.residual is not None else None,
-            "fitted": fraction_str(self.fitted) if self.fitted is not None else None,
-            "fitted_decimal": decimal_str(self.fitted) if self.fitted is not None else None,
+            "fitted": fraction_str(self.fitted),
+            "fitted_decimal": decimal_str(self.fitted),
             "entries": self.rows(),
         }
 
@@ -323,6 +322,7 @@ def ideal_multiplicity(I: MonomialIdeal) -> Fraction:
     d = I.dim
     if d > 3 or colength(I) is None:
         raise ValueError("ideal multiplicity needs an m-primary ideal in d <= 3")
+    from .newton import _det, _hull_of  # here, so importing this module leaves newton unrun
     return Fraction(sum(abs(_det((f[0],) + f[i:i + d - 1]))
                         for f in _hull_of(I)[1] for i in range(1, len(f) - d + 2)))
 

@@ -150,6 +150,71 @@ def test_import_loads_none_of_the_replaced_modules():
     assert out.strip() == "[]"
 
 
+# the package-level names whose modules run on first use, by home module
+DEFERRED = {
+    "diagnostics": ["AcReport", "MaxSpreadCertificate", "ZeroSpreadCertificate",
+                    "ZeroSpreadNotFound", "check_Ac", "spread_max_test",
+                    "spread_zero_test", "toric_rank_bound", "verify_ac_witness",
+                    "verify_zero_certificate"],
+    "newton": ["ClosureVerdict", "filtration_integral_member", "integral_closure",
+               "np_membership", "rees_closure_compare",
+               "verify_separation_certificate"],
+    "scenario": ["Scenario", "ScenarioError", "load_scenario", "run_scenario"],
+}
+
+# what ``from epsmult import *`` binds
+STAR_NAMES = [
+    "AcReport", "CertificationError", "ClosureVerdict", "DifferenceReport",
+    "DiscreteValuedFiltration", "ESLocalizedReport", "EpsilonReport",
+    "ExactScalar", "Filtration", "LengthSequence", "MaxSpreadCertificate",
+    "MonomialIdeal", "MonomialValuation", "PowerFiltration", "RingContext",
+    "Scenario", "ScenarioError", "TableFiltration", "TableRangeError",
+    "TemplateFiltration", "TruncationFiltration", "TruncationSweep",
+    "ZeroSpreadCertificate", "ZeroSpreadNotFound", "asymptotics", "ceil_mul",
+    "check_Ac", "colength", "colon", "diagnostics", "dim_quotient",
+    "e_s_localized", "epsilon_difference_check", "epsilon_report", "filtration",
+    "filtration_dimension", "filtration_integral_member", "ideal_multiplicity",
+    "ideal_power", "ideal_product", "ideal_sum", "integral_closure", "intersect",
+    "load_scenario", "localize", "maximal_power", "newton", "np_membership",
+    "parse_scalar", "quotient_length", "rees_closure_compare", "ring",
+    "run_scenario", "samuel_of_quotient", "samuel_sequence",
+    "sat_quotient_sequence", "saturate", "scenario", "sigma_surrogate",
+    "spread_max_test", "spread_zero_test", "textio", "toric_rank_bound",
+    "truncation_sweep", "validate_filtration", "valuation", "valuation_ideal",
+    "valuation_of_ideal", "verify_ac_witness", "verify_separation_certificate",
+    "verify_zero_certificate",
+]
+
+
+def test_import_leaves_the_deferred_modules_unrun():
+    """``import epsmult`` registers diagnostics, newton and scenario without
+    running them; reading one of their names runs all three (scenario
+    imports the other two)."""
+    code = ("import sys, types, epsmult\n"
+            "mods = [sys.modules[f'epsmult.{m}'] for m in "
+            "('diagnostics', 'newton', 'scenario')]\n"
+            "print([type(m) is not types.ModuleType for m in mods])\n"
+            "epsmult.load_scenario\n"
+            "print([type(m) is types.ModuleType for m in mods])\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split("\n") == ["[True, True, True]", "[True, True, True]", ""]
+
+
+def test_public_namespace_is_unchanged_by_the_deferral():
+    namespace = {}
+    exec("from epsmult import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == STAR_NAMES
+    listed = dir(epsmult)
+    for home, names in DEFERRED.items():
+        module = importlib.import_module(f"epsmult.{home}")
+        for name in names:
+            assert getattr(epsmult, name) is getattr(module, name), name
+            assert name in listed, name
+    assert not hasattr(epsmult, "no_such_name")
+
+
 def test_no_generated_code_in_the_package():
     """No module imports ``dataclasses`` or calls ``exec`` or ``eval``."""
     offending = []
