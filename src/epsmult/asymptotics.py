@@ -25,7 +25,6 @@ as a diagnostic column.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from fractions import Fraction
 
@@ -162,10 +161,6 @@ class EpsilonReport(Record):
         }
 
 
-def _running_sup(normalized):
-    return tuple(itertools.accumulate((v for _, v in normalized), max))
-
-
 def _secants(normalized, window):
     out = []
     for i, (n, v) in enumerate(normalized):
@@ -190,23 +185,12 @@ def _median(values):
     return s[k] if len(s) % 2 else (s[k - 1] + s[k]) / 2
 
 
-def _classify(normalized, window, fit):
-    """Apply the documented classification rules to (n, value) pairs, given
-    the trailing-window fit."""
-    head_vals = [v for _, v in normalized[:window]]
-    tail_vals = [v for _, v in normalized[-window:]]
-    increasing = all(a < b for a, b in zip(tail_vals, tail_vals[1:]))
-    if increasing and tail_vals[-1] > DIVERGENCE_FACTOR * _median(head_vals):
-        return "diverging", None, None
-    eps, _, spread = fit
-    mean = sum(tail_vals) / len(tail_vals)
-    tol = max(ABS_TOL, REL_TOL * abs(mean))
-    if spread < tol:
-        return "converging", eps, spread
-    return "oscillating", max(v for _, v in normalized), None
-
-
 def _sequence_report(seq: LengthSequence, window):
+    """Report on the normalized values v = d! * lam / n^d under the
+    documented classification rules.  Two of them compare as integers,
+    v_a < v_b exactly when lam_a * n_b^d < lam_b * n_a^d: the running sup,
+    which holds the normalized values themselves, and the increasing test.
+    The window mean is one sum over the common denominator of its values."""
     if window is None:
         window = max(2, min(50, len(seq.entries) // 5))
     if window < 2:
@@ -214,17 +198,37 @@ def _sequence_report(seq: LengthSequence, window):
     if len(seq.entries) < 2 * window:
         raise ValueError("need at least 2*window entries")
     norm = seq.normalized()
-    fit = _window_fit(norm[-window:])
-    classification, estimate, residual = _classify(norm, window, fit)
+    scaled = [(lam, n**seq.dim) for n, lam in seq.entries]
+    running_sup = []
+    top_lam, top_nd = scaled[0]
+    sup = norm[0][1]
+    for (lam, nd), (_, v) in zip(scaled, norm):
+        if lam * top_nd > top_lam * nd:
+            top_lam, top_nd, sup = lam, nd, v
+        running_sup.append(sup)
+    tail = norm[-window:]
+    tail_scaled = scaled[-window:]
+    eps, _, spread = _window_fit(tail)
+    if (all(a * nb < b * na for (a, na), (b, nb) in zip(tail_scaled, tail_scaled[1:]))
+            and tail[-1][1] > DIVERGENCE_FACTOR * _median([v for _, v in norm[:window]])):
+        classification, estimate, residual = "diverging", None, None
+    else:
+        B = math.lcm(*(v.denominator for _, v in tail))
+        mean = Fraction(sum(v.numerator * (B // v.denominator) for _, v in tail),
+                        B * window)
+        if spread < max(ABS_TOL, REL_TOL * abs(mean)):
+            classification, estimate, residual = "converging", eps, spread
+        else:
+            classification, estimate, residual = "oscillating", sup, None
     return EpsilonReport(
         sequence=seq,
         window=window,
-        running_sup=_running_sup(norm),
+        running_sup=tuple(running_sup),
         secant=_secants(norm, window),
         classification=classification,
         estimate=estimate,
         residual=residual,
-        fitted=fit[0],
+        fitted=eps,
     )
 
 

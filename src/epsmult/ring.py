@@ -480,22 +480,35 @@ def _weight_sat_length(cuts):
     column at s holds ceil((r - w0*s)/w1) points while that is positive.
     The quotient is the union of these triangles, so each column holds the
     ceiling of the upper envelope of their lines, and the count is one floor
-    sum per piece of the envelope.  A cut with n <= 0 always holds.
+    sum per piece of the envelope: a single line is the one piece over the
+    columns s < ceil(r/w0).  A cut with n <= 0 always holds.
     """
-    cuts = [(w, n) for w, n in cuts if n > 0]
-    A0 = max((-(-n // w[0]) for w, n in cuts if not w[1]), default=0)
-    B0 = max((-(-n // w[1]) for w, n in cuts if not w[0]), default=0)
-    # the line t = (r - w0*s)/w1 of every triangle, and t = 0 closing the
-    # envelope; a line is steeper than another iff its w0/w1 is larger
-    lines = [(0, 1, 0)]
+    A0 = B0 = 0
+    primary = []
     for (w0, w1), n in cuts:
+        if n <= 0:
+            continue
+        if not w1:
+            A0 = max(A0, -(-n // w0))
+        elif not w0:
+            B0 = max(B0, -(-n // w1))
+        else:
+            primary.append((w0, w1, n))
+    # the line t = (r - w0*s)/w1 of every triangle above the corner
+    lines = []
+    for w0, w1, n in primary:
         r = n - w0 * A0 - w1 * B0
-        if w0 and w1 and r > 0:
+        if r > 0:
             lines.append((w0, w1, r))
-    # heights t = h/w1 compare as integers h*(L//w1) over the common
-    # denominator L of the lines' w1; the leader is a highest line at column
-    # s, and equal lines give equal columns, so which of them leads does
-    # not change the count
+    if len(lines) == 1:
+        w0, w1, r = lines[0]
+        return _floor_sum(-(-r // w0), w1, -w0, r + w1 - 1)
+    # t = 0 closes the envelope; a line is steeper than another iff its
+    # w0/w1 is larger.  Heights t = h/w1 compare as integers h*(L//w1) over
+    # the common denominator L of the lines' w1; the leader is a highest
+    # line at column s, and equal lines give equal columns, so which of them
+    # leads does not change the count
+    lines.append((0, 1, 0))
     L = math.lcm(*(l[1] for l in lines))
     w0, w1, r = max(lines, key=lambda l: l[2] * (L // l[1]))
     total = s = 0

@@ -15,7 +15,6 @@ weight-inequality builder; this module builds no ideals of its own.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
@@ -136,16 +135,17 @@ def ceil_mul(a: ExactScalar, n, max_digits=300):
 
     For interval constants the bracket is refined until both endpoints have
     the same round-up, which also certifies n*a is not an integer; if the
-    budget runs out a :class:`CertificationError` is raised.  With a = p/q
-    times the constant, the round-up of the endpoint n*p*lo/q is one
-    integer floor division of n*p*lo.numerator by q*lo.denominator, so no
-    rational is formed or normalised.
+    budget runs out a :class:`CertificationError` is raised.  With a = p/q,
+    or p/q times the constant, ceil(n*p/q) and the round-up of the endpoint
+    n*p*lo/q are each one integer floor division (of n*p by q, and of
+    n*p*lo.numerator by q*lo.denominator), so no rational is formed or
+    normalised.
     """
     if type(n) is not int or n <= 0:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if a.is_rational:
-        return math.ceil(a.coeff * n)
     pn, q = a.coeff.numerator * n, a.coeff.denominator
+    if a.is_rational:
+        return -(-pn // q)
     digits = 16
     while digits <= max_digits:
         lo, hi = _CONSTANTS[a.constant](digits)

@@ -1,6 +1,7 @@
 """Fraction-arithmetic references: the exact-rational versions of certified
-ceilings, the d=2 saturation-length envelope, the window fit and the toric
-lattice rank that the integer paths of ``epsmult.valuation``,
+ceilings, the d=2 saturation-length envelope, the window fit, the sequence
+report and the toric lattice rank that the integer paths of
+``epsmult.valuation``,
 ``epsmult.ring``, ``epsmult.asymptotics`` and ``epsmult.diagnostics``
 replaced, kept as test oracles.
 
@@ -9,9 +10,17 @@ before its sums moved to common denominators; the values are the same exact
 rationals, so the fast paths must agree with these exactly, errors included.
 """
 
+import itertools
 import math
+import statistics
 from fractions import Fraction
 
+from epsmult.asymptotics import (
+    ABS_TOL,
+    DIVERGENCE_FACTOR,
+    REL_TOL,
+    EpsilonReport,
+)
 from epsmult.ring import _floor_sum
 from epsmult.valuation import CertificationError
 
@@ -106,6 +115,28 @@ def ref_secants(normalized, window):
         n0, v0 = normalized[j]
         out.append(Fraction(n * v - n0 * v0, n - n0))
     return tuple(out)
+
+
+def ref_sequence_report(seq, window):
+    """The report on a length sequence with a ``Fraction`` running sup,
+    ``Fraction`` comparisons in the classifier and a ``Fraction`` sum for
+    the window mean."""
+    norm = seq.normalized()
+    eps, _, spread = ref_window_fit(norm[-window:])
+    head_vals = [v for _, v in norm[:window]]
+    tail_vals = [v for _, v in norm[-window:]]
+    increasing = all(a < b for a, b in zip(tail_vals, tail_vals[1:]))
+    if increasing and tail_vals[-1] > DIVERGENCE_FACTOR * statistics.median(head_vals):
+        classification, estimate, residual = "diverging", None, None
+    elif spread < max(ABS_TOL, REL_TOL * abs(sum(tail_vals) / len(tail_vals))):
+        classification, estimate, residual = "converging", eps, spread
+    else:
+        classification, estimate, residual = "oscillating", max(v for _, v in norm), None
+    return EpsilonReport(
+        sequence=seq, window=window,
+        running_sup=tuple(itertools.accumulate((v for _, v in norm), max)),
+        secant=ref_secants(norm, window), classification=classification,
+        estimate=estimate, residual=residual, fitted=eps)
 
 
 def ref_rational_rank(rows):

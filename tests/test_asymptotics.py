@@ -36,7 +36,12 @@ from epsmult.ring import (
     maximal_power,
 )
 from epsmult.valuation import ExactScalar, ceil_mul
-from fraction_reference import ref_fit_inverse_n, ref_secants, ref_window_fit
+from fraction_reference import (
+    ref_fit_inverse_n,
+    ref_secants,
+    ref_sequence_report,
+    ref_window_fit,
+)
 
 CTX2 = RingContext(2)
 PI = ExactScalar(1, "pi")
@@ -175,6 +180,20 @@ def test_window_sums_match_fraction_reference(case):
         tail = norm[i:i + window]
         assert _fit_inverse_n(tail) == ref_fit_inverse_n(tail)
         assert _window_fit(tail) == ref_window_fit(tail)
+
+
+@settings(max_examples=100)
+@given(length_sequences())
+@example((_seq(2, [3 * n * n + 7 * n for n in range(1, 41)]), 10))  # converging
+@example((_seq(2, [n * n if n % 2 else 2 * n * n for n in range(1, 81)]), 10))  # oscillating
+@example((_seq(2, [2 * n**3 for n in range(1, 61)]), 10))  # diverging
+@example((_seq(2, [n * n for n in range(1, 41)]), 10))  # every value ties the sup
+@example((_seq(3, [0, 0, 5, 0, 40, 300, 343, 0, 729, 1000]), 3))  # zero entries
+def test_sequence_report_matches_fraction_reference(case):
+    # the integer comparisons and common-denominator mean against Fraction
+    # ones, over the whole report
+    seq, window = case
+    assert _sequence_report(seq, window) == ref_sequence_report(seq, window)
 
 
 # fractions drawn as numerator and denominator: st.fractions() spent most

@@ -331,6 +331,13 @@ steep_plane_cuts = st.tuples(
 @example([((6, 1), 24), ((1, 6), 45), ((1, 2), 23)])
 @example([((1, 1), 4), ((2, 1), 6), ((1, 2), 6), ((3, 1), 8)])  # all meet at (2, 2)
 @example([((0, 1), 1), ((1, 2), 8), ((2, 3), 13), ((3, 1), 9)])  # (2, 2) above the corner
+# one line above the corner, counted by its single floor sum
+@example([((3, 1), 12)])  # r divisible by w0
+@example([((1, 0), 2), ((2, 5), 23)])  # w1 > 1
+@example([((1, 0), 5), ((0, 1), 3)])  # only corner cuts: length 0
+@example([((1, 1), 0), ((2, 3), -4), ((1, 0), -1)])  # every level <= 0
+@example([((1, 0), 3), ((0, 1), 2), ((1, 1), 5), ((2, 1), 20)])  # the other at the corner
+@example([((1, 0), 3), ((0, 1), 2), ((1, 1), 4), ((1, 2), 15)])  # the other below it
 def test_weight_sat_length_matches_fraction_reference(cuts):
     # the integer envelope choice against the Fraction-keyed one, and both
     # against the staircase

@@ -160,6 +160,20 @@ def test_ceil_mul_matches_fraction_reference(p, q, k, max_digits):
             ref_ceil_defect_lower_bound, a, n, max_digits)
 
 
+@settings(max_examples=400)
+@given(st.integers(1, 10**30), st.one_of(st.integers(1, 40), st.integers(1, 10**30)),
+       st.integers(1, 10**9))
+@example(5, 1, 10**9)  # an integer multiplier
+@example(3, 7, 7 * 10**8)  # n*a an integer
+@example(10**18 + 1, 10**18, 10**9 - 1)  # just above 1
+@example(10**18 - 1, 10**18, 10**9)  # just below 1
+@example(1, 10**30, 10**9)  # below 1/n
+def test_rational_ceil_mul_matches_fraction_reference(p, q, n):
+    # the one floor division against math.ceil of the Fraction product
+    a = ExactScalar(Fraction(p, q))
+    assert ceil_mul(a, n) == ref_ceil_mul(a, n)
+
+
 def test_valuation_ideal_examples():
     assert valuation_ideal(MonomialValuation((1, 0)), 3, CTX2).gens == ((3, 0),)
     assert valuation_ideal(MonomialValuation((1, 1)), 2, CTX2).gens == (
