@@ -188,6 +188,11 @@ def test_window_sums_match_fraction_reference(case):
 @example((_seq(2, [n * n if n % 2 else 2 * n * n for n in range(1, 81)]), 10))  # oscillating
 @example((_seq(2, [2 * n**3 for n in range(1, 61)]), 10))  # diverging
 @example((_seq(2, [n * n for n in range(1, 41)]), 10))  # every value ties the sup
+# the corrected spread 0.92 and 1.007 times the tolerance max(1/1000, mean/100)
+@example((_seq(1, [100 * n + n % 2 * 11 for n in range(1, 21)]), 10))
+@example((_seq(1, [100 * n + n % 2 * 12 for n in range(1, 21)]), 10))
+# a flat tail does not increase, however far above the head it lies
+@example((_seq(1, list(range(1, 11)) + [1000 * n for n in range(11, 21)]), 10))
 @example((_seq(3, [0, 0, 5, 0, 40, 300, 343, 0, 729, 1000]), 3))  # zero entries
 def test_sequence_report_matches_fraction_reference(case):
     # the integer comparisons and common-denominator mean against Fraction
