@@ -84,40 +84,30 @@ class LengthSequence(Record):
                      for n, lam in self.entries)
 
 
-def _fit_inverse_n(pairs):
-    """Exact least squares of v = eps + c * (1/n) over (n, v) pairs.
-
-    The sums run over two common denominators, N = lcm of the n and B = lcm
-    of the denominators of the v, so each is one integer:
-    X = sum N/n, XX = sum (N/n)^2, Y = sum B*v and XY = sum (N/n)*(B*v).
-    Then c = N*(m*XY - X*Y) / (B*(m*XX - X^2)) and
-    eps = (Y*XX - X*XY) / (B*(m*XX - X^2)), and only these two are
-    rationals."""
-    m = len(pairs)
-    N = math.lcm(*(n for n, _ in pairs))
-    B = math.lcm(*(v.denominator for _, v in pairs))
-    xs = [N // n for n, _ in pairs]
-    ys = [v.numerator * (B // v.denominator) for _, v in pairs]
+def _window_fit(entries, dim):
+    """Exact least squares of v = eps + c/n over (n, lam) entries, with
+    v = dim! * lam / n^dim; return (eps, c, spread, mean): spread is the
+    range of the corrected values v - c/n (zero exactly when the window
+    matches the model) and mean that of the v.  Each v is y / D with
+    D = N^dim, N the lcm of the n, x = N/n and y = dim! * lam * x^dim, so
+    with the integer sums X, XX, Y, XY of x, x^2, y, x*y:
+    c = N*(m*XY - X*Y) / (D*(m*XX - X^2)), eps = (Y*XX - X*XY) / (D*(m*XX -
+    X^2)), mean = Y / (D*m), and the corrected values are numerators over
+    D*N*c.denominator."""
+    m = len(entries)
+    fact = math.factorial(dim)
+    N = math.lcm(*(n for n, _ in entries))
+    D = N**dim
+    xs = [N // n for n, _ in entries]
+    ys = [fact * lam * x**dim for (_, lam), x in zip(entries, xs)]
     X, Y = sum(xs), sum(ys)
     XX = sum(x * x for x in xs)
     XY = sum(x * y for x, y in zip(xs, ys))
-    den = B * (m * XX - X * X)
-    return Fraction(Y * XX - X * XY, den), Fraction(N * (m * XY - X * Y), den)
-
-
-def _window_fit(tail):
-    """Fit v = eps + c/n over a trailing window of (n, v) pairs;
-    return (eps, c, spread), where spread is the range of the corrected
-    values v - c/n (zero exactly when the window matches the model).  The
-    corrected values are compared as numerators over the one denominator
-    B*N*c.denominator, with N and B as in the fit."""
-    eps, c = _fit_inverse_n(tail)
-    N = math.lcm(*(n for n, _ in tail))
-    B = math.lcm(*(v.denominator for _, v in tail))
-    p, q = c.numerator * B, N * c.denominator
-    corrected = [v.numerator * (B // v.denominator) * q - p * (N // n)
-                 for n, v in tail]
-    return eps, c, Fraction(max(corrected) - min(corrected), B * q)
+    den = D * (m * XX - X * X)
+    eps, c = Fraction(Y * XX - X * XY, den), Fraction(N * (m * XY - X * Y), den)
+    p, q = c.numerator * D, N * c.denominator
+    corrected = [y * q - p * x for x, y in zip(xs, ys)]
+    return eps, c, Fraction(max(corrected) - min(corrected), D * q), Fraction(Y, D * m)
 
 
 class EpsilonReport(Record):
@@ -161,22 +151,6 @@ class EpsilonReport(Record):
         }
 
 
-def _secants(normalized, window):
-    out = []
-    for i, (n, v) in enumerate(normalized):
-        j = i - window
-        if j < 0:
-            out.append(None)
-            continue
-        n0, v0 = normalized[j]
-        # (n*v - n0*v0) / (n - n0) over the common denominator of v and v0
-        L = math.lcm(v.denominator, v0.denominator)
-        out.append(Fraction(n * v.numerator * (L // v.denominator)
-                            - n0 * v0.numerator * (L // v0.denominator),
-                            (n - n0) * L))
-    return tuple(out)
-
-
 def _median(values):
     """The median of a nonempty list, as ``statistics.median`` defines it:
     the middle value, or the mean of the two middle values."""
@@ -187,44 +161,47 @@ def _median(values):
 
 def _sequence_report(seq: LengthSequence, window):
     """Report on the normalized values v = d! * lam / n^d under the
-    documented classification rules.  Two of them compare as integers,
-    v_a < v_b exactly when lam_a * n_b^d < lam_b * n_a^d: the running sup,
-    which holds the normalized values themselves, and the increasing test.
-    The window mean is one sum over the common denominator of its values."""
+    documented classification rules, read from the integer entries (n, lam):
+    v_a < v_b exactly when lam_a * n_b^d < lam_b * n_a^d.  A rational is
+    formed only for a value the report holds: each new running maximum, each
+    secant d! * (lam * n0^e - lam0 * n^e) / ((n * n0)^e * (n - n0)) with
+    e = d - 1, and the integer fit's eps, spread and mean."""
     if window is None:
         window = max(2, min(50, len(seq.entries) // 5))
     if window < 2:
         raise ValueError("window must be at least 2")
     if len(seq.entries) < 2 * window:
         raise ValueError("need at least 2*window entries")
-    norm = seq.normalized()
-    scaled = [(lam, n**seq.dim) for n, lam in seq.entries]
+    d, entries = seq.dim, seq.entries
+    fact = math.factorial(d)
+    scaled = [(lam, n**d) for n, lam in entries]
     running_sup = []
     top_lam, top_nd = scaled[0]
-    sup = norm[0][1]
-    for (lam, nd), (_, v) in zip(scaled, norm):
+    sup = Fraction(fact * top_lam, top_nd)
+    for lam, nd in scaled:
         if lam * top_nd > top_lam * nd:
-            top_lam, top_nd, sup = lam, nd, v
+            top_lam, top_nd, sup = lam, nd, Fraction(fact * lam, nd)
         running_sup.append(sup)
-    tail = norm[-window:]
-    tail_scaled = scaled[-window:]
-    eps, _, spread = _window_fit(tail)
-    if (all(a * nb < b * na for (a, na), (b, nb) in zip(tail_scaled, tail_scaled[1:]))
-            and tail[-1][1] > DIVERGENCE_FACTOR * _median([v for _, v in norm[:window]])):
+    e = d - 1
+    secant = [None] * window + [
+        Fraction(fact * (lam * n0**e - lam0 * n**e), (n * n0)**e * (n - n0))
+        for (n0, lam0), (n, lam) in zip(entries, entries[window:])]
+    eps, _, spread, mean = _window_fit(entries[-window:], d)
+    tail = scaled[-window:]
+    last_lam, last_nd = tail[-1]
+    if (all(a * nb < b * na for (a, na), (b, nb) in zip(tail, tail[1:]))
+            and fact * last_lam > last_nd * DIVERGENCE_FACTOR * _median(
+                [Fraction(fact * lam, nd) for lam, nd in scaled[:window]])):
         classification, estimate, residual = "diverging", None, None
+    elif spread < max(ABS_TOL, REL_TOL * abs(mean)):
+        classification, estimate, residual = "converging", eps, spread
     else:
-        B = math.lcm(*(v.denominator for _, v in tail))
-        mean = Fraction(sum(v.numerator * (B // v.denominator) for _, v in tail),
-                        B * window)
-        if spread < max(ABS_TOL, REL_TOL * abs(mean)):
-            classification, estimate, residual = "converging", eps, spread
-        else:
-            classification, estimate, residual = "oscillating", sup, None
+        classification, estimate, residual = "oscillating", sup, None
     return EpsilonReport(
         sequence=seq,
         window=window,
         running_sup=tuple(running_sup),
-        secant=_secants(norm, window),
+        secant=tuple(secant),
         classification=classification,
         estimate=estimate,
         residual=residual,
@@ -240,11 +217,7 @@ def _sequence_report(seq: LengthSequence, window):
 
 
 def _sat_quotient_at(F, n):
-    # a discrete-valued level in two variables is counted from its cuts and
-    # never built; elsewhere the one saturation of the level, measured
-    # against the level by quotient_length
-    if isinstance(F, DiscreteValuedFiltration) and F.ctx.dim == 2:
-        return _weight_sat_length(F._cuts(n))
+    # the one saturation of the level, measured against the level
     I = F.ideal_at(n)
     return quotient_length(saturate(I), I)
 
@@ -276,10 +249,14 @@ def sat_quotient_sequence(F: Filtration, N, jobs=1) -> LengthSequence:
     """lambda(I_n^sat / I_n) for n = 1..N.  The levels of a discrete-valued
     filtration in two variables are counted from their cuts (w_i,
     ceil(n * a_i)) by floor sums and never built, so they do not enter the
-    filtration's memo table; every other level is built, saturated and
-    measured.  ``jobs`` is accepted for compatibility and ignored: every
-    level is computed in this process."""
-    entries = _entries(_sat_quotient_at, F, N)
+    filtration's memo table, from one column of ceilings per multiplier;
+    every other level is built, saturated and measured.  ``jobs`` is
+    accepted for compatibility and ignored: every level is computed in this
+    process."""
+    if isinstance(F, DiscreteValuedFiltration) and F.ctx.dim == 2 and N >= 1:
+        entries = list(enumerate(map(_weight_sat_length, F._cut_rows(N)), start=1))
+    else:  # _entries rejects an N below 1
+        entries = _entries(_sat_quotient_at, F, N)
     return LengthSequence(dim=F.ctx.dim, entries=tuple(entries))
 
 
@@ -389,7 +366,8 @@ def e_s_localized(F: Filtration, N=200, window=None, s=None) -> ESLocalizedRepor
         L = F.localize(S)
         # the localized ring has dimension codim, so this is the normalized
         # colength (d-s)! * colength_p(I_n R_p) / n^(d-s)
-        eps, _, spread = _window_fit(samuel_sequence(L, N).normalized()[-window:])
+        seq = samuel_sequence(L, N)
+        eps, _, spread, _ = _window_fit(seq.entries[-window:], seq.dim)
         contributions.append((L.ctx.names, eps, spread == 0))
     return ESLocalizedReport(
         value=sum((eps for _, eps, _ in contributions), Fraction(0)),

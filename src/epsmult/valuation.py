@@ -130,6 +130,18 @@ def parse_scalar(text):
     return ExactScalar(coeff, m.group("const"))
 
 
+def _bracket_ends(a: ExactScalar, max_digits):
+    """For a = p/q times its constant, the endpoint integers (p*lo.numerator,
+    q*lo.denominator, p*hi.numerator, q*hi.denominator) of the constant's
+    bracket at 16 digits, then 32, 64, ... while within ``max_digits``."""
+    p, q = a.coeff.numerator, a.coeff.denominator
+    digits = 16
+    while digits <= max_digits:
+        lo, hi = _CONSTANTS[a.constant](digits)
+        yield p * lo.numerator, q * lo.denominator, p * hi.numerator, q * hi.denominator
+        digits *= 2
+
+
 def ceil_mul(a: ExactScalar, n, max_digits=300):
     """Exact ceil(n*a) for a positive scalar and positive integer n.
 
@@ -143,19 +155,28 @@ def ceil_mul(a: ExactScalar, n, max_digits=300):
     """
     if type(n) is not int or n <= 0:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    pn, q = a.coeff.numerator * n, a.coeff.denominator
     if a.is_rational:
-        return -(-pn // q)
-    digits = 16
-    while digits <= max_digits:
-        lo, hi = _CONSTANTS[a.constant](digits)
-        clo = -(-pn * lo.numerator // (q * lo.denominator))
-        chi = -(-pn * hi.numerator // (q * hi.denominator))
-        if clo == chi:
-            return clo
-        digits *= 2
+        return -(-a.coeff.numerator * n // a.coeff.denominator)
+    for lo_num, lo_den, hi_num, hi_den in _bracket_ends(a, max_digits):
+        c = -(-n * lo_num // lo_den)
+        if c == -(-n * hi_num // hi_den):
+            return c
     raise CertificationError(
         f"could not certify ceil({n} * {a}) within {max_digits} digits")
+
+
+def _ceil_range(a: ExactScalar, N, max_digits=300):
+    """[ceil_mul(a, n, max_digits) for n = 1..N], certifying each n against
+    the one 16-digit bracket read once; an n it leaves open goes to
+    ``ceil_mul``, which refines further or raises."""
+    ns = range(1, N + 1)
+    if a.is_rational:
+        p, q = a.coeff.numerator, a.coeff.denominator
+        return [-(-p * n // q) for n in ns]
+    for lo_num, lo_den, hi_num, hi_den in _bracket_ends(a, max_digits):  # the first
+        return [c if c == -(-n * hi_num // hi_den) else ceil_mul(a, n, max_digits)
+                for n, c in zip(ns, [-(-n * lo_num // lo_den) for n in ns])]
+    return [ceil_mul(a, n, max_digits) for n in ns]  # no bracket in budget: raises
 
 
 def ceil_defect_lower_bound(a: ExactScalar, n, max_digits=300):
@@ -165,15 +186,10 @@ def ceil_defect_lower_bound(a: ExactScalar, n, max_digits=300):
     if a.is_rational:
         raise ValueError("defect bound is for irrational scalars")
     c = ceil_mul(a, n, max_digits)
-    pn, q = a.coeff.numerator * n, a.coeff.denominator
-    digits = 16
-    while digits <= max_digits:
-        _, hi = _CONSTANTS[a.constant](digits)
-        den = q * hi.denominator
-        bound = c * den - pn * hi.numerator
+    for _, _, hi_num, hi_den in _bracket_ends(a, max_digits):
+        bound = c * hi_den - n * hi_num
         if bound > 0:
-            return Fraction(bound, den)
-        digits *= 2
+            return Fraction(bound, hi_den)
     raise CertificationError(
         f"could not certify the ceiling defect at n={n} within {max_digits} digits")
 

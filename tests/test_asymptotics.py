@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from epsmult.asymptotics import (
     LengthSequence,
     LocalizedSequenceError,
-    _fit_inverse_n,
     _median,
-    _secants,
     _sequence_report,
     _window_fit,
     e_s_localized,
@@ -24,6 +22,7 @@ from epsmult.asymptotics import (
     truncation_sweep,
 )
 from epsmult.filtration import (
+    DiscreteValuedFiltration,
     PowerFiltration,
     TemplateFiltration,
 )
@@ -31,14 +30,16 @@ from epsmult.fixtures import pi_plane
 from epsmult.ring import (
     MonomialIdeal,
     RingContext,
+    _weight_sat_length,
     colength,
     ideal_power,
     maximal_power,
+    quotient_length,
+    saturate,
 )
-from epsmult.valuation import ExactScalar, ceil_mul
+from epsmult.valuation import ExactScalar, MonomialValuation, ceil_mul
 from fraction_reference import (
     ref_fit_inverse_n,
-    ref_secants,
     ref_sequence_report,
     ref_window_fit,
 )
@@ -73,6 +74,37 @@ def test_sat_quotient_sequence_examples():
     P = PowerFiltration(MonomialIdeal.maximal(CTX2))
     seqP = sat_quotient_sequence(P, 10)
     assert [lam for _, lam in seqP.entries] == [n * (n + 1) // 2 for n in range(1, 11)]
+
+
+@st.composite
+def plane_discrete_valued(draw):
+    """A discrete-valued filtration in two variables: one to three pairs,
+    weights up to 3 with either one zero, and multipliers p/q or p/q*pi."""
+    weights = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any)
+    scalar = st.builds(lambda p, q, c: ExactScalar(Fraction(p, q), c),
+                       st.integers(1, 12), st.integers(1, 5), st.sampled_from((None, "pi")))
+    return DiscreteValuedFiltration(CTX2, draw(st.lists(
+        st.tuples(weights.map(MonomialValuation), scalar), min_size=1, max_size=3)))
+
+
+@settings(max_examples=80)
+@given(plane_discrete_valued(), st.integers(1, 12))
+@example(DiscreteValuedFiltration(CTX2, [(MonomialValuation((1, 0)), PI),
+                                         (MonomialValuation((0, 2)), ExactScalar(3)),
+                                         (MonomialValuation((1, 1)), TWO_PI)]), 8)
+def test_batched_plane_sequence_matches_each_level(F, N):
+    # the d=2 discrete-valued sequence, from one ceiling column per pair,
+    # against each level's own cuts and against the kernel's count of the
+    # built level; the levels stay out of the memo table
+    assert list(F._cut_rows(N)) == [F._cuts(n) for n in range(1, N + 1)]
+    for n, lam in sat_quotient_sequence(F, N).entries:
+        assert lam == _weight_sat_length(F._cuts(n))
+        I = F._compute(n)
+        assert lam == quotient_length(saturate(I), I), (F.pairs, n)
+    assert not F._cache
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="N must be at least 1"):
+            sat_quotient_sequence(F, bad)
 
 
 def test_samuel_sequence_rejects_levels_not_m_primary():
@@ -149,9 +181,10 @@ def test_classification_oscillating_reports_running_sup():
 
 
 def test_fit_inverse_n_exact():
-    pairs = [(n, Fraction(5) + Fraction(3, n)) for n in range(7, 30)]
-    eps, c = _fit_inverse_n(pairs)
-    assert eps == 5 and c == 3
+    # d=1 lengths 5n + 3 normalize to 5 + 3/n
+    eps, c, spread, mean = _window_fit([(n, 5 * n + 3) for n in range(7, 30)], 1)
+    assert eps == 5 and c == 3 and spread == 0
+    assert mean == 5 + Fraction(3, 23) * sum(Fraction(1, n) for n in range(7, 30))
 
 
 @st.composite
@@ -172,14 +205,17 @@ def length_sequences(draw):
 @example((_seq(2, [3 * n * n + 7 * n for n in range(1, 41)]), 10))
 @example((_seq(1, [0] + list(range(1, 8))), 2))
 def test_window_sums_match_fraction_reference(case):
+    # the integer fit over (n, lam) against the Fraction one over the
+    # normalized values; the secants are checked with the whole report
     seq, window = case
     norm = seq.normalized()
-    assert _secants(norm, window) == ref_secants(norm, window)
     # every window of consecutive entries, not only the trailing one
     for i in range(len(norm) - window + 1):
         tail = norm[i:i + window]
-        assert _fit_inverse_n(tail) == ref_fit_inverse_n(tail)
-        assert _window_fit(tail) == ref_window_fit(tail)
+        eps, c, spread, mean = _window_fit(seq.entries[i:i + window], seq.dim)
+        assert (eps, c) == ref_fit_inverse_n(tail)
+        assert (eps, c, spread) == ref_window_fit(tail)
+        assert mean == sum(v for _, v in tail) / window
 
 
 @settings(max_examples=100)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ from epsmult.valuation import (
     CertificationError,
     ExactScalar,
     MonomialValuation,
+    _bracket_ends,
+    _ceil_range,
     ceil_defect_lower_bound,
     ceil_mul,
     parse_scalar,
@@ -172,6 +175,32 @@ def test_rational_ceil_mul_matches_fraction_reference(p, q, n):
     # the one floor division against math.ceil of the Fraction product
     a = ExactScalar(Fraction(p, q))
     assert ceil_mul(a, n) == ref_ceil_mul(a, n)
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.integers(1, 40), st.integers(1, 10**12),
+                 st.sampled_from(NEAR_INTEGER_MULTIPLES)),
+       st.integers(1, 40), st.sampled_from((None, "pi")), st.integers(1, 60),
+       st.sampled_from((1, 15, 16, 32, 300)))
+@example(3, 7, None, 60, 1)  # a rational needs no bracket
+def test_ceil_range_matches_ceil_mul(p, q, constant, N, max_digits):
+    # the column of ceilings, certified against one bracket with ceil_mul
+    # for what it leaves open, equals ceil_mul per n: values and errors
+    a = ExactScalar(Fraction(p, q), constant)
+    assert _outcome(_ceil_range, a, N, max_digits) == _outcome(
+        lambda: [ceil_mul(a, n, max_digits) for n in range(1, N + 1)])
+
+
+def test_ceil_range_falls_back_past_the_first_bracket():
+    # ceil(4738167652*pi) needs 32 digits, so ceil_mul refines it, or
+    # raises when the budget ends at 16
+    a = ExactScalar(4738167652, "pi")
+    lo_num, lo_den, hi_num, hi_den = next(_bracket_ends(a, 300))
+    assert -(-lo_num // lo_den) != -(-hi_num // hi_den)
+    assert _ceil_range(a, 5) == [ceil_mul(a, n) for n in range(1, 6)]
+    with pytest.raises(CertificationError,
+                       match=re.escape("ceil(1 * 4738167652*pi) within 16 digits")):
+        _ceil_range(a, 5, 16)
 
 
 def test_valuation_ideal_examples():
