@@ -50,17 +50,15 @@ def _atan_inv_brackets(x, terms):
     return (s, nxt) if s < nxt else (nxt, s)
 
 
-_PI_CACHE: dict[int, tuple[Fraction, Fraction]] = {}
+_PI_CACHE: dict[int, tuple[int, int, int, int]] = {}
 
 
 def _pi_brackets(digits):
-    """Certified lo < pi < hi with hi - lo < 10^-digits (Machin's formula).
-
-    Results are cached per precision level; entries are idempotent.
-    """
-    cached = _PI_CACHE.get(digits)
-    if cached is not None:
-        return cached
+    """Certified lo < pi < hi with hi - lo < 10^-digits (Machin's formula), as
+    the integers (lo.numerator, lo.denominator, hi.numerator, hi.denominator);
+    cached per precision level."""
+    if digits in _PI_CACHE:
+        return _PI_CACHE[digits]
     target = Fraction(1, 10**digits)
     # terms chosen from the tail bound of each series, then verified
     t5 = max(2, int(0.72 * digits) + 2)
@@ -74,11 +72,12 @@ def _pi_brackets(digits):
             break
         t5 += 4
         t239 += 2
-    _PI_CACHE[digits] = (lo, hi)
-    return lo, hi
+    _PI_CACHE[digits] = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    return _PI_CACHE[digits]
 
 
 _CONSTANTS = {"pi": _pi_brackets}
+_DIGITS = tuple(16 << k for k in range(24))  # the precisions a refinement doubles through
 
 
 class ExactScalar(Record):
@@ -105,8 +104,8 @@ class ExactScalar(Record):
         (rational scalars report a zero-width bracket)."""
         if self.is_rational:
             return self.coeff, self.coeff
-        lo, hi = _CONSTANTS[self.constant](digits)
-        return self.coeff * lo, self.coeff * hi
+        lo_num, lo_den, hi_num, hi_den = _CONSTANTS[self.constant](digits)
+        return self.coeff * Fraction(lo_num, lo_den), self.coeff * Fraction(hi_num, hi_den)
 
     def __str__(self):
         if self.is_rational:
@@ -126,20 +125,15 @@ def parse_scalar(text):
         raise ValueError(f"bad scalar literal {text!r}")
     if m.group("lone") is not None:
         return ExactScalar(Fraction(1), m.group("lone"))
-    coeff = Fraction(m.group("coeff"))
-    return ExactScalar(coeff, m.group("const"))
+    return ExactScalar(Fraction(m.group("coeff")), m.group("const"))
 
 
-def _bracket_ends(a: ExactScalar, max_digits):
-    """For a = p/q times its constant, the endpoint integers (p*lo.numerator,
-    q*lo.denominator, p*hi.numerator, q*hi.denominator) of the constant's
-    bracket at 16 digits, then 32, 64, ... while within ``max_digits``."""
-    p, q = a.coeff.numerator, a.coeff.denominator
-    digits = 16
-    while digits <= max_digits:
-        lo, hi = _CONSTANTS[a.constant](digits)
-        yield p * lo.numerator, q * lo.denominator, p * hi.numerator, q * hi.denominator
-        digits *= 2
+def _bracket_ends(a: ExactScalar, n, digits):
+    """The integers (lo_num, lo_den, hi_num, hi_den) of the ``digits``-digit
+    bracket lo_num/lo_den < n*a < hi_num/hi_den, for a = p/q times its constant."""
+    pn, q = a.coeff.numerator * n, a.coeff.denominator
+    lo_num, lo_den, hi_num, hi_den = _CONSTANTS[a.constant](digits)
+    return pn * lo_num, q * lo_den, pn * hi_num, q * hi_den
 
 
 def ceil_mul(a: ExactScalar, n, max_digits=300):
@@ -157,26 +151,28 @@ def ceil_mul(a: ExactScalar, n, max_digits=300):
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if a.is_rational:
         return -(-a.coeff.numerator * n // a.coeff.denominator)
-    for lo_num, lo_den, hi_num, hi_den in _bracket_ends(a, max_digits):
-        c = -(-n * lo_num // lo_den)
-        if c == -(-n * hi_num // hi_den):
+    for digits in _DIGITS:
+        if digits > max_digits:
+            break
+        lo_num, lo_den, hi_num, hi_den = _bracket_ends(a, n, digits)
+        c = -(-lo_num // lo_den)
+        if c == -(-hi_num // hi_den):
             return c
     raise CertificationError(
         f"could not certify ceil({n} * {a}) within {max_digits} digits")
 
 
-def _ceil_range(a: ExactScalar, N, max_digits=300):
-    """[ceil_mul(a, n, max_digits) for n = 1..N], certifying each n against
-    the one 16-digit bracket read once; an n it leaves open goes to
-    ``ceil_mul``, which refines further or raises."""
+def _ceil_range(a: ExactScalar, N):
+    """[ceil_mul(a, n) for n = 1..N], certifying each n against the one
+    16-digit bracket read once; an n it leaves open goes to ``ceil_mul``,
+    which refines further or raises."""
     ns = range(1, N + 1)
     if a.is_rational:
         p, q = a.coeff.numerator, a.coeff.denominator
         return [-(-p * n // q) for n in ns]
-    for lo_num, lo_den, hi_num, hi_den in _bracket_ends(a, max_digits):  # the first
-        return [c if c == -(-n * hi_num // hi_den) else ceil_mul(a, n, max_digits)
-                for n, c in zip(ns, [-(-n * lo_num // lo_den) for n in ns])]
-    return [ceil_mul(a, n, max_digits) for n in ns]  # no bracket in budget: raises
+    lo_num, lo_den, hi_num, hi_den = _bracket_ends(a, 1, _DIGITS[0])
+    return [c if c == -(-n * hi_num // hi_den) else ceil_mul(a, n)
+            for n, c in zip(ns, [-(-n * lo_num // lo_den) for n in ns])]
 
 
 def ceil_defect_lower_bound(a: ExactScalar, n, max_digits=300):
@@ -186,8 +182,11 @@ def ceil_defect_lower_bound(a: ExactScalar, n, max_digits=300):
     if a.is_rational:
         raise ValueError("defect bound is for irrational scalars")
     c = ceil_mul(a, n, max_digits)
-    for _, _, hi_num, hi_den in _bracket_ends(a, max_digits):
-        bound = c * hi_den - n * hi_num
+    for digits in _DIGITS:
+        if digits > max_digits:
+            break
+        _, _, hi_num, hi_den = _bracket_ends(a, n, digits)
+        bound = c * hi_den - hi_num
         if bound > 0:
             return Fraction(bound, hi_den)
     raise CertificationError(

@@ -180,27 +180,49 @@ def test_rational_ceil_mul_matches_fraction_reference(p, q, n):
 @settings(max_examples=200)
 @given(st.one_of(st.integers(1, 40), st.integers(1, 10**12),
                  st.sampled_from(NEAR_INTEGER_MULTIPLES)),
-       st.integers(1, 40), st.sampled_from((None, "pi")), st.integers(1, 60),
-       st.sampled_from((1, 15, 16, 32, 300)))
-@example(3, 7, None, 60, 1)  # a rational needs no bracket
-def test_ceil_range_matches_ceil_mul(p, q, constant, N, max_digits):
+       st.integers(1, 40), st.sampled_from((None, "pi")), st.integers(1, 60))
+@example(3, 7, None, 60)  # a rational needs no bracket
+@example(4738167652, 1, "pi", 5)  # the 16-digit bracket leaves n = 1 open
+def test_ceil_range_matches_ceil_mul(p, q, constant, N):
     # the column of ceilings, certified against one bracket with ceil_mul
-    # for what it leaves open, equals ceil_mul per n: values and errors
+    # for what it leaves open, equals ceil_mul per n
     a = ExactScalar(Fraction(p, q), constant)
-    assert _outcome(_ceil_range, a, N, max_digits) == _outcome(
-        lambda: [ceil_mul(a, n, max_digits) for n in range(1, N + 1)])
+    assert _ceil_range(a, N) == [ceil_mul(a, n) for n in range(1, N + 1)]
 
 
 def test_ceil_range_falls_back_past_the_first_bracket():
-    # ceil(4738167652*pi) needs 32 digits, so ceil_mul refines it, or
-    # raises when the budget ends at 16
+    # ceil(4738167652*pi) needs 32 digits, so ceil_mul refines it
     a = ExactScalar(4738167652, "pi")
-    lo_num, lo_den, hi_num, hi_den = next(_bracket_ends(a, 300))
+    lo_num, lo_den, hi_num, hi_den = _bracket_ends(a, 1, 16)
     assert -(-lo_num // lo_den) != -(-hi_num // hi_den)
     assert _ceil_range(a, 5) == [ceil_mul(a, n) for n in range(1, 6)]
-    with pytest.raises(CertificationError,
-                       match=re.escape("ceil(1 * 4738167652*pi) within 16 digits")):
-        _ceil_range(a, 5, 16)
+
+
+def _pi_convergent_denominator(min_digits):
+    """The first continued-fraction convergent denominator of pi with at
+    least ``min_digits`` digits, read off a 400-digit bracket whose two ends
+    share those partial quotients."""
+    lo, hi = parse_scalar("pi").brackets(400)
+    lo, hi = lo - 3, hi - 3
+    k0, k1 = 0, 1
+    while len(str(k1)) < min_digits:
+        lo, hi = 1 / hi, 1 / lo
+        q = lo.numerator // lo.denominator  # the next partial quotient
+        assert q == hi.numerator // hi.denominator
+        lo, hi = lo - q, hi - q
+        k0, k1 = k1, q * k1 + k0
+    return k1
+
+
+def test_ceil_range_raises_as_ceil_mul_when_the_budget_ends():
+    # k*pi, k a 150-digit convergent denominator, lies within about 10^-150
+    # of an integer: closer than k times the width of any bracket within the
+    # 300-digit budget
+    a = ExactScalar(_pi_convergent_denominator(150), "pi")
+    with pytest.raises(CertificationError, match=re.escape(f"ceil(1 * {a}) within 300 digits")):
+        ceil_mul(a, 1)
+    assert _outcome(_ceil_range, a, 3) == _outcome(
+        lambda: [ceil_mul(a, n) for n in range(1, 4)])
 
 
 def test_valuation_ideal_examples():
