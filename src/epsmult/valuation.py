@@ -125,7 +125,8 @@ def parse_scalar(text):
         raise ValueError(f"bad scalar literal {text!r}")
     if m.group("lone") is not None:
         return ExactScalar(Fraction(1), m.group("lone"))
-    return ExactScalar(Fraction(m.group("coeff")), m.group("const"))
+    coeff = Fraction(m.group("coeff"))
+    return ExactScalar(coeff, m.group("const"))
 
 
 def _bracket_ends(a: ExactScalar, n, digits):
