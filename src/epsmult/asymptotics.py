@@ -25,6 +25,7 @@ as a diagnostic column.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -34,7 +35,7 @@ from .ring import (
     IdealDomainError,
     MonomialIdeal,
     _face_primes,
-    _weight_sat_length,
+    _weight_sat_lengths,
     colength,
     dim_quotient,
     localize,
@@ -42,6 +43,7 @@ from .ring import (
     saturate,
 )
 from .textio import decimal_str, fraction_str
+from .valuation import _ceil_range
 
 __all__ = [
     "LengthSequence",
@@ -113,8 +115,6 @@ def _window_fit(entries, dim):
 class EpsilonReport(Record):
     sequence: LengthSequence
     window: int
-    running_sup: tuple
-    secant: tuple
     classification: str  # "converging" | "oscillating" | "diverging"
     estimate: Fraction | None
     residual: Fraction | None
@@ -126,6 +126,21 @@ class EpsilonReport(Record):
     # the per-n columns of rows(), in CSV order
     COLUMNS = ("n", "length", "normalized", "normalized_decimal",
                "running_sup", "secant_estimate")
+
+    @property
+    def running_sup(self):
+        """The largest normalized value up to each n, formed when read."""
+        return tuple(itertools.accumulate((v for _, v in self.sequence.normalized()), max))
+
+    @property
+    def secant(self):
+        """Per n, the secant d! * (lam * n0^e - lam0 * n^e) / ((n * n0)^e * (n - n0)),
+        e = d - 1, to the entry ``window`` places back (None before it)."""
+        d, entries, w = self.sequence.dim, self.sequence.entries, self.window
+        fact, e = math.factorial(d), d - 1
+        return (None,) * w + tuple(
+            Fraction(fact * (lam * n0**e - lam0 * n**e), (n * n0)**e * (n - n0))
+            for (n0, lam0), (n, lam) in zip(entries, entries[w:]))
 
     def rows(self):
         norm = self.sequence.normalized()
@@ -162,10 +177,10 @@ def _median(values):
 def _sequence_report(seq: LengthSequence, window):
     """Report on the normalized values v = d! * lam / n^d under the
     documented classification rules, read from the integer entries (n, lam):
-    v_a < v_b exactly when lam_a * n_b^d < lam_b * n_a^d.  A rational is
-    formed only for a value the report holds: each new running maximum, each
-    secant d! * (lam * n0^e - lam0 * n^e) / ((n * n0)^e * (n - n0)) with
-    e = d - 1, and the integer fit's eps, spread and mean."""
+    v_a < v_b exactly when lam_a * n_b^d < lam_b * n_a^d.  The running
+    maximum is held as the pair (lam, n^d), and a rational is formed only
+    for a value the report holds: the sup of an oscillating sequence and
+    the integer fit's eps, spread and mean."""
     if window is None:
         window = max(2, min(50, len(seq.entries) // 5))
     if window < 2:
@@ -175,17 +190,10 @@ def _sequence_report(seq: LengthSequence, window):
     d, entries = seq.dim, seq.entries
     fact = math.factorial(d)
     scaled = [(lam, n**d) for n, lam in entries]
-    running_sup = []
     top_lam, top_nd = scaled[0]
-    sup = Fraction(fact * top_lam, top_nd)
     for lam, nd in scaled:
         if lam * top_nd > top_lam * nd:
-            top_lam, top_nd, sup = lam, nd, Fraction(fact * lam, nd)
-        running_sup.append(sup)
-    e = d - 1
-    secant = [None] * window + [
-        Fraction(fact * (lam * n0**e - lam0 * n**e), (n * n0)**e * (n - n0))
-        for (n0, lam0), (n, lam) in zip(entries, entries[window:])]
+            top_lam, top_nd = lam, nd
     eps, _, spread, mean = _window_fit(entries[-window:], d)
     tail = scaled[-window:]
     last_lam, last_nd = tail[-1]
@@ -196,12 +204,10 @@ def _sequence_report(seq: LengthSequence, window):
     elif spread < max(ABS_TOL, REL_TOL * abs(mean)):
         classification, estimate, residual = "converging", eps, spread
     else:
-        classification, estimate, residual = "oscillating", sup, None
+        classification, estimate, residual = "oscillating", Fraction(fact * top_lam, top_nd), None
     return EpsilonReport(
         sequence=seq,
         window=window,
-        running_sup=tuple(running_sup),
-        secant=tuple(secant),
         classification=classification,
         estimate=estimate,
         residual=residual,
@@ -246,15 +252,15 @@ def _entries(fn, F, N):
 
 
 def sat_quotient_sequence(F: Filtration, N, jobs=1) -> LengthSequence:
-    """lambda(I_n^sat / I_n) for n = 1..N.  The levels of a discrete-valued
-    filtration in two variables are counted from their cuts (w_i,
-    ceil(n * a_i)) by floor sums and never built, so they do not enter the
-    filtration's memo table, from one column of ceilings per multiplier;
-    every other level is built, saturated and measured.  ``jobs`` is
-    accepted for compatibility and ignored: every level is computed in this
-    process."""
+    """lambda(I_n^sat / I_n) for n = 1..N.  A discrete-valued filtration in
+    two variables is counted from one column of ceilings ceil(n * a_i) per
+    multiplier, by floor sums, and its levels are never built, so they do
+    not enter its memo table; every other level is built, saturated and
+    measured.  ``jobs`` is accepted for compatibility and ignored: every
+    level is computed in this process."""
     if isinstance(F, DiscreteValuedFiltration) and F.ctx.dim == 2 and N >= 1:
-        entries = list(enumerate(map(_weight_sat_length, F._cut_rows(N)), start=1))
+        entries = list(enumerate(_weight_sat_lengths(
+            [v.weights for v, _ in F.pairs], [_ceil_range(a, N) for _, a in F.pairs]), start=1))
     else:  # _entries rejects an N below 1
         entries = _entries(_sat_quotient_at, F, N)
     return LengthSequence(dim=F.ctx.dim, entries=tuple(entries))

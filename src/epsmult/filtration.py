@@ -31,7 +31,7 @@ from .ring import (
     ideal_sum,
     localize,
 )
-from .valuation import ExactScalar, MonomialValuation, _ceil_range, ceil_mul, parse_scalar
+from .valuation import ExactScalar, MonomialValuation, ceil_mul, parse_scalar
 
 __all__ = [
     "Filtration",
@@ -208,12 +208,6 @@ class DiscreteValuedFiltration(Filtration):
     def _cuts(self, n):
         """The weight cuts (w_i, ceil(n * a_i)) whose meet is I_n."""
         return [(v.weights, ceil_mul(a, n)) for v, a in self.pairs]
-
-    def _cut_rows(self, N):
-        """Yield ``_cuts(n)`` for n = 1..N, read across one column of ceilings per pair."""
-        weights = [v.weights for v, _ in self.pairs]
-        for row in zip(*(_ceil_range(a, N) for _, a in self.pairs)):
-            yield list(zip(weights, row))
 
     def _compute(self, n):
         return _weight_ideal(self._cuts(n), self.ctx)

@@ -483,26 +483,11 @@ def _weight_sat_length(cuts):
     sum per piece of the envelope: a single line is the one piece over the
     columns s < ceil(r/w0).  A cut with n <= 0 always holds.
     """
-    A0 = B0 = 0
-    primary = []
-    for (w0, w1), n in cuts:
-        if n <= 0:
-            continue
-        if not w1:
-            A0 = max(A0, -(-n // w0))
-        elif not w0:
-            B0 = max(B0, -(-n // w1))
-        else:
-            primary.append((w0, w1, n))
+    A0 = max([0] + [-(-n // w0) for (w0, w1), n in cuts if not w1])
+    B0 = max([0] + [-(-n // w1) for (w0, w1), n in cuts if not w0])
     # the line t = (r - w0*s)/w1 of every triangle above the corner
-    lines = []
-    for w0, w1, n in primary:
-        r = n - w0 * A0 - w1 * B0
-        if r > 0:
-            lines.append((w0, w1, r))
-    if len(lines) == 1:
-        w0, w1, r = lines[0]
-        return _floor_sum(-(-r // w0), w1, -w0, r + w1 - 1)
+    lines = [(w0, w1, r) for (w0, w1), n in cuts
+             if w0 and w1 and (r := n - w0 * A0 - w1 * B0) > 0]
     # t = 0 closes the envelope; a line is steeper than another iff its
     # w0/w1 is larger.  Heights t = h/w1 compare as integers h*(L//w1) over
     # the common denominator L of the lines' w1; the leader is a highest
@@ -527,6 +512,38 @@ def _weight_sat_length(cuts):
         total += _floor_sum(cross - s, w1, -w0, r - w0 * s + w1 - 1)
         (w0, w1, r), s = line, cross
     return total
+
+
+def _weight_sat_lengths(weights, columns):
+    """``_weight_sat_length`` of the cuts zip(weights, row) for each row of
+    the columns of levels, with the cuts sorted by their zero weights once:
+    a level is the integer maxima that give its corner and, with one line
+    above it, a single floor sum; several lines take the envelope walk."""
+    xs = [(i, w0) for i, (w0, w1) in enumerate(weights) if not w1]
+    ys = [(i, w1) for i, (w0, w1) in enumerate(weights) if not w0]
+    primary = [(i, w0, w1) for i, (w0, w1) in enumerate(weights) if w0 and w1]
+    lengths = []
+    for row in zip(*columns):
+        A0 = B0 = 0
+        for i, w in xs:
+            c = -(-row[i] // w)
+            if c > A0:
+                A0 = c
+        for i, w in ys:
+            c = -(-row[i] // w)
+            if c > B0:
+                B0 = c
+        lines = []
+        for i, w0, w1 in primary:
+            r = row[i] - w0 * A0 - w1 * B0
+            if r > 0:
+                lines.append((w0, w1, r))
+        if len(lines) == 1:
+            (w0, w1, r), = lines
+            lengths.append(_floor_sum(-(-r // w0), w1, -w0, r + w1 - 1))
+        else:
+            lengths.append(_weight_sat_length(list(zip(weights, row))) if lines else 0)
+    return lengths
 
 
 def intersect(I, J):

@@ -15,6 +15,7 @@ weight-inequality builder; this module builds no ideals of its own.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -39,14 +40,13 @@ class CertificationError(ArithmeticError):
 
 
 def _atan_inv_brackets(x, terms):
-    """Strict rational brackets of arctan(1/x) from consecutive alternating
-    partial sums (x >= 2, terms >= 1)."""
-    s = Fraction(0)
-    sign = 1
-    for k in range(terms):
-        s += Fraction(sign, (2 * k + 1) * x ** (2 * k + 1))
-        sign = -sign
-    nxt = s + Fraction(sign, (2 * terms + 1) * x ** (2 * terms + 1))
+    """Strict rational brackets of arctan(1/x) (x >= 2, terms >= 1): the
+    alternating partial sums of K = terms and K + 1 terms, s/(L * x^(2K-1))
+    and S/(L * x^(2K+1)) with L = lcm(1, 3, ..., 2K+1), each reduced once."""
+    L, S = math.lcm(*range(1, 2 * terms + 2, 2)), 0
+    for k in range(terms + 1):
+        s, S = S, S * x * x + (-1) ** k * (L // (2 * k + 1))
+    s, nxt = Fraction(s, L * x ** (2 * terms - 1)), Fraction(S, L * x ** (2 * terms + 1))
     return (s, nxt) if s < nxt else (nxt, s)
 
 
@@ -165,14 +165,15 @@ def ceil_mul(a: ExactScalar, n, max_digits=300):
 
 def _ceil_range(a: ExactScalar, N):
     """[ceil_mul(a, n) for n = 1..N], certifying each n against the one
-    16-digit bracket read once; an n it leaves open goes to ``ceil_mul``,
-    which refines further or raises."""
+    16-digit bracket lo < a < hi read once: c = ceil(n*lo) is ceil(n*hi)
+    exactly when n*hi <= c, as n*hi > c - 1.  An n it leaves open goes to
+    ``ceil_mul``, which refines further or raises."""
     ns = range(1, N + 1)
     if a.is_rational:
         p, q = a.coeff.numerator, a.coeff.denominator
         return [-(-p * n // q) for n in ns]
     lo_num, lo_den, hi_num, hi_den = _bracket_ends(a, 1, _DIGITS[0])
-    return [c if c == -(-n * hi_num // hi_den) else ceil_mul(a, n)
+    return [c if n * hi_num <= c * hi_den else ceil_mul(a, n)
             for n, c in zip(ns, [-(-n * lo_num // lo_den) for n in ns])]
 
 

@@ -1,16 +1,14 @@
-"""Fraction-arithmetic references: the exact-rational versions of certified
-ceilings, the d=2 saturation-length envelope, the window fit, the sequence
-report and the toric lattice rank that the integer paths of
-``epsmult.valuation``,
-``epsmult.ring``, ``epsmult.asymptotics`` and ``epsmult.diagnostics``
-replaced, kept as test oracles.
+"""Fraction-arithmetic references: the exact-rational versions of the
+arctan series, certified ceilings, the d=2 saturation-length envelope, the
+window fit, the sequence report and the toric lattice rank that the integer
+paths of ``epsmult.valuation``, ``epsmult.ring``, ``epsmult.asymptotics``
+and ``epsmult.diagnostics`` replaced, kept as test oracles.
 
 Each one forms and normalises a ``Fraction`` per term, as the library did
 before its sums moved to common denominators; the values are the same exact
 rationals, so the fast paths must agree with these exactly, errors included.
 """
 
-import itertools
 import math
 import statistics
 from fractions import Fraction
@@ -23,6 +21,18 @@ from epsmult.asymptotics import (
 )
 from epsmult.ring import _floor_sum
 from epsmult.valuation import CertificationError
+
+
+def ref_atan_inv_brackets(x, terms):
+    """Brackets of arctan(1/x) from consecutive alternating partial sums,
+    adding one ``Fraction`` term at a time."""
+    s = Fraction(0)
+    sign = 1
+    for k in range(terms):
+        s += Fraction(sign, (2 * k + 1) * x ** (2 * k + 1))
+        sign = -sign
+    nxt = s + Fraction(sign, (2 * terms + 1) * x ** (2 * terms + 1))
+    return (s, nxt) if s < nxt else (nxt, s)
 
 
 def ref_ceil_mul(a, n, max_digits=300):
@@ -118,9 +128,10 @@ def ref_secants(normalized, window):
 
 
 def ref_sequence_report(seq, window):
-    """The report on a length sequence with a ``Fraction`` running sup,
+    """The report on a length sequence with a ``Fraction`` sup,
     ``Fraction`` comparisons in the classifier and a ``Fraction`` sum for
-    the window mean."""
+    the window mean.  Its diagnostic columns are read from the report, so
+    the tests check them against ``accumulate`` and ``ref_secants``."""
     norm = seq.normalized()
     eps, _, spread = ref_window_fit(norm[-window:])
     head_vals = [v for _, v in norm[:window]]
@@ -133,9 +144,7 @@ def ref_sequence_report(seq, window):
     else:
         classification, estimate, residual = "oscillating", max(v for _, v in norm), None
     return EpsilonReport(
-        sequence=seq, window=window,
-        running_sup=tuple(itertools.accumulate((v for _, v in norm), max)),
-        secant=ref_secants(norm, window), classification=classification,
+        sequence=seq, window=window, classification=classification,
         estimate=estimate, residual=residual, fitted=eps)
 
 

@@ -1,6 +1,7 @@
 import math
 import statistics
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
@@ -40,6 +41,7 @@ from epsmult.ring import (
 from epsmult.valuation import ExactScalar, MonomialValuation, ceil_mul
 from fraction_reference import (
     ref_fit_inverse_n,
+    ref_secants,
     ref_sequence_report,
     ref_window_fit,
 )
@@ -87,16 +89,23 @@ def plane_discrete_valued(draw):
         st.tuples(weights.map(MonomialValuation), scalar), min_size=1, max_size=3)))
 
 
+def _plane(*pairs):
+    return DiscreteValuedFiltration(CTX2, [(MonomialValuation(w), a) for w, a in pairs])
+
+
 @settings(max_examples=80)
 @given(plane_discrete_valued(), st.integers(1, 12))
-@example(DiscreteValuedFiltration(CTX2, [(MonomialValuation((1, 0)), PI),
-                                         (MonomialValuation((0, 2)), ExactScalar(3)),
-                                         (MonomialValuation((1, 1)), TWO_PI)]), 8)
+@example(_plane(((1, 0), PI), ((0, 2), ExactScalar(3)), ((1, 1), TWO_PI)), 8)
+# two m-primary lines above the corner at every level: the envelope walk
+@example(_plane(((1, 2), PI), ((3, 1), ExactScalar(Fraction(7, 2)))), 10)
+# one-weight cuts only: each level is its own saturation, lambda = 0
+@example(_plane(((2, 0), PI), ((0, 3), ExactScalar(Fraction(5, 2)))), 6)
+# a zero weight in each coordinate: a corner off both axes, below a line
+@example(_plane(((2, 0), PI), ((0, 1), ExactScalar(1)), ((1, 2), ExactScalar(4, "pi"))), 9)
 def test_batched_plane_sequence_matches_each_level(F, N):
-    # the d=2 discrete-valued sequence, from one ceiling column per pair,
-    # against each level's own cuts and against the kernel's count of the
-    # built level; the levels stay out of the memo table
-    assert list(F._cut_rows(N)) == [F._cuts(n) for n in range(1, N + 1)]
+    # the d=2 discrete-valued sequence, counted from one ceiling column per
+    # pair, against each level's own cuts and against the kernel's count of
+    # the built level; the levels stay out of the memo table
     for n, lam in sat_quotient_sequence(F, N).entries:
         assert lam == _weight_sat_length(F._cuts(n))
         I = F._compute(n)
@@ -232,9 +241,14 @@ def test_window_sums_match_fraction_reference(case):
 @example((_seq(3, [0, 0, 5, 0, 40, 300, 343, 0, 729, 1000]), 3))  # zero entries
 def test_sequence_report_matches_fraction_reference(case):
     # the integer comparisons and common-denominator mean against Fraction
-    # ones, over the whole report
+    # ones, over the whole report, and the columns formed on reading
+    # against Fraction ones
     seq, window = case
-    assert _sequence_report(seq, window) == ref_sequence_report(seq, window)
+    rep = _sequence_report(seq, window)
+    assert rep == ref_sequence_report(seq, window)
+    norm = seq.normalized()
+    assert rep.running_sup == tuple(accumulate((v for _, v in norm), max))
+    assert rep.secant == ref_secants(norm, window)
 
 
 # fractions drawn as numerator and denominator: st.fractions() spent most

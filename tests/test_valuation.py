@@ -6,20 +6,28 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from epsmult import valuation
 from epsmult.ring import MonomialIdeal, RingContext, ideal_product
 from epsmult.valuation import (
+    _DIGITS,
     CertificationError,
     ExactScalar,
     MonomialValuation,
+    _atan_inv_brackets,
     _bracket_ends,
     _ceil_range,
+    _pi_brackets,
     ceil_defect_lower_bound,
     ceil_mul,
     parse_scalar,
     valuation_ideal,
     valuation_of_ideal,
 )
-from fraction_reference import ref_ceil_defect_lower_bound, ref_ceil_mul
+from fraction_reference import (
+    ref_atan_inv_brackets,
+    ref_ceil_defect_lower_bound,
+    ref_ceil_mul,
+)
 
 CTX2 = RingContext(2)
 
@@ -105,6 +113,23 @@ def test_pi_brackets_nested_and_shrinking():
         prev = (lo, hi)
 
 
+@pytest.mark.parametrize("x", (5, 239))
+def test_atan_inv_brackets_match_the_term_by_term_sums(x):
+    # one common denominator per partial sum, against a Fraction per term
+    for terms in range(1, 61):
+        assert _atan_inv_brackets(x, terms) == ref_atan_inv_brackets(x, terms)
+
+
+def test_pi_brackets_match_the_term_by_term_sums(monkeypatch):
+    # the cached integers of the first five precisions, from a cold cache,
+    # against those the term-by-term sums give
+    monkeypatch.setattr(valuation, "_PI_CACHE", {})
+    got = [_pi_brackets(digits) for digits in _DIGITS[:5]]
+    monkeypatch.setattr(valuation, "_PI_CACHE", {})
+    monkeypatch.setattr(valuation, "_atan_inv_brackets", ref_atan_inv_brackets)
+    assert [_pi_brackets(digits) for digits in _DIGITS[:5]] == got
+
+
 def test_ceil_mul_budget_exhaustion():
     # with an absurdly small budget near-integer multiples cannot certify
     pi = parse_scalar("pi")
@@ -182,6 +207,9 @@ def test_rational_ceil_mul_matches_fraction_reference(p, q, n):
                  st.sampled_from(NEAR_INTEGER_MULTIPLES)),
        st.integers(1, 40), st.sampled_from((None, "pi")), st.integers(1, 60))
 @example(3, 7, None, 60)  # a rational needs no bracket
+# n*a just above an integer, with the 16-digit bracket's lower end below it:
+# ceil(n*lo) is one short, and the upper end alone rejects it
+@example(6701487259, 1, "pi", 3)
 def test_ceil_range_matches_ceil_mul(p, q, constant, N):
     # the column of ceilings, certified against one bracket with ceil_mul
     # for what it leaves open, equals ceil_mul per n
