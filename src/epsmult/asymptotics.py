@@ -35,7 +35,8 @@ from .ring import (
     IdealDomainError,
     MonomialIdeal,
     _face_primes,
-    _weight_sat_lengths,
+    _floor_sum,
+    _weight_sat_length,
     colength,
     dim_quotient,
     localize,
@@ -249,6 +250,37 @@ def _entries(fn, F, N):
     if N < 1:
         raise ValueError("N must be at least 1")
     return [(n, fn(F, n)) for n in range(1, N + 1)]
+
+
+def _weight_sat_lengths(weights, columns):
+    """``_weight_sat_length`` for each row of the level columns, the cuts
+    sorted by their zero weights once: a level is its corner's integer maxima
+    and one floor sum, and a level with several lines takes the envelope walk."""
+    xs = [(i, w0) for i, (w0, w1) in enumerate(weights) if not w1]
+    ys = [(i, w1) for i, (w0, w1) in enumerate(weights) if not w0]
+    primary = [(i, w0, w1) for i, (w0, w1) in enumerate(weights) if w0 and w1]
+    lengths = []
+    for row in zip(*columns):
+        A0 = B0 = 0
+        for i, w in xs:
+            c = -(-row[i] // w)
+            if c > A0:
+                A0 = c
+        for i, w in ys:
+            c = -(-row[i] // w)
+            if c > B0:
+                B0 = c
+        lines = []
+        for i, w0, w1 in primary:
+            r = row[i] - w0 * A0 - w1 * B0
+            if r > 0:
+                lines.append((w0, w1, r))
+        if len(lines) == 1:
+            (w0, w1, r), = lines
+            lengths.append(_floor_sum(-(-r // w0), w1, -w0, r + w1 - 1))
+        else:
+            lengths.append(_weight_sat_length(list(zip(weights, row))) if lines else 0)
+    return lengths
 
 
 def sat_quotient_sequence(F: Filtration, N, jobs=1) -> LengthSequence:

@@ -514,38 +514,6 @@ def _weight_sat_length(cuts):
     return total
 
 
-def _weight_sat_lengths(weights, columns):
-    """``_weight_sat_length`` of the cuts zip(weights, row) for each row of
-    the columns of levels, with the cuts sorted by their zero weights once:
-    a level is the integer maxima that give its corner and, with one line
-    above it, a single floor sum; several lines take the envelope walk."""
-    xs = [(i, w0) for i, (w0, w1) in enumerate(weights) if not w1]
-    ys = [(i, w1) for i, (w0, w1) in enumerate(weights) if not w0]
-    primary = [(i, w0, w1) for i, (w0, w1) in enumerate(weights) if w0 and w1]
-    lengths = []
-    for row in zip(*columns):
-        A0 = B0 = 0
-        for i, w in xs:
-            c = -(-row[i] // w)
-            if c > A0:
-                A0 = c
-        for i, w in ys:
-            c = -(-row[i] // w)
-            if c > B0:
-                B0 = c
-        lines = []
-        for i, w0, w1 in primary:
-            r = row[i] - w0 * A0 - w1 * B0
-            if r > 0:
-                lines.append((w0, w1, r))
-        if len(lines) == 1:
-            (w0, w1, r), = lines
-            lengths.append(_floor_sum(-(-r // w0), w1, -w0, r + w1 - 1))
-        else:
-            lengths.append(_weight_sat_length(list(zip(weights, row))) if lines else 0)
-    return lengths
-
-
 def intersect(I, J):
     """I meet J."""
     _compatible(I, J)
