@@ -36,7 +36,6 @@ from .ring import (
     MonomialIdeal,
     _face_primes,
     _floor_sum,
-    _weight_sat_length,
     colength,
     dim_quotient,
     localize,
@@ -253,9 +252,22 @@ def _entries(fn, F, N):
 
 
 def _weight_sat_lengths(weights, columns):
-    """``_weight_sat_length`` for each row of the level columns, the cuts
-    sorted by their zero weights once: a level is its corner's integer maxima
-    and one floor sum, and a level with several lines takes the envelope walk."""
+    """lambda(sat(I)/I) for each row of the level columns, I the meet of the
+    two-variable cuts w . a >= n over the ``weights`` and the row's levels n,
+    counted from the cuts without building I.  A cut with n <= 0 always
+    holds.
+
+    Saturation commutes with finite meets, leaves a cut with one zero
+    weight unchanged and makes a cut with both weights positive the unit
+    ideal, so sat(I) = (x^A0*y^B0) with A0, B0 the largest ceil(n/w) over
+    the one-weight cuts.  Shifted to that corner, an m-primary cut (w, n)
+    leaves r = n - w.(A0, B0) and cuts out the triangle w.(s, t) < r, whose
+    column at s holds ceil((r - w0*s)/w1) points while that is positive.
+    The quotient is the union of these triangles, so each column holds the
+    ceiling of the upper envelope of their lines, and the count is one floor
+    sum per piece of the envelope: a single line is the one piece over the
+    columns s < ceil(r/w0).  The cuts are sorted by their zero weights once
+    for all rows."""
     xs = [(i, w0) for i, (w0, w1) in enumerate(weights) if not w1]
     ys = [(i, w1) for i, (w0, w1) in enumerate(weights) if not w0]
     primary = [(i, w0, w1) for i, (w0, w1) in enumerate(weights) if w0 and w1]
@@ -270,6 +282,7 @@ def _weight_sat_lengths(weights, columns):
             c = -(-row[i] // w)
             if c > B0:
                 B0 = c
+        # the line t = (r - w0*s)/w1 of every triangle above the corner
         lines = []
         for i, w0, w1 in primary:
             r = row[i] - w0 * A0 - w1 * B0
@@ -278,8 +291,32 @@ def _weight_sat_lengths(weights, columns):
         if len(lines) == 1:
             (w0, w1, r), = lines
             lengths.append(_floor_sum(-(-r // w0), w1, -w0, r + w1 - 1))
-        else:
-            lengths.append(_weight_sat_length(list(zip(weights, row))) if lines else 0)
+            continue
+        # t = 0 closes the envelope (and is all of it when no line is
+        # left); a line is steeper than another iff its w0/w1 is larger.
+        # Heights t = h/w1 compare as integers h*(L//w1) over the common
+        # denominator L of the lines' w1; the leader is a highest line at
+        # column s, and equal lines give equal columns, so which of them
+        # leads does not change the count
+        lines.append((0, 1, 0))
+        L = math.lcm(*(l[1] for l in lines))
+        w0, w1, r = max(lines, key=lambda l: l[2] * (L // l[1]))
+        total = s = 0
+        while w0:
+            # the first column at which a less steep line reaches the leader
+            # (s itself for a line equal to it there); the highest line
+            # there takes over
+            steps = []
+            for v0, v1, q in lines:
+                det = w0 * v1 - v0 * w1
+                if det > 0:
+                    cross = -((q * w1 - r * v1) // det)
+                    steps.append((cross, (v0 * cross - q) * (L // v1), (v0, v1, q)))
+            cross, _, line = min(steps)
+            # columns s..cross-1 of the leader: ceil((r - w0*i)/w1)
+            total += _floor_sum(cross - s, w1, -w0, r - w0 * s + w1 - 1)
+            (w0, w1, r), s = line, cross
+        lengths.append(total)
     return lengths
 
 

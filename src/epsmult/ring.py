@@ -26,8 +26,8 @@ stack, for a sum (``_add``), a product (``_mul``: S_a*T_b at a + b) and
 minimalisation (``_minimal``).  ``_sat`` uses sat(I)_a = S_top meet
 sat(S_a), and ``_weight`` writes the value of an ideal cut out by weight
 inequalities (valuation ideals, their meets, powers of m and integral
-closures) from the cuts; in two variables ``_weight_sat_length`` measures
-lambda(sat(I)/I) for such an ideal from the cuts alone, by floor sums.
+closures) from the cuts; ``_floor_sum`` serves the two-variable count of
+lambda(sat(I)/I) from the cuts in ``epsmult.asymptotics``.
 The public functions check the rings, handle the zero ideal and wrap the
 value.
 
@@ -38,7 +38,6 @@ the same result by any writer) and every operation is pure.
 from __future__ import annotations
 
 import itertools
-import math
 from operator import itemgetter
 
 from ._record import Record
@@ -466,52 +465,6 @@ def _floor_sum(n, m, a, b):
             return total
         n, b = divmod(top, m)
         m, a = a, m
-
-
-def _weight_sat_length(cuts):
-    """lambda(sat(I)/I) for I = ``_weight_ideal(cuts, RingContext(2))``,
-    counted from the cuts without building I.
-
-    Saturation commutes with finite meets, leaves a cut with one zero
-    weight unchanged and makes a cut with both weights positive the unit
-    ideal, so sat(I) = (x^A0*y^B0) with A0, B0 the largest ceil(n/w) over
-    the one-weight cuts.  Shifted to that corner, an m-primary cut (w, n)
-    leaves r = n - w.(A0, B0) and cuts out the triangle w.(s, t) < r, whose
-    column at s holds ceil((r - w0*s)/w1) points while that is positive.
-    The quotient is the union of these triangles, so each column holds the
-    ceiling of the upper envelope of their lines, and the count is one floor
-    sum per piece of the envelope: a single line is the one piece over the
-    columns s < ceil(r/w0).  A cut with n <= 0 always holds.
-    """
-    A0 = max([0] + [-(-n // w0) for (w0, w1), n in cuts if not w1])
-    B0 = max([0] + [-(-n // w1) for (w0, w1), n in cuts if not w0])
-    # the line t = (r - w0*s)/w1 of every triangle above the corner
-    lines = [(w0, w1, r) for (w0, w1), n in cuts
-             if w0 and w1 and (r := n - w0 * A0 - w1 * B0) > 0]
-    # t = 0 closes the envelope; a line is steeper than another iff its
-    # w0/w1 is larger.  Heights t = h/w1 compare as integers h*(L//w1) over
-    # the common denominator L of the lines' w1; the leader is a highest
-    # line at column s, and equal lines give equal columns, so which of them
-    # leads does not change the count
-    lines.append((0, 1, 0))
-    L = math.lcm(*(l[1] for l in lines))
-    w0, w1, r = max(lines, key=lambda l: l[2] * (L // l[1]))
-    total = s = 0
-    while w0:
-        # the first column at which a less steep line reaches the leader
-        # (s itself for a line equal to it there); the highest line there
-        # takes over
-        steps = []
-        for v0, v1, q in lines:
-            det = w0 * v1 - v0 * w1
-            if det > 0:
-                cross = -((q * w1 - r * v1) // det)
-                steps.append((cross, (v0 * cross - q) * (L // v1), (v0, v1, q)))
-        cross, _, line = min(steps)
-        # columns s..cross-1 of the leader: ceil((r - w0*i)/w1)
-        total += _floor_sum(cross - s, w1, -w0, r - w0 * s + w1 - 1)
-        (w0, w1, r), s = line, cross
-    return total
 
 
 def intersect(I, J):

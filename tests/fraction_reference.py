@@ -1,12 +1,14 @@
 """Fraction-arithmetic references: the exact-rational versions of the
 arctan series, certified ceilings, the d=2 saturation-length envelope, the
 window fit, the sequence report and the toric lattice rank that the integer
-paths of ``epsmult.valuation``, ``epsmult.ring``, ``epsmult.asymptotics``
-and ``epsmult.diagnostics`` replaced, kept as test oracles.
+paths of ``epsmult.valuation``, ``epsmult.asymptotics`` and
+``epsmult.diagnostics`` replaced, kept as test oracles.
 
 Each one forms and normalises a ``Fraction`` per term, as the library did
 before its sums moved to common denominators; the values are the same exact
 rationals, so the fast paths must agree with these exactly, errors included.
+``weight_sat_length`` is not a reference: it puts one level's cuts through
+the library's column count, for the tests that compare it with the oracles.
 """
 
 import math
@@ -18,6 +20,7 @@ from epsmult.asymptotics import (
     DIVERGENCE_FACTOR,
     REL_TOL,
     EpsilonReport,
+    _weight_sat_lengths,
 )
 from epsmult.ring import _floor_sum
 from epsmult.valuation import CertificationError
@@ -67,6 +70,12 @@ def ref_ceil_defect_lower_bound(a, n, max_digits=300):
         digits *= 2
     raise CertificationError(
         f"could not certify the ceiling defect at n={n} within {max_digits} digits")
+
+
+def weight_sat_length(cuts):
+    """lambda(sat(I)/I) for the d=2 weight cuts (w, n), by the library's
+    column count with one-row columns."""
+    return _weight_sat_lengths([w for w, _ in cuts], [[n] for _, n in cuts])[0]
 
 
 def ref_weight_sat_length(cuts):

