@@ -308,10 +308,9 @@ def _weight_candidates(F: Filtration, m):
     if d > 3:
         return cands
     Im = F.base if isinstance(F, PowerFiltration) else F.ideal_at(m)
-    if not Im.is_zero():
-        for w, _ in _hull_of(Im)[0]:
-            if w not in cands:
-                cands.append(w)
+    for w, _ in _hull_of(Im)[0]:
+        if w not in cands:
+            cands.append(w)
     return cands
 
 

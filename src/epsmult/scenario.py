@@ -133,11 +133,10 @@ def _build_filtration(name, block, ctx, built):
                 for i, spec in enumerate(_require(block, "ideals", where))
             ]
             return TableFiltration(ctx, ideals)
-        if kind in ("truncation", "localized"):
-            parent = _require(block, "parent", where)
-            if parent not in built:
-                raise ScenarioError(f"{where}: unknown parent {parent!r}")
-            parent = built[parent]
+        parent = _require(block, "parent", where)
+        if parent not in built:
+            raise ScenarioError(f"{where}: unknown parent {parent!r}")
+        parent = built[parent]
         if kind == "truncation":
             return parent.truncate(
                 _integer(_require(block, "level", where), f"{where}: level"))

@@ -1,13 +1,12 @@
 """Monomial (weight vector) valuations and exact ceiling arithmetic for
 rational and certified irrational multipliers.
 
-An ``ExactScalar`` is either a rational or a positive rational multiple of a
-shipped constant (currently ``pi``).  Constants carry certified rational
-brackets lo < value < hi produced by an alternating-series expansion whose
-tail bound is exact, so ``ceil(n * a)`` can be certified rather than
-float-rounded: the bracket is refined until both endpoints round up to the
-same integer, which simultaneously certifies that n*a is not itself an
-integer.
+An ``ExactScalar`` is either a rational or a positive rational multiple of
+``pi``.  Pi carries certified rational brackets lo < pi < hi produced by an
+alternating-series expansion whose tail bound is exact, so ``ceil(n * a)``
+can be certified rather than float-rounded: the bracket is refined until
+both endpoints round up to the same integer, which simultaneously certifies
+that n*a is not itself an integer.
 
 A valuation ideal {x^a : weights . a >= n} is one call to the ring's
 weight-inequality builder; this module builds no ideals of its own.
@@ -76,7 +75,6 @@ def _pi_brackets(digits):
     return _PI_CACHE[digits]
 
 
-_CONSTANTS = {"pi": _pi_brackets}
 _DIGITS = tuple(16 << k for k in range(24))  # the precisions a refinement doubles through
 
 
@@ -92,7 +90,7 @@ class ExactScalar(Record):
         object.__setattr__(self, "coeff", Fraction(self.coeff))
         if self.coeff <= 0:
             raise ValueError("multipliers must be positive")
-        if self.constant is not None and self.constant not in _CONSTANTS:
+        if self.constant not in (None, "pi"):
             raise ValueError(f"unknown constant {self.constant!r}")
 
     @property
@@ -104,7 +102,7 @@ class ExactScalar(Record):
         (rational scalars report a zero-width bracket)."""
         if self.is_rational:
             return self.coeff, self.coeff
-        lo_num, lo_den, hi_num, hi_den = _CONSTANTS[self.constant](digits)
+        lo_num, lo_den, hi_num, hi_den = _pi_brackets(digits)
         return self.coeff * Fraction(lo_num, lo_den), self.coeff * Fraction(hi_num, hi_den)
 
     def __str__(self):
@@ -131,19 +129,19 @@ def parse_scalar(text):
 
 def _bracket_ends(a: ExactScalar, n, digits):
     """The integers (lo_num, lo_den, hi_num, hi_den) of the ``digits``-digit
-    bracket lo_num/lo_den < n*a < hi_num/hi_den, for a = p/q times its constant."""
+    bracket lo_num/lo_den < n*a < hi_num/hi_den, for a = p/q times pi."""
     pn, q = a.coeff.numerator * n, a.coeff.denominator
-    lo_num, lo_den, hi_num, hi_den = _CONSTANTS[a.constant](digits)
+    lo_num, lo_den, hi_num, hi_den = _pi_brackets(digits)
     return pn * lo_num, q * lo_den, pn * hi_num, q * hi_den
 
 
 def ceil_mul(a: ExactScalar, n, max_digits=300):
     """Exact ceil(n*a) for a positive scalar and positive integer n.
 
-    For interval constants the bracket is refined until both endpoints have
+    For a multiple of pi the bracket is refined until both endpoints have
     the same round-up, which also certifies n*a is not an integer; if the
     budget runs out a :class:`CertificationError` is raised.  With a = p/q,
-    or p/q times the constant, ceil(n*p/q) and the round-up of the endpoint
+    or p/q times pi, ceil(n*p/q) and the round-up of the endpoint
     n*p*lo/q are each one integer floor division (of n*p by q, and of
     n*p*lo.numerator by q*lo.denominator), so no rational is formed or
     normalised.
@@ -180,7 +178,7 @@ def _ceil_range(a: ExactScalar, N):
 def ceil_defect_lower_bound(a: ExactScalar, n, max_digits=300):
     """Certified positive rational lower bound of ceil(n*a) - n*a for an
     irrational scalar (used to size nilpotency searches): c - n*p*hi/q over
-    the denominator q*hi.denominator, for a = p/q times the constant."""
+    the denominator q*hi.denominator, for a = p/q times pi."""
     if a.is_rational:
         raise ValueError("defect bound is for irrational scalars")
     c = ceil_mul(a, n, max_digits)

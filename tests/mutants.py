@@ -27,13 +27,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 ASYMPTOTICS = "src/epsmult/asymptotics.py"
+NEWTON = "src/epsmult/newton.py"
 PLANE_SEQUENCE = "tests/test_asymptotics.py::test_batched_plane_sequence_matches_each_level"
 ENVELOPE = "tests/test_ring_properties.py::test_weight_sat_length_matches_fraction_reference"
+REPORT = "tests/test_asymptotics.py::test_sequence_report_matches_fraction_reference"
+POWER_MEMBERSHIP = "tests/test_ring_properties.py::test_power_membership_matches_r_loop"
 
 # Equivalent mutants of the two-variable count, left out: which of two equal
 # lines leads (equal lines give equal columns), and whether a line takes
 # over at the first column where it reaches the leader or the first where
-# it passes it.
+# it passes it.  Equivalent in the classifier: ``abs(mean)`` as ``mean`` in
+# the tolerance, since every length is a count, so the window's values
+# d! * lam / n^d and their mean are never negative.
 MUTANTS = [
     (ASYMPTOTICS,
      "lengths.append(_floor_sum(-(-r // w0), w1, -w0, r + w1 - 1))",
@@ -75,11 +80,56 @@ MUTANTS = [
      "return s[k]",
      "tests/test_asymptotics.py::test_median_matches_statistics",
      "the median of an even count is the upper middle value"),
-    ("src/epsmult/newton.py",
+    (NEWTON,
      "return all(_dot(w, a) >= rhs for w, rhs in _hull_of(I)[0])",
      "return all(_dot(w, a) > rhs for w, rhs in _hull_of(I)[0])",
      "tests/test_newton.py::test_np_membership_examples",
      "a point on a facet of the Newton polyhedron counts as outside it"),
+    (ASYMPTOTICS,
+     "elif spread < max(ABS_TOL, REL_TOL * abs(mean)):",
+     "elif spread <= max(ABS_TOL, REL_TOL * abs(mean)):",
+     REPORT,
+     "a spread equal to the tolerance counts as converging"),
+    (ASYMPTOTICS,
+     "elif spread < max(ABS_TOL, REL_TOL * abs(mean)):",
+     "elif spread < min(ABS_TOL, REL_TOL * abs(mean)):",
+     REPORT,
+     "the tolerance is the smaller of the absolute and relative ones"),
+    (ASYMPTOTICS,
+     "last_nd * DIVERGENCE_FACTOR * _median(",
+     "last_nd * _median(",
+     "tests/test_asymptotics.py::test_difference_check_growth_pair",
+     "a strictly increasing tail diverges once it passes the head's median"),
+    (ASYMPTOTICS,
+     "all(a * nb < b * na for",
+     "all(a * nb <= b * na for",
+     REPORT,
+     "a tail that only does not decrease counts as increasing"),
+    (NEWTON,
+     "and left.ctx.dim <= 3 and r_max >= 1):",
+     "and left.ctx.dim <= 3 and r_max >= 0):",
+     "tests/test_newton.py::test_power_verdicts_match_r_loop_reference",
+     "the base-facet rule answers a comparison whose r_max of 0 allows no r"),
+    (NEWTON,
+     "if isinstance(F, PowerFiltration) and F.ctx.dim <= 3 and r_max >= 1:",
+     "if isinstance(F, PowerFiltration) and F.ctx.dim <= 3 and r_max >= 0:",
+     POWER_MEMBERSHIP,
+     "a power membership with r_max 0 answers yes at r = 1"),
+    (NEWTON,
+     "if all(_dot(w, a) >= m * rhs for w, rhs in _hull_of(F.base)[0]):",
+     "if all(_dot(w, a) > m * rhs for w, rhs in _hull_of(F.base)[0]):",
+     POWER_MEMBERSHIP,
+     "a power membership on a facet of m * NP(base) is not found"),
+    (NEWTON,
+     "max_r = max(max_r, 1)",
+     "max_r = max(max_r, 0)",
+     "tests/test_newton.py::test_compare_of_powers_builds_no_power",
+     "a direction settled by the base-facet rule reports max_r_used 0, not 1"),
+    ("src/epsmult/ring.py",
+     "            if s == last:\n                continue\n",
+     "",
+     "tests/test_ring.py::test_minimalize_examples",
+     "the stack keeps an entry whose slice equals the one below it"),
 ]
 
 

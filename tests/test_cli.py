@@ -12,7 +12,7 @@ from epsmult.cli import main
 from epsmult.filtration import TemplateFiltration
 from epsmult.newton import SeparationCertificate, verify_separation_certificate
 from epsmult.ring import RingContext
-from epsmult.scenario import ScenarioError, load_scenario, run_scenario
+from epsmult.scenario import ScenarioError, emit, load_scenario, run_scenario
 from epsmult.valuation import parse_scalar
 
 GOLDEN_TABLE = Path(__file__).resolve().parent / "golden" / "paper_examples.txt"
@@ -85,6 +85,9 @@ def test_run_scenario_writes_files(tmp_path):
     assert diff["residual"] == "0"
     es = json.loads((tmp_path / "es.json").read_text())
     assert es["value"] == "1" and es["exact"] is True
+    # a task with no ``out`` and no stream to print to writes nothing
+    path = write_scenario(tmp_path, [{"task": "eval", "filtration": "pi", "n": 1}], "no_out.json")
+    assert run_scenario(path) == []
 
 
 def test_round_trip_certificate_reverification(tmp_path):
@@ -143,6 +146,12 @@ def test_scenario_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ScenarioError, match="invalid JSON"):
         run_scenario(str(bad))
+    bad.write_text("[]")
+    with pytest.raises(ScenarioError, match="scenario document must be an object"):
+        run_scenario(str(bad))
+    bad.write_text(json.dumps(dict(SCENARIO, tasks={})))
+    with pytest.raises(ScenarioError, match="tasks must be a list"):
+        run_scenario(str(bad))
 
     path = write_scenario(tmp_path, [{"task": "epsilon", "filtration": "nope",
                                       "n_max": 10}])
@@ -158,6 +167,9 @@ def test_scenario_errors(tmp_path):
                                       "n_max": 10, "window": 2}])
     with pytest.raises(ScenarioError, match=r"task 1 \(epsilon\).*table"):
         run_scenario(path)
+
+    with pytest.raises(ScenarioError, match="unknown output format 'xml'"):
+        emit(None, "xml")  # an unknown format reads nothing of the payload
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -416,6 +428,22 @@ def test_fixture_ids_consistent():
     tree = ast.parse(Path(fixtures.__file__).read_text())
     literals = [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)]
     assert all(literals.count(fid) == 1 for fid in fixture_ids())
+
+
+def test_fixture_table_names_a_failed_fixture():
+    # no estimate is never within tolerance, and a failed hard row is named
+    # on the table's last line
+    from epsmult.fixtures import (
+        HALF_PERCENT,
+        FixtureResult,
+        format_fixture_table,
+        within_rel,
+    )
+
+    assert within_rel(None, parse_scalar("pi"), HALF_PERCENT) is False
+    row = FixtureResult("pi-lengths", "title", "literature", False, "expected",
+                        "computed", False)
+    assert format_fixture_table([row]).endswith("\nFAILED: pi-lengths\n")
 
 
 def test_cli_paper_examples_list(capsys):

@@ -19,6 +19,7 @@ from epsmult.diagnostics import (
 from epsmult.filtration import (
     DiscreteValuedFiltration,
     PowerFiltration,
+    TableFiltration,
     TemplateFiltration,
 )
 from epsmult.fixtures import pi_line, pi_plane
@@ -289,6 +290,8 @@ def test_toric_rank_examples():
     assert toric_rank_bound(PowerFiltration(MonomialIdeal(CTX2, [(1, 0)])), 4) == 1
     J = TemplateFiltration(CTX2, [("n+1", "0"), ("n", "1")])
     assert toric_rank_bound(J, 5) == 2  # raw rank 3 clamps to dim
+    zeros = TableFiltration(CTX2, [MonomialIdeal.zero(CTX2)] * 3)
+    assert toric_rank_bound(zeros, 3) == 0  # no generator, no lattice
 
 
 # one integer draw per entry, read as a small entry, a zero or a large

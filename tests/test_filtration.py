@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from epsmult.asymptotics import sat_quotient_sequence
 from epsmult.filtration import (
     DiscreteValuedFiltration,
+    Filtration,
     PowerFiltration,
     TableFiltration,
     TableRangeError,
@@ -44,6 +45,8 @@ def test_ideal_at_examples():
     T = TemplateFiltration(CTX2, [("2", "0"), ("1", "n^2")])
     assert T.ideal_at(3).gens == ((2, 0), (1, 9))
     assert T.ideal_at(0).is_unit()
+    with pytest.raises(NotImplementedError):
+        Filtration(RingContext(1)).ideal_at(1)
 
 
 def test_discrete_valued_recompute_matches_cache():
@@ -81,6 +84,23 @@ def test_table_range_error():
     assert T.ideal_at(1).gens == ((1, 0),)
     with pytest.raises(TableRangeError):
         T.ideal_at(2)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: PowerFiltration(MonomialIdeal.zero(CTX2)), ValueError, "proper nonzero base"),
+    (lambda: PowerFiltration(MonomialIdeal.unit(CTX2)), ValueError, "proper nonzero base"),
+    (lambda: DiscreteValuedFiltration(CTX2, []), ValueError, "at least one"),
+    (lambda: DiscreteValuedFiltration(CTX2, [(MonomialValuation((1, 1, 1)), ExactScalar(1))]),
+     ValueError, "valuation dimension mismatch"),
+    (lambda: DiscreteValuedFiltration(CTX2, [(MonomialValuation((1, 1)), 1)]),
+     TypeError, "ExactScalar"),
+    (lambda: TableFiltration(CTX2, [MonomialIdeal(RingContext(3), [(1, 0, 0)])]),
+     ValueError, "table ideal dimension mismatch"),
+], ids=["power-zero", "power-unit", "dv-no-pairs", "dv-dimension", "dv-multiplier",
+        "table-dimension"])
+def test_specs_reject_malformed_input(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +432,8 @@ def test_sigma_surrogate_properties():
 def test_sigma_small_values_documented():
     # the formula gives 0 below 4; the lower bound only holds from n = 4 on
     assert [sigma_surrogate(n) for n in (1, 2, 3, 4)] == [0, 0, 0, 2]
+    with pytest.raises(ValueError, match="positive integers"):
+        sigma_surrogate(0)
 
 
 def test_expression_grammar():
@@ -445,6 +467,9 @@ def test_template_tau_table():
     T = TemplateFiltration(CTX2, [("2", "0"), ("1", "tau(n)")], tau={})
     with pytest.raises(TableRangeError):
         T.ideal_at(1)
+    # the lookup checks its own range; the template checks it first
+    with pytest.raises(TableRangeError, match="no entry for n=3"):
+        parse_expression("tau(n)", {1: 2}).eval(3)
     # a table value is an exponent, checked when the template is built
     for bad in (-1, True, 1.0, "2", None):
         with pytest.raises(ValueError, match="tau values are integers >= 0"):

@@ -1,4 +1,5 @@
 import functools
+import json
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from epsmult.filtration import (
     DiscreteValuedFiltration,
     PowerFiltration,
+    TableFiltration,
     TemplateFiltration,
 )
 from epsmult.newton import (
@@ -27,6 +29,7 @@ from epsmult.ring import (
     RingContext,
     maximal_power,
 )
+from epsmult.scenario import emit
 from epsmult.valuation import ExactScalar, MonomialValuation
 from ring_reference import (
     LocalizedFiltration,
@@ -112,6 +115,8 @@ def test_integral_closure_examples():
     assert integral_closure(P) == P
     for k in (1, 2, 5):
         assert integral_closure(maximal_power(CTX2, k)) == maximal_power(CTX2, k)
+    with pytest.raises(ValueError, match="zero ideal"):
+        integral_closure(MonomialIdeal.zero(CTX2))
 
 
 def test_integral_closure_idempotent_extensive_radical():
@@ -187,6 +192,9 @@ def test_member_unknown_when_no_certificate_route():
     S = TemplateFiltration(CTX2, [("2", "0"), ("1", "n^2")])
     res = filtration_integral_member(S, (0, 1), 1, 3)
     assert res.status == "unknown"
+    # a zero level witnesses nothing, so r = 2 is skipped, not tried
+    Z = TableFiltration(CTX2, [MonomialIdeal(CTX2, [(2, 0)]), MonomialIdeal.zero(CTX2)])
+    assert filtration_integral_member(Z, (1, 0), 1, 2).status == "unknown"
 
 
 def test_separation_certificate_verification_catches_tampering():
@@ -388,6 +396,8 @@ def test_negative_r_max_is_rejected():
         rees_closure_compare(P, P, 2, -1)
     with pytest.raises(ValueError, match="r_max"):
         filtration_integral_member(P, (1, 1), 1, -1)
+    with pytest.raises(ValueError, match="degree must be positive"):
+        filtration_integral_member(P, (1, 1), 0, 2)
 
 
 def test_compare_rejects_rings_of_different_dimension():
@@ -457,3 +467,12 @@ def test_verdict_serialization():
     assert obj["monomial"] == "x"
     assert obj["certificate"]["weight"] == [1, 1]
     assert obj["certificate"]["slope"] == "1"
+    # two rational discrete-valued filtrations differ by a containment
+    F = DiscreteValuedFiltration(CTX2, [(MonomialValuation((1, 0)), ExactScalar(1)),
+                                        (MonomialValuation((1, 1)), ExactScalar(2))])
+    G = DiscreteValuedFiltration(CTX2, [(MonomialValuation((1, 0)), ExactScalar(1)),
+                                        (MonomialValuation((1, 1)), ExactScalar(3))])
+    obj = json.loads(emit(rees_closure_compare(F, G, 3, 2), "json", CTX2.names))
+    assert (obj["outcome"], obj["degree"], obj["monomial"]) == ("proven-different", 1, "x*y")
+    assert obj["certificate"] == {"kind": "closed-filtration-containment",
+                                  "degree": 1, "monomial": "x*y"}

@@ -1,6 +1,7 @@
 """Every module-level private name of ``src/epsmult`` is used somewhere in
-the package outside its own definition, so a refactor cannot leave an
-orphaned helper behind."""
+the package outside its own definition, and every module-level helper of
+``tests/`` somewhere in the tests, so a refactor cannot leave an orphaned
+helper behind."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import epsmult
 
 PACKAGE = Path(epsmult.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def _defined(node):
@@ -68,3 +70,21 @@ def test_every_import_is_used():
         unused += [f"{path.name}:{line}: {name}"
                    for name, line in _imported(tree) if name not in read]
     assert not unused, unused
+
+
+def test_every_test_helper_is_used():
+    """A module-level function of ``tests/`` other than a ``test_*`` one is
+    read, imported or requested as a fixture (a parameter of that name)
+    somewhere in ``tests/`` outside its own definition."""
+    helpers, used = {}, set()
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            own = _defined(node)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                helpers.update((name, path.name) for name in own
+                               if not name.startswith("test_"))
+            used.update(name for name in _used(node) if name not in own)
+            used.update(n.arg for n in ast.walk(node) if isinstance(n, ast.arg))
+    orphans = sorted(f"{module}: {name}" for name, module in helpers.items()
+                     if name not in used)
+    assert not orphans, orphans

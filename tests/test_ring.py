@@ -139,6 +139,7 @@ def test_colon_examples():
     assert colon(I, MonomialIdeal.unit(CTX2)) == I
     with pytest.raises(IdealDomainError):
         colon(I, MonomialIdeal.zero(CTX2))
+    assert colon(MonomialIdeal.zero(CTX2), I).is_zero()
 
 
 @pytest.mark.parametrize("op", [ideal_sum, ideal_product, intersect, colon,
@@ -199,6 +200,9 @@ def test_quotient_length_examples():
     assert quotient_length(I2((1, 0)), I2((2, 0))) is None
     with pytest.raises(IdealDomainError):
         quotient_length(I2((2, 0)), I2((1, 0)))  # not I <= J
+    line = RingContext(1)
+    with pytest.raises(IdealDomainError, match="I contained in J"):
+        quotient_length(MonomialIdeal(line, [(3,)]), MonomialIdeal(line, [(1,)]))
 
 
 def test_quotient_length_rejects_i_outside_j_past_an_infinite_slice():
@@ -318,6 +322,8 @@ def test_localize_examples():
     assert localize(I2((2, 0), (1, 1)), [0]).gens == ((1,),)
     I = I2((2, 0), (1, 1))
     assert localize(I, [0, 1]) == I
+    with pytest.raises(ValueError, match="nonempty variable subset"):
+        localize(I, [])
 
 
 def test_localize_commutes_with_intersection():
@@ -348,6 +354,7 @@ def test_degenerate_values_are_canonical():
     assert MonomialIdeal.zero(CTX2).gens == ()
     assert MonomialIdeal.unit(CTX2).gens == ((0, 0),)
     assert MonomialIdeal(CTX2, [(0, 0), (2, 1)]).is_unit()
+    assert (I2((1, 0)) == 3) is False
     assert ideal_product(MonomialIdeal.zero(CTX2), I2((1, 0))).is_zero()
     assert intersect(MonomialIdeal.zero(CTX2), I2((1, 0))).is_zero()
 
@@ -377,6 +384,9 @@ def test_ring_context_needs_an_integer_dimension():
         with pytest.raises(ValueError, match="integer >= 1"):
             RingContext(dim)
     assert RingContext(3).names == ("x", "y", "z")
+    assert RingContext(5).names == ("x1", "x2", "x3", "x4", "x5")
+    with pytest.raises(ValueError, match="variable names must be distinct"):
+        RingContext(2, ("x", "x"))
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ def test_fraction_strings():
     assert decimal_str(Fraction(1, 3), 6) == "0.333333"
     assert decimal_str(Fraction(-1, 2), 4) == "-0.5000"
     assert decimal_str(Fraction(2), 3) == "2.000"
+    assert decimal_str(None) == ""
 
 
 def test_dump_json_deterministic():

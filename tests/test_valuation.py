@@ -47,6 +47,17 @@ def test_parse_scalar_literals():
     assert parse_scalar("3/02").coeff == Fraction(3, 2)
     with pytest.raises(ValueError):
         ExactScalar(Fraction(-1))
+    # pi is the one constant; any other value, a string or not, is unknown
+    with pytest.raises(ValueError, match="unknown constant 'e'"):
+        ExactScalar(1, "e")
+    with pytest.raises(ValueError, match="unknown constant 'e'"):
+        parse_scalar("e")
+    with pytest.raises(ValueError, match=r"unknown constant \['pi'\]"):
+        ExactScalar(1, ["pi"])
+    # a rational's bracket has zero width
+    half = parse_scalar("3/2")
+    assert half.brackets(16) == (Fraction(3, 2), Fraction(3, 2))
+    assert str(half) == "3/2"
 
 
 def test_exact_scalar_rejects_float_and_bool_coefficients():
@@ -138,6 +149,8 @@ def test_ceil_mul_budget_exhaustion():
 
 
 def test_ceil_defect_lower_bound():
+    with pytest.raises(ValueError, match="irrational scalars"):
+        ceil_defect_lower_bound(parse_scalar("3/2"), 1)
     pi = parse_scalar("pi")
     for n in (1, 7, 113):
         d = ceil_defect_lower_bound(pi, n)
@@ -299,6 +312,8 @@ def test_valuation_of_ideal_examples():
     assert valuation_of_ideal(MonomialValuation((1, 0)), X) == 4
     with pytest.raises(ValueError):
         valuation_of_ideal(MonomialValuation((1, 0)), MonomialIdeal.zero(CTX2))
+    with pytest.raises(ValueError, match="valuation and ideal dimension differ"):
+        valuation_of_ideal(MonomialValuation((1, 0, 0)), X)
 
 
 def test_valuation_validation():
@@ -307,6 +322,8 @@ def test_valuation_validation():
     with pytest.raises(ValueError):
         MonomialValuation((-1, 2))
     assert MonomialValuation((1, 0)).center() == (0,)
+    with pytest.raises(ValueError, match="valuation and ring dimension differ"):
+        valuation_ideal(MonomialValuation((1, 0, 0)), 2, CTX2)
     # a level is an integer: 2.5 used to give (x^2.0) in one variable and a
     # bare TypeError in two, and True was read as 1
     for w in ((2,), (1, 1)):
