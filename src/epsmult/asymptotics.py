@@ -24,13 +24,12 @@ as a diagnostic column.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
 
 from ._record import Record
-from .filtration import DiscreteValuedFiltration, Filtration, filtration_dimension
+from .filtration import DiscreteValuedFiltration, Filtration, _levels, filtration_dimension
 from .ring import (
     IdealDomainError,
     MonomialIdeal,
@@ -219,38 +218,6 @@ def _sequence_report(seq: LengthSequence, window):
 # sequence computation
 # ---------------------------------------------------------------------------
 
-# per-n functions fn(F, n) -> length (None for an infinite colength)
-
-
-def _sat_quotient_at(F, n):
-    # the one saturation of the level, measured against the level
-    I = F.ideal_at(n)
-    return quotient_length(saturate(I), I)
-
-
-def _colength_at(F, n):
-    return colength(F.ideal_at(n))
-
-
-def _gap_at(inner_f, outer_f, n):
-    Jn = inner_f.ideal_at(n)
-    In = outer_f.ideal_at(n)
-    try:
-        lam = quotient_length(In, Jn)
-    except IdealDomainError:
-        raise ValueError(f"containment inner <= outer fails at n={n}") from None
-    if lam is None:
-        raise ValueError(f"lambda(outer_n/inner_n) is infinite at n={n}")
-    return lam
-
-
-def _entries(fn, F, N):
-    """(n, fn(F, n)) for n = 1..N, in n-order."""
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    return [(n, fn(F, n)) for n in range(1, N + 1)]
-
-
 def _weight_sat_lengths(weights, columns):
     """lambda(sat(I)/I) for each row of the level columns, I the meet of the
     two-variable cuts w . a >= n over the ``weights`` and the row's levels n,
@@ -327,11 +294,12 @@ def sat_quotient_sequence(F: Filtration, N, jobs=1) -> LengthSequence:
     not enter its memo table; every other level is built, saturated and
     measured.  ``jobs`` is accepted for compatibility and ignored: every
     level is computed in this process."""
-    if isinstance(F, DiscreteValuedFiltration) and F.ctx.dim == 2 and N >= 1:
+    levels = _levels(F, N)
+    if isinstance(F, DiscreteValuedFiltration) and F.ctx.dim == 2:
         entries = list(enumerate(_weight_sat_lengths(
             [v.weights for v, _ in F.pairs], [_ceil_range(a, N) for _, a in F.pairs]), start=1))
-    else:  # _entries rejects an N below 1
-        entries = _entries(_sat_quotient_at, F, N)
+    else:  # the one saturation of each level, measured against the level
+        entries = [(n, quotient_length(saturate(I), I)) for n, I in levels]
     return LengthSequence(dim=F.ctx.dim, entries=tuple(entries))
 
 
@@ -343,7 +311,7 @@ def epsilon_report(F: Filtration, N, window=None, jobs=1) -> EpsilonReport:
 
 def samuel_sequence(F: Filtration, N) -> LengthSequence:
     """Colengths of I_n (requires every member primary to the maximal ideal)."""
-    entries = _entries(_colength_at, F, N)
+    entries = [(n, colength(I)) for n, I in _levels(F, N)]
     for n, lam in entries:
         if lam is None:
             raise LocalizedSequenceError(
@@ -484,7 +452,16 @@ def epsilon_difference_check(inner_f: Filtration, outer_f: Filtration, N,
     Preconditions (checked for every n <= N, with a witness on violation):
     inner_n <= outer_n and lambda(outer_n / inner_n) finite.
     """
-    gap_entries = _entries(functools.partial(_gap_at, inner_f), outer_f, N)
+    gap_entries = []
+    for n, Jn in _levels(inner_f, N):
+        In = outer_f.ideal_at(n)
+        try:
+            lam = quotient_length(In, Jn)
+        except IdealDomainError:
+            raise ValueError(f"containment inner <= outer fails at n={n}") from None
+        if lam is None:
+            raise ValueError(f"lambda(outer_n/inner_n) is infinite at n={n}")
+        gap_entries.append((n, lam))
     gap_seq = LengthSequence(dim=outer_f.ctx.dim, entries=tuple(gap_entries))
     inner_rep = epsilon_report(inner_f, N, window=window)
     outer_rep = epsilon_report(outer_f, N, window=window)

@@ -21,7 +21,7 @@ degree), which forces the fiber cone to be zero dimensional.
 from __future__ import annotations
 
 from ._record import Record
-from .filtration import DiscreteValuedFiltration, Filtration, PowerFiltration
+from .filtration import DiscreteValuedFiltration, Filtration, PowerFiltration, _levels
 from .ring import (
     MonomialIdeal,
     divides,
@@ -70,11 +70,8 @@ def check_Ac(F: Filtration, c, N) -> AcReport:
     ideals for every n <= N; the first mismatch yields a witness generator."""
     if c < 1:
         raise ValueError("c must be a positive integer")
-    if N < 1:
-        raise ValueError("N must be at least 1")
     ctx = F.ctx
-    for n in range(1, N + 1):
-        In = F.ideal_at(n)
+    for n, In in _levels(F, N):
         mcn = maximal_power(ctx, c * n)
         left = intersect(saturate(In), mcn)
         right = intersect(In, mcn)
@@ -122,11 +119,8 @@ def spread_max_test(F: Filtration, N):
     representations (ideal powers, rational discrete-valued) the certificate
     asserts that the analytic spread equals the ring dimension; otherwise it
     only reports that the criterion holds."""
-    if N < 1:
-        raise ValueError("N must be at least 1")
     d = F.ctx.dim
-    for n in range(1, N + 1):
-        In = F.ideal_at(n)
+    for n, In in _levels(F, N):
         if saturate(In) != In:
             if isinstance(F, PowerFiltration):
                 rep = "ideal-power"
@@ -223,14 +217,13 @@ def spread_zero_test(F: Filtration, N, r_max):
     m * I_(rn) is never built, by the proper-divisor rule: x^b lies in it
     exactly when some minimal generator h of I_(rn) divides x^b with
     h != b (then b_i > h_i for some i, and x_i * x^h divides x^b)."""
-    if N < 1:
-        raise ValueError("N must be at least 1")
+    levels = _levels(F, N)
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
     entries = []
-    for n in range(1, N + 1):
+    for n, In in levels:
         bound = _adaptive_r_bound(F, n, r_max)
-        for g in F.ideal_at(n).gens:
+        for g in In.gens:
             found = None
             for r in range(2, bound + 1):
                 rg = tuple(r * e for e in g)
@@ -286,11 +279,9 @@ def toric_rank_bound(F: Filtration, N) -> int:
     I_n for n <= N, clamped to the ring dimension.  This is an upper bound
     for the analytic spread (the fiber cone is a quotient of the toric
     algebra on these exponents), never an exact value."""
-    if N < 1:
-        raise ValueError("N must be at least 1")
     rows = []
-    for n in range(1, N + 1):
-        for g in F.ideal_at(n).gens:
+    for n, In in _levels(F, N):
+        for g in In.gens:
             rows.append(list(g) + [n])
     if not rows:
         return 0

@@ -318,6 +318,14 @@ def _unit(ctx):
 # ---------------------------------------------------------------------------
 
 
+def _levels(F: Filtration, N):
+    """The pairs (n, I_n) for n = 1..N, built lazily in n-order, N checked
+    first: the one level loop of every length sequence and bounded search."""
+    if N < 1:
+        raise ValueError("N must be at least 1")
+    return ((n, F.ideal_at(n)) for n in range(1, N + 1))
+
+
 class Witness(Record):
     """First pair with I_m * I_n not contained in I_{m+n}."""
 
@@ -326,8 +334,10 @@ class Witness(Record):
 
 
 def validate_filtration(F: Filtration, N):
-    """Check the graded family axiom for all m + n <= N; return None when it
-    holds, else the first violating pair (by total degree, then m)."""
+    """Check the graded family axiom for all m + n <= N, N >= 2; return None
+    when it holds, else the first violating pair (by total degree, then m)."""
+    if N < 2:
+        raise ValueError("N must be at least 2")
     for s in range(2, N + 1):
         Is = F.ideal_at(s)
         for m in range(1, s // 2 + 1):

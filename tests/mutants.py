@@ -2,7 +2,7 @@
 
 Each row of ``MUTANTS`` is (file, old text, new text, pytest target, what
 the mutant breaks).  Run ``python tests/mutants.py`` from anywhere: it
-copies ``src/`` and ``tests/`` to a temporary directory, applies each row
+copies ``src/``, ``tests/`` and ``demos/`` to a temporary directory, applies each row
 alone to its file there, and runs the row's target against that copy with
 ``-x``.  It exits 1 if a mutant survives (its target passes), if a target
 does not run (pytest exits with neither 0 nor 1), or if a row's old text
@@ -28,6 +28,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 ASYMPTOTICS = "src/epsmult/asymptotics.py"
 NEWTON = "src/epsmult/newton.py"
+RING = "src/epsmult/ring.py"
+VALUATION = "src/epsmult/valuation.py"
 PLANE_SEQUENCE = "tests/test_asymptotics.py::test_batched_plane_sequence_matches_each_level"
 ENVELOPE = "tests/test_ring_properties.py::test_weight_sat_length_matches_fraction_reference"
 REPORT = "tests/test_asymptotics.py::test_sequence_report_matches_fraction_reference"
@@ -65,12 +67,12 @@ MUTANTS = [
      "steps.append((cross, (q - v0 * cross) * (L // v1), (v0, v1, q)))",
      ENVELOPE,
      "the lowest line at a shared crossing takes over, not the highest"),
-    ("src/epsmult/valuation.py",
+    (VALUATION,
      "return [c if n * hi_num <= c * hi_den else ceil_mul(a, n)",
      "return [c if n * lo_num <= c * lo_den else ceil_mul(a, n)",
      "tests/test_valuation.py::test_ceil_range_matches_ceil_mul",
      "ceil(n*lo) is certified against lo, so it passes where hi is above it"),
-    ("src/epsmult/ring.py",
+    (RING,
      "total += n * (n - 1) // 2 * (a // m) + n * (b // m)",
      "total += n * (n + 1) // 2 * (a // m) + n * (b // m)",
      "tests/test_ring_properties.py::test_floor_sum_matches_direct_sum",
@@ -125,11 +127,46 @@ MUTANTS = [
      "max_r = max(max_r, 0)",
      "tests/test_newton.py::test_compare_of_powers_builds_no_power",
      "a direction settled by the base-facet rule reports max_r_used 0, not 1"),
-    ("src/epsmult/ring.py",
+    (RING,
      "            if s == last:\n                continue\n",
      "",
      "tests/test_ring.py::test_minimalize_examples",
      "the stack keeps an entry whose slice equals the one below it"),
+    ("src/epsmult/filtration.py",
+     "if N < 1:",
+     "if N < 0:",
+     "tests/test_diagnostics.py::test_diagnostics_reject_an_empty_bound",
+     "a bound of 0 runs a search over no level instead of being rejected"),
+    (ASYMPTOTICS,
+     "Fraction(Y, D * m)",
+     "Fraction(Y, D * (m + 1))",
+     REPORT,
+     "the window mean divides by one value more than the window holds"),
+    (RING,
+     "s = (su if su > sv else sv) if flat else _meet(d - 1, su, sv)",
+     "s = (su if su < sv else sv) if flat else _meet(d - 1, su, sv)",
+     "tests/test_ring_properties.py::test_intersect_matches_reference",
+     "a two-variable meet takes the lower of two slices, not the higher"),
+    (RING,
+     "return u if u < v else v",
+     "return u if u > v else v",
+     "tests/test_ring_properties.py::test_product_and_sum_match_reference",
+     "a one-variable sum takes the higher exponent, not the lower"),
+    (VALUATION,
+     "return -(-a.coeff.numerator * n // a.coeff.denominator)",
+     "return a.coeff.numerator * n // a.coeff.denominator",
+     "tests/test_valuation.py::test_rational_ceil_mul_matches_fraction_reference",
+     "the rational ceil(n*a) is taken as a floor"),
+    (VALUATION,
+     "[-(-p * n // q) for n in ns]",
+     "[p * n // q for n in ns]",
+     "tests/test_valuation.py::test_ceil_range_matches_ceil_mul",
+     "the rational ceiling column is a column of floors"),
+    (RING,
+     "(i < nu and u[i][0] <= v[j][0])",
+     "(i < nu and u[i][0] < v[j][0])",
+     "tests/test_ring.py::test_saturate_matches_iterated_colon",
+     "two stacks' entries at one first coordinate are merged as two steps"),
 ]
 
 
@@ -137,7 +174,7 @@ def main():
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "demos"):
             shutil.copytree(ROOT / part, tmp / part,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         # no bytecode cache, so a mutant of the same size as the original

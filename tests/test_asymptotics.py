@@ -416,6 +416,12 @@ def test_difference_check_violations():
     with pytest.raises(ValueError,
                        match=r"^containment inner <= outer fails at n=1$"):
         epsilon_difference_check(Q, P, 10, window=3)
+    # an empty bound is named before any level is built, on the kernel
+    # branch of the report as on every other sequence
+    for call in (lambda: samuel_sequence(P, 0), lambda: epsilon_difference_check(Q, P, 0),
+                 lambda: truncation_sweep(pi_plane(), [1], 0), lambda: epsilon_report(small, 0)):
+        with pytest.raises(ValueError, match=r"^N must be at least 1$"):
+            call()
 
 
 def test_truncation_sweep_structure():

@@ -253,6 +253,11 @@ def test_diagnostics_reject_bad_parameters():
     T = family_K(1)
     with pytest.raises(ValueError, match="c must be a positive integer"):
         check_Ac(T, 0, 5)
+    # c is checked before N, and N before r_max
+    with pytest.raises(ValueError, match="c must be a positive integer"):
+        check_Ac(T, 0, 0)
+    with pytest.raises(ValueError, match="N must be at least 1"):
+        spread_zero_test(T, 0, 1)
     holds = check_Ac(T, 2, 5)
     assert holds.holds
     with pytest.raises(ValueError, match="report has no witness"):

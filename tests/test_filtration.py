@@ -60,6 +60,10 @@ def test_discrete_valued_recompute_matches_cache():
 def test_validate_filtration():
     P = PowerFiltration(maximal_power(CTX2, 2))
     assert validate_filtration(P, 20) is None
+    # no pair m + n <= N exists below N = 2
+    for N in (1, 0):
+        with pytest.raises(ValueError, match="N must be at least 2"):
+            validate_filtration(P, N)
     T = TemplateFiltration(CTX2, [("2", "0"), ("1", "2*n")])
     assert validate_filtration(T, 20) is None
     bad = TableFiltration(CTX2, [MonomialIdeal(CTX2, [(1, 0)]),
