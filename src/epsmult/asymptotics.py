@@ -310,13 +310,16 @@ def epsilon_report(F: Filtration, N, window=None, jobs=1) -> EpsilonReport:
 
 
 def samuel_sequence(F: Filtration, N) -> LengthSequence:
-    """Colengths of I_n (requires every member primary to the maximal ideal)."""
-    entries = [(n, colength(I)) for n, I in _levels(F, N)]
-    for n, lam in entries:
+    """Colengths of I_n (requires every member primary to the maximal
+    ideal; raises at the first one that is not, building no later level)."""
+    entries = []
+    for n, I in _levels(F, N):
+        lam = colength(I)
         if lam is None:
             raise LocalizedSequenceError(
                 f"I_{n} is not primary to the maximal ideal of "
                 f"{', '.join(F.ctx.names)}")
+        entries.append((n, lam))
     return LengthSequence(dim=F.ctx.dim, entries=tuple(entries))
 
 

@@ -18,16 +18,20 @@ minimalises them into a value, and the trusted ``_ideal`` wraps a value
 the kernel built itself.
 
 Each kernel operation is one private function over values, recursing on
-the slices down to a one-variable base case; hot loops take the
-two-variable step inline.  ``_steps`` merges two stacks into the runs on
-which both slices are constant, for ``_meet``, ``_contains`` and
-``_length``.  ``_grow`` joins slices placed at first coordinates into a
+the slices down to a one-variable base case.  ``_steps`` merges two
+stacks into the runs on which both slices are constant, for ``_meet`` and
+``_contains``.  ``_grow`` joins slices placed at first coordinates into a
 stack, for a sum (``_add``), a product (``_mul``: S_a*T_b at a + b) and
 minimalisation (``_minimal``).  ``_sat`` uses sat(I)_a = S_top meet
 sat(S_a), and ``_weight`` writes the value of an ideal cut out by weight
 inequalities (valuation ideals, their meets, powers of m and integral
 closures) from the cuts; ``_floor_sum`` serves the two-variable count of
-lambda(sat(I)/I) from the cuts in ``epsmult.asymptotics``.
+lambda(sat(I)/I) from the cuts in ``epsmult.asymptotics``.  In three
+variables, where the time goes, the two-variable step is taken inline
+rather than by recursion: ``_weight`` builds each slice with
+``_staircase`` (its two-variable case too), ``_sat`` meets S_top with the
+single corner sat(S_a) by clamping S_top's corners, and ``_length``
+merges its two stacks inline at every level.
 The public functions check the rings, handle the zero ideal and wrap the
 value.
 
@@ -322,7 +326,10 @@ def _sat(d, value):
     the top slice S_top of I, and saturating by the other variables acts
     on each slice alone, so sat(I)_a = S_top meet sat(S_a).  A one-variable
     ideal saturates to the unit ideal, so in two variables sat(I) is the
-    single corner x^(min a)*y^(min q)."""
+    single corner x^(min a)*y^(min q), and in three S_top meet sat(S_a) is
+    S_top meet (y^p*z^q), p and q the least exponents of y and z in S_a:
+    the lcms of S_top's corners with y^p*z^q, joined.
+    """
     if d == 1:
         return 0
     top = value[-1][1]
@@ -331,7 +338,19 @@ def _sat(d, value):
     out = []
     last = None
     for a, s in value:
-        t = _meet(d - 1, top, _sat(d - 1, s))
+        if d == 3:
+            p, q = s[0][0], s[-1][1]
+            t = []
+            for b, c in top:
+                if c < q:
+                    c = q
+                if b <= p:  # every corner up to p clamps to (p, c), the last one least
+                    t = [(p, c)]
+                elif not t or c < t[-1][1]:
+                    t.append((b, c))
+            t = tuple(t)
+        else:
+            t = _meet(d - 1, top, _sat(d - 1, s))
         if t != last:
             out.append((a, t))
             last = t
@@ -343,26 +362,37 @@ def _length(d, j, i):
     infinite; raises ``IdealDomainError`` unless I <= J.
 
     lambda(J/I) is the sum over a of lambda(J_a/I_a).  Both slices are
-    constant on each run of the merged stacks (below the first entry of J
-    both are zero), so each run adds its width times one slice length;
-    beyond the last entry the slices stay fixed, and the quotient is finite
-    only if they are equal there.  Each slice of I must lie in that of J,
-    which the walk checks on past a run that made the length infinite.
+    constant on each run of the two stacks, merged inline as ``_steps``
+    does (below the first entry of J both are zero), so each run adds its
+    width times one slice length; beyond the last entry the slices stay
+    fixed, and the quotient is finite only if they are equal there.  Each
+    slice of I must lie in that of J, which the walk checks on past a run
+    that made the length infinite.
     """
     if d == 1:
         if i < j:
             raise IdealDomainError("quotient_length requires I contained in J")
         return i - j
-    flat = d == 2
-    total = start = diff = 0
-    for a, sj, si in _steps(j, i):
+    nj, ni = len(j), len(i)
+    x = y = total = start = diff = 0
+    sj = si = None
+    while x < nj or y < ni:
+        if y == ni or (x < nj and j[x][0] <= i[y][0]):
+            a, sj = j[x]
+            x += 1
+            if y < ni and i[y][0] == a:
+                si = i[y][1]
+                y += 1
+        else:
+            a, si = i[y]
+            y += 1
         total = None if total is None or diff is None else total + (a - start) * diff
         if si is None:
             diff = 0 if sj is None else None
-        elif sj is None or (flat and sj > si):
+        elif sj is None or (d == 2 and sj > si):
             raise IdealDomainError("quotient_length requires I contained in J")
         else:
-            diff = si - sj if flat else _length(d - 1, sj, si)
+            diff = si - sj if d == 2 else _length(d - 1, sj, si)
         start = a
     return total if diff == 0 else None
 
@@ -370,42 +400,71 @@ def _length(d, j, i):
 def _weight(d, cuts):
     """The value of {x^a : w . a >= n for every cut (w, n)}.  A cut with
     n <= 0 always holds.  In one variable the ideal is (x^q) with q the
-    largest ceil(n/w[0]).  In d >= 2 variables the slice at first
-    exponent a has the cuts (w[1:], n - w[0]*a) one variable down.
-    The slices are zero below the least a meeting every cut whose other
-    weights are zero (those cuts then drop out) and constant from the
-    largest ceil(n/w[0]) on.  In two variables the slice (y^q) has q the
-    largest ceil(r/w[1]) over the cuts with r = n - w[0]*a > 0.
+    largest ceil(n/w[0]), and ``_staircase`` builds it in two.  In d >= 3
+    variables the slice at first exponent a has the cuts
+    (w[1:], n - w[0]*a) one variable down, built by ``_staircase`` directly
+    in three.  The slices are zero below the least a meeting every cut
+    whose other weights are zero (those cuts then drop out) and constant
+    from the largest ceil(n/w[0]) on.
     """
-    cuts = [(w, n) for w, n in cuts if n > 0]
-    if not cuts:
-        return _unit(d)
-    if d == 1:
-        return max(-(-n // w[0]) for w, n in cuts)
-    flat = d == 2
+    if d == 2:
+        return _staircase([(w0, w1, n) for (w0, w1), n in cuts])
     start = top = 0
     live = []
     for w, n in cuts:
-        bound = -(-n // w[0]) if w[0] else 0
-        top = max(top, bound)
-        if any(w[1:]):
-            live.append((w[0], w[1] if flat else w[1:], n))
-        else:
-            start = max(start, bound)
+        if n > 0:
+            bound = -(-n // w[0]) if w[0] else 0
+            top = max(top, bound)
+            if any(w[1:]):
+                live.append((w[0], w[1:], n))
+            else:
+                start = max(start, bound)
+    if d == 1:
+        return top
     stack = []
     last = None
     for a in range(start, top + 1):
-        if flat:
-            s = 0
-            for w0, w1, n in live:
-                r = n - w0 * a
-                if r > s * w1:  # ceil(r / w1) > s
-                    s = -(-r // w1)
+        if d == 3:
+            s = _staircase([(w1, w2, n - w0 * a) for w0, (w1, w2), n in live])
         else:
             s = _weight(d - 1, [(w, n - w0 * a) for w0, w, n in live])
         if s != last:
             stack.append((a, s))
             last = s
+    return tuple(stack)
+
+
+def _staircase(rows):
+    """The staircase of {y^b*z^c : w1*b + w2*c >= r for every row
+    (w1, w2, r)}, each (w1, w2) nonzero: a two-variable ideal of weight
+    cuts, or one slice of a three-variable one.  A row with r <= 0 always
+    holds.  The slices (z^q) are zero below the least b meeting every row
+    with w2 = 0 (those rows then drop out) and constant from the largest
+    ceil(r/w1) on; between, q is the largest ceil((r - w1*b)/w2) over the
+    other rows, at least 0."""
+    start = top = 0
+    live = []
+    for row in rows:
+        w1, w2, r = row
+        if r > 0:
+            bound = -(-r // w1) if w1 else 0
+            if bound > top:
+                top = bound
+            if w2:
+                live.append(row)
+            elif bound > start:
+                start = bound
+    stack = []
+    last = None
+    for b in range(start, top + 1):
+        q = 0
+        for w1, w2, r in live:
+            r -= w1 * b
+            if r > q * w2:  # ceil(r / w2) > q
+                q = -(-r // w2)
+        if q != last:
+            stack.append((b, q))
+            last = q
     return tuple(stack)
 
 

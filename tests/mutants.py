@@ -34,13 +34,16 @@ PLANE_SEQUENCE = "tests/test_asymptotics.py::test_batched_plane_sequence_matches
 ENVELOPE = "tests/test_ring_properties.py::test_weight_sat_length_matches_fraction_reference"
 REPORT = "tests/test_asymptotics.py::test_sequence_report_matches_fraction_reference"
 POWER_MEMBERSHIP = "tests/test_ring_properties.py::test_power_membership_matches_r_loop"
+SLICED_LENGTH = "tests/test_ring_properties.py::test_sliced_length_matches_reference"
 
 # Equivalent mutants of the two-variable count, left out: which of two equal
 # lines leads (equal lines give equal columns), and whether a line takes
 # over at the first column where it reaches the leader or the first where
 # it passes it.  Equivalent in the classifier: ``abs(mean)`` as ``mean`` in
 # the tolerance, since every length is a count, so the window's values
-# d! * lam / n^d and their mean are never negative.
+# d! * lam / n^d and their mean are never negative.  Equivalent in the
+# two-variable staircase: ``r > q * w2`` as ``r >= q * w2``, since its loop
+# keeps only rows with w2 > 0, and at r = q * w2 the ceiling r / w2 is q.
 MUTANTS = [
     (ASYMPTOTICS,
      "lengths.append(_floor_sum(-(-r // w0), w1, -w0, r + w1 - 1))",
@@ -165,8 +168,23 @@ MUTANTS = [
     (RING,
      "(i < nu and u[i][0] <= v[j][0])",
      "(i < nu and u[i][0] < v[j][0])",
-     "tests/test_ring.py::test_saturate_matches_iterated_colon",
+     "tests/test_ring.py::test_quotient_length_against_enumeration_oracle",
      "two stacks' entries at one first coordinate are merged as two steps"),
+    (RING,
+     "            if w2:\n                live.append(row)",
+     "            if w1:\n                live.append(row)",
+     "tests/test_ring_properties.py::test_weight_ideal_matches_intersected_valuation_ideals",
+     "the staircase keeps the rows with w1 > 0 in its loop, not those with w2 > 0"),
+    (RING,
+     "if b <= p:",
+     "if b < p:",
+     "tests/test_ring_properties.py::test_saturate_matches_reference_and_laws",
+     "the three-variable saturation clamps the corners left of p but not one at p"),
+    (RING,
+     "(d == 2 and sj > si)",
+     "(d == 2 and sj >= si)",
+     SLICED_LENGTH,
+     "the two-variable length walk rejects a slice of I equal to that of J"),
 ]
 
 

@@ -71,6 +71,21 @@ def test_sat_quotient_sequence_examples():
     assert [lam for _, lam in seqP.entries] == [n * (n + 1) // 2 for n in range(1, 11)]
 
 
+def test_space_sequence_matches_simplex_count():
+    # I_n = (x)^A meet m^B in three variables, A = ceil(n*a) and
+    # B = ceil(n*b), x along each axis: sat(I_n) = (x^A), and the quotient
+    # is the monomials of (x^A) of degree below B, C(B - A + 2, 3) of them
+    ctx = RingContext(3)
+    for a, b in ((1, 2), (Fraction(7, 8), Fraction(15, 8)),
+                 (Fraction(4, 3), Fraction(11, 5)), (Fraction(1, 2), Fraction(5, 2))):
+        for axis in range(3):
+            first = tuple(int(i == axis) for i in range(3))
+            F = DiscreteValuedFiltration(ctx, [(MonomialValuation(first), ExactScalar(a)),
+                                               (MonomialValuation((1, 1, 1)), ExactScalar(b))])
+            assert [lam for _, lam in sat_quotient_sequence(F, 8).entries] == [
+                math.comb(math.ceil(n * b) - math.ceil(n * a) + 2, 3) for n in range(1, 9)]
+
+
 @st.composite
 def plane_discrete_valued(draw):
     """A discrete-valued filtration in two variables: one to three pairs,
@@ -114,10 +129,12 @@ def test_batched_plane_sequence_matches_each_level(F, N):
 
 def test_samuel_sequence_rejects_levels_not_m_primary():
     # (x)^n has infinite colength in k[x, y]; its saturation quotient is
-    # finite (zero), as every sat(I)/I = H^0_m(R/I) is
+    # finite (zero), as every sat(I)/I = H^0_m(R/I) is.  The sequence stops
+    # at the first infinite colength, so no later level is built
     P = PowerFiltration(MonomialIdeal(CTX2, [(1, 0)]))
     with pytest.raises(LocalizedSequenceError, match="I_1 is not primary"):
-        samuel_sequence(P, 5)
+        samuel_sequence(P, 40)
+    assert list(P._cache) == [1]
     assert sat_quotient_sequence(P, 5).entries == tuple((n, 0) for n in range(1, 6))
 
 

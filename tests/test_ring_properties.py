@@ -199,6 +199,9 @@ def test_product_and_sum_match_reference(pair):
 
 @PROPERTY_ANY_DIM
 @given(any_dim_ideals)
+# S_top has corners left of and at p = 2, the first y-exponent of S_0, so
+# the three-variable clamp merges them into one corner at p
+@example(MonomialIdeal(CTXS[3], [(1, 0, 3), (1, 1, 2), (1, 2, 0), (0, 2, 1)]))
 def test_saturate_matches_reference_and_laws(I):
     S = saturate(I)
     assert S == ref_saturate(I) == saturate_by_colon(I)
@@ -268,6 +271,11 @@ def weight_cuts(draw):
 
 @PROPERTY_ANY_DIM
 @given(weight_cuts())
+# three-variable slices: at a = 3 every cut has r <= 0; a cut with w1 = 0;
+# a cut with w2 = 0 and w1 > 0
+@example((3, [((1, 0, 0), 1), ((1, 1, 1), 3)]))
+@example((3, [((1, 0, 2), 6), ((1, 1, 1), 5)]))
+@example((3, [((1, 2, 0), 6), ((0, 1, 3), 4)]))
 def test_weight_ideal_matches_intersected_valuation_ideals(dcuts):
     d, cuts = dcuts
     ctx = CTXS[d]
@@ -436,6 +444,8 @@ def test_sweep_minimalisation_matches_reference(pts):
 
 @PROPERTY
 @given(high_dim_pairs)
+# J/(J meet K) and J/(J*K) are infinite inside the slice at x^1
+@example((MonomialIdeal(CTXS[3], [(1, 0, 0)]), MonomialIdeal(CTXS[3], [(0, 1, 0)])))
 def test_sliced_length_matches_reference(pair):
     J, K = pair
     meet = intersect(J, K)
