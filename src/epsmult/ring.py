@@ -400,7 +400,8 @@ def _length(d, j, i):
 def _weight(d, cuts):
     """The value of {x^a : w . a >= n for every cut (w, n)}.  A cut with
     n <= 0 always holds.  In one variable the ideal is (x^q) with q the
-    largest ceil(n/w[0]), and ``_staircase`` builds it in two.  In d >= 3
+    largest ceil(n/w[0]) (0 with no cut left), and ``_staircase`` builds
+    it in two.  In d >= 3
     variables the slice at first exponent a has the cuts
     (w[1:], n - w[0]*a) one variable down, built by ``_staircase`` directly
     in three.  The slices are zero below the least a meeting every cut
