@@ -20,18 +20,20 @@ the kernel built itself.
 Each kernel operation is one private function over values, recursing on
 the slices down to a one-variable base case.  ``_steps`` merges two
 stacks into the runs on which both slices are constant, for ``_meet`` and
-``_contains``.  ``_grow`` joins slices placed at first coordinates into a
-stack, for a sum (``_add``), a product (``_mul``: S_a*T_b at a + b) and
-minimalisation (``_minimal``).  ``_sat`` uses sat(I)_a = S_top meet
-sat(S_a), and ``_weight`` writes the value of an ideal cut out by weight
-inequalities (valuation ideals, their meets, powers of m and integral
-closures) from the cuts; ``_floor_sum`` serves the two-variable count of
-lambda(sat(I)/I) from the cuts in ``epsmult.asymptotics``.  In three
-variables, where the time goes, the two-variable step is taken inline
-rather than by recursion: ``_weight`` builds each slice with
-``_staircase`` (its two-variable case too), ``_sat`` meets S_top with the
-single corner sat(S_a) by clamping S_top's corners, and ``_length``
-merges its two stacks inline at every level.
+``_contains``.  ``_mul`` writes the sum of the products of a list of pairs
+of values: the slice products S_a*T_b of every pair gathered at a + b,
+each key's slice built once from them and the slice below.  It serves a
+product (one pair), a sum (each value paired with the unit ideal), each
+level of a truncation and minimalisation (``_minimal``).  ``_sat`` uses
+sat(I)_a = S_top meet sat(S_a), and ``_weight`` writes the value of an
+ideal cut out by weight inequalities (valuation ideals, their meets,
+powers of m and integral closures) from the cuts; ``_floor_sum`` serves
+the two-variable count of lambda(sat(I)/I) from the cuts in
+``epsmult.asymptotics``.  In three variables, where the time goes, the
+two-variable step is taken inline rather than by recursion: ``_weight``
+builds each slice with ``_staircase`` (its two-variable case too),
+``_sat`` meets S_top with the single corner sat(S_a) by clamping S_top's
+corners, and ``_length`` merges its two stacks inline at every level.
 The public functions check the rings, handle the zero ideal and wrap the
 value.
 
@@ -42,7 +44,7 @@ the same result by any writer) and every operation is pure.
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
+from collections import defaultdict
 
 from ._record import Record
 
@@ -212,34 +214,20 @@ def _compatible(I, J):
 
 
 def _minimal(d, points):
-    """The value of the ideal generated by a list of ``points``: each
-    column of points of equal first coordinate a, projected, joins the
-    slices from a on."""
+    """The value of the ideal generated by a list of ``points``: the product
+    of the unit ideal with entries (a, slice), in two variables the points
+    themselves and in d >= 3 one per column of points of first coordinate
+    a, its slice the value of the projected column."""
     if not points:
         return None
     if d == 1:
         return min(points)[0]
-    if d == 2:
-        return _grow(2, sorted(points))
-    return _grow(d, [(a, _minimal(d - 1, [p[1:] for p in column]))
-                     for a, column in itertools.groupby(sorted(points), itemgetter(0))])
-
-
-def _grow(d, entries):
-    """The stack in d >= 2 variables whose slice at c is the sum of the
-    slices of the entries (a, v) with a <= c, from entries by increasing a.
-    The sum of one-variable slices (y^q) is the one of smaller exponent."""
-    stack = []
-    for a, s in entries:
-        if stack:
-            last = stack[-1][1]
-            s = (s if s < last else last) if d == 2 else _add(d - 1, last, s)
-            if s == last:
-                continue
-            if stack[-1][0] == a:
-                stack.pop()
-        stack.append((a, s))
-    return tuple(stack)
+    if d > 2:
+        columns = defaultdict(list)
+        for p in points:
+            columns[p[0]].append(p[1:])
+        points = [(a, _minimal(d - 1, c)) for a, c in columns.items()]
+    return _mul(d, ((points, _unit(d)),))
 
 
 def _points(d, value):
@@ -278,21 +266,51 @@ def _steps(u, v):
         yield a, su, sv
 
 
-def _add(d, u, v):
-    """I + J for nonzero values: the entries of both stacks, joined."""
+def _mul(d, pairs):
+    """The value of the sum of the products u*v over ``pairs`` of nonzero
+    values: a product is one pair, and a pair with the unit ideal adds its
+    other value.  In one variable it is the least u + v.  In two, each
+    column a + b keeps its least height s + t over the corners (a, s) of u
+    and (b, t) of v, and one pass by increasing column keeps those whose
+    height falls.  In d >= 3 the slice pairs (S_a, T_b) of every pair are
+    gathered by a + b, and the slice at each key, by increasing key, is the
+    sum of their products and of the slice below, one variable down."""
     if d == 1:
-        return u if u < v else v
-    return _grow(d, sorted(u + v, key=itemgetter(0)))
-
-
-def _mul(d, u, v):
-    """I * J for nonzero values: the slice products S_a * T_b placed at
-    a + b and joined, by increasing a + b, to the slices below."""
-    if d == 1:
-        return u + v
-    flat = d == 2
-    return _grow(d, sorted([(a + b, s + t if flat else _mul(d - 1, s, t))
-                            for a, s in u for b, t in v], key=itemgetter(0)))
+        return min(u + v for u, v in pairs)
+    if d == 2:
+        low = {}
+        for u, v in pairs:
+            for a, s in u:
+                for b, t in v:
+                    c = a + b
+                    h = s + t
+                    if c not in low or h < low[c]:
+                        low[c] = h
+        stack = []
+        last = None
+        for c in sorted(low):
+            h = low[c]
+            if last is None or h < last:
+                stack.append((c, h))
+                last = h
+        return tuple(stack)
+    buckets = defaultdict(list)
+    for u, v in pairs:
+        for a, s in u:
+            for b, t in v:
+                buckets[a + b].append((s, t))
+    unit = _unit(d - 1)
+    stack = []
+    below = None
+    for c in sorted(buckets):
+        bucket = buckets[c]
+        if below is not None:
+            bucket.append((below, unit))
+        s = _mul(d - 1, bucket)
+        if s != below:
+            stack.append((c, s))
+            below = s
+    return tuple(stack)
 
 
 def _meet(d, u, v):
@@ -473,14 +491,16 @@ def ideal_sum(I, J):
     """I + J."""
     _compatible(I, J)
     u, v = I._stack, J._stack
-    return _ideal(I.ctx, v if u is None else u if v is None else _add(I.dim, u, v))
+    unit = _unit(I.dim)
+    return _ideal(I.ctx, v if u is None else u if v is None
+                  else _mul(I.dim, ((u, unit), (v, unit))))
 
 
 def ideal_product(I, J):
     """I * J."""
     _compatible(I, J)
     u, v = I._stack, J._stack
-    return _ideal(I.ctx, None if u is None or v is None else _mul(I.dim, u, v))
+    return _ideal(I.ctx, None if u is None or v is None else _mul(I.dim, ((u, v),)))
 
 
 def ideal_power(I, n):

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .ring import MonomialIdeal, RingContext
 from .ring import _format_monomial as format_monomial
@@ -86,8 +86,50 @@ def decimal_str(q, places=12):
 
 
 def dump_json(obj):
-    """Deterministic JSON bytes: sorted keys, fixed separators, newline end."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON text, written in one pass: the bytes of
+    ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``.  Values are
+    strings, ints, bools, None, lists and tuples (both as arrays) and dicts
+    with string keys; anything else raises ``TypeError``."""
+    parts = []
+    _write_json(obj, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write_json(obj, newline, parts):
+    """Append the JSON text of ``obj`` to ``parts``, its nested lines
+    starting with ``newline`` and two more spaces."""
+    if isinstance(obj, str):
+        parts.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        parts.append("null")
+    elif obj is True or obj is False:
+        parts.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple, dict)):
+        if not obj:
+            parts.append("{}" if isinstance(obj, dict) else "[]")
+            return
+        inner = newline + "  "
+        if isinstance(obj, dict):
+            head = "{"
+            for key, value in sorted(obj.items()):
+                if not isinstance(key, str):
+                    raise TypeError(f"JSON keys must be strings, got {key!r}")
+                parts.append(head + inner + encode_basestring_ascii(key) + ": ")
+                _write_json(value, inner, parts)
+                head = ","
+            parts.append(newline + "}")
+        else:
+            head = "["
+            for item in obj:
+                parts.append(head + inner)
+                _write_json(item, inner, parts)
+                head = ","
+            parts.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def rows_to_csv(columns, rows):

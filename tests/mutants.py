@@ -9,7 +9,8 @@ does not run (pytest exits with neither 0 nor 1), or if a row's old text
 does not occur exactly once in its file, so a change that rewrites the
 mutated code must update its rows on purpose.  The property tests are
 derandomized (``tests/conftest.py``), so each mutant meets the same
-examples on every run.
+examples on every run, and run under its ``mutants`` profile, which skips
+shrinking: a row needs a failing example, not a minimal one.
 
 Removing a row or weakening its target is a change to a check.  Mutants
 that no test can kill, because they compute the same values, are kept as
@@ -35,6 +36,7 @@ ENVELOPE = "tests/test_ring_properties.py::test_weight_sat_length_matches_fracti
 REPORT = "tests/test_asymptotics.py::test_sequence_report_matches_fraction_reference"
 POWER_MEMBERSHIP = "tests/test_ring_properties.py::test_power_membership_matches_r_loop"
 SLICED_LENGTH = "tests/test_ring_properties.py::test_sliced_length_matches_reference"
+TRUNCATION_DP = "tests/test_filtration.py::test_truncate_dp_matches_enumeration"
 
 # Equivalent mutants of the two-variable count, left out: which of two equal
 # lines leads (equal lines give equal columns), and whether a line takes
@@ -131,9 +133,9 @@ MUTANTS = [
      "tests/test_newton.py::test_compare_of_powers_builds_no_power",
      "a direction settled by the base-facet rule reports max_r_used 0, not 1"),
     (RING,
-     "            if s == last:\n                continue\n",
-     "",
-     "tests/test_ring.py::test_minimalize_examples",
+     "if s != below:",
+     "if s is not below:",
+     "tests/test_ring.py::test_minimalize_idempotent_and_order_independent",
      "the stack keeps an entry whose slice equals the one below it"),
     ("src/epsmult/filtration.py",
      "if N < 1:",
@@ -151,10 +153,10 @@ MUTANTS = [
      "tests/test_ring_properties.py::test_intersect_matches_reference",
      "a two-variable meet takes the lower of two slices, not the higher"),
     (RING,
-     "return u if u < v else v",
-     "return u if u > v else v",
+     "return min(u + v for u, v in pairs)",
+     "return max(u + v for u, v in pairs)",
      "tests/test_ring_properties.py::test_product_and_sum_match_reference",
-     "a one-variable sum takes the higher exponent, not the lower"),
+     "a one-variable sum of products takes the highest exponent, not the lowest"),
     (VALUATION,
      "return -(-a.coeff.numerator * n // a.coeff.denominator)",
      "return a.coeff.numerator * n // a.coeff.denominator",
@@ -185,6 +187,21 @@ MUTANTS = [
      "(d == 2 and sj >= si)",
      SLICED_LENGTH,
      "the two-variable length walk rejects a slice of I equal to that of J"),
+    (RING,
+     "bucket.append((below, unit))",
+     "pass",
+     "tests/test_ring.py::test_sum_of_products_joins_the_slice_below",
+     "the slice at a key of a product is the sum of its own slice products only"),
+    (RING,
+     "if last is None or h < last:",
+     "if last is None or h <= last:",
+     TRUNCATION_DP,
+     "the two-variable pass keeps a column whose height equals the one before"),
+    (RING,
+     "if c not in low or h < low[c]:",
+     "if c not in low or h > low[c]:",
+     TRUNCATION_DP,
+     "a column of a two-variable product keeps its larger height, not its least"),
 ]
 
 
@@ -210,7 +227,8 @@ def main():
             start = time.perf_counter()
             try:
                 code = subprocess.run(
-                    [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", target],
+                    [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                     "--hypothesis-profile=mutants", target],
                     cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                 ).returncode
             finally:

@@ -1,5 +1,6 @@
 """Reference monomial-ideal kernel: the plain algorithms that the slice
-stacks of ``epsmult.ring`` (products and sums included) and
+stacks of ``epsmult.ring`` (products and sums included), the per-pair
+stack product that its sum-of-products kernel replaced, and
 ``epsmult.valuation``, the exact facets of
 ``epsmult.newton``, its closure membership and closure comparison over
 powers read off the bases' facets, the zero-spread search by proper
@@ -15,6 +16,7 @@ stack merges or recursive slices of the fast kernel beyond the
 import itertools
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 
 from epsmult.filtration import (
     DiscreteValuedFiltration,
@@ -75,6 +77,40 @@ def ref_ideal_product(I, J):
 def ref_ideal_sum(I, J):
     """The union of the generators, minimalised."""
     return ref_ideal(I.ctx, I.gens + J.gens)
+
+
+def ref_grow(d, entries):
+    """The stack in d >= 2 variables whose slice at c is the sum of the
+    slices of the entries (a, v) with a <= c, from entries by increasing a:
+    the predecessor's join, one entry at a time."""
+    stack = []
+    for a, s in entries:
+        if stack:
+            last = stack[-1][1]
+            s = min(s, last) if d == 2 else ref_stack_sum(d - 1, last, s)
+            if s == last:
+                continue
+            if stack[-1][0] == a:
+                stack.pop()
+        stack.append((a, s))
+    return tuple(stack)
+
+
+def ref_stack_sum(d, u, v):
+    """I + J for nonzero values, as the predecessor built it: the entries of
+    both stacks, joined by ``ref_grow``."""
+    if d == 1:
+        return min(u, v)
+    return ref_grow(d, sorted(u + v, key=itemgetter(0)))
+
+
+def ref_stack_product(d, u, v):
+    """I * J for nonzero values, as the predecessor built it: each slice
+    product S_a * T_b on its own at a + b, then joined by ``ref_grow``."""
+    if d == 1:
+        return u + v
+    return ref_grow(d, sorted([(a + b, s + t if d == 2 else ref_stack_product(d - 1, s, t))
+                               for a, s in u for b, t in v], key=itemgetter(0)))
 
 
 def ref_slice_stack(I):

@@ -7,6 +7,7 @@ from epsmult.ring import (
     IdealDomainError,
     MonomialIdeal,
     RingContext,
+    _ideal,
     _weight_ideal,
     colength,
     colon,
@@ -122,6 +123,16 @@ def test_product_contains_generator_sums():
         for a in I.gens:
             for b in J.gens:
                 assert P.contains(tuple(x + y for x, y in zip(a, b)))
+
+
+def test_sum_of_products_joins_the_slice_below():
+    # the one slice product of U*V at x^3 is S_0*T_3, and S_2*T_0 below it
+    # is not contained in it; the slice at x^3 must join both, or x^5*z^3,
+    # which x^2*z^3 divides, would list as a generator.  The operands are
+    # written as values, so that no kernel sum builds them
+    U = _ideal(CTX3, ((0, ((2, 0),)), (2, ((0, 1), (2, 0)))))  # (y^2, x^2*z)
+    V = _ideal(CTX3, ((0, ((0, 2),)), (3, ((0, 2), (1, 0)))))  # (z^2, x^3*y)
+    assert ideal_product(U, V).gens == ((0, 2, 2), (2, 0, 3), (3, 3, 0), (5, 1, 1))
 
 
 def test_intersect_examples():

@@ -37,6 +37,7 @@ from epsmult.ring import (
     MonomialIdeal,
     RingContext,
     _floor_sum,
+    _mul,
     _weight_ideal,
     ideal_power,
     ideal_product,
@@ -67,6 +68,8 @@ from ring_reference import (
     ref_samuel_of_quotient,
     ref_saturate,
     ref_slice_stack,
+    ref_stack_product,
+    ref_stack_sum,
     ref_valuation_ideal,
     saturate_by_colon,
     spec,
@@ -195,6 +198,40 @@ def test_product_and_sum_match_reference(pair):
         assert S.gens == ref_ideal_sum(A, B).gens
         assert_stack_consistent(P)
         assert_stack_consistent(S)
+
+
+@st.composite
+def sums_of_products(draw):
+    """One to three pairs of nonzero ideals in one to four variables, their
+    operands drawn from a pool of one to three ideals (the unit ideal
+    among the draws), so that an operand may repeat."""
+    d = draw(st.sampled_from((2, 1, 3, 4)))
+    nonzero = (ideals if d == 2 else ideals_of(d)).filter(lambda I: not I.is_zero())
+    operand = st.sampled_from(draw(st.lists(nonzero, min_size=1, max_size=3)))
+    return d, draw(st.lists(st.tuples(operand, operand), min_size=1, max_size=3))
+
+
+@PROPERTY_ANY_DIM
+@given(sums_of_products())
+# S_0*T_1 and S_1*T_0 share the key 1, across the two pairs too
+@example((3, [(MonomialIdeal(CTXS[3], [(0, 2, 0), (1, 0, 1)]),
+               MonomialIdeal(CTXS[3], [(0, 0, 3), (1, 1, 0)])),
+              (MonomialIdeal(CTXS[3], [(1, 1, 1)]), MonomialIdeal(CTXS[3], [(0, 3, 0)]))]))
+# a unit operand and a repeated one
+@example((4, [(MonomialIdeal(CTXS[4], [(1, 0, 2, 0), (0, 3, 0, 1)]), MonomialIdeal.unit(CTXS[4])),
+              (MonomialIdeal(CTXS[4], [(1, 0, 2, 0), (0, 3, 0, 1)]),
+               MonomialIdeal(CTXS[4], [(1, 0, 2, 0), (0, 3, 0, 1)]))]))
+def test_sum_of_products_matches_predecessor_fold(case):
+    # the kernel's one sum of products against the per-pair products it
+    # replaced, folded by the predecessor's own sum, so that no step of the
+    # oracle runs the kernel
+    d, pairs = case
+    values = [(I._stack, J._stack) for I, J in pairs]
+    fold = None
+    for u, v in values:
+        p = ref_stack_product(d, u, v)
+        fold = p if fold is None else ref_stack_sum(d, fold, p)
+    assert _mul(d, values) == fold
 
 
 @PROPERTY_ANY_DIM

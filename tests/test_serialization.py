@@ -1,6 +1,10 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from epsmult.ring import MonomialIdeal, RingContext, intersect, maximal_power
 from epsmult.textio import (
@@ -14,6 +18,7 @@ from epsmult.textio import (
     rows_to_csv,
 )
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 CTX2 = RingContext(2)
 CTX3 = RingContext(3, ("a", "b", "c"))
 
@@ -65,6 +70,34 @@ def test_dump_json_deterministic():
     s2 = dump_json({"a": {"y": None, "z": "1/2"}, "b": [1, 2]})
     assert s1 == s2
     assert s1.endswith("\n")
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.rglob("*.json")),
+                         ids=lambda p: str(p.relative_to(GOLDEN)))
+def test_dump_json_redumps_golden_files(path):
+    text = path.read_text()
+    assert dump_json(json.loads(text)) == text
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text() | st.integers(0, 20).map(str), inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=200)
+@given(json_values)
+@example({"1": [], "10": {}, "2": "é\u2603\n\"\\", "": [[{}], None, True, -7]})
+def test_dump_json_matches_json_dumps(obj):
+    assert dump_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def test_dump_json_writes_tuples_as_lists_and_rejects_floats_and_other_keys():
+    assert dump_json({"a": (1, (2,))}) == dump_json({"a": [1, [2]]})
+    for obj in (1.5, {"a": [0.0]}, {1: "x"}, {"a": {None: 1}}, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            dump_json(obj)
 
 
 def test_rows_to_csv():
