@@ -214,20 +214,35 @@ def _compatible(I, J):
 
 
 def _minimal(d, points):
-    """The value of the ideal generated by a list of ``points``: the product
-    of the unit ideal with entries (a, slice), in two variables the points
-    themselves and in d >= 3 one per column of points of first coordinate
-    a, its slice the value of the projected column."""
+    """The value of the ideal generated by a list of ``points``: in two
+    variables the staircase of the sorted points, and in d >= 3 the product
+    of the unit ideal with entries (a, slice), one per column of points of
+    first coordinate a, its slice the value of the projected column (in
+    three the column itself, since the two-variable kernel reads any list
+    of corners)."""
     if not points:
         return None
     if d == 1:
         return min(points)[0]
-    if d > 2:
-        columns = defaultdict(list)
-        for p in points:
-            columns[p[0]].append(p[1:])
-        points = [(a, _minimal(d - 1, c)) for a, c in columns.items()]
-    return _mul(d, ((points, _unit(d)),))
+    if d == 2:
+        return _corners(sorted(points))
+    columns = defaultdict(list)
+    for p in points:
+        columns[p[0]].append(p[1:])
+    return _mul(d, (([(a, c if d == 3 else _minimal(d - 1, c)) for a, c in columns.items()],
+                     _unit(d)),))
+
+
+def _corners(points):
+    """The two-variable staircase of ``points`` sorted by first coordinate:
+    the points whose height falls below every earlier one."""
+    stack = []
+    last = None
+    for a, q in points:
+        if last is None or q < last:
+            stack.append((a, q))
+            last = q
+    return tuple(stack)
 
 
 def _points(d, value):
@@ -271,8 +286,7 @@ def _mul(d, pairs):
     values: a product is one pair, and a pair with the unit ideal adds its
     other value.  In one variable it is the least u + v.  In two, each
     column a + b keeps its least height s + t over the corners (a, s) of u
-    and (b, t) of v, and one pass by increasing column keeps those whose
-    height falls.  In d >= 3 the slice pairs (S_a, T_b) of every pair are
+    and (b, t) of v, and ``_corners`` keeps those whose height falls.  In d >= 3 the slice pairs (S_a, T_b) of every pair are
     gathered by a + b, and the slice at each key, by increasing key, is the
     sum of their products and of the slice below, one variable down."""
     if d == 1:
@@ -286,14 +300,7 @@ def _mul(d, pairs):
                     h = s + t
                     if c not in low or h < low[c]:
                         low[c] = h
-        stack = []
-        last = None
-        for c in sorted(low):
-            h = low[c]
-            if last is None or h < last:
-                stack.append((c, h))
-                last = h
-        return tuple(stack)
+        return _corners(sorted(low.items()))
     buckets = defaultdict(list)
     for u, v in pairs:
         for a, s in u:

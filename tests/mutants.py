@@ -193,10 +193,10 @@ MUTANTS = [
      "tests/test_ring.py::test_sum_of_products_joins_the_slice_below",
      "the slice at a key of a product is the sum of its own slice products only"),
     (RING,
-     "if last is None or h < last:",
-     "if last is None or h <= last:",
+     "if last is None or q < last:",
+     "if last is None or q <= last:",
      TRUNCATION_DP,
-     "the two-variable pass keeps a column whose height equals the one before"),
+     "a two-variable staircase keeps a corner whose height equals the one before"),
     (RING,
      "if c not in low or h < low[c]:",
      "if c not in low or h > low[c]:",

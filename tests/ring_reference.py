@@ -1,16 +1,18 @@
 """Reference monomial-ideal kernel: the plain algorithms that the slice
-stacks of ``epsmult.ring`` (products and sums included), the per-pair
-stack product that its sum-of-products kernel replaced, and
+stacks of ``epsmult.ring`` (products and sums included) and
 ``epsmult.valuation``, the exact facets of
 ``epsmult.newton``, its closure membership and closure comparison over
 powers read off the bases' facets, the zero-spread search by proper
 divisors and the localization of filtration specs replaced, kept as test
-oracles, and brute-force counts.
+oracles; the per-pair stack product that the ring's sum-of-products
+kernel replaced; and brute-force counts.
 
-Every result here is built from candidate generator lists by validating each
-point and minimalising with pairwise divisibility, so nothing shares the
-stack merges or recursive slices of the fast kernel beyond the
-``MonomialIdeal`` value type.
+Apart from that stack product (``ref_stack_product`` and
+``ref_stack_sum``, the predecessor's own code), every result here is built
+from candidate generator lists by validating each point and minimalising
+with pairwise divisibility, so nothing shares the stack merges or
+recursive slices of the fast kernel beyond the ``MonomialIdeal`` value
+type.
 """
 
 import itertools

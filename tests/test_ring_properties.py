@@ -1,6 +1,7 @@
 """Property tests: the kernel equals the reference kernel in
 ``ring_reference`` on random ideals, zero and unit ideals included, in one
-to four variables: intersection, products and sums, containment,
+to four variables: intersection, products and sums (and the kernel's
+sum of products against the per-pair products it replaced), containment,
 saturation with its laws, valuation ideals, ideals of several weight cuts
 (meets of valuation ideals), powers of m, minimalisation and lengths; the
 saturation length of a two-variable ideal of weight cuts, counted from its
