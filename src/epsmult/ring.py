@@ -24,7 +24,8 @@ stacks into the runs on which both slices are constant, for ``_meet`` and
 of values: the slice products S_a*T_b of every pair gathered at a + b,
 each key's slice built once from them and the slice below.  It serves a
 product (one pair), a sum (each value paired with the unit ideal), each
-level of a truncation and minimalisation (``_minimal``).  ``_sat`` uses
+level of a truncation and minimalisation (``_minimal``, whose two-variable
+case is the kernel's last pass ``_corners``).  ``_sat`` uses
 sat(I)_a = S_top meet sat(S_a), and ``_weight`` writes the value of an
 ideal cut out by weight inequalities (valuation ideals, their meets,
 powers of m and integral closures) from the cuts; ``_floor_sum`` serves
@@ -215,11 +216,11 @@ def _compatible(I, J):
 
 def _minimal(d, points):
     """The value of the ideal generated by a list of ``points``: in two
-    variables the staircase of the sorted points, and in d >= 3 the product
-    of the unit ideal with entries (a, slice), one per column of points of
-    first coordinate a, its slice the value of the projected column (in
-    three the column itself, since the two-variable kernel reads any list
-    of corners)."""
+    variables the staircase of the sorted points; in d >= 3 the kernel's
+    product of the unit ideal with one entry (a, slice) per column of
+    points of first coordinate a, the slice the value of the projected
+    column (in three the column as it is, since the two-variable kernel
+    reads any list of corners)."""
     if not points:
         return None
     if d == 1:
@@ -229,8 +230,8 @@ def _minimal(d, points):
     columns = defaultdict(list)
     for p in points:
         columns[p[0]].append(p[1:])
-    return _mul(d, (([(a, c if d == 3 else _minimal(d - 1, c)) for a, c in columns.items()],
-                     _unit(d)),))
+    entries = [(a, c if d == 3 else _minimal(d - 1, c)) for a, c in columns.items()]
+    return _mul(d, ((entries, _unit(d)),))
 
 
 def _corners(points):
@@ -286,9 +287,10 @@ def _mul(d, pairs):
     values: a product is one pair, and a pair with the unit ideal adds its
     other value.  In one variable it is the least u + v.  In two, each
     column a + b keeps its least height s + t over the corners (a, s) of u
-    and (b, t) of v, and ``_corners`` keeps those whose height falls.  In d >= 3 the slice pairs (S_a, T_b) of every pair are
-    gathered by a + b, and the slice at each key, by increasing key, is the
-    sum of their products and of the slice below, one variable down."""
+    and (b, t) of v, and ``_corners`` keeps those whose height falls.  In
+    d >= 3 the slice pairs (S_a, T_b) of every pair are gathered by a + b,
+    and the slice at each key, by increasing key, is the sum of their
+    products and of the slice below, one variable down."""
     if d == 1:
         return min(u + v for u, v in pairs)
     if d == 2:
