@@ -4,7 +4,9 @@ spread certificates, and a toric lattice rank upper bound.
 Property A(c) asks that (I_n : m^infinity) meet m^(cn) equal I_n meet m^(cn)
 for all n; it is exactly the hypothesis under which the normalized
 saturation-quotient sequence converges, so failures are reported with a
-re-checkable witness monomial.
+re-checkable witness monomial.  It holds at n exactly when every monomial
+of sat(I_n) outside I_n has degree below cn, which ``check_Ac`` reads off
+the two values (``ring._top``) without building m^(cn).
 
 Spread certificates come in two kinds.  A maximality certificate records an
 n with I_n strictly smaller than its saturation (the maximal ideal is then
@@ -15,7 +17,9 @@ reports that the criterion holds but the inference is withheld.  A
 zero-spread certificate records, for every minimal generator g of I_n, an
 exponent r with g^r in m * I_(rn); such generator-level certificates imply
 element-level nilpotency for a common exponent by pigeonhole (recorded per
-degree), which forces the fiber cone to be zero dimensional.
+degree), which forces the fiber cone to be zero dimensional.  The search
+decides g^r in m * I_(rn) by membership in the value of I_(rn)
+(``ring._has``), never listing its generators.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from ._record import Record
 from .filtration import DiscreteValuedFiltration, Filtration, PowerFiltration, _levels
 from .ring import (
     MonomialIdeal,
-    divides,
+    _has,
+    _top,
     ideal_product,
     intersect,
     maximal_power,
@@ -66,20 +71,28 @@ class AcReport(Record):
 
 
 def check_Ac(F: Filtration, c, N) -> AcReport:
-    """Compare saturate(I_n) cap m^(cn) with I_n cap m^(cn) as canonical
-    ideals for every n <= N; the first mismatch yields a witness generator."""
+    """Decide saturate(I_n) cap m^(cn) = I_n cap m^(cn) for every n <= N:
+    it holds exactly when the largest degree of a monomial of
+    saturate(I_n) outside I_n (``ring._top``) is finite and below cn, and
+    always for a zero I_n.  Only the first failing level builds m^(cn) and
+    both meets, and its witness is the first generator, in grlex order, of
+    the left one outside the right one."""
     if c < 1:
         raise ValueError("c must be a positive integer")
-    ctx = F.ctx
     for n, In in _levels(F, N):
-        mcn = maximal_power(ctx, c * n)
-        left = intersect(saturate(In), mcn)
+        value = In._stack
+        if value is None:
+            continue
+        sat = saturate(In)
+        top = _top(In.dim, sat._stack, value)
+        if top is not None and top < c * n:
+            continue
+        mcn = maximal_power(F.ctx, c * n)
         right = intersect(In, mcn)
-        if left != right:
-            # right <= left always, so some generator of left is missing
-            witness = next(g for g in left.gens if not right.contains(g))
-            return AcReport(c=c, bound=N, holds=False, witness_n=n,
-                            witness=witness)
+        # right <= left, and the gap reaches degree cn, so some generator
+        # of left is missing from right
+        witness = next(g for g in intersect(sat, mcn).gens if not right.contains(g))
+        return AcReport(c=c, bound=N, holds=False, witness_n=n, witness=witness)
     return AcReport(c=c, bound=N, holds=True)
 
 
@@ -214,20 +227,22 @@ def spread_zero_test(F: Filtration, N, r_max):
     F, defect being a certified lower bound on ceil(n*a) - n*a; a failure
     reports bound(n) as ``searched_up_to``.
 
-    m * I_(rn) is never built, by the proper-divisor rule: x^b lies in it
-    exactly when some minimal generator h of I_(rn) divides x^b with
-    h != b (then b_i > h_i for some i, and x_i * x^h divides x^b)."""
+    m * I_(rn) is never built: x^b lies in it exactly when x^(b - e_i)
+    lies in I_(rn) for some i with b_i >= 1, decided by ``ring._has`` on
+    the value of I_(rn) (the exponents come from minimal generators, so
+    they need no validation)."""
     levels = _levels(F, N)
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
+    d = F.ctx.dim
     entries = []
     for n, In in levels:
         bound = _adaptive_r_bound(F, n, r_max)
         for g in In.gens:
             found = None
             for r in range(2, bound + 1):
-                rg = tuple(r * e for e in g)
-                if any(h != rg and divides(h, rg) for h in F.ideal_at(r * n).gens):
+                value = F.ideal_at(r * n)._stack
+                if value is not None and _in_m_times(d, value, tuple(r * e for e in g)):
                     found = r
                     break
             if found is None:
@@ -236,10 +251,17 @@ def spread_zero_test(F: Filtration, N, r_max):
     return ZeroSpreadCertificate(bound=N, r_max=r_max, entries=tuple(entries))
 
 
+def _in_m_times(d, value, b):
+    """x^b lies in m * I for the nonzero value of I: some x^(b - e_i) with
+    b_i >= 1 lies in I."""
+    return any(e and _has(d, value, b[:i] + (e - 1,) + b[i + 1:])
+               for i, e in enumerate(b))
+
+
 def verify_zero_certificate(F: Filtration, cert: ZeroSpreadCertificate) -> bool:
     """Re-check every generator certificate by direct containment in
     m * I_(rn), built with ``ideal_product``: an independent check of the
-    proper-divisor rule that ``spread_zero_test`` decides by."""
+    membership rule that ``spread_zero_test`` decides by."""
     m = MonomialIdeal.maximal(F.ctx)
     targets = {}  # r*n -> m * I_(rn)
     for n, g, r in cert.entries:

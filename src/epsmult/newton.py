@@ -38,7 +38,6 @@ from .ring import (
     MonomialIdeal,
     _check_exponent,
     _ideal,
-    _member,
     _minimal,
     _weight_ideal,
 )
@@ -231,7 +230,7 @@ def np_membership(I: MonomialIdeal, a) -> bool:
         raise ValueError("the zero ideal has no Newton polyhedron")
     a = _check_exponent(a, I.dim)
     if I.dim > 3:
-        return _member(I.gens, a) or _lp_convex_dominated(I.gens, a)
+        return I.contains(a) or _lp_convex_dominated(I.gens, a)
     return all(_dot(w, a) >= rhs for w, rhs in _hull_of(I)[0])
 
 

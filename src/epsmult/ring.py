@@ -35,8 +35,11 @@ two-variable step is taken inline rather than by recursion: ``_weight``
 builds each slice with ``_staircase`` (its two-variable case too),
 ``_sat`` meets S_top with the single corner sat(S_a) by clamping S_top's
 corners, and ``_length`` merges its two stacks inline at every level.
-The public functions check the rings, handle the zero ideal and wrap the
-value.
+``_top`` walks the same merge for the largest degree of a monomial of J
+outside I (the A(c) check in ``epsmult.diagnostics``), and ``_has``
+decides membership of one monomial from the value, slice by slice, so no
+membership test lists generators.  The public functions check the rings,
+handle the zero ideal and wrap the value.
 
 All values are immutable (the generator list is built at most once, with
 the same result by any writer) and every operation is pure.
@@ -123,11 +126,6 @@ def _format_monomial(exp, names):
     return "*".join(factors) if factors else "1"
 
 
-def _member(gens, a):
-    """Some generator divides the (already valid) exponent ``a``."""
-    return any(divides(g, a) for g in gens)
-
-
 class MonomialIdeal:
     """A monomial ideal: its value ``_stack``, set at construction, and its
     minimal generators ``gens`` in grlex order (``()`` for the zero ideal),
@@ -185,8 +183,11 @@ class MonomialIdeal:
         return f"MonomialIdeal({gens or 0})"
 
     def contains(self, a):
-        """Membership of the monomial x^a: some generator divides a."""
-        return _member(self.gens, _check_exponent(a, self.dim))
+        """Membership of the monomial x^a, read from the value by ``_has``
+        once ``a`` is validated; no generator list is built."""
+        a = _check_exponent(a, self.dim)
+        value = self._stack
+        return value is not None and _has(self.dim, value, a)
 
     def contains_ideal(self, other):
         """Ideal containment other <= self."""
@@ -422,6 +423,63 @@ def _length(d, j, i):
             diff = si - sj if d == 2 else _length(d - 1, sj, si)
         start = a
     return total if diff == 0 else None
+
+
+def _top(d, j, i):
+    """The largest degree of a monomial of J outside I, for nonzero values
+    i of I <= j of J: -1 when J = I, ``None`` when the degrees are
+    unbounded.  In one variable the gap is x^j .. x^(i-1).  In d >= 2 the
+    stacks are merged as ``_length`` merges them; a run [a, a_next) of
+    constant slices adds a_next - 1 to the top of its slices' gap (in two
+    variables si - 1 when si > sj), and a zero slice of I under a nonzero
+    one of J, or a gap left open past the last entry, is unbounded.
+    """
+    if d == 1:
+        return i - 1 if i > j else -1
+    nj, ni = len(j), len(i)
+    x = y = 0
+    best = cur = -1
+    sj = si = None
+    while x < nj or y < ni:
+        if y == ni or (x < nj and j[x][0] <= i[y][0]):
+            a, sj = j[x]
+            x += 1
+            if y < ni and i[y][0] == a:
+                si = i[y][1]
+                y += 1
+        else:
+            a, si = i[y]
+            y += 1
+        if cur is None:
+            return None
+        if cur >= 0:
+            best = max(best, a - 1 + cur)
+        if sj is None:
+            cur = -1
+        elif si is None:
+            cur = None
+        elif d == 2:
+            cur = si - 1 if si > sj else -1
+        else:
+            cur = _top(d - 1, sj, si)
+    return best if cur == -1 else None
+
+
+def _has(d, value, a):
+    """x^a lies in the ideal of the nonzero value ``value``: variable by
+    variable, the slice of the last entry whose key is at most that
+    exponent (none: the slice is zero) holds the rest of ``a``."""
+    for k in range(d - 1):
+        e = a[k]
+        s = None
+        for b, t in value:
+            if b > e:
+                break
+            s = t
+        if s is None:
+            return False
+        value = s
+    return a[-1] >= value
 
 
 def _weight(d, cuts):

@@ -55,22 +55,24 @@ _PI_CACHE: dict[int, tuple[int, int, int, int]] = {}
 def _pi_brackets(digits):
     """Certified lo < pi < hi with hi - lo < 10^-digits (Machin's formula), as
     the integers (lo.numerator, lo.denominator, hi.numerator, hi.denominator);
-    cached per precision level."""
+    cached per precision level.
+
+    The term counts always meet the width.  A bracket of arctan(1/x) from K
+    and K + 1 terms is as wide as the last term, 1/((2K+1) x^(2K+1)), so
+    hi - lo = 16/((2K+1) 5^(2K+1)) + 4/((2L+1) 239^(2L+1)) for K = t5 and
+    L = t239, each at least 2.  With D = digits, K >= 0.72 D + 1.01 and
+    L >= 0.22 D + 1.01, so 5^(2K+1) > 125 * 5^(1.44 D) > 125 * 10^D (as
+    1.44 log10(5) > 1.006) and 239^(2L+1) > 239^3 * 239^(0.44 D) >
+    10^(7+D) (as 0.44 log10(239) > 1.04); hence
+    hi - lo < (16/625 + 4/(5 * 10^7)) 10^-D < 10^-D / 30."""
     if digits in _PI_CACHE:
         return _PI_CACHE[digits]
-    target = Fraction(1, 10**digits)
-    # terms chosen from the tail bound of each series, then verified
-    t5 = max(2, int(0.72 * digits) + 2)
-    t239 = max(2, int(0.22 * digits) + 2)
-    while True:
-        lo5, hi5 = _atan_inv_brackets(5, t5)
-        lo239, hi239 = _atan_inv_brackets(239, t239)
-        lo = 16 * lo5 - 4 * hi239
-        hi = 16 * hi5 - 4 * lo239
-        if hi - lo < target:
-            break
-        t5 += 4
-        t239 += 2
+    t5 = 72 * digits // 100 + 2
+    t239 = 22 * digits // 100 + 2
+    lo5, hi5 = _atan_inv_brackets(5, t5)
+    lo239, hi239 = _atan_inv_brackets(239, t239)
+    lo = 16 * lo5 - 4 * hi239
+    hi = 16 * hi5 - 4 * lo239
     _PI_CACHE[digits] = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     return _PI_CACHE[digits]
 

@@ -37,6 +37,7 @@ REPORT = "tests/test_asymptotics.py::test_sequence_report_matches_fraction_refer
 POWER_MEMBERSHIP = "tests/test_ring_properties.py::test_power_membership_matches_r_loop"
 SLICED_LENGTH = "tests/test_ring_properties.py::test_sliced_length_matches_reference"
 TRUNCATION_DP = "tests/test_filtration.py::test_truncate_dp_matches_enumeration"
+GAP_TOP = "tests/test_ring_properties.py::test_gap_top_matches_box_count"
 
 # Equivalent mutants of the two-variable count, left out: which of two equal
 # lines leads (equal lines give equal columns), and whether a line takes
@@ -202,6 +203,36 @@ MUTANTS = [
      "if c not in low or h > low[c]:",
      TRUNCATION_DP,
      "a column of a two-variable product keeps its larger height, not its least"),
+    (RING,
+     "if below is not None:\n            bucket.append((below, unit))",
+     "if below is not None and d > 3:\n            bucket.append((below, unit))",
+     "tests/test_ring_properties.py::test_sweep_minimalisation_matches_reference",
+     "a three-variable minimalisation leaves the slice below out of each key's slice"),
+    (RING,
+     "best = max(best, a - 1 + cur)",
+     "best = max(best, a + cur)",
+     GAP_TOP,
+     "a run of the gap ends at a_next, not at a_next - 1"),
+    (RING,
+     "return best if cur == -1 else None",
+     "return best",
+     GAP_TOP,
+     "a gap left open past the last entry counts as bounded"),
+    (RING,
+     "if b > e:",
+     "if b >= e:",
+     "tests/test_ring_properties.py::test_contains_matches_generator_divisors",
+     "membership at an entry's own key reads the slice below that entry"),
+    ("src/epsmult/diagnostics.py",
+     "_has(d, value, b[:i] + (e - 1,) + b[i + 1:])",
+     "_has(d, value, b)",
+     "tests/test_diagnostics.py::test_spread_zero_not_found_for_maximal_powers",
+     "the zero-spread rule asks for x^b in I_(rn), not in m * I_(rn)"),
+    ("src/epsmult/diagnostics.py",
+     "if top is not None and top < c * n:",
+     "if top is not None and top <= c * n:",
+     "tests/test_diagnostics.py::test_check_Ac_matches_reference",
+     "A(c) holds at n with a gap monomial of degree exactly cn"),
 ]
 
 

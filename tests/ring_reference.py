@@ -2,17 +2,21 @@
 stacks of ``epsmult.ring`` (products and sums included) and
 ``epsmult.valuation``, the exact facets of
 ``epsmult.newton``, its closure membership and closure comparison over
-powers read off the bases' facets, the zero-spread search by proper
-divisors and the localization of filtration specs replaced, kept as test
-oracles; the per-pair stack product that the ring's sum-of-products
-kernel replaced; and brute-force counts.
+powers read off the bases' facets, the zero-spread search by membership
+in the values, the A(c) check by the top degree of the saturation gap and
+the localization of filtration specs replaced, kept as test oracles; the
+per-pair stack product that the ring's sum-of-products kernel replaced;
+and brute-force counts.
 
 Apart from that stack product (``ref_stack_product`` and
 ``ref_stack_sum``, the predecessor's own code), every result here is built
 from candidate generator lists by validating each point and minimalising
-with pairwise divisibility, so nothing shares the stack merges or
-recursive slices of the fast kernel beyond the ``MonomialIdeal`` value
-type.
+with pairwise divisibility, and its value is joined by the predecessor's
+``ref_grow``, so nothing shares the stack merges, the sum-of-products
+kernel or the recursive slices of the fast kernel beyond the
+``MonomialIdeal`` value type.  Membership here is ``ref_member``, a
+divisor among the generators, never ``MonomialIdeal.contains``, which
+reads the kernel's value.
 """
 
 import itertools
@@ -27,6 +31,7 @@ from epsmult.filtration import (
     TemplateFiltration,
 )
 from epsmult.diagnostics import (
+    AcReport,
     ZeroSpreadCertificate,
     ZeroSpreadNotFound,
     _adaptive_r_bound,
@@ -44,20 +49,25 @@ from epsmult.ring import (
     IdealDomainError,
     MonomialIdeal,
     RingContext,
+    _ideal,
     _localized_ring,
     colength,
     divides,
     ideal_power,
     ideal_product,
+    intersect,
     localize,
+    maximal_power,
+    saturate,
 )
 
 
 def ref_ideal(ctx, points):
     """The validating constructor: check every exponent, keep the
-    divisibility-minimal points, order them grlex.  The ideal's value comes
-    from the public constructor; its generator list is this one, so
-    ``.gens`` of an oracle ideal never reads the kernel's listing."""
+    divisibility-minimal points, order them grlex.  The value is joined
+    from the generators by ``ref_grow`` (``ref_point_value``), not by the
+    kernel, and the generator list is this one, so neither the value nor
+    ``.gens`` of an oracle ideal comes from the code under test."""
     pts = set()
     for p in points:
         p = tuple(p)
@@ -65,9 +75,27 @@ def ref_ideal(ctx, points):
             raise ValueError(f"bad exponent {p}")
         pts.add(p)
     gens = [p for p in pts if not any(q != p and divides(q, p) for q in pts)]
-    I = MonomialIdeal(ctx, gens)
+    I = _ideal(ctx, ref_point_value(ctx.dim, gens))
     I._gens = tuple(sorted(gens, key=lambda e: (sum(e), e)))
     return I
+
+
+def ref_point_value(d, points):
+    """The value of the ideal generated by ``points`` (``None`` if there
+    are none): in one variable the least exponent; in more, the points
+    sorted by first coordinate, each entered as the slice of its one
+    monomial in the other variables, joined by ``ref_grow``."""
+    if not points:
+        return None
+    if d == 1:
+        return min(p[0] for p in points)
+    return ref_grow(d, sorted(((p[0], ref_point_value(d - 1, [p[1:]])) for p in points),
+                              key=itemgetter(0)))
+
+
+def ref_member(I, a):
+    """x^a lies in I: some generator of I divides a."""
+    return any(divides(g, a) for g in I.gens)
 
 
 def ref_ideal_product(I, J):
@@ -132,8 +160,8 @@ def ref_slice_stack(I):
 
 
 def ref_contains_ideal(I, J):
-    """J <= I by public membership of every generator of J."""
-    return all(I.contains(g) for g in J.gens)
+    """J <= I by the membership of every generator of J."""
+    return all(ref_member(I, g) for g in J.gens)
 
 
 def ref_intersect(I, J):
@@ -317,7 +345,7 @@ def brute_quotient_length(J, I, k_cap=100):
     simplex below k + maxdeg(J)."""
     d = J.dim
     for k in range(k_cap):
-        if all(I.contains(tuple(a + b for a, b in zip(g, m)))
+        if all(ref_member(I, tuple(a + b for a, b in zip(g, m)))
                for g in J.gens for m in _monomials_of_degree(d, k)):
             break
     else:
@@ -327,7 +355,7 @@ def brute_quotient_length(J, I, k_cap=100):
         1
         for total in range(bound)
         for m in _monomials_of_degree(d, total)
-        if J.contains(m) and not I.contains(m))
+        if ref_member(J, m) and not ref_member(I, m))
 
 
 def ref_samuel_of_quotient(I):
@@ -549,7 +577,7 @@ def ref_filtration_integral_member(F, a, m, r_max):
         raise ValueError("degree must be positive")
     a = tuple(a)
     if isinstance(F, DiscreteValuedFiltration) and F.is_rational_discrete_valued:
-        if F.ideal_at(m).contains(a):
+        if ref_member(F.ideal_at(m), a):
             return ClosureMembership(status="yes", r=1)
         return ClosureMembership(
             status="no",
@@ -594,6 +622,24 @@ def ref_rees_closure_compare(F, G, N, r_max):
                           max_r_used=max_r)
 
 
+def ref_check_Ac(F, c, N):
+    """A(c) up to N as ``check_Ac`` decided it before it read the top degree
+    of the saturation gap: saturate(I_n) meet m^(cn) against I_n meet
+    m^(cn), compared as ideals at every n; the first mismatch gives the
+    first generator of the left one outside the right one."""
+    if c < 1:
+        raise ValueError("c must be a positive integer")
+    for n in range(1, N + 1):
+        In = F.ideal_at(n)
+        mcn = maximal_power(F.ctx, c * n)
+        left = intersect(saturate(In), mcn)
+        right = intersect(In, mcn)
+        if left != right:
+            witness = next(g for g in left.gens if not ref_member(right, g))
+            return AcReport(c=c, bound=N, holds=False, witness_n=n, witness=witness)
+    return AcReport(c=c, bound=N, holds=True)
+
+
 def ref_spread_zero_test(F, N, r_max):
     """Zero-spread search by containment of g^r in m * I_(rn), the product
     built with ``ideal_product`` once per level n and exponent r tried."""
@@ -607,7 +653,7 @@ def ref_spread_zero_test(F, N, r_max):
             for r in range(2, bound + 1):
                 if r not in targets:
                     targets[r] = ideal_product(m, F.ideal_at(r * n))
-                if targets[r].contains(tuple(r * e for e in g)):
+                if ref_member(targets[r], tuple(r * e for e in g)):
                     found = r
                     break
             if found is None:

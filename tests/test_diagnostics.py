@@ -32,7 +32,7 @@ from epsmult.ring import (
 )
 from epsmult.valuation import ExactScalar, MonomialValuation
 from fraction_reference import ref_rational_rank
-from ring_reference import LocalizedFiltration, ref_spread_zero_test, spec
+from ring_reference import LocalizedFiltration, ref_check_Ac, ref_spread_zero_test, spec
 
 CTX2 = RingContext(2)
 
@@ -203,12 +203,12 @@ def test_spread_zero_not_found_for_maximal_powers():
 
 
 @st.composite
-def spread_filtrations(draw):
+def spread_filtrations(draw, dims=st.integers(1, 3)):
     """Affine templates, discrete-valued filtrations with rational or
     pi-multiple multipliers (the pi ones raise the search bound), and
-    powers (which rarely have zero-spread evidence) in one to three
-    variables."""
-    d = draw(st.integers(1, 3))
+    powers (which rarely have zero-spread evidence) in a number of
+    variables drawn from ``dims``, one to three by default."""
+    d = draw(dims)
     ctx = RingContext(d)
     small = st.integers(0, 2)
     kind = draw(st.sampled_from(("template", "rational", "pi", "power")))
@@ -238,6 +238,25 @@ def test_spread_zero_matches_product_reference(F, N, r_max):
     assert fast == ref_spread_zero_test(F, N, r_max), spec(F)
     if isinstance(fast, ZeroSpreadCertificate):
         assert verify_zero_certificate(F, fast)
+
+
+@settings(max_examples=100)
+@given(spread_filtrations(st.integers(2, 3)), st.integers(1, 8))
+# zero levels are skipped, and a unit level has no gap
+@example(TableFiltration(CTX2, [MonomialIdeal.zero(CTX2), MonomialIdeal.unit(CTX2),
+                                MonomialIdeal.zero(CTX2), MonomialIdeal(CTX2, [(2, 0), (1, 1)])]), 4)
+@example(family_K(2), 8)
+# the gap of (x^(2n), x*y^n) reaches degree 3n - 2, so A(2) first fails at n = 2
+@example(TemplateFiltration(CTX2, [("2*n", "0"), ("1", "n")]), 4)
+@example(pi_plane(), 5)
+def test_check_Ac_matches_reference(F, N):
+    # the top degree of the saturation gap against the meets with m^(cn),
+    # whole reports compared, witnesses included
+    for c in range(1, 5):
+        rep = check_Ac(F, c, N)
+        assert rep == ref_check_Ac(F, c, N), (spec(F), c)
+        if not rep.holds:
+            assert verify_ac_witness(F, rep)
 
 
 @pytest.mark.parametrize("N", [0, -2])

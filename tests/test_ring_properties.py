@@ -22,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from epsmult import ring
 from epsmult.asymptotics import ideal_multiplicity, samuel_of_quotient
 from epsmult.filtration import PowerFiltration, TemplateFiltration
 from epsmult.newton import (
@@ -39,6 +40,7 @@ from epsmult.ring import (
     RingContext,
     _floor_sum,
     _mul,
+    _top,
     _weight_ideal,
     ideal_power,
     ideal_product,
@@ -63,6 +65,7 @@ from ring_reference import (
     ref_integral_closure,
     ref_intersect,
     ref_maximal_power,
+    ref_member,
     ref_normalized_covolume,
     ref_quotient_length,
     ref_quotient_length_2d,
@@ -480,6 +483,25 @@ def test_sweep_minimalisation_matches_reference(pts):
     assert_stack_consistent(X)
 
 
+def test_reference_ideals_do_not_run_the_kernel(monkeypatch):
+    # ref_ideal joins its value with the predecessor's ref_grow, so the
+    # oracles compared with == share no step with minimalisation or the
+    # sum-of-products kernel
+    pts = {1: [(5,), (3,)],
+           2: [(2, 0), (1, 1), (0, 3), (2, 2)],
+           3: [(0, 2, 1), (1, 0, 1), (1, 1, 0), (0, 2, 1), (2, 0, 0), (1, 2, 2)],
+           4: [(1, 0, 2, 0), (0, 3, 0, 1), (1, 0, 0, 2), (0, 0, 1, 1), (2, 2, 2, 2)]}
+    kernel = {d: MonomialIdeal(CTXS[d], p) for d, p in pts.items()}
+
+    def kernel_ran(*args):
+        raise AssertionError("the reference ran the kernel")
+
+    for name in ("_minimal", "_mul", "_corners"):
+        monkeypatch.setattr(ring, name, kernel_ran)
+    for d, p in pts.items():
+        assert ref_ideal(CTXS[d], p) == kernel[d], d
+
+
 @PROPERTY
 @given(high_dim_pairs)
 # J/(J meet K) and J/(J*K) are infinite inside the slice at x^1
@@ -503,6 +525,65 @@ def test_sliced_length_rejects_non_containment(pair):
     else:
         with pytest.raises(IdealDomainError):
             quotient_length(J, I)
+
+
+@PROPERTY_ANY_DIM
+@given(any_dim_ideals, st.lists(st.tuples(*[st.integers(0, 10)] * 4), max_size=6))
+def test_contains_matches_generator_divisors(I, points):
+    # membership read from the value against a divisor among the reference
+    # generators, at random points, at every generator and one step below it
+    ref = ref_ideal(I.ctx, I.gens)
+    below = [g[:i] + (g[i] - 1,) + g[i + 1:] for g in I.gens for i in range(I.dim) if g[i]]
+    for a in [p[:I.dim] for p in points] + list(I.gens) + below:
+        assert I.contains(a) == ref_member(ref, a), a
+
+
+def box_gap_top(J, I):
+    """The largest degree of a monomial of J outside I, -1 if there is none
+    and ``None`` if the degrees are unbounded, for ideals built by
+    ``ref_ideal`` with membership by ``ref_member``.  Membership in either
+    ideal reads each exponent only up to B, one more than every generator
+    exponent, so the box [0, B]^d holds the whole gap up to that cap: the
+    gap is unbounded exactly when it meets the box's upper faces."""
+    B = 1 + max(max(g) for g in I.gens + J.gens)
+    top = -1
+    for a in product(range(B + 1), repeat=I.dim):
+        if ref_member(J, a) and not ref_member(I, a):
+            if B in a:
+                return None
+            top = max(top, sum(a))
+    return top
+
+
+@st.composite
+def gap_pairs(draw):
+    """A nonzero meet I = A meet B in one to four variables and an ideal
+    J >= I: I itself, its saturation (a finite gap), A or I + K (often
+    unbounded gaps)."""
+    d = draw(st.sampled_from((2, 1, 3, 4)))
+    nonzero = (ideals if d == 2 else ideals_of(d)).filter(lambda I: not I.is_zero())
+    A = draw(nonzero)
+    I = intersect(A, draw(nonzero))
+    kind = draw(st.sampled_from(("same", "sat", "A", "sum")))
+    if kind == "sat":
+        return saturate(I), I
+    if kind == "sum":
+        return ideal_sum(I, draw(nonzero)), I
+    return (I if kind == "same" else A), I
+
+
+@PROPERTY_ANY_DIM
+@given(gap_pairs())
+@example((MonomialIdeal.unit(CTXS[3]), MonomialIdeal.unit(CTXS[3])))  # J = I = R
+@example((MonomialIdeal.unit(CTXS[3]), maximal_power(CTXS[3], 3)))  # R over m^3: degree 2
+@example((MonomialIdeal(CTX2, [(1, 0)]), MonomialIdeal(CTX2, [(1, 1)])))  # x^k*y^0: unbounded
+@example((MonomialIdeal(CTXS[1], [(2,)]), MonomialIdeal(CTXS[1], [(5,)])))  # x^2 .. x^4
+# at x^1 the slices' gap y^k is unbounded, in a run that closes at x^2
+@example((MonomialIdeal(CTXS[3], [(1, 0, 0)]), MonomialIdeal(CTXS[3], [(1, 0, 1), (2, 0, 0)])))
+def test_gap_top_matches_box_count(pair):
+    J, I = pair
+    assert _top(I.dim, J._stack, I._stack) == box_gap_top(
+        ref_ideal(J.ctx, J.gens), ref_ideal(I.ctx, I.gens)), (J.gens, I.gens)
 
 
 def proper_ideals(ctx, max_exp):

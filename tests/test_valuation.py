@@ -141,6 +141,17 @@ def test_pi_brackets_match_the_term_by_term_sums(monkeypatch):
     assert [_pi_brackets(digits) for digits in _DIGITS[:5]] == got
 
 
+def test_pi_brackets_meet_the_width_without_more_terms(monkeypatch):
+    # the term counts alone give hi - lo < 10^-digits (the proof is in the
+    # docstring), at every precision up to 399 digits and at each doubling
+    # up to 4096
+    monkeypatch.setattr(valuation, "_PI_CACHE", {})
+    for digits in [*range(1, 400), *_DIGITS[:9]]:
+        lo_num, lo_den, hi_num, hi_den = _pi_brackets(digits)
+        lo, hi = Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)
+        assert lo < hi and (hi - lo) * 10**digits < Fraction(1, 30), digits
+
+
 def test_ceil_mul_budget_exhaustion():
     # with an absurdly small budget near-integer multiples cannot certify
     pi = parse_scalar("pi")
