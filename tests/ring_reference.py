@@ -627,8 +627,6 @@ def ref_check_Ac(F, c, N):
     of the saturation gap: saturate(I_n) meet m^(cn) against I_n meet
     m^(cn), compared as ideals at every n; the first mismatch gives the
     first generator of the left one outside the right one."""
-    if c < 1:
-        raise ValueError("c must be a positive integer")
     for n in range(1, N + 1):
         In = F.ideal_at(n)
         mcn = maximal_power(F.ctx, c * n)
