@@ -343,15 +343,11 @@ def ideal_multiplicity(I: MonomialIdeal) -> Fraction:
     """Samuel multiplicity of an m-primary ideal I in d <= 3 variables,
     exactly: e(I) = e of the integral closure = d! * covol(NP(I)) (Rees;
     for monomial ideals see Huneke-Swanson, Integral Closure of Ideals,
-    Rings, and Modules, 2006).  The orthant minus NP(I) is the union of
-    the cones from the origin over the compact facets, so d! * covol is the
-    sum of |det| over a fan of simplices from the first vertex of each."""
-    d = I.dim
-    if d > 3 or colength(I) is None:
+    Rings, and Modules, 2006)."""
+    if I.dim > 3 or colength(I) is None:
         raise ValueError("ideal multiplicity needs an m-primary ideal in d <= 3")
-    from .newton import _det, _hull_of  # here, so importing this module leaves newton unrun
-    return Fraction(sum(abs(_det((f[0],) + f[i:i + d - 1]))
-                        for f in _hull_of(I)[1] for i in range(1, len(f) - d + 2)))
+    from ._polyhedra import _normalized_covolume  # here, so import epsmult leaves it unrun
+    return Fraction(_normalized_covolume(I))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,6 @@
-"""Newton polyhedra, integral closure of monomial ideals, and bounded
-comparison of filtration Rees algebra closures.
-
-For a monomial ideal the integral closure consists of the lattice points of
-the Newton polyhedron NP(I) (convex hull of the generator exponents plus the
-nonnegative orthant).  In up to three variables one recursive hull, built
-once per ideal, holds NP(I) as its exact facets, which decide membership
-and give the integral closure, and the vertices of its compact facets,
-which give e(I) = d! * covol(NP(I)).  In higher dimension membership is an
-exact rational feasibility LP.  Tests check both against that LP and
-Fourier-Motzkin.
+"""Integral closure of monomial ideals, read off the Newton polyhedron NP(I)
+that ``_polyhedra`` holds, and bounded comparison of filtration Rees
+algebra closures.
 
 Degreewise closure membership of x^a at degree m over a filtration asks for
 some r with r*a in the Newton polyhedron of I_(rm).  A positive answer is a
@@ -24,8 +16,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
 
+from ._polyhedra import _dot, _facets, _inside, _lp_convex_dominated
 from ._record import Record
 from .filtration import (
     DiscreteValuedFiltration,
@@ -57,171 +49,6 @@ __all__ = [
 ]
 
 
-# ---------------------------------------------------------------------------
-# exact feasibility LP (phase-1 simplex with Bland's rule)
-# ---------------------------------------------------------------------------
-
-
-def _lp_convex_dominated(gens, a):
-    """Is there lambda >= 0 with sum(lambda) = 1 and sum(lambda_i g_i) <= a
-    componentwise?  Exact rational phase-1 simplex with Bland's rule (no
-    cycling) on the rows g.lambda + slack = a and sum(lambda) + t = 1,
-    minimising the artificial t: feasible iff t leaves the basis or ends
-    at 0.  Its row is the only one with a cost, so a column may enter iff
-    it is positive there."""
-    k, d = len(gens), len(a)
-    rows = [[Fraction(g[j]) for g in gens] + [Fraction(int(i == j)) for i in range(d)]
-            + [Fraction(0), Fraction(a[j])] for j in range(d)]
-    rows.append([Fraction(1)] * k + [Fraction(0)] * d + [Fraction(1)] * 2)
-    basis = list(range(k, k + d + 1))
-    while k + d in basis:
-        t = rows[basis.index(k + d)]
-        enter = next((j for j in range(k + d) if t[j] > 0), None)
-        if enter is None:
-            return t[-1] == 0
-        leave = min((i for i in range(d + 1) if rows[i][enter] > 0),
-                    key=lambda i: (rows[i][-1] / rows[i][enter], basis[i]))
-        pivot = rows[leave]
-        pivot[:] = [c / pivot[enter] for c in pivot]
-        for row in rows:
-            if row is not pivot and row[enter]:
-                row[:] = [c - row[enter] * p for c, p in zip(row, pivot)]
-        basis[leave] = enter
-    return True
-
-
-_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
-def _primitive(vec):
-    g = gcd(*vec)
-    return tuple(c // g for c in vec)
-
-
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
-
-
-def _det(rows):
-    """Determinant of a square matrix, by cofactors along the first row."""
-    if not rows:
-        return 1
-    return sum((-1) ** j * c * _det([r[:j] + r[j + 1:] for r in rows[1:]])
-               for j, c in enumerate(rows[0]))
-
-
-def _half_hull(pts, t=0, s=1):
-    """Andrew's monotone chain in the (t, s) coordinate plane over points
-    sorted by (t, s): the strictly convex chain turning left."""
-    chain = []
-    for p in pts:
-        while len(chain) > 1 and (
-                (chain[-1][t] - chain[-2][t]) * (p[s] - chain[-2][s])
-                <= (chain[-1][s] - chain[-2][s]) * (p[t] - chain[-2][t])):
-            chain.pop()
-        chain.append(p)
-    return chain
-
-
-def _lower_chain(points, t, s):
-    """Vertices, by increasing t, of the compact edges of conv(points) plus
-    the ray in +s, in the (t, s) coordinate plane: of the points sharing a t
-    only the lowest counts, then the lower hull."""
-    low = {p[t]: p for p in sorted(points, key=lambda p: (p[t], -p[s]))}
-    return _half_hull(list(low.values()), t, s)
-
-
-def _polygon(points):
-    """Vertices, counterclockwise seen from above, of the convex hull of
-    points on a plane w.x = c with w_3 > 0 (so the (x, y) shadow is
-    one-to-one)."""
-    pts = sorted(points)
-    return tuple(_half_hull(pts)[:-1] + _half_hull(pts[::-1])[:-1])
-
-
-def _pivot(gens, a, u, n0, c):
-    """Gift wrapping across the edge through ``a`` along ``u`` of the facet
-    with inner normal ``n0`` that runs from the edge towards ``c``: seen
-    along the edge, the generators and rays lie in the half-plane n0 >= 0,
-    and the plane through the one furthest from the facet is the other
-    facet on the edge.  Returns its primitive inner normal."""
-    vecs = [tuple(x - y for x, y in zip(g, a)) for g in gens] + list(_UNITS)
-
-    def normal(v):  # u x v, turned towards c
-        n = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
-             u[0] * v[1] - u[1] * v[0])
-        return n if _dot(n, c) > 0 else tuple(-x for x in n)
-
-    n = normal(next(v for v in vecs if _dot(n0, v) > 0))
-    for v in vecs:
-        if _dot(n, v) < 0:
-            n = normal(v)
-    return _primitive(n)
-
-
-def _hull(points):
-    """Facets and compact facets of P = conv(points) + orthant in d <= 3
-    variables (in d=3 the points must be an antichain, such as generators).
-
-    The facets are sorted pairs (w, rhs): primitive integer inner normals
-    w >= 0 with rhs = min over the points of w.p, and P = {x : w.x >= rhs
-    for all of them}.  The compact facets (w > 0) follow in that order as
-    vertex tuples: the lowest point (d=1), an edge (d=2), a polygon,
-    counterclockwise seen from above (d=3).  A facet with w_k = 0 is a
-    facet of the hull of the points with coordinate k dropped.  The compact
-    ones are the lower hull of the staircase in d=2, and in d=3 come from
-    gift wrapping across the compact edges of the facets with a zero weight
-    (the facets' adjacency graph is connected, and an edge of a compact
-    facet is compact)."""
-    d = len(points[0])
-    if d == 1:
-        low = min(points)
-        return (((1,), low[0]),), ((low,),)
-    facets = set()
-    for k in range(d):
-        sub, _ = _hull([p[:k] + p[k + 1:] for p in points])
-        facets.update((w[:k] + (0,) + w[k:], rhs) for w, rhs in sub)
-    faces = {}
-    if d == 2:
-        chain = _half_hull(_minimal(2, points))  # the staircase's lower hull
-        for p, q in zip(chain, chain[1:]):
-            w = _primitive((p[1] - q[1], q[0] - p[0]))
-            faces[w, _dot(w, p)] = (p, q)
-    else:
-        # a facet's plane is one-to-one on the (t, s) plane, s a zero weight
-        edges = []  # (a, b, inner normal, direction into the facet from ab)
-        for w, rhs in sorted(facets):
-            s = max(i for i in range(3) if w[i] == 0)
-            t = 3 - s - max(i for i in range(3) if w[i])
-            chain = _lower_chain([p for p in points if _dot(w, p) == rhs], t, s)
-            edges += [(p, q, w, _UNITS[s]) for p, q in zip(chain, chain[1:])]
-        done = set()
-        while edges:
-            a, b, n0, c = edges.pop()
-            if (a, b) in done:
-                continue
-            done.update(((a, b), (b, a)))
-            w = _pivot(points, a, tuple(y - x for x, y in zip(a, b)), n0, c)
-            rhs = _dot(w, a)
-            if 0 in w or (w, rhs) in faces:
-                continue  # a facet with a zero weight is listed already
-            faces[w, rhs] = poly = _polygon([p for p in points if _dot(w, p) == rhs])
-            for i, p in enumerate(poly):
-                q, r = poly[i - len(poly) + 1], poly[i - len(poly) + 2]
-                edges.append((p, q, w, tuple(y - x for x, y in zip(p, r))))
-    facets = sorted(facets | faces.keys())
-    return tuple(facets), tuple(faces[f] for f in facets if f in faces)
-
-
-def _hull_of(I):
-    """``_hull`` of a nonzero ideal's generators, cached on the ideal."""
-    try:
-        return I._hull
-    except AttributeError:
-        I._hull = hull = _hull(I.gens)
-        return hull
-
-
 def np_membership(I: MonomialIdeal, a) -> bool:
     """x^a lies in the Newton polyhedron of I (equivalently, in the integral
     closure of I for monomial ideals): in d <= 3 by its exact facets, in
@@ -231,7 +58,7 @@ def np_membership(I: MonomialIdeal, a) -> bool:
     a = _check_exponent(a, I.dim)
     if I.dim > 3:
         return I.contains(a) or _lp_convex_dominated(I.gens, a)
-    return all(_dot(w, a) >= rhs for w, rhs in _hull_of(I)[0])
+    return _inside(I, a)
 
 
 def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
@@ -244,7 +71,7 @@ def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
     if I.is_unit():
         return I
     if I.dim <= 3:
-        return _weight_ideal(_hull_of(I)[0], I.ctx)
+        return _weight_ideal(_facets(I), I.ctx)
     box = [range(max(g[i] for g in I.gens) + 1) for i in range(I.dim)]
     return _ideal(I.ctx, _minimal(I.dim, [p for p in itertools.product(*box)
                                           if np_membership(I, p)]))
@@ -307,7 +134,7 @@ def _weight_candidates(F: Filtration, m):
     if d > 3:
         return cands
     Im = F.base if isinstance(F, PowerFiltration) else F.ideal_at(m)
-    for w, _ in _hull_of(Im)[0]:
+    for w, _ in _facets(Im):
         if w not in cands:
             cands.append(w)
     return cands
@@ -322,17 +149,15 @@ def _affine_separation(F: TemplateFiltration | PowerFiltration, a, m):
     generators g of the base with slope m*(w.g) and intercept 0, and a
     weight with w.a < m * nu_w(base) excludes every r."""
     if isinstance(F, PowerFiltration):
-        forms = [[(m * c, 0) for c in g] for g in F.base.gens]
+        forms = [(g, (0,) * len(g)) for g in F.base.gens]
     else:
         forms = F.generator_affine_forms()
         if any(f is None for g in forms for f in g):
             return None
-        forms = [[(m * fa, fb) for fa, fb in g] for g in forms]
+        forms = [tuple(zip(*g)) for g in forms]  # (slopes, intercepts) per generator
     for w in _weight_candidates(F, m):
-        wa = sum(wc * ac for wc, ac in zip(w, a))
-        per_gen = [(Fraction(sum(wc * fa for wc, (fa, _) in zip(w, gform))),
-                    Fraction(sum(wc * fb for wc, (_, fb) in zip(w, gform))))
-                   for gform in forms]
+        wa = _dot(w, a)
+        per_gen = [(Fraction(m * _dot(w, s)), Fraction(_dot(w, c))) for s, c in forms]
         if all(wa < s or (wa == s and c > 0) for s, c in per_gen):
             slope = min(s for s, _ in per_gen)
             intercept = min(c for s, c in per_gen if s == slope)
@@ -365,7 +190,7 @@ def filtration_integral_member(F: Filtration, a, m, r_max) -> ClosureMembership:
             status="no",
             certificate=ContainmentCertificate(degree=m, monomial=a))
     if isinstance(F, PowerFiltration) and F.ctx.dim <= 3 and r_max >= 1:
-        if all(_dot(w, a) >= m * rhs for w, rhs in _hull_of(F.base)[0]):
+        if _inside(F.base, a, m):
             return ClosureMembership(status="yes", r=1)
     else:
         for r in range(1, r_max + 1):
@@ -442,8 +267,7 @@ def _powers_inside(left: Filtration, right: Filtration, r_max):
     if not (isinstance(left, PowerFiltration) and isinstance(right, PowerFiltration)
             and left.ctx.dim <= 3 and r_max >= 1):
         return False
-    facets = _hull_of(right.base)[0]
-    return all(_dot(w, h) >= rhs for h in left.base.gens for w, rhs in facets)
+    return all(_inside(right.base, h) for h in left.base.gens)
 
 
 def rees_closure_compare(F: Filtration, G: Filtration, N, r_max) -> ClosureVerdict:

@@ -132,7 +132,7 @@ class MonomialIdeal:
     built from the value on first read (``None`` until then).  Equality,
     hashing, ``is_zero`` and ``is_unit`` read the value and ignore variable
     names.  In up to three variables ``_hull`` caches the Newton
-    polyhedron."""
+    polyhedron that ``_polyhedra._hull_of`` builds."""
 
     __slots__ = ("ctx", "dim", "_gens", "_stack", "_hull")
 

@@ -24,6 +24,7 @@ from fractions import Fraction
 from math import gcd
 from operator import itemgetter
 
+from epsmult._polyhedra import _hull_of, _lp_convex_dominated
 from epsmult.filtration import (
     DiscreteValuedFiltration,
     Filtration,
@@ -41,8 +42,6 @@ from epsmult.newton import (
     ClosureVerdict,
     ContainmentCertificate,
     SeparationCertificate,
-    _hull_of,
-    _lp_convex_dominated,
     np_membership,
 )
 from epsmult.ring import (

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epsmult._polyhedra import _lp_convex_dominated
 from epsmult.filtration import (
     DiscreteValuedFiltration,
     PowerFiltration,
@@ -16,7 +17,6 @@ from epsmult.filtration import (
 from epsmult.newton import (
     ContainmentCertificate,
     SeparationCertificate,
-    _lp_convex_dominated,
     filtration_integral_member,
     integral_closure,
     np_membership,

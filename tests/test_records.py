@@ -202,6 +202,21 @@ def test_import_leaves_the_deferred_modules_unrun():
     assert out.split("\n") == ["[True, True, True]", "[True, True, True]", ""]
 
 
+def test_ideal_multiplicity_leaves_newton_unrun():
+    """``import epsmult`` does not load ``_polyhedra``, and
+    ``ideal_multiplicity`` reads its fan sum from there, so newton stays
+    registered but unrun."""
+    code = ("import sys, types, epsmult\n"
+            "print('epsmult._polyhedra' in sys.modules)\n"
+            "I = epsmult.MonomialIdeal(epsmult.RingContext(2), [(2, 0), (1, 1), (0, 3)])\n"
+            "print(epsmult.ideal_multiplicity(I))\n"
+            "print(type(sys.modules['epsmult.newton']) is types.ModuleType)\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split("\n") == ["False", "5", "False", ""]
+
+
 def test_public_namespace_is_unchanged_by_the_deferral():
     namespace = {}
     exec("from epsmult import *", namespace)

@@ -23,12 +23,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epsmult import ring
+from epsmult._polyhedra import _hull_of, _lp_convex_dominated
 from epsmult.asymptotics import ideal_multiplicity, samuel_of_quotient
 from epsmult.filtration import PowerFiltration, TemplateFiltration
 from epsmult.newton import (
     _affine_separation,
-    _hull_of,
-    _lp_convex_dominated,
     filtration_integral_member,
     integral_closure,
     np_membership,
