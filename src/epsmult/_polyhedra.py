@@ -76,14 +76,6 @@ def _half_hull(pts, t=0, s=1):
     return chain
 
 
-def _lower_chain(points, t, s):
-    """Vertices, by increasing t, of the compact edges of conv(points) plus
-    the ray in +s, in the (t, s) coordinate plane: of the points sharing a t
-    only the lowest counts, then the lower hull."""
-    low = {p[t]: p for p in sorted(points, key=lambda p: (p[t], -p[s]))}
-    return _half_hull(list(low.values()), t, s)
-
-
 def _polygon(points):
     """Vertices, counterclockwise seen from above, of the convex hull of
     points on a plane w.x = c with w_3 > 0 (so the (x, y) shadow is
@@ -146,7 +138,10 @@ def _hull(points):
         for w, rhs in sorted(facets):
             s = max(i for i in range(3) if w[i] == 0)
             t = 3 - s - max(i for i in range(3) if w[i])
-            chain = _lower_chain([p for p in points if _dot(w, p) == rhs], t, s)
+            # no two generators on it share a t (they are an antichain), so
+            # its compact edges are their lower hull in the (t, s) plane
+            chain = _half_hull(sorted((p for p in points if _dot(w, p) == rhs),
+                                      key=lambda p: p[t]), t, s)
             edges += [(p, q, w, _UNITS[s]) for p, q in zip(chain, chain[1:])]
         done = set()
         while edges:

@@ -29,6 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 ASYMPTOTICS = "src/epsmult/asymptotics.py"
 NEWTON = "src/epsmult/newton.py"
+POLYHEDRA = "src/epsmult/_polyhedra.py"
 RING = "src/epsmult/ring.py"
 VALUATION = "src/epsmult/valuation.py"
 PLANE_SEQUENCE = "tests/test_asymptotics.py::test_batched_plane_sequence_matches_each_level"
@@ -38,6 +39,7 @@ POWER_MEMBERSHIP = "tests/test_ring_properties.py::test_power_membership_matches
 SLICED_LENGTH = "tests/test_ring_properties.py::test_sliced_length_matches_reference"
 TRUNCATION_DP = "tests/test_filtration.py::test_truncate_dp_matches_enumeration"
 GAP_TOP = "tests/test_ring_properties.py::test_gap_top_matches_box_count"
+COVOLUME = "tests/test_ring_properties.py::test_ideal_multiplicity_matches_lattice_count"
 
 # Equivalent mutants of the two-variable count, left out: which of two equal
 # lines leads (equal lines give equal columns), and whether a line takes
@@ -88,9 +90,9 @@ MUTANTS = [
      "return s[k]",
      "tests/test_asymptotics.py::test_median_matches_statistics",
      "the median of an even count is the upper middle value"),
-    (NEWTON,
-     "return all(_dot(w, a) >= rhs for w, rhs in _hull_of(I)[0])",
-     "return all(_dot(w, a) > rhs for w, rhs in _hull_of(I)[0])",
+    (POLYHEDRA,
+     "return all(_dot(w, a) >= m * rhs for w, rhs in _hull_of(I)[0])",
+     "return all(_dot(w, a) > m * rhs for w, rhs in _hull_of(I)[0])",
      "tests/test_newton.py::test_np_membership_examples",
      "a point on a facet of the Newton polyhedron counts as outside it"),
     (ASYMPTOTICS,
@@ -123,9 +125,9 @@ MUTANTS = [
      "if isinstance(F, PowerFiltration) and F.ctx.dim <= 3 and r_max >= 0:",
      POWER_MEMBERSHIP,
      "a power membership with r_max 0 answers yes at r = 1"),
-    (NEWTON,
-     "if all(_dot(w, a) >= m * rhs for w, rhs in _hull_of(F.base)[0]):",
-     "if all(_dot(w, a) > m * rhs for w, rhs in _hull_of(F.base)[0]):",
+    (POLYHEDRA,
+     "return all(_dot(w, a) >= m * rhs for w, rhs in _hull_of(I)[0])",
+     "return all(_dot(w, a) > m * rhs for w, rhs in _hull_of(I)[0])",
      POWER_MEMBERSHIP,
      "a power membership on a facet of m * NP(base) is not found"),
     (NEWTON,
@@ -233,6 +235,36 @@ MUTANTS = [
      "if top is not None and top <= c * n:",
      "tests/test_diagnostics.py::test_check_Ac_matches_reference",
      "A(c) holds at n with a gap monomial of degree exactly cn"),
+    (POLYHEDRA,
+     "        if _dot(n, v) < 0:\n            n = normal(v)",
+     "        if _dot(n, v) > 0:\n            n = normal(v)",
+     "tests/test_ring_properties.py::test_facets_cut_out_reference_polyhedron",
+     "gift wrapping turns towards the points inside its plane, not past those outside"),
+    (POLYHEDRA,
+     "key=lambda p: p[t]), t, s)",
+     "key=lambda p: p[s]), t, s)",
+     "tests/test_ring_properties.py::test_stored_normals_are_true_facets",
+     "a zero-weight facet's generators are chained in order of s, not of t"),
+    (POLYHEDRA,
+     "<= (chain[-1][s] - chain[-2][s]) * (p[t] - chain[-2][t])):",
+     "< (chain[-1][s] - chain[-2][s]) * (p[t] - chain[-2][t])):",
+     "tests/test_asymptotics.py::test_ideal_multiplicity_matches_power_colengths",
+     "a chain keeps a point inside an edge, splitting a compact facet in two"),
+    (POLYHEDRA,
+     "_half_hull(pts[::-1])[:-1])",
+     "_half_hull(pts[::-1])[:-2])",
+     COVOLUME,
+     "a compact facet's polygon drops its last vertex"),
+    (POLYHEDRA,
+     "return sum(abs(_det((f[0],) + f[i:i + d - 1]))",
+     "return sum((_det((f[0],) + f[i:i + d - 1]))",
+     COVOLUME,
+     "the fan sum adds signed determinants, not their absolute values"),
+    ("src/epsmult/cli.py",
+     "except BrokenPipeError:",
+     "except ConnectionResetError:",
+     "tests/test_cli.py::test_cli_closed_stdout_is_a_normal_end",
+     "a closed stdout ends the command line in a traceback"),
 ]
 
 

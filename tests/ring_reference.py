@@ -1,7 +1,7 @@
 """Reference monomial-ideal kernel: the plain algorithms that the slice
 stacks of ``epsmult.ring`` (products and sums included) and
-``epsmult.valuation``, the exact facets of
-``epsmult.newton``, its closure membership and closure comparison over
+``epsmult.valuation``, the exact facets of ``epsmult._polyhedra``,
+``epsmult.newton``'s closure membership and closure comparison over
 powers read off the bases' facets, the zero-spread search by membership
 in the values, the A(c) check by the top degree of the saturation gap and
 the localization of filtration specs replaced, kept as test oracles; the
@@ -16,7 +16,8 @@ with pairwise divisibility, and its value is joined by the predecessor's
 kernel or the recursive slices of the fast kernel beyond the
 ``MonomialIdeal`` value type.  Membership here is ``ref_member``, a
 divisor among the generators, never ``MonomialIdeal.contains``, which
-reads the kernel's value.
+reads the kernel's value, and Newton polyhedron membership is the LP,
+never a facet.
 """
 
 import itertools
@@ -42,7 +43,6 @@ from epsmult.newton import (
     ClosureVerdict,
     ContainmentCertificate,
     SeparationCertificate,
-    np_membership,
 )
 from epsmult.ring import (
     IdealDomainError,
@@ -570,8 +570,8 @@ def _ref_affine_separation(F, a, m):
 
 def ref_filtration_integral_member(F, a, m, r_max):
     """Degree-m closure membership by trying r = 1..r_max on the Newton
-    polyhedron of I_(rm) itself, then a separation certificate; powers get
-    no shortcut."""
+    polyhedron of I_(rm) itself, by the LP (so no facet is read), then a
+    separation certificate; powers get no shortcut."""
     if m < 1:
         raise ValueError("degree must be positive")
     a = tuple(a)
@@ -585,7 +585,7 @@ def ref_filtration_integral_member(F, a, m, r_max):
         Irm = F.ideal_at(r * m)
         if Irm.is_zero():
             continue
-        if np_membership(Irm, tuple(r * c for c in a)):
+        if _lp_convex_dominated(Irm.gens, tuple(r * c for c in a)):
             return ClosureMembership(status="yes", r=r)
     if isinstance(F, (TemplateFiltration, PowerFiltration)):
         cert = _ref_affine_separation(F, a, m)

@@ -626,6 +626,10 @@ def test_facet_membership_matches_lp_and_fm_oracles(I, points):
 
 @PROPERTY
 @given(polyhedra)
+# the generators on a facet with a zero weight s are chained in order of
+# the coordinate t (see ``_hull``); taken in order of s instead, this
+# ideal gains the false facet (1, 2, 1) >= 10
+@example(MonomialIdeal(CTXS[3], [(1, 2, 0), (0, 1, 3), (0, 4, 2), (6, 1, 2), (0, 0, 10)]))
 def test_stored_normals_are_true_facets(I):
     d = I.dim
     facets, faces = _hull_of(I)
