@@ -49,6 +49,13 @@ COVOLUME = "tests/test_ring_properties.py::test_ideal_multiplicity_matches_latti
 # d! * lam / n^d and their mean are never negative.  Equivalent in the
 # two-variable staircase: ``r > q * w2`` as ``r >= q * w2``, since its loop
 # keeps only rows with w2 > 0, and at r = q * w2 the ceiling r / w2 is q.
+# Equivalent in the three-variable hull (the same ``_hull`` on 39000 random
+# ideals): ``min`` for either ``max`` that picks s and t of a facet with a
+# zero weight, since its generators' compact edges are one lower chain in
+# either coordinate plane; ``_dot(n, c) >= 0`` in ``_pivot``, since a
+# point in the facet's plane lies on the c side of the edge, never replaces
+# n, and so n.c is never 0; and ``edges.pop(0)``, since gift wrapping finds
+# every compact facet in any order.
 MUTANTS = [
     (ASYMPTOTICS,
      "lengths.append(_floor_sum(-(-r // w0), w1, -w0, r + w1 - 1))",
