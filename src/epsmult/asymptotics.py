@@ -179,13 +179,7 @@ def _sequence_report(seq: LengthSequence, window):
     v_a < v_b exactly when lam_a * n_b^d < lam_b * n_a^d.  The running
     maximum is held as the pair (lam, n^d), and a rational is formed only
     for a value the report holds: the sup of an oscillating sequence and
-    the integer fit's eps, spread and mean."""
-    if window is None:
-        window = max(2, min(50, len(seq.entries) // 5))
-    if window < 2:
-        raise ValueError("window must be at least 2")
-    if len(seq.entries) < 2 * window:
-        raise ValueError("need at least 2*window entries")
+    the integer fit's eps, spread and mean, over a ``_window``."""
     d, entries = seq.dim, seq.entries
     fact = math.factorial(d)
     scaled = [(lam, n**d) for n, lam in entries]
@@ -303,9 +297,23 @@ def sat_quotient_sequence(F: Filtration, N, jobs=1) -> LengthSequence:
     return LengthSequence(dim=F.ctx.dim, entries=tuple(entries))
 
 
+def _window(F: Filtration, N, window):
+    """The checked window of a report on the N levels of F, by default N/5
+    within [2, 50]; N is checked first by ``_levels``, and no level built."""
+    _levels(F, N)
+    if window is None:
+        window = max(2, min(50, N // 5))
+    if window < 2:
+        raise ValueError("window must be at least 2")
+    if N < 2 * window:
+        raise ValueError("need at least 2*window entries")
+    return window
+
+
 def epsilon_report(F: Filtration, N, window=None, jobs=1) -> EpsilonReport:
     """Normalized saturation-quotient sequence with convergence diagnostics.
     ``jobs`` is accepted for compatibility and ignored."""
+    window = _window(F, N, window)
     return _sequence_report(sat_quotient_sequence(F, N), window)
 
 
@@ -375,28 +383,19 @@ class ESLocalizedReport(Record):
         }
 
 
-def e_s_localized(F: Filtration, N=200, window=None, s=None) -> ESLocalizedReport:
-    """Sum over face primes p with dim R/p = s of the local Samuel-type
-    multiplicity of the localized filtration (the maximal-ideal multiplier
-    of each face prime quotient is 1 in a polynomial ring).
+def e_s_localized(F: Filtration, N=200, window=None) -> ESLocalizedReport:
+    """Sum over face primes p with dim R/p = s, s the filtration dimension,
+    of the local Samuel-type multiplicity of the localized filtration (the
+    maximal-ideal multiplier of each face prime quotient is 1 in a
+    polynomial ring).  No face prime of a larger dimension contains I_1.
 
-    ``s`` defaults to the filtration dimension and may be anything between
-    it and d-1; above the filtration dimension no face prime of dimension s
-    contains I_1 and the sum is empty (zero).  Each local multiplicity is
-    lim (d-s)! * colength_p(I_n R_p) / n^(d-s), estimated by the same
-    least-squares extrapolation as the epsilon machinery; a contribution is
-    flagged exact when the localized sequence matches eps + c/n exactly
-    across the trailing window, which must hold at least two points (a
-    one-point fit always matches).
+    Each local multiplicity is lim (d-s)! * colength_p(I_n R_p) / n^(d-s),
+    estimated by the same least-squares extrapolation as the epsilon
+    machinery; a contribution is flagged exact when the localized sequence
+    matches eps + c/n exactly across the trailing window, which must hold
+    at least two points (a one-point fit always matches).
     """
-    fdim = filtration_dimension(F)
-    d = F.ctx.dim
-    if s is None:
-        s = fdim
-    if not fdim <= s <= d - 1:
-        raise ValueError(f"s must lie between the filtration dimension {fdim} "
-                         f"and {d - 1}")
-    codim = d - s
+    s = filtration_dimension(F)
     if window is None:
         window = max(2, N // 2)
     if window < 2:
@@ -404,9 +403,9 @@ def e_s_localized(F: Filtration, N=200, window=None, s=None) -> ESLocalizedRepor
     if N < 2 * window:
         raise ValueError("need N >= 2*window")
     contributions = []
-    for S in _face_primes(F.ideal_at(1), codim):
+    for S in _face_primes(F.ideal_at(1), F.ctx.dim - s):
         L = F.localize(S)
-        # the localized ring has dimension codim, so this is the normalized
+        # the localized ring has dimension d - s, so this is the normalized
         # colength (d-s)! * colength_p(I_n R_p) / n^(d-s)
         seq = samuel_sequence(L, N)
         eps, _, spread, _ = _window_fit(seq.entries[-window:], seq.dim)
@@ -451,6 +450,7 @@ def epsilon_difference_check(inner_f: Filtration, outer_f: Filtration, N,
     Preconditions (checked for every n <= N, with a witness on violation):
     inner_n <= outer_n and lambda(outer_n / inner_n) finite.
     """
+    window = _window(inner_f, N, window)
     gap_entries = []
     for n, Jn in _levels(inner_f, N):
         In = outer_f.ideal_at(n)

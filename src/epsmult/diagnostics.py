@@ -6,7 +6,7 @@ for all n; it is exactly the hypothesis under which the normalized
 saturation-quotient sequence converges, so failures are reported with a
 re-checkable witness monomial.  It holds at n exactly when every monomial
 of sat(I_n) outside I_n has degree below cn, which ``check_Ac`` reads off
-the two values (``ring._top``) without building m^(cn).
+the two ideals (``ring._gap_top``) without building m^(cn).
 
 Spread certificates come in two kinds.  A maximality certificate records an
 n with I_n strictly smaller than its saturation (the maximal ideal is then
@@ -18,8 +18,8 @@ zero-spread certificate records, for every minimal generator g of I_n, an
 exponent r with g^r in m * I_(rn); such generator-level certificates imply
 element-level nilpotency for a common exponent by pigeonhole (recorded per
 degree), which forces the fiber cone to be zero dimensional.  The search
-decides g^r in m * I_(rn) by membership in the value of I_(rn)
-(``ring._has``), never listing its generators.
+decides g^r in m * I_(rn) by membership in I_(rn) (``ring._in_m_times``),
+never listing its generators.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from ._record import Record
 from .filtration import DiscreteValuedFiltration, Filtration, PowerFiltration, _levels
 from .ring import (
     MonomialIdeal,
-    _has,
-    _top,
+    _gap_top,
+    _in_m_times,
     ideal_product,
     intersect,
     maximal_power,
@@ -73,18 +73,15 @@ class AcReport(Record):
 def check_Ac(F: Filtration, c, N) -> AcReport:
     """Decide saturate(I_n) cap m^(cn) = I_n cap m^(cn) for every n <= N:
     it holds exactly when the largest degree of a monomial of
-    saturate(I_n) outside I_n (``ring._top``) is finite and below cn, and
-    always for a zero I_n.  Only the first failing level builds m^(cn) and
+    saturate(I_n) outside I_n (``ring._gap_top``, -1 for a zero I_n) is
+    finite and below cn.  Only the first failing level builds m^(cn) and
     both meets, and its witness is the first generator, in grlex order, of
     the left one outside the right one."""
     if c < 1:
         raise ValueError("c must be a positive integer")
     for n, In in _levels(F, N):
-        value = In._stack
-        if value is None:
-            continue
         sat = saturate(In)
-        top = _top(In.dim, sat._stack, value)
+        top = _gap_top(sat, In)
         if top is not None and top < c * n:
             continue
         mcn = maximal_power(F.ctx, c * n)
@@ -227,35 +224,25 @@ def spread_zero_test(F: Filtration, N, r_max):
     F, defect being a certified lower bound on ceil(n*a) - n*a; a failure
     reports bound(n) as ``searched_up_to``.
 
-    m * I_(rn) is never built: x^b lies in it exactly when x^(b - e_i)
-    lies in I_(rn) for some i with b_i >= 1, decided by ``ring._has`` on
-    the value of I_(rn) (the exponents come from minimal generators, so
-    they need no validation)."""
+    m * I_(rn) is never built: ``ring._in_m_times`` decides x^b in it from
+    I_(rn) (the exponents come from minimal generators, so they need no
+    validation)."""
     levels = _levels(F, N)
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
-    d = F.ctx.dim
     entries = []
     for n, In in levels:
         bound = _adaptive_r_bound(F, n, r_max)
         for g in In.gens:
             found = None
             for r in range(2, bound + 1):
-                value = F.ideal_at(r * n)._stack
-                if value is not None and _in_m_times(d, value, tuple(r * e for e in g)):
+                if _in_m_times(F.ideal_at(r * n), tuple(r * e for e in g)):
                     found = r
                     break
             if found is None:
                 return ZeroSpreadNotFound(n=n, generator=g, searched_up_to=bound)
             entries.append((n, g, found))
     return ZeroSpreadCertificate(bound=N, r_max=r_max, entries=tuple(entries))
-
-
-def _in_m_times(d, value, b):
-    """x^b lies in m * I for the nonzero value of I: some x^(b - e_i) with
-    b_i >= 1 lies in I."""
-    return any(e and _has(d, value, b[:i] + (e - 1,) + b[i + 1:])
-               for i, e in enumerate(b))
 
 
 def verify_zero_certificate(F: Filtration, cert: ZeroSpreadCertificate) -> bool:

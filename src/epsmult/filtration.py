@@ -24,9 +24,8 @@ from ._record import Record
 from .ring import (
     MonomialIdeal,
     RingContext,
-    _ideal,
     _localized_ring,
-    _mul,
+    _products,
     _weight_ideal,
     dim_quotient,
     ideal_product,
@@ -287,7 +286,7 @@ class TableFiltration(Filtration):
 class TruncationFiltration(Filtration):
     """I[i]_n = sum over compositions of n into parts <= i of the products,
     via the dynamic program I[i]_n = sum_{j <= i} I_j * I[i]_{n-j}, each
-    level one sum of products in the kernel, zero terms left out."""
+    level one sum of products (``ring._products``)."""
 
     def __init__(self, parent: Filtration, level):
         if type(level) is not int or level < 1:
@@ -300,10 +299,8 @@ class TruncationFiltration(Filtration):
         if n <= self.level:
             return self.parent.ideal_at(n)
         self._fill_below(n)
-        pairs = [(self.parent.ideal_at(j)._stack, self.ideal_at(n - j)._stack)
-                 for j in range(1, self.level + 1)]
-        pairs = [(u, v) for u, v in pairs if u is not None and v is not None]
-        return _ideal(self.ctx, _mul(self.ctx.dim, pairs) if pairs else None)
+        return _products(self.ctx, [(self.parent.ideal_at(j), self.ideal_at(n - j))
+                                    for j in range(1, self.level + 1)])
 
     def _localized(self, coords, sub):
         return self.parent._localized(coords, sub).truncate(self.level)

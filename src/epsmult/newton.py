@@ -29,8 +29,6 @@ from .ring import (
     DimensionMismatchError,
     MonomialIdeal,
     _check_exponent,
-    _ideal,
-    _minimal,
     _weight_ideal,
 )
 from .textio import fraction_str, monomial_obj
@@ -73,8 +71,8 @@ def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
     if I.dim <= 3:
         return _weight_ideal(_facets(I), I.ctx)
     box = [range(max(g[i] for g in I.gens) + 1) for i in range(I.dim)]
-    return _ideal(I.ctx, _minimal(I.dim, [p for p in itertools.product(*box)
-                                          if np_membership(I, p)]))
+    return MonomialIdeal(I.ctx, [p for p in itertools.product(*box)
+                                 if np_membership(I, p)])
 
 
 # ---------------------------------------------------------------------------

@@ -20,26 +20,29 @@ the kernel built itself.
 Each kernel operation is one private function over values, recursing on
 the slices down to a one-variable base case.  ``_steps`` merges two
 stacks into the runs on which both slices are constant, for ``_meet`` and
-``_contains``.  ``_mul`` writes the sum of the products of a list of pairs
-of values: the slice products S_a*T_b of every pair gathered at a + b,
-each key's slice built once from them and the slice below.  It serves a
-product (one pair), a sum (each value paired with the unit ideal), each
-level of a truncation and minimalisation (``_minimal``, whose two-variable
-case is the kernel's last pass ``_corners``).  ``_sat`` uses
-sat(I)_a = S_top meet sat(S_a), and ``_weight`` writes the value of an
-ideal cut out by weight inequalities (valuation ideals, their meets,
-powers of m and integral closures) from the cuts; ``_floor_sum`` serves
-the two-variable count of lambda(sat(I)/I) from the cuts in
-``epsmult.asymptotics``.  In three variables, where the time goes, the
-two-variable step is taken inline rather than by recursion: ``_weight``
-builds each slice with ``_staircase`` (its two-variable case too),
-``_sat`` meets S_top with the single corner sat(S_a) by clamping S_top's
-corners, and ``_length`` merges its two stacks inline at every level.
-``_top`` walks the same merge for the largest degree of a monomial of J
-outside I (the A(c) check in ``epsmult.diagnostics``), and ``_has``
-decides membership of one monomial from the value, slice by slice, so no
-membership test lists generators.  The public functions check the rings,
-handle the zero ideal and wrap the value.
+``_top``, the largest degree of a monomial of J outside I.  ``_mul``
+writes the sum of the products of a list of pairs of values: the slice
+products S_a*T_b of every pair gathered at a + b, each key's slice built
+once from them and the slice below.  It serves a product (one pair), a
+sum (each value paired with the unit ideal), each level of a truncation
+and minimalisation (``_minimal``, whose two-variable case is the kernel's
+last pass ``_corners``).  ``_sat`` uses sat(I)_a = S_top meet sat(S_a),
+and ``_weight`` writes the value of an ideal cut out by weight
+inequalities (valuation ideals, their meets, powers of m and integral
+closures) from the cuts; ``_floor_sum`` serves the two-variable count of
+lambda(sat(I)/I) from the cuts in ``epsmult.asymptotics``.  ``_has``
+decides membership of one monomial from the value, slice by slice.  A
+shortcut past the recursion stays only where a workload pays for it
+(``BENCH_ring_values.json``): ``_length`` merges its stacks inline and
+takes its two-variable step inline (space-3d's levels); ``_sat``'s two-
+and three-variable cases (``paper-examples``, space-3d); ``_meet``'s
+two-variable slice maximum (two-variable ``intersect``); the two-variable
+cases of ``_mul`` and ``_points``; and ``_staircase`` for the slices of a
+three-variable ``_weight``.
+
+No other module reads a value: it calls the public functions, which
+check the rings, handle the zero ideal and wrap the value, or
+``_products``, ``_gap_top`` and ``_in_m_times``.
 
 All values are immutable (the generator list is built at most once, with
 the same result by any writer) and every operation is pure.
@@ -190,10 +193,10 @@ class MonomialIdeal:
         return value is not None and _has(self.dim, value, a)
 
     def contains_ideal(self, other):
-        """Ideal containment other <= self."""
+        """Ideal containment other <= self: self meet other is other."""
         _compatible(self, other)
         u, v = self._stack, other._stack
-        return v is None or (u is not None and _contains(self.dim, u, v))
+        return v is None or (u is not None and _meet(self.dim, u, v) == v)
 
 
 def _ideal(ctx, value):
@@ -341,14 +344,6 @@ def _meet(d, u, v):
     return tuple(out)
 
 
-def _contains(d, u, v):
-    """J <= I for nonzero values u of I and v of J: slice by slice."""
-    if d == 1:
-        return u <= v
-    return all(sv is None or (su is not None and _contains(d - 1, su, sv))
-               for _, su, sv in _steps(u, v))
-
-
 def _sat(d, value):
     """sat(I) for a nonzero value.  I : x^infinity has every slice equal to
     the top slice S_top of I, and saturating by the other variables acts
@@ -428,41 +423,38 @@ def _length(d, j, i):
 def _top(d, j, i):
     """The largest degree of a monomial of J outside I, for nonzero values
     i of I <= j of J: -1 when J = I, ``None`` when the degrees are
-    unbounded.  In one variable the gap is x^j .. x^(i-1).  In d >= 2 the
-    stacks are merged as ``_length`` merges them; a run [a, a_next) of
-    constant slices adds a_next - 1 to the top of its slices' gap (in two
-    variables si - 1 when si > sj), and a zero slice of I under a nonzero
-    one of J, or a gap left open past the last entry, is unbounded.
+    unbounded.  In one variable the gap is x^j .. x^(i-1).  In d >= 2 a
+    run [a, a_next) of ``_steps`` adds a_next - 1 to the top of its
+    slices' gap, and a zero slice of I under a nonzero one of J, or a gap
+    left open past the last entry, is unbounded.
     """
     if d == 1:
         return i - 1 if i > j else -1
-    nj, ni = len(j), len(i)
-    x = y = 0
     best = cur = -1
-    sj = si = None
-    while x < nj or y < ni:
-        if y == ni or (x < nj and j[x][0] <= i[y][0]):
-            a, sj = j[x]
-            x += 1
-            if y < ni and i[y][0] == a:
-                si = i[y][1]
-                y += 1
-        else:
-            a, si = i[y]
-            y += 1
+    for a, sj, si in _steps(j, i):
         if cur is None:
             return None
         if cur >= 0:
             best = max(best, a - 1 + cur)
-        if sj is None:
-            cur = -1
-        elif si is None:
-            cur = None
-        elif d == 2:
-            cur = si - 1 if si > sj else -1
-        else:
-            cur = _top(d - 1, sj, si)
+        cur = -1 if sj is None else None if si is None else _top(d - 1, sj, si)
     return best if cur == -1 else None
+
+
+def _gap_top(J, I):
+    """``_top`` for ideals I <= J, the zero ideal too: the largest degree
+    of a monomial of J outside I, -1 if none, ``None`` if unbounded."""
+    j, i = J._stack, I._stack
+    if i is None:
+        return -1 if j is None else None
+    return _top(J.dim, j, i)
+
+
+def _in_m_times(I, b):
+    """x^b lies in m * I for a trusted exponent ``b``: some x^(b - e_i)
+    with b_i >= 1 lies in I, decided by ``_has`` on the value."""
+    d, value = I.dim, I._stack
+    return value is not None and any(
+        e and _has(d, value, b[:i] + (e - 1,) + b[i + 1:]) for i, e in enumerate(b))
 
 
 def _has(d, value, a):
@@ -554,20 +546,25 @@ def _staircase(rows):
     return tuple(stack)
 
 
+def _products(ctx, pairs):
+    """The sum of the products I*J over ``pairs`` of ideals of ``ctx``, by
+    ``_mul``, the pairs with a zero factor left out (none left: zero)."""
+    values = [(I._stack, J._stack) for I, J in pairs]
+    values = [(u, v) for u, v in values if u is not None and v is not None]
+    return _ideal(ctx, _mul(ctx.dim, values) if values else None)
+
+
 def ideal_sum(I, J):
-    """I + J."""
+    """I + J, the sum of the products of each with the unit ideal."""
     _compatible(I, J)
-    u, v = I._stack, J._stack
-    unit = _unit(I.dim)
-    return _ideal(I.ctx, v if u is None else u if v is None
-                  else _mul(I.dim, ((u, unit), (v, unit))))
+    unit = MonomialIdeal.unit(I.ctx)
+    return _products(I.ctx, ((I, unit), (J, unit)))
 
 
 def ideal_product(I, J):
     """I * J."""
     _compatible(I, J)
-    u, v = I._stack, J._stack
-    return _ideal(I.ctx, None if u is None or v is None else _mul(I.dim, ((u, v),)))
+    return _products(I.ctx, ((I, J),))
 
 
 def ideal_power(I, n):

@@ -60,6 +60,16 @@ def _integers(values, where):
     return [_integer(v, where) for v in values]
 
 
+def _unique_keys(pairs):
+    """A JSON object from its (key, value) pairs, a repeated key rejected."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ScenarioError(f"duplicate key {key!r} in one JSON object")
+        obj[key] = value
+    return obj
+
+
 def _known_keys(obj, allowed, where, what):
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
@@ -277,7 +287,7 @@ def load_scenario(path) -> Scenario:
     that a malformed scenario fails before any task runs."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise ScenarioError(f"scenario {path}: invalid JSON ({exc})") from exc
     except (OSError, UnicodeDecodeError) as exc:

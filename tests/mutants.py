@@ -232,7 +232,7 @@ MUTANTS = [
      "if b >= e:",
      "tests/test_ring_properties.py::test_contains_matches_generator_divisors",
      "membership at an entry's own key reads the slice below that entry"),
-    ("src/epsmult/diagnostics.py",
+    (RING,
      "_has(d, value, b[:i] + (e - 1,) + b[i + 1:])",
      "_has(d, value, b)",
      "tests/test_diagnostics.py::test_spread_zero_not_found_for_maximal_powers",
@@ -267,6 +267,36 @@ MUTANTS = [
      "return sum((_det((f[0],) + f[i:i + d - 1]))",
      COVOLUME,
      "the fan sum adds signed determinants, not their absolute values"),
+    (RING,
+     "values = [(u, v) for u, v in values if u is not None and v is not None]",
+     "values = [(u, v) for u, v in values if u is not None or v is not None]",
+     "tests/test_ring_properties.py::test_product_and_sum_match_reference",
+     "the sum of products keeps a pair with one zero factor"),
+    (RING,
+     "return -1 if j is None else None",
+     "return None",
+     "tests/test_diagnostics.py::test_check_Ac_matches_reference",
+     "a zero level's empty gap counts as unbounded, so A(c) fails there"),
+    (RING,
+     "_meet(self.dim, u, v) == v)",
+     "_meet(self.dim, u, v) == u)",
+     "tests/test_ring_properties.py::test_intersect_matches_reference",
+     "containment of J in I compares I meet J with I, so it decides I <= J"),
+    (RING,
+     "sv = v[j][1]",
+     "sv = sv",
+     GAP_TOP,
+     "at a first coordinate both stacks hold, the merge keeps v's slice from below it"),
+    (ASYMPTOTICS,
+     "    _levels(F, N)\n    if window is None:",
+     "    if window is None:",
+     "tests/test_asymptotics.py::test_window_is_checked_before_any_level_is_built",
+     "a report with N = 0 rejects its window instead of N"),
+    ("src/epsmult/scenario.py",
+     "            raise ScenarioError(f\"duplicate key {key!r} in one JSON object\")",
+     "            pass",
+     "tests/test_cli.py::test_repeated_key_exits_2",
+     "a key repeated in a scenario object silently takes its last value"),
     ("src/epsmult/cli.py",
      "except BrokenPipeError:",
      "except ConnectionResetError:",

@@ -27,7 +27,7 @@ from epsmult.filtration import (
     PowerFiltration,
     TemplateFiltration,
 )
-from epsmult.fixtures import pi_plane
+from epsmult.fixtures import pi_plane, template_family
 from epsmult.ring import (
     MonomialIdeal,
     RingContext,
@@ -292,6 +292,20 @@ def test_window_validation():
             e_s_localized(F, N=40, window=window)
 
 
+def test_window_is_checked_before_any_level_is_built():
+    # each of these used to build all 30 levels (of both filtrations in
+    # the difference check) before rejecting the window
+    inner, outer = template_family("n^2"), template_family("n")
+    for run in (lambda: epsilon_report(inner, 30, window=1),
+                lambda: truncation_sweep(inner, [1, 2], 30, window=1),
+                lambda: epsilon_difference_check(inner, outer, 30, window=16)):
+        with pytest.raises(ValueError, match="window"):
+            run()
+    assert inner._cache == {} and outer._cache == {}
+    with pytest.raises(ValueError, match="N must be at least 1"):
+        epsilon_report(inner, 0, window=1)
+
+
 # ---------------------------------------------------------------------------
 # samuel multiplicities
 # ---------------------------------------------------------------------------
@@ -374,17 +388,6 @@ def test_e_s_localized_zero_dimensional():
     rep = e_s_localized(P, N=30)
     assert rep.s == 0
     assert rep.value == 4  # multiplicity of m^2
-
-
-def test_e_s_localized_empty_sum():
-    # above the filtration dimension no face prime of dimension s contains
-    # I_1, so the sum is empty
-    P = PowerFiltration(maximal_power(CTX2, 2))
-    rep = e_s_localized(P, N=30, s=1)
-    assert rep.value == 0 and rep.exact
-    assert rep.contributions == ()
-    with pytest.raises(ValueError):
-        e_s_localized(P, N=30, s=2)
 
 
 def test_e_s_localized_pi():

@@ -88,3 +88,31 @@ def test_every_test_helper_is_used():
     orphans = sorted(f"{module}: {name}" for name, module in helpers.items()
                      if name not in used)
     assert not orphans, orphans
+
+
+# the private names of ``ring`` that other modules may import: input
+# checks, text, point lists, weight cuts, localization and the ideal-level
+# kernel entries; the value-level kernel and ``_stack`` stay inside ring
+RING_PRIVATE_IMPORTS = {
+    "_check_exponent", "_format_monomial", "_minimal", "_weight_ideal",
+    "_localized_ring", "_face_primes", "_floor_sum",
+    "_products", "_gap_top", "_in_m_times",
+}
+
+
+def test_only_ring_reads_an_ideals_value():
+    """No module of ``src/epsmult`` but ``ring.py`` reads an attribute
+    ``_stack`` or imports a private name of ``ring`` outside
+    ``RING_PRIVATE_IMPORTS``."""
+    leaks = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "ring.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "_stack":
+                leaks.append(f"{path.name}:{node.lineno}: ._stack")
+            elif isinstance(node, ast.ImportFrom) and node.module == "ring":
+                leaks += [f"{path.name}:{node.lineno}: {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")
+                          and alias.name not in RING_PRIVATE_IMPORTS]
+    assert not leaks, leaks

@@ -38,8 +38,8 @@ from epsmult.ring import (
     MonomialIdeal,
     RingContext,
     _floor_sum,
+    _gap_top,
     _mul,
-    _top,
     _weight_ideal,
     ideal_power,
     ideal_product,
@@ -185,6 +185,9 @@ def test_intersect_matches_reference(pair):
     assert X == ref_intersect(I, J)
     assert X == intersect(J, I)
     assert_stack_consistent(X)
+    # containment is decided by the meet: B <= A exactly when A meet B = B
+    for A, B in ((I, J), (J, I), (I, X), (X, I)):
+        assert A.contains_ideal(B) == ref_contains_ideal(A, B)
 
 
 @PROPERTY_ANY_DIM
@@ -581,7 +584,7 @@ def gap_pairs(draw):
 @example((MonomialIdeal(CTXS[3], [(1, 0, 0)]), MonomialIdeal(CTXS[3], [(1, 0, 1), (2, 0, 0)])))
 def test_gap_top_matches_box_count(pair):
     J, I = pair
-    assert _top(I.dim, J._stack, I._stack) == box_gap_top(
+    assert _gap_top(J, I) == box_gap_top(
         ref_ideal(J.ctx, J.gens), ref_ideal(I.ctx, I.gens)), (J.gens, I.gens)
 
 
