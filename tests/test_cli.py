@@ -144,12 +144,12 @@ def test_deeply_nested_scenario_exits_2(tmp_path, capsys):
 def test_repeated_key_exits_2(tmp_path, capsys):
     # json keeps the last of two equal keys, so each of these ran silently:
     # in three variables, with the second "p", and printing I_3
-    filtrations = '{"p": {"type": "power", "base": ["x"]}}'
+    one_p = '{"p": {"type": "power", "base": ["x"]}}'
     for key, ring, filtrations, task in (
-            ("dimension", '{"dimension": 2, "dimension": 3}', filtrations, '"n": 2'),
+            ("dimension", '{"dimension": 2, "dimension": 3}', one_p, '"n": 2'),
             ("p", '{"dimension": 2}', '{"p": {"type": "power", "base": ["x"]}, '
              '"p": {"type": "power", "base": ["y"]}}', '"n": 2'),
-            ("n", '{"dimension": 2}', filtrations, '"n": 2, "n": 3')):
+            ("n", '{"dimension": 2}', one_p, '"n": 2, "n": 3')):
         path = tmp_path / f"{key}.json"
         path.write_text(f'{{"ring": {ring}, "filtrations": {filtrations}, '
                         f'"tasks": [{{"task": "eval", "filtration": "p", {task}}}]}}')
