@@ -1,18 +1,20 @@
 """Newton polyhedra.  For a monomial ideal the integral closure consists of
 the lattice points of the Newton polyhedron NP(I) (convex hull of the
-generator exponents plus the nonnegative orthant).  In up to three
-variables one recursive hull, built once per ideal, holds NP(I) as its
-exact facets, which decide membership (``_inside``) and give the integral
-closure, and the vertices of its compact facets, which give e(I) = d! *
+generator exponents plus the nonnegative orthant).  Its callers ask
+whether x^a lies in m * NP(I) (``_inside``) and for the integral closure
+(``_closure``), in any dimension.  In up to three variables one recursive
+hull, built once per ideal, holds NP(I) as its exact facets, which answer
+both, and the vertices of its compact facets, which give e(I) = d! *
 covol(NP(I)) (``_normalized_covolume``).  In higher dimension membership
 is an exact rational feasibility LP.  Tests check both against that LP and
 Fourier-Motzkin.
 """
 
+import itertools
 from fractions import Fraction
 from math import gcd
 
-from .ring import _minimal
+from .ring import MonomialIdeal, _minimal, _weight_ideal
 
 
 def _lp_convex_dominated(gens, a):
@@ -176,8 +178,25 @@ def _facets(I):
 
 
 def _inside(I, a, m=1):
-    """x^a lies in m * NP(I) = NP(I^m): w.a >= m * rhs for every facet."""
+    """x^a lies in m * NP(I) = NP(I^m), for a nonzero I: in d <= 3 when
+    w.a >= m * rhs for every facet, in higher dimension when x^a is a
+    multiple of some (x^g)^m or the LP puts a in the hull of the m*g."""
+    if I.dim > 3:
+        return (any(all(m * c <= e for c, e in zip(g, a)) for g in I.gens)
+                or _lp_convex_dominated([tuple(m * c for c in g) for g in I.gens], a))
     return all(_dot(w, a) >= m * rhs for w, rhs in _hull_of(I)[0])
+
+
+def _closure(I):
+    """The lattice points of NP(I), for a nonzero I: in d <= 3 the ideal of
+    the facet inequalities, in higher dimension the points of the box up to
+    the componentwise generator maximum that I holds or the LP puts in NP(I)
+    (beyond the box a point is a multiple of one inside)."""
+    if I.dim <= 3:
+        return _weight_ideal(_facets(I), I.ctx)
+    box = itertools.product(*(range(max(c) + 1) for c in zip(*I.gens)))
+    return MonomialIdeal(I.ctx, [p for p in box
+                                 if I.contains(p) or _lp_convex_dominated(I.gens, p)])
 
 
 def _normalized_covolume(I):

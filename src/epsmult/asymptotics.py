@@ -393,15 +393,12 @@ def e_s_localized(F: Filtration, N=200, window=None) -> ESLocalizedReport:
     estimated by the same least-squares extrapolation as the epsilon
     machinery; a contribution is flagged exact when the localized sequence
     matches eps + c/n exactly across the trailing window, which must hold
-    at least two points (a one-point fit always matches).
+    at least two points (a one-point fit always matches).  The window is
+    N // 2 by default, at least 2, and ``_window`` checks it before any
+    level is built.
     """
+    window = _window(F, N, max(2, N // 2) if window is None else window)
     s = filtration_dimension(F)
-    if window is None:
-        window = max(2, N // 2)
-    if window < 2:
-        raise ValueError("window must be at least 2")
-    if N < 2 * window:
-        raise ValueError("need N >= 2*window")
     contributions = []
     for S in _face_primes(F.ideal_at(1), F.ctx.dim - s):
         L = F.localize(S)

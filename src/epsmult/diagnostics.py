@@ -77,7 +77,7 @@ def check_Ac(F: Filtration, c, N) -> AcReport:
     finite and below cn.  Only the first failing level builds m^(cn) and
     both meets, and its witness is the first generator, in grlex order, of
     the left one outside the right one."""
-    if c < 1:
+    if type(c) is not int or c < 1:
         raise ValueError("c must be a positive integer")
     for n, In in _levels(F, N):
         sat = saturate(In)
@@ -228,7 +228,7 @@ def spread_zero_test(F: Filtration, N, r_max):
     I_(rn) (the exponents come from minimal generators, so they need no
     validation)."""
     levels = _levels(F, N)
-    if r_max < 2:
+    if type(r_max) is not int or r_max < 2:
         raise ValueError("r_max must be at least 2")
     entries = []
     for n, In in levels:

@@ -319,7 +319,7 @@ def _unit(ctx):
 def _levels(F: Filtration, N):
     """The pairs (n, I_n) for n = 1..N, built lazily in n-order, N checked
     first: the one level loop of every length sequence and bounded search."""
-    if N < 1:
+    if type(N) is not int or N < 1:
         raise ValueError("N must be at least 1")
     return ((n, F.ideal_at(n)) for n in range(1, N + 1))
 

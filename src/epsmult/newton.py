@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from ._polyhedra import _dot, _facets, _inside, _lp_convex_dominated
+from ._polyhedra import _closure, _dot, _facets, _inside
 from ._record import Record
 from .filtration import (
     DiscreteValuedFiltration,
@@ -25,12 +25,7 @@ from .filtration import (
     PowerFiltration,
     TemplateFiltration,
 )
-from .ring import (
-    DimensionMismatchError,
-    MonomialIdeal,
-    _check_exponent,
-    _weight_ideal,
-)
+from .ring import DimensionMismatchError, MonomialIdeal, _check_exponent
 from .textio import fraction_str, monomial_obj
 from .valuation import MonomialValuation, valuation_of_ideal
 
@@ -49,30 +44,20 @@ __all__ = [
 
 def np_membership(I: MonomialIdeal, a) -> bool:
     """x^a lies in the Newton polyhedron of I (equivalently, in the integral
-    closure of I for monomial ideals): in d <= 3 by its exact facets, in
-    higher dimension by the exact LP."""
+    closure of I for monomial ideals), as ``_polyhedra._inside`` decides."""
     if I.is_zero():
         raise ValueError("the zero ideal has no Newton polyhedron")
-    a = _check_exponent(a, I.dim)
-    if I.dim > 3:
-        return I.contains(a) or _lp_convex_dominated(I.gens, a)
-    return _inside(I, a)
+    return _inside(I, _check_exponent(a, I.dim))
 
 
 def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
-    """Minimal lattice points of the Newton polyhedron.  In d <= 3 that is
-    the ideal of the facet inequalities w.a >= rhs.  In higher dimension
-    the box up to the componentwise generator maximum is enumerated
-    (beyond it, points are dominated)."""
+    """Minimal lattice points of the Newton polyhedron, as
+    ``_polyhedra._closure`` builds them."""
     if I.is_zero():
         raise ValueError("integral closure of the zero ideal")
     if I.is_unit():
         return I
-    if I.dim <= 3:
-        return _weight_ideal(_facets(I), I.ctx)
-    box = [range(max(g[i] for g in I.gens) + 1) for i in range(I.dim)]
-    return MonomialIdeal(I.ctx, [p for p in itertools.product(*box)
-                                 if np_membership(I, p)])
+    return _closure(I)
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +155,14 @@ def filtration_integral_member(F: Filtration, a, m, r_max) -> ClosureMembership:
     Rees algebra of F?  Yes(r) is witnessed by r*a in NP(I_(rm)); No carries
     a certificate excluding every r; otherwise Unknown.
 
-    Over the powers of an ideal I in d <= 3 variables one polyhedron
-    decides every r: NP(I^(rm)) = rm * NP(I), so for r >= 1, r*a lies in
-    it exactly when w.a >= m*rhs for every facet (w, rhs) of NP(I).  The
-    answer is then Yes(1) or, as no larger r can do better, a separation
-    attempt; neither builds I^(rm).  A monomial with other than d entries
-    raises DimensionMismatchError."""
-    if m < 1:
+    Over the powers of an ideal I one polyhedron decides every r:
+    NP(I^(rm)) = rm * NP(I), so for r >= 1, r*a lies in it exactly when a
+    lies in m * NP(I).  The answer is then Yes(1) or, as no larger r can do
+    better, a separation attempt; neither builds I^(rm).  A monomial with
+    other than d entries raises DimensionMismatchError."""
+    if type(m) is not int or m < 1:
         raise ValueError("degree must be positive")
-    if r_max < 0:
+    if type(r_max) is not int or r_max < 0:
         raise ValueError("r_max must be nonnegative")
     a = _check_exponent(a, F.ctx.dim)
     if isinstance(F, DiscreteValuedFiltration) and F.is_rational_discrete_valued:
@@ -187,7 +171,7 @@ def filtration_integral_member(F: Filtration, a, m, r_max) -> ClosureMembership:
         return ClosureMembership(
             status="no",
             certificate=ContainmentCertificate(degree=m, monomial=a))
-    if isinstance(F, PowerFiltration) and F.ctx.dim <= 3 and r_max >= 1:
+    if isinstance(F, PowerFiltration) and r_max >= 1:
         if _inside(F.base, a, m):
             return ClosureMembership(status="yes", r=1)
     else:
@@ -258,12 +242,12 @@ class ClosureVerdict(Record):
 
 def _powers_inside(left: Filtration, right: Filtration, r_max):
     """Every generator of left_n is in the degree-n closure of right with
-    r = 1, for every n, by the base-facet rule: both are powers in d <= 3,
-    r_max >= 1, and w.h >= rhs for every generator h of left's base and
-    every facet (w, rhs) of NP(right's base).  A generator of left_n is a
-    sum of n such h, so it lies in n * NP(right's base) = NP(right_n)."""
+    r = 1, for every n, by the base rule: both are powers, r_max >= 1, and
+    every generator h of left's base lies in NP(right's base).  A generator
+    of left_n is a sum of n such h, so it lies in n * NP(right's base) =
+    NP(right_n)."""
     if not (isinstance(left, PowerFiltration) and isinstance(right, PowerFiltration)
-            and left.ctx.dim <= 3 and r_max >= 1):
+            and r_max >= 1):
         return False
     return all(_inside(right.base, h) for h in left.base.gens)
 
@@ -274,16 +258,15 @@ def rees_closure_compare(F: Filtration, G: Filtration, N, r_max) -> ClosureVerdi
     comparison; full success bounds equality up to (N, r_max); unresolved
     pairs make the verdict inconclusive.
 
-    A direction between two powers in d <= 3 with r_max >= 1 is first
-    decided from the bases by the base-facet rule: if every generator of
-    the left base lies in NP(right base), every membership in it is Yes
-    with r = 1 and left_n is never built.  Otherwise its generators are
-    tested one by one, which settles powers at n = 1, where F_1 is the
-    base.  Filtrations over rings of different dimension raise
-    DimensionMismatchError."""
-    if N < 1:
+    A direction between two powers with r_max >= 1 is first decided from
+    the bases by the base rule: if every generator of the left base lies
+    in NP(right base), every membership in it is Yes with r = 1 and left_n
+    is never built.  Otherwise its generators are tested one by one, which
+    settles powers at n = 1, where F_1 is the base.  Filtrations over rings
+    of different dimension raise DimensionMismatchError."""
+    if type(N) is not int or N < 1:
         raise ValueError("N must be at least 1")
-    if r_max < 0:
+    if type(r_max) is not int or r_max < 0:
         raise ValueError("r_max must be nonnegative")
     if F.ctx.dim != G.ctx.dim:
         raise DimensionMismatchError(

@@ -40,6 +40,7 @@ SLICED_LENGTH = "tests/test_ring_properties.py::test_sliced_length_matches_refer
 TRUNCATION_DP = "tests/test_filtration.py::test_truncate_dp_matches_enumeration"
 GAP_TOP = "tests/test_ring_properties.py::test_gap_top_matches_box_count"
 COVOLUME = "tests/test_ring_properties.py::test_ideal_multiplicity_matches_lattice_count"
+INSIDE_4D = "tests/test_newton.py::test_inside_in_four_variables_matches_lp_on_powers"
 
 # Equivalent mutants of the two-variable count, left out: which of two equal
 # lines leads (equal lines give equal columns), and whether a line takes
@@ -55,7 +56,10 @@ COVOLUME = "tests/test_ring_properties.py::test_ideal_multiplicity_matches_latti
 # either coordinate plane; ``_dot(n, c) >= 0`` in ``_pivot``, since a
 # point in the facet's plane lies on the c side of the edge, never replaces
 # n, and so n.c is never 0; and ``edges.pop(0)``, since gift wrapping finds
-# every compact facet in any order.
+# every compact facet in any order.  Equivalent in four variables: either
+# pre-test dropped, ``any(...) or`` in ``_inside`` or ``I.contains(p) or``
+# in ``_closure``, since a multiple of some m*g is a point the LP finds
+# feasible.
 MUTANTS = [
     (ASYMPTOTICS,
      "lengths.append(_floor_sum(-(-r // w0), w1, -w0, r + w1 - 1))",
@@ -123,15 +127,30 @@ MUTANTS = [
      REPORT,
      "a tail that only does not decrease counts as increasing"),
     (NEWTON,
-     "and left.ctx.dim <= 3 and r_max >= 1):",
-     "and left.ctx.dim <= 3 and r_max >= 0):",
+     "            and r_max >= 1):",
+     "            and r_max >= 0):",
      "tests/test_newton.py::test_power_verdicts_match_r_loop_reference",
-     "the base-facet rule answers a comparison whose r_max of 0 allows no r"),
+     "the base rule answers a comparison whose r_max of 0 allows no r"),
     (NEWTON,
-     "if isinstance(F, PowerFiltration) and F.ctx.dim <= 3 and r_max >= 1:",
-     "if isinstance(F, PowerFiltration) and F.ctx.dim <= 3 and r_max >= 0:",
+     "if isinstance(F, PowerFiltration) and r_max >= 1:",
+     "if isinstance(F, PowerFiltration) and r_max >= 0:",
      POWER_MEMBERSHIP,
      "a power membership with r_max 0 answers yes at r = 1"),
+    (POLYHEDRA,
+     "_lp_convex_dominated([tuple(m * c for c in g) for g in I.gens], a)",
+     "_lp_convex_dominated(list(I.gens), a)",
+     INSIDE_4D,
+     "in four variables the LP puts a in NP(I), not in m * NP(I)"),
+    (POLYHEDRA,
+     "any(all(m * c <= e for c, e in zip(g, a)) for g in I.gens)",
+     "any(all(c <= e for c, e in zip(g, a)) for g in I.gens)",
+     INSIDE_4D,
+     "in four variables a multiple of some x^g counts as inside m * NP(I)"),
+    (POLYHEDRA,
+     "range(max(c) + 1)",
+     "range(max(c))",
+     "tests/test_newton.py::test_lp_route_in_four_variables",
+     "the four-variable closure box stops short of the generator maximum"),
     (POLYHEDRA,
      "return all(_dot(w, a) >= m * rhs for w, rhs in _hull_of(I)[0])",
      "return all(_dot(w, a) > m * rhs for w, rhs in _hull_of(I)[0])",
@@ -141,15 +160,15 @@ MUTANTS = [
      "max_r = max(max_r, 1)",
      "max_r = max(max_r, 0)",
      "tests/test_newton.py::test_compare_of_powers_builds_no_power",
-     "a direction settled by the base-facet rule reports max_r_used 0, not 1"),
+     "a direction settled by the base rule reports max_r_used 0, not 1"),
     (RING,
      "if s != below:",
      "if s is not below:",
      "tests/test_ring.py::test_minimalize_idempotent_and_order_independent",
      "the stack keeps an entry whose slice equals the one below it"),
     ("src/epsmult/filtration.py",
-     "if N < 1:",
-     "if N < 0:",
+     "if type(N) is not int or N < 1:",
+     "if type(N) is not int or N < 0:",
      "tests/test_diagnostics.py::test_diagnostics_reject_an_empty_bound",
      "a bound of 0 runs a search over no level instead of being rejected"),
     (ASYMPTOTICS,
@@ -292,6 +311,18 @@ MUTANTS = [
      "    if window is None:",
      "tests/test_asymptotics.py::test_window_is_checked_before_any_level_is_built",
      "a report with N = 0 rejects its window instead of N"),
+    (ASYMPTOTICS,
+     "    window = _window(F, N, max(2, N // 2) if window is None else window)\n"
+     "    s = filtration_dimension(F)",
+     "    s = filtration_dimension(F)\n"
+     "    window = _window(F, N, max(2, N // 2) if window is None else window)",
+     "tests/test_asymptotics.py::test_window_is_checked_before_any_level_is_built",
+     "e_s_localized builds I_1 before it rejects its window"),
+    ("src/epsmult/diagnostics.py",
+     "if type(c) is not int or c < 1:",
+     "if c < 1:",
+     "tests/test_diagnostics.py::test_counts_must_be_integers",
+     "A(c) runs with a c that is not an integer"),
     ("src/epsmult/scenario.py",
      "            raise ScenarioError(f\"duplicate key {key!r} in one JSON object\")",
      "            pass",

@@ -294,11 +294,13 @@ def test_window_validation():
 
 def test_window_is_checked_before_any_level_is_built():
     # each of these used to build all 30 levels (of both filtrations in
-    # the difference check) before rejecting the window
+    # the difference check) before rejecting the window, and e_s_localized
+    # built I_1 before rejecting a window too wide for N = 3
     inner, outer = template_family("n^2"), template_family("n")
     for run in (lambda: epsilon_report(inner, 30, window=1),
                 lambda: truncation_sweep(inner, [1, 2], 30, window=1),
-                lambda: epsilon_difference_check(inner, outer, 30, window=16)):
+                lambda: epsilon_difference_check(inner, outer, 30, window=16),
+                lambda: e_s_localized(outer, 3, window=2)):
         with pytest.raises(ValueError, match="window"):
             run()
     assert inner._cache == {} and outer._cache == {}

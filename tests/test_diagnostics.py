@@ -21,8 +21,10 @@ from epsmult.filtration import (
     PowerFiltration,
     TableFiltration,
     TemplateFiltration,
+    _levels,
 )
-from epsmult.fixtures import pi_line, pi_plane
+from epsmult.fixtures import pi_line, pi_plane, template_family
+from epsmult.newton import filtration_integral_member, rees_closure_compare
 from epsmult.ring import (
     MonomialIdeal,
     RingContext,
@@ -283,6 +285,39 @@ def test_diagnostics_reject_bad_parameters():
         verify_ac_witness(T, holds)
     with pytest.raises(ValueError, match="r_max must be at least 2"):
         spread_zero_test(T, 5, 1)
+
+
+SQUARES = PowerFiltration(MonomialIdeal(CTX2, [(2, 0), (0, 2)]))
+LINEAR = template_family("2*n")
+NOT_INT_COUNTS = {
+    # a degree 1.5 answered yes with r = 1, and True ran as degree 1
+    "member-degree-float": (lambda: filtration_integral_member(SQUARES, (1, 2), 1.5, 2),
+                            "degree must be positive"),
+    "member-degree-bool": (lambda: filtration_integral_member(SQUARES, (1, 2), True, 2),
+                           "degree must be positive"),
+    "member-r_max-float": (lambda: filtration_integral_member(SQUARES, (1, 2), 1, 2.5),
+                           "r_max must be nonnegative"),
+    # a verdict with r_max 2.5, which JSON could not dump, or bound True
+    "compare-r_max-float": (lambda: rees_closure_compare(SQUARES, SQUARES, 2, 2.5),
+                            "r_max must be nonnegative"),
+    "compare-N-bool": (lambda: rees_closure_compare(SQUARES, SQUARES, True, 2),
+                       "N must be at least 1"),
+    # A(2.5) reported to hold, and c = True ran as c = 1
+    "Ac-c-float": (lambda: check_Ac(LINEAR, 2.5, 10), "c must be a positive integer"),
+    "Ac-c-bool": (lambda: check_Ac(LINEAR, True, 10), "c must be a positive integer"),
+    # a bare TypeError from range
+    "zero-spread-r_max-float": (lambda: spread_zero_test(LINEAR, 3, 2.5),
+                                "r_max must be at least 2"),
+    # one level
+    "levels-N-bool": (lambda: _levels(LINEAR, True), "N must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_INT_COUNTS))
+def test_counts_must_be_integers(case):
+    call, message = NOT_INT_COUNTS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_spread_tests_consistent_on_certified_specs():

@@ -1,12 +1,15 @@
 """Golden bytes: the output of ``epsmult run`` on ``demos/scenario_pi.json``
-(two variables) and ``demos/scenario_space.json`` (three variables), the
-same tasks run one CLI command each, the ``epsmult paper-examples`` table
-and the stdout of every ``demos/*.py`` script, byte for byte.
+(two variables), ``demos/scenario_space.json`` (three variables) and
+``demos/scenario_4d.json`` (four variables), the same tasks run one CLI
+command each, the ``epsmult paper-examples`` table and the stdout of every
+``demos/*.py`` script, byte for byte.
 
 The expected files under ``tests/golden/`` were generated before the
 sequence engine and the report protocol were unified (the three-variable
-ones before the ideal kernel moved to slice stacks in every dimension); a
-refactor that changes any output byte fails here.  Each scenario runs on a
+ones before the ideal kernel moved to slice stacks in every dimension,
+the four-variable ones while powers in four or more variables were still
+decided level by level); a refactor that changes any output byte fails
+here.  Each scenario runs on a
 copy in a temporary directory, so nothing is written into ``demos/``.
 """
 
@@ -35,6 +38,7 @@ SCENARIO_OUTPUTS = {
                        "skew_epsilon.json", "meet_es.json", "meet_a2.json",
                        "linear_spread.json", "closure.json", "diff.json",
                        "sweep.json"),
+    "scenario_4d": ("closure.json", "mixed.json", "hull_eval.json"),
 }
 TABLE_SHA256 = "507b9e4a8a945cc6e14cef5301ad1271262b55093578763be1ff72fce9ad6407"
 
@@ -57,6 +61,10 @@ def test_golden_scenario_pi_outputs(tmp_path, capsys):
 
 def test_golden_scenario_space_outputs(tmp_path, capsys):
     _check_scenario("scenario_space", tmp_path)
+
+
+def test_golden_scenario_4d_outputs(tmp_path, capsys):
+    _check_scenario("scenario_4d", tmp_path)
 
 
 def test_golden_paper_examples_table(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epsmult._polyhedra import _lp_convex_dominated
+from epsmult._polyhedra import _inside, _lp_convex_dominated
 from epsmult.filtration import (
     DiscreteValuedFiltration,
     PowerFiltration,
@@ -27,6 +27,7 @@ from epsmult.ring import (
     DimensionMismatchError,
     MonomialIdeal,
     RingContext,
+    ideal_power,
     maximal_power,
 )
 from epsmult.scenario import emit
@@ -41,6 +42,7 @@ from ring_reference import (
 
 CTX2 = RingContext(2)
 CTX3 = RingContext(3)
+CTX4 = RingContext(4)
 
 
 def random_instance(rng, d):
@@ -91,17 +93,34 @@ def test_lp_and_halfspace_routes_agree():
 
 def test_lp_route_in_four_variables():
     # beyond three variables no facets are built and the LP decides
-    ctx = RingContext(4)
     rng = random.Random(4)
     for _ in range(40):
         gens = [tuple(rng.randint(0, 5) for _ in range(4))
                 for _ in range(rng.randint(1, 4))]
-        I = MonomialIdeal(ctx, gens)
+        I = MonomialIdeal(CTX4, gens)
         a = tuple(rng.randint(0, 6) for _ in range(4))
         assert np_membership(I, a) == oracle_np_member(I.gens, a), (I.gens, a)
-    squares = MonomialIdeal(ctx, [tuple(2 * (i == j) for j in range(4))
-                                  for i in range(4)])
-    assert integral_closure(squares) == maximal_power(ctx, 2)
+    squares = MonomialIdeal(CTX4, [tuple(2 * (i == j) for j in range(4))
+                                   for i in range(4)])
+    assert integral_closure(squares) == maximal_power(CTX4, 2)
+
+
+def test_inside_in_four_variables_matches_lp_on_powers():
+    # x^a in m * NP(I), decided from I's generators, against the LP on the
+    # generators of I^m, with points that are multiples of some x^g but of
+    # no (x^g)^m among them
+    rng = random.Random(44)
+    for _ in range(30):
+        I = MonomialIdeal(CTX4, [tuple(rng.randint(0, 3) for _ in range(4))
+                                 for _ in range(rng.randint(1, 3))])
+        if I.is_unit():
+            continue
+        for m in (1, 2, 3):
+            gens = ideal_power(I, m).gens
+            points = [tuple(rng.randint(0, 3 * m) for _ in range(4)) for _ in range(6)]
+            points += [tuple(c + rng.randint(0, 1) for c in rng.choice(I.gens))]
+            for a in points:
+                assert _inside(I, a, m) == _lp_convex_dominated(gens, a), (I.gens, a, m)
 
 
 def _radical(I):
@@ -231,9 +250,8 @@ def test_power_verdicts_match_r_loop_reference():
     J = TemplateFiltration(CTX2, [("n+1", "0"), ("n", "1")])
     P = PowerFiltration(MonomialIdeal(CTX2, [(2, 0), (0, 1)]))
     Q = PowerFiltration(MonomialIdeal(CTX2, [(1, 0), (0, 1)]))
-    ctx4 = RingContext(4)
-    Q4 = PowerFiltration(maximal_power(ctx4, 1))
-    P4 = PowerFiltration(MonomialIdeal(ctx4, [tuple(2 * (i == j) for j in range(4))
+    Q4 = PowerFiltration(maximal_power(CTX4, 1))
+    P4 = PowerFiltration(MonomialIdeal(CTX4, [tuple(2 * (i == j) for j in range(4))
                                               for i in range(4)]))
     pairs = [(I, J, 10, 6), (J, I, 10, 6), (Q, P, 4, 3), (P, Q, 4, 3),
              (Q4, P4, 2, 2), (P4, Q4, 2, 2)]
@@ -249,6 +267,20 @@ def test_power_verdicts_match_r_loop_reference():
             G = PowerFiltration(MonomialIdeal(base.ctx, base.gens + (a,)))
             pairs += [(F, G, 3, rng.randint(0, 3)), (G, F, 3, rng.randint(0, 3))]
         pairs += [(F, closed, 3, rng.randint(0, 3)), (closed, F, 3, rng.randint(0, 3))]
+    # four-variable bases against their closure and one more generator
+    # (the r-loop reference builds every level up to N * r_max)
+    for _ in range(3):
+        base = MonomialIdeal(CTX4, [tuple(rng.randint(0, 2) for _ in range(4))
+                                    for _ in range(3)])
+        if not base.is_proper():
+            continue
+        F = PowerFiltration(base)
+        G = PowerFiltration(MonomialIdeal(CTX4, base.gens + ((1, 1, 0, 0),)))
+        closed = PowerFiltration(integral_closure(base))
+        pairs += [(F, closed, rng.randint(1, 2), rng.randint(0, 2)),
+                  (closed, F, rng.randint(1, 2), rng.randint(0, 2)),
+                  (F, G, rng.randint(1, 2), rng.randint(0, 2)),
+                  (G, F, rng.randint(1, 2), rng.randint(0, 2))]
     for F, G, N, r_max in pairs:
         fast = rees_closure_compare(F, G, N, r_max).to_obj()
         ref = ref_rees_closure_compare(F, G, N, r_max).to_obj()
@@ -381,6 +413,12 @@ def test_compare_of_powers_builds_no_power():
         "proven-different", 1, "right-into-left")
     assert verdict.max_r_used == 1
     assert P._cache == Q._cache == {} and list(R._cache) == [1]
+    # the same in four variables, where NP(I) has no facets to read
+    base = MonomialIdeal(CTX4, [(2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 2, 0), (0, 0, 0, 3)])
+    P, Q = PowerFiltration(base), PowerFiltration(integral_closure(base))
+    verdict = rees_closure_compare(P, Q, 3, 2)
+    assert (verdict.outcome, verdict.max_r_used) == ("equal-up-to-bound", 1)
+    assert P._cache == Q._cache == {}
 
 
 @pytest.mark.parametrize("N", [0, -1])

@@ -116,3 +116,25 @@ def test_only_ring_reads_an_ideals_value():
                           if alias.name.startswith("_")
                           and alias.name not in RING_PRIVATE_IMPORTS]
     assert not leaks, leaks
+
+
+def test_only_polyhedra_reaches_the_hull_and_the_lp():
+    """No module of ``src/epsmult`` but ``_polyhedra.py`` names the hull
+    cache ``_hull_of`` or the LP ``_lp_convex_dominated``, and ``newton.py``
+    does not import ``_weight_ideal``: newton asks ``_inside`` and
+    ``_closure`` in every dimension."""
+    leaks = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "_polyhedra.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        names = set(_imported(tree))
+        names.update((n.id, n.lineno) for n in ast.walk(tree) if isinstance(n, ast.Name))
+        names.update((n.attr, n.lineno) for n in ast.walk(tree)
+                     if isinstance(n, ast.Attribute))
+        banned = {"_hull_of", "_lp_convex_dominated"}
+        if path.name == "newton.py":
+            banned.add("_weight_ideal")
+        leaks += [f"{path.name}:{line}: {name}" for name, line in sorted(names)
+                  if name in banned]
+    assert not leaks, leaks
