@@ -18,14 +18,25 @@ zero-spread certificate records, for every minimal generator g of I_n, an
 exponent r with g^r in m * I_(rn); such generator-level certificates imply
 element-level nilpotency for a common exponent by pigeonhole (recorded per
 degree), which forces the fiber cone to be zero dimensional.  The search
-decides g^r in m * I_(rn) by membership in I_(rn) (``ring._in_m_times``),
-never listing its generators.
+decides g^r in m * I_(rn) from the generator shapes of a template, and by
+membership in I_(rn) (``ring._in_m_times``) for every other kind, never
+listing its generators.  The toric rank bound reads levels only until the
+rank reaches the ring dimension.
 """
 
 from __future__ import annotations
 
+from math import gcd
+from operator import le
+
 from ._record import Record
-from .filtration import DiscreteValuedFiltration, Filtration, PowerFiltration, _levels
+from .filtration import (
+    DiscreteValuedFiltration,
+    Filtration,
+    PowerFiltration,
+    TemplateFiltration,
+    _levels,
+)
 from .ring import (
     MonomialIdeal,
     _gap_top,
@@ -224,19 +235,35 @@ def spread_zero_test(F: Filtration, N, r_max):
     F, defect being a certified lower bound on ceil(n*a) - n*a; a failure
     reports bound(n) as ``searched_up_to``.
 
-    m * I_(rn) is never built: ``ring._in_m_times`` decides x^b in it from
-    I_(rn) (the exponents come from minimal generators, so they need no
-    validation)."""
+    m * I_(rn) is never built.  For a template, x^b lies in it exactly
+    when some generator shape h of level rn has h <= b and h != b, so
+    I_(rn) is not built either (a level past a tau table still raises);
+    for every other kind ``ring._in_m_times`` decides it from I_(rn) (the
+    exponents come from minimal generators, so they need no validation)."""
     levels = _levels(F, N)
     if type(r_max) is not int or r_max < 2:
         raise ValueError("r_max must be at least 2")
+    if isinstance(F, TemplateFiltration):
+        shapes = {}  # k -> the shapes of level k, shared by every g and r
+
+        def in_m_times(k, b):
+            hs = shapes.get(k)
+            if hs is None:
+                hs = shapes[k] = F._shapes(k)
+            for h in hs:
+                if h != b and all(map(le, h, b)):
+                    return True
+            return False
+    else:
+        def in_m_times(k, b):
+            return _in_m_times(F.ideal_at(k), b)
     entries = []
     for n, In in levels:
         bound = _adaptive_r_bound(F, n, r_max)
         for g in In.gens:
             found = None
             for r in range(2, bound + 1):
-                if _in_m_times(F.ideal_at(r * n), tuple(r * e for e in g)):
+                if in_m_times(r * n, tuple([r * e for e in g])):
                     found = r
                     break
             if found is None:
@@ -259,39 +286,36 @@ def verify_zero_certificate(F: Filtration, cert: ZeroSpreadCertificate) -> bool:
     return True
 
 
-def _rational_rank(rows):
-    """Exact rank of an integer matrix by Bareiss elimination: each entry
-    stays an integer (a minor of the input), and the loop stops once the
-    rank reaches the row or the column count."""
-    mat = [list(row) for row in rows]
-    cols = len(mat[0]) if mat else 0
-    rank, prev = 0, 1
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+def _capped_rank(rows, cap):
+    """min(rank, cap) of the integer rows, read lazily: each row is reduced
+    fraction-free against an echelon basis (each basis row zero at the
+    pivots of the rows before it, divided by the gcd of its entries), kept
+    if a nonzero entry is left, and no row is read once the basis holds
+    ``cap`` rows (cap >= 1)."""
+    basis = []  # (pivot column, row)
+    for row in rows:
+        for col, b in basis:
+            f = row[col]
+            if f:
+                p = b[col]
+                row = [p * x - f * y for x, y in zip(row, b)]
+        pivot = next((i for i, x in enumerate(row) if x), None)
         if pivot is None:
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        rank += 1
-        if rank == len(mat) or rank == cols:
+        g = gcd(*row)
+        basis.append((pivot, [x // g for x in row]))
+        if len(basis) == cap:
             break
-        top = mat[rank - 1]
-        pv = top[col]
-        for r in range(rank, len(mat)):
-            f = mat[r][col]
-            mat[r] = [(pv * x - f * y) // prev for x, y in zip(mat[r], top)]
-        prev = pv
-    return rank
+    return len(basis)
 
 
 def toric_rank_bound(F: Filtration, N) -> int:
     """Rank of the lattice spanned by (g, n) over minimal generators g of
-    I_n for n <= N, clamped to the ring dimension.  This is an upper bound
+    I_n for n <= N, clamped to the ring dimension d.  This is an upper bound
     for the analytic spread (the fiber cone is a quotient of the toric
-    algebra on these exponents), never an exact value."""
-    rows = []
-    for n, In in _levels(F, N):
-        for g in In.gens:
-            rows.append(list(g) + [n])
-    if not rows:
-        return 0
-    return min(_rational_rank(rows), F.ctx.dim)
+    algebra on these exponents), never an exact value.  Levels are read in
+    n-order only until the rank reaches d, so no later level is built: one
+    past that point that would raise (a table shorter than N) does not
+    raise here."""
+    return _capped_rank((g + (n,) for n, In in _levels(F, N) for g in In.gens),
+                        F.ctx.dim)

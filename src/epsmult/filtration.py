@@ -244,11 +244,16 @@ class TemplateFiltration(Filtration):
         # the table, if a coordinate reads it: its range is that of the spec
         self._tau = tau if any(c.text == "tau(n)" for g in gens for c in g) else None
 
-    def _compute(self, n):
+    def _shapes(self, n):
+        """The generator shapes at level n, nonnegative integer exponents
+        not minimalised; a level outside the tau table raises
+        :class:`TableRangeError`."""
         if self._tau is not None and n not in self._tau:
             raise TableRangeError(f"tau table has no entry for n={n}")
-        pts = [tuple(coord.eval(n) for coord in g) for g in self.generators]
-        return MonomialIdeal(self.ctx, pts)
+        return [tuple(coord.eval(n) for coord in g) for g in self.generators]
+
+    def _compute(self, n):
+        return MonomialIdeal(self.ctx, self._shapes(n))
 
     def _localized(self, coords, sub):
         loc = TemplateFiltration(
@@ -334,7 +339,7 @@ class Witness(Record):
 def validate_filtration(F: Filtration, N):
     """Check the graded family axiom for all m + n <= N, N >= 2; return None
     when it holds, else the first violating pair (by total degree, then m)."""
-    if N < 2:
+    if type(N) is not int or N < 2:
         raise ValueError("N must be at least 2")
     for s in range(2, N + 1):
         Is = F.ideal_at(s)

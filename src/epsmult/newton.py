@@ -192,6 +192,8 @@ def verify_separation_certificate(F: Filtration, cert: SeparationCertificate,
                                   r_checks=100) -> bool:
     """Numeric re-check of a separation certificate: for r = 1..r_checks the
     weight value of I_(r*degree) strictly exceeds r * (w . a)."""
+    if type(r_checks) is not int or r_checks < 1:
+        raise ValueError("r_checks must be a positive integer")
     v = MonomialValuation(cert.weight)
     wa = v.value(cert.monomial)
     for r in range(1, r_checks + 1):

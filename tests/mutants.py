@@ -28,6 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 ASYMPTOTICS = "src/epsmult/asymptotics.py"
+DIAGNOSTICS = "src/epsmult/diagnostics.py"
 NEWTON = "src/epsmult/newton.py"
 POLYHEDRA = "src/epsmult/_polyhedra.py"
 RING = "src/epsmult/ring.py"
@@ -41,6 +42,7 @@ TRUNCATION_DP = "tests/test_filtration.py::test_truncate_dp_matches_enumeration"
 GAP_TOP = "tests/test_ring_properties.py::test_gap_top_matches_box_count"
 COVOLUME = "tests/test_ring_properties.py::test_ideal_multiplicity_matches_lattice_count"
 INSIDE_4D = "tests/test_newton.py::test_inside_in_four_variables_matches_lp_on_powers"
+SPREAD_ZERO = "tests/test_diagnostics.py::test_spread_zero_matches_product_reference"
 
 # Equivalent mutants of the two-variable count, left out: which of two equal
 # lines leads (equal lines give equal columns), and whether a line takes
@@ -59,7 +61,8 @@ INSIDE_4D = "tests/test_newton.py::test_inside_in_four_variables_matches_lp_on_p
 # every compact facet in any order.  Equivalent in four variables: either
 # pre-test dropped, ``any(...) or`` in ``_inside`` or ``I.contains(p) or``
 # in ``_closure``, since a multiple of some m*g is a point the LP finds
-# feasible.
+# feasible.  Equivalent in the rank bound: a basis row kept without
+# dividing it by the gcd of its entries, which only lets them grow.
 MUTANTS = [
     (ASYMPTOTICS,
      "lengths.append(_floor_sum(-(-r // w0), w1, -w0, r + w1 - 1))",
@@ -256,7 +259,32 @@ MUTANTS = [
      "_has(d, value, b)",
      "tests/test_diagnostics.py::test_spread_zero_not_found_for_maximal_powers",
      "the zero-spread rule asks for x^b in I_(rn), not in m * I_(rn)"),
-    ("src/epsmult/diagnostics.py",
+    (DIAGNOSTICS,
+     "if h != b and all(map(le, h, b)):",
+     "if all(map(le, h, b)):",
+     SPREAD_ZERO,
+     "the template zero-spread rule asks for x^b in I_(rn), not in m * I_(rn)"),
+    (DIAGNOSTICS,
+     "if h != b and all(map(le, h, b)):",
+     "if h != b and all(map(le, b, h)):",
+     SPREAD_ZERO,
+     "the template zero-spread rule asks for a shape above x^b, not below it"),
+    (DIAGNOSTICS,
+     "if isinstance(F, TemplateFiltration):",
+     "if False:",
+     "tests/test_diagnostics.py::test_spread_zero_builds_no_template_level_above_N",
+     "a template's zero-spread search builds the levels above N"),
+    (DIAGNOSTICS,
+     "if len(basis) == cap:",
+     "if len(basis) == cap + 1:",
+     "tests/test_diagnostics.py::test_toric_rank_builds_no_level_after_the_stop",
+     "the rank bound reads on past the ring dimension"),
+    (DIAGNOSTICS,
+     "row = [p * x - f * y for x, y in zip(row, b)]",
+     "row = [x - f * y for x, y in zip(row, b)]",
+     "tests/test_diagnostics.py::test_integer_rank_matches_fraction_rank",
+     "a row is reduced against the basis without scaling it by the pivot"),
+    (DIAGNOSTICS,
      "if top is not None and top < c * n:",
      "if top is not None and top <= c * n:",
      "tests/test_diagnostics.py::test_check_Ac_matches_reference",
@@ -318,11 +346,21 @@ MUTANTS = [
      "    window = _window(F, N, max(2, N // 2) if window is None else window)",
      "tests/test_asymptotics.py::test_window_is_checked_before_any_level_is_built",
      "e_s_localized builds I_1 before it rejects its window"),
-    ("src/epsmult/diagnostics.py",
+    (DIAGNOSTICS,
      "if type(c) is not int or c < 1:",
      "if c < 1:",
      "tests/test_diagnostics.py::test_counts_must_be_integers",
      "A(c) runs with a c that is not an integer"),
+    ("src/epsmult/filtration.py",
+     "if type(N) is not int or N < 2:",
+     "if N < 2:",
+     "tests/test_diagnostics.py::test_counts_must_be_integers",
+     "the graded family check runs with an N that is not an integer"),
+    (NEWTON,
+     "if type(r_checks) is not int or r_checks < 1:",
+     "if r_checks < 1:",
+     "tests/test_diagnostics.py::test_counts_must_be_integers",
+     "a separation re-check runs with an r_checks that is not an integer"),
     ("src/epsmult/scenario.py",
      "            raise ScenarioError(f\"duplicate key {key!r} in one JSON object\")",
      "            pass",

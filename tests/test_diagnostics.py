@@ -8,7 +8,7 @@ from epsmult.diagnostics import (
     MaxSpreadCertificate,
     ZeroSpreadCertificate,
     ZeroSpreadNotFound,
-    _rational_rank,
+    _capped_rank,
     check_Ac,
     spread_max_test,
     spread_zero_test,
@@ -20,11 +20,17 @@ from epsmult.filtration import (
     DiscreteValuedFiltration,
     PowerFiltration,
     TableFiltration,
+    TableRangeError,
     TemplateFiltration,
     _levels,
+    validate_filtration,
 )
 from epsmult.fixtures import pi_line, pi_plane, template_family
-from epsmult.newton import filtration_integral_member, rees_closure_compare
+from epsmult.newton import (
+    filtration_integral_member,
+    rees_closure_compare,
+    verify_separation_certificate,
+)
 from epsmult.ring import (
     MonomialIdeal,
     RingContext,
@@ -37,6 +43,13 @@ from fraction_reference import ref_rational_rank
 from ring_reference import LocalizedFiltration, ref_check_Ac, ref_spread_zero_test, spec
 
 CTX2 = RingContext(2)
+CTX3 = RingContext(3)
+
+
+def spread_template():
+    """(x^3, x*y^n, x*z^n), the shape of the benchmark's spread template,
+    with its memo table empty: its I_1 already has rank 3."""
+    return TemplateFiltration(CTX3, [("3", "0", "0"), ("1", "n", "0"), ("1", "0", "n")])
 
 
 def family_K(a):
@@ -205,19 +218,26 @@ def test_spread_zero_not_found_for_maximal_powers():
 
 
 @st.composite
-def spread_filtrations(draw, dims=st.integers(1, 3)):
-    """Affine templates, discrete-valued filtrations with rational or
-    pi-multiple multipliers (the pi ones raise the search bound), and
-    powers (which rarely have zero-spread evidence) in a number of
-    variables drawn from ``dims``, one to three by default."""
+def spread_filtrations(draw, dims=st.integers(1, 3), tau_levels=st.integers(2, 6)):
+    """Affine templates, some with ``tau(n)`` coordinates read from a table
+    of levels 1 to a length drawn from ``tau_levels``, discrete-valued
+    filtrations with rational or pi-multiple multipliers (the pi ones raise
+    the search bound), and powers (which rarely have zero-spread evidence)
+    in a number of variables drawn from ``dims``, one to three by
+    default."""
     d = draw(dims)
     ctx = RingContext(d)
     small = st.integers(0, 2)
     kind = draw(st.sampled_from(("template", "rational", "pi", "power")))
     if kind == "template":
         coord = st.tuples(small, small).map(lambda ab: f"{ab[0]}*n+{ab[1]}")
+        size = draw(tau_levels)
+        tau = draw(st.none() | st.lists(st.integers(0, 6), min_size=size, max_size=size).map(
+            lambda values: dict(enumerate(values, start=1))))
+        if tau is not None:
+            coord = coord | st.just("tau(n)")
         gens = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=3))
-        return TemplateFiltration(ctx, gens)
+        return TemplateFiltration(ctx, gens, tau)
     if kind == "power":
         gens = st.lists(st.tuples(*[st.integers(0, 3)] * d), min_size=1, max_size=3)
         return PowerFiltration(draw(gens.map(lambda g: MonomialIdeal(ctx, g)).filter(
@@ -235,15 +255,33 @@ def spread_filtrations(draw, dims=st.integers(1, 3)):
 @example(TemplateFiltration(CTX2, [("2", "0"), ("1", "2*n")]), 3, 4)
 @example(PowerFiltration(MonomialIdeal.maximal(CTX2)), 2, 3)
 @example(pi_line(), 3, 2)
+# levels 2 and 3 read the table; r = 2 at n = 2 needs level 4, past it
+@example(TemplateFiltration(CTX2, [("2", "0"), ("1", "tau(n)")], {1: 1, 2: 2, 3: 3}), 2, 4)
 def test_spread_zero_matches_product_reference(F, N, r_max):
+    # a template is decided from its shapes, every other kind by value; a
+    # level rn past a tau table raises on both sides
+    try:
+        expected = ref_spread_zero_test(F, N, r_max)
+    except TableRangeError:
+        with pytest.raises(TableRangeError):
+            spread_zero_test(F, N, r_max)
+        return
     fast = spread_zero_test(F, N, r_max)
-    assert fast == ref_spread_zero_test(F, N, r_max), spec(F)
+    assert fast == expected, spec(F)
     if isinstance(fast, ZeroSpreadCertificate):
         assert verify_zero_certificate(F, fast)
 
 
+def test_spread_zero_builds_no_template_level_above_N():
+    F = spread_template()
+    cert = spread_zero_test(F, 20, 6)
+    assert isinstance(cert, ZeroSpreadCertificate)
+    assert {r for _, _, r in cert.entries} == {2}
+    assert sorted(F._cache) == list(range(1, 21))
+
+
 @settings(max_examples=100)
-@given(spread_filtrations(st.integers(2, 3)), st.integers(1, 8))
+@given(spread_filtrations(st.integers(2, 3), st.integers(8, 12)), st.integers(1, 8))
 # zero levels are skipped, and a unit level has no gap
 @example(TableFiltration(CTX2, [MonomialIdeal.zero(CTX2), MonomialIdeal.unit(CTX2),
                                 MonomialIdeal.zero(CTX2), MonomialIdeal(CTX2, [(2, 0), (1, 1)])]), 4)
@@ -289,6 +327,10 @@ def test_diagnostics_reject_bad_parameters():
 
 SQUARES = PowerFiltration(MonomialIdeal(CTX2, [(2, 0), (0, 2)]))
 LINEAR = template_family("2*n")
+# (x) ^ n against (x^(n+1), x^n * y): x is separated at degree 1
+_STAIR = TemplateFiltration(CTX2, [("n+1", "0"), ("n", "1")])
+SEPARATED = (_STAIR, rees_closure_compare(
+    PowerFiltration(MonomialIdeal(CTX2, [(1, 0)])), _STAIR, 2, 2).certificate)
 NOT_INT_COUNTS = {
     # a degree 1.5 answered yes with r = 1, and True ran as degree 1
     "member-degree-float": (lambda: filtration_integral_member(SQUARES, (1, 2), 1.5, 2),
@@ -308,6 +350,10 @@ NOT_INT_COUNTS = {
     # a bare TypeError from range
     "zero-spread-r_max-float": (lambda: spread_zero_test(LINEAR, 3, 2.5),
                                 "r_max must be at least 2"),
+    "validate-N-float": (lambda: validate_filtration(LINEAR, 2.5), "N must be at least 2"),
+    "separation-r_checks-float": (
+        lambda: verify_separation_certificate(*SEPARATED, 2.5),
+        "r_checks must be a positive integer"),
     # one level
     "levels-N-bool": (lambda: _levels(LINEAR, True), "N must be at least 1"),
 }
@@ -379,7 +425,41 @@ def integer_matrices(draw):
 @example([[1, 2, 3], [2, 4, 6], [0, 0, 1], [1, 0, 0], [5, 5, 5]])
 @example([[0, 3, 0], [0, -6, 0]])
 def test_integer_rank_matches_fraction_rank(rows):
-    assert _rational_rank(rows) == ref_rational_rank(rows), rows
+    # every cap up to one past the column count, which no rank reaches
+    rank = ref_rational_rank(rows)
+    for cap in range(1, (len(rows[0]) if rows else 0) + 2):
+        assert _capped_rank(rows, cap) == min(rank, cap), (rows, cap)
+
+
+@settings(max_examples=100)
+@given(spread_filtrations(), st.integers(1, 12))
+@example(TableFiltration(CTX2, [MonomialIdeal.maximal(CTX2)]), 3)
+@example(TableFiltration(CTX2, [MonomialIdeal(CTX2, [(1, 0)])]), 3)
+def test_toric_rank_matches_fraction_rank(F, N):
+    # the rank of all rows up to N, clamped to d; a level past a table
+    # raises only if the rank is below d at the levels before it
+    rows, short = [], False
+    for n in range(1, N + 1):
+        try:
+            rows += [g + (n,) for g in F.ideal_at(n).gens]
+        except TableRangeError:
+            short = True
+            break
+    expected = min(ref_rational_rank(rows), F.ctx.dim)
+    if short and expected < F.ctx.dim:
+        with pytest.raises(TableRangeError):
+            toric_rank_bound(F, N)
+    else:
+        assert toric_rank_bound(F, N) == expected, spec(F)
+
+
+def test_toric_rank_builds_no_level_after_the_stop():
+    F = spread_template()
+    assert toric_rank_bound(F, 60) == 3
+    assert sorted(F._cache) == [1]
+    # m in two variables reaches rank 2 at n = 1, so a one-level table
+    # answers for N = 3 without reading level 2
+    assert toric_rank_bound(TableFiltration(CTX2, [MonomialIdeal.maximal(CTX2)]), 3) == 2
 
 
 def test_toric_rank_upper_bounds_spread():
